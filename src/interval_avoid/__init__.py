@@ -10,16 +10,14 @@ harness.
 
 from .closedform import (CrossingMeasure, Harmonics, OvershootLaw, crossing_factor,
                          default_series_depth, gamma_bound, harmonic_plus_partial_sum,
-                         harmonic_plus_q_partial_sum, harmonic_value, harmonics,
-                         ladder_symmetry_ratio, nu, overshoot_law)
+                         harmonic_plus_q_partial_sum, harmonics, nu, overshoot_law)
 from .engine import (AvoidanceEstimate, ClockEstimate, CrossingLawEstimate,
                      EstimatorResult, PathConfig, SurvivalEstimate, Trajectory,
                      bridge_cross_prob, empirical_crossing_law, estimate_avoidance,
                      estimate_clock_event, estimate_survival, simulate_path,
                      terminal_sample)
-from .model import (Interval, ModelParams, WienerHopfData, kappa, ladder_exponent,
-                    laplace_exponent, potential, potential_q, potential_q_total,
-                    wiener_hopf, wiener_hopf_roots)
+from .model import (Interval, ModelParams, kappa, ladder_exponent, laplace_exponent,
+                    potential, potential_q, potential_q_total, wiener_hopf_roots)
 from .particles import (DriftProbability, EnsembleExtinctionError, ParticleEnsemble,
                         drift_probability, harmonicity_residual, occupation_time,
                         propagate_ensemble)

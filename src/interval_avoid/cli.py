@@ -1,7 +1,7 @@
 """Command-line front end: tables, simulate, condition, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on invalid
-configuration or arguments.
+configuration or arguments and when a particle ensemble dies out.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .config import ConfigError, load_config
 from .engine import (PathConfig, estimate_avoidance, estimate_clock_event,
                      estimate_survival, simulate_path)
 from .model import Interval, ModelParams
-from .particles import drift_probability, propagate_ensemble
+from .particles import EnsembleExtinctionError, drift_probability, propagate_ensemble
 from .suites import SUITES, dumps_17g, emit_table, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--horizon", type=float, default=10.0)
     s.add_argument("--seed", type=int, default=20260801)
     s.add_argument("--no-bridge", action="store_true",
-                   help="disable exact bridge killing (grid-only validation mode)")
+                   help="disable exact bridge killing (grid-only validation mode; "
+                        "survival only)")
     s.add_argument("--t", type=float, default=None, help="time for the survival estimator")
     s.add_argument("--q", type=float, default=None, help="clock rate for the clock estimator")
     s.add_argument("--dump-paths", type=int, default=0, metavar="K",
@@ -219,7 +220,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EnsembleExtinctionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

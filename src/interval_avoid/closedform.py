@@ -30,7 +30,7 @@ from typing import Literal
 
 import numpy as np
 
-from .model import Interval, ModelParams, kappa, potential, potential_q, wiener_hopf_roots
+from .model import Interval, ModelParams, potential, potential_q, wiener_hopf_roots
 
 __all__ = [
     "OvershootLaw",
@@ -41,12 +41,10 @@ __all__ = [
     "gamma_bound",
     "nu",
     "harmonics",
-    "harmonic_value",
     "harmonic_plus_partial_sum",
     "harmonic_plus_q_partial_sum",
     "harmonic_minus_q_partial_sum",
     "default_series_depth",
-    "ladder_symmetry_ratio",
 ]
 
 Kind = Literal["plus", "minus", "combined"]
@@ -77,11 +75,6 @@ def default_series_depth(params: ModelParams, interval: Interval, tol: float = 1
     """Truncation K with c^(2K) below ``tol``."""
     c = crossing_factor(params, interval)
     return max(1, math.ceil(0.5 * math.log(tol) / math.log(c)))
-
-
-def ladder_symmetry_ratio(params: ModelParams, q: float = 1e-6) -> float:
-    """Diagnostic ratio kappa(q)/kappa_hat(q); equals 1 for this symmetric model."""
-    return kappa(params, q) / kappa(params, q)
 
 
 # --------------------------------------------------------------------------- #
@@ -303,10 +296,6 @@ def harmonics(params: ModelParams, interval: Interval) -> Harmonics:
         coef_far=(beta - params.eta) / beta**2 + 2.0 * c**2 / (beta * (1.0 - c**2)),
         coef_near=2.0 * c / (beta * (1.0 - c**2)),
     )
-
-
-def harmonic_value(params: ModelParams, interval: Interval, kind: Kind, x):
-    return harmonics(params, interval).value(kind, x)
 
 
 def _series_masses(params: ModelParams, interval: Interval, x: float, K: int):

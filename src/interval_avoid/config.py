@@ -61,6 +61,9 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
+    for key in ("paths", "particles", "seed"):
+        if isinstance(doc.get(key), bool):      # bool is an int subclass
+            raise ConfigError(f"{key} must be an integer, not a boolean")
 
     model_block = {**DEFAULTS["model"], **doc.get("model", {})}
     _reject_unknown(doc.get("model", {}), _MODEL_KEYS, "model block")
@@ -71,7 +74,7 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
     for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or value <= 0:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance {key!r} must be a positive number")
 
     try:

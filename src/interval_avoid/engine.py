@@ -79,6 +79,11 @@ class PathConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
+    def require_bridge(self, what: str) -> None:
+        if not self.bridge_correction:
+            raise ValueError(f"{what} requires exact bridge killing; "
+                             "bridge_correction=False is supported by survival only")
+
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -91,6 +96,12 @@ def _binomial_result(successes: float, n: int) -> EstimatorResult:
     p = successes / n
     var = (successes - n * p * p) / (n - 1) if n > 1 else 0.0  # sum x^2 = sum x for 0/1
     return EstimatorResult(mean=p, stderr=math.sqrt(max(var, 0.0) / n), n=n)
+
+
+def _observation_grid(dt: float, horizon: float) -> list[float]:
+    """Grid times min(k dt, horizon), k = 1..ceil(horizon/dt)."""
+    n_steps = int(math.ceil(horizon / dt))
+    return [min(k * dt, horizon) for k in range(1, n_steps + 1)]
 
 
 def bridge_cross_prob(x0: float, x1: float, dt: float, level: float,
@@ -284,15 +295,13 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True,
 class Trajectory:
     """One recorded path: grid and jump times, values, crossings, hit data.
 
-    ``values`` holds right limits (post-jump at jump marks); the value just
-    before a jump is in ``pre_jump_values`` at the same index (elsewhere the
-    two agree).  ``k_dagger`` is set only when the hit happens at a jump
-    crossing the interval.
+    ``values`` holds right limits (post-jump at jump marks); a hit ends the
+    path with its hit value.  ``k_dagger`` is set only when the hit happens
+    at a jump crossing the interval.
     """
 
     times: np.ndarray
     values: np.ndarray
-    pre_jump_values: np.ndarray
     is_jump: np.ndarray
     hit: bool
     hit_time: Optional[float]
@@ -302,87 +311,32 @@ class Trajectory:
 
 def simulate_path(model: ModelParams, interval: Interval, start: float,
                   config: PathConfig, path_index: int = 0) -> Trajectory:
-    """Simulate one path on the observation grid, with exact jump handling.
+    """Record one path of the ``advance`` kernel on the observation grid.
 
-    Deterministic in (config.seed, path_index, start): each path owns the
-    stream keyed by (seed, path_index).
+    Each kernel call stops at the next jump or grid time, so every event is
+    read back from a one-path block.  Deterministic in (config.seed,
+    path_index, start): each path owns the stream keyed by (seed, path_index).
     """
-    interval.require_outside(start, "starting point")
-    rng = block_stream(config.seed, path_index)
-    a, b = interval.a, interval.b
-    sigma, lam, eta, drift = model.sigma, model.lam, model.eta, model.drift
-
-    times = [0.0]
-    values = [float(start)]
-    pre_values = [float(start)]
-    jumps = [False]
-    crossings: list = []
-    k_dagger = None
-    hit = False
-    hit_time = None
-
-    t, x = 0.0, float(start)
-    next_jump = rng.exponential(1.0 / lam)
-    n_steps = int(math.ceil(config.horizon / config.dt))
-    grid = [min(k * config.dt, config.horizon) for k in range(1, n_steps + 1)]
-    gi = 0
-
-    while gi < len(grid):
-        is_jump = next_jump <= grid[gi]
-        t1 = next_jump if is_jump else grid[gi]
-        dt = max(t1 - t, 1e-300)
-        x1 = x + drift * dt + sigma * math.sqrt(dt) * rng.standard_normal()
-
-        killed = False
-        if config.bridge_correction:
-            u = rng.random()
-            if x > b and x1 > b:
-                killed = u < bridge_cross_prob(x, x1, dt, b, "above", sigma)
-            elif x < a and x1 < a:
-                killed = u < bridge_cross_prob(x, x1, dt, a, "below", sigma)
-            else:
-                killed = True      # endpoint inside or straddling
-        else:
-            killed = a <= x1 <= b
-
-        if killed:
-            hit, hit_time = True, t1
-            entry = x1 if a <= x1 <= b else (b if x > b else a)
-            times.append(t1); values.append(entry); pre_values.append(entry)
-            jumps.append(False)
-            break
-
-        if is_jump:
-            y = rng.exponential(1.0 / eta)
-            if rng.random() >= 0.5:
-                y = -y
-            xpost = x1 + y
-            crossed = (x1 > b and xpost <= b) or (x1 < a and xpost >= a)
-            if crossed:
-                crossings.append((t1, xpost))
-            times.append(t1); values.append(xpost); pre_values.append(x1)
-            jumps.append(True)
-            t, x = t1, xpost
-            next_jump = t1 + rng.exponential(1.0 / lam)
-            if a <= xpost <= b:
-                hit, hit_time = True, t1
-                k_dagger = len(crossings)
-                break
-        else:
-            times.append(t1); values.append(x1); pre_values.append(x1)
-            jumps.append(False)
-            t, x = t1, x1
-            gi += 1
-
+    pb = PathBlock.start(model, interval, start, 1, block_stream(config.seed, path_index))
+    times, values, jumps, crossings = [0.0], [float(start)], [False], []
+    for grid_t in _observation_grid(config.dt, config.horizon):
+        while pb.alive[0] and pb.t[0] < grid_t:
+            jump_t, n_cross = pb.next_jump[0], pb.n_cross[0]
+            advance(pb, min(jump_t, grid_t), bridge=config.bridge_correction)
+            times.append(pb.t[0])
+            values.append(pb.x[0] if pb.alive[0] else pb.hit_value[0])
+            jumps.append(pb.next_jump[0] != jump_t)
+            if pb.n_cross[0] > n_cross:
+                crossings.append((pb.t[0], pb.x[0]))
+    hit = not pb.alive[0]
     return Trajectory(
         times=np.asarray(times),
         values=np.asarray(values),
-        pre_jump_values=np.asarray(pre_values),
         is_jump=np.asarray(jumps, dtype=bool),
         hit=hit,
-        hit_time=hit_time,
+        hit_time=float(pb.hit_time[0]) if hit else None,
         crossings=crossings,
-        k_dagger=k_dagger,
+        k_dagger=int(pb.k_dagger[0]) if pb.k_dagger[0] >= 0 else None,
     )
 
 
@@ -410,42 +364,17 @@ class SurvivalEstimate:
     below: EstimatorResult
 
 
-def _survival_block(args):
-    model, interval, start, config, bi, count, t = args
-    rng = block_stream(config.seed, bi)
-    pb = PathBlock.start(model, interval, start, count, rng)
-    if config.bridge_correction:
-        advance(pb, t)
-    else:
-        steps = int(math.ceil(t / config.dt))
-        for k in range(1, steps + 1):
-            advance(pb, min(k * config.dt, t), bridge=False)
-    up = pb.alive & (pb.x > interval.b)
-    dn = pb.alive & (pb.x < interval.a)
-    return count, int(pb.alive.sum()), int(up.sum()), int(dn.sum())
-
-
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
                       t: float, config: PathConfig) -> SurvivalEstimate:
     """P(t < T), split by the side of the interval occupied at time t."""
-    interval.require_outside(start, "starting point")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        one = EstimatorResult(1.0, 0.0, config.n_paths)
-        zero = EstimatorResult(0.0, 0.0, config.n_paths)
-        return SurvivalEstimate(total=one,
-                                above=one if start > interval.b else zero,
-                                below=one if start < interval.a else zero)
-    parts = _map_blocks(_survival_block, _block_args(model, interval, start, config, (t,)))
-    n = sum(p[0] for p in parts)
-    k_tot = sum(p[1] for p in parts)
-    k_up = sum(p[2] for p in parts)
-    k_dn = sum(p[3] for p in parts)
+    xs, alive = terminal_sample(model, interval, start, t, config)
+    n = xs.size
     return SurvivalEstimate(
-        total=_binomial_result(k_tot, n),
-        above=_binomial_result(k_up, n),
-        below=_binomial_result(k_dn, n),
+        total=_binomial_result(int(alive.sum()), n),
+        above=_binomial_result(int((alive & (xs > interval.b)).sum()), n),
+        below=_binomial_result(int((alive & (xs < interval.a)).sum()), n),
     )
 
 
@@ -472,6 +401,7 @@ def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> ClockEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
     interval.require_outside(start, "starting point")
+    config.require_bridge("estimate_clock_event")
     if not q > 0.0:
         raise ValueError(f"q must be positive (got {q})")
     parts = _map_blocks(_clock_block, _block_args(model, interval, start, config, (q,)))
@@ -544,6 +474,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     if k < 1:
         raise ValueError("k must be >= 1")
     interval.require_outside(start, "starting point")
+    config.require_bridge("empirical_crossing_law")
     parts = _map_blocks(
         _crossing_block,
         _block_args(model, interval, start, config, (k, config.horizon)))
@@ -640,6 +571,7 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
+    config.require_bridge("estimate_avoidance")
     g = adjustment_coefficient(model)
     exit_level = interval.b + math.log(1.0 / bound_target) / g
     horizon = _avoidance_horizon(model, interval, start)
@@ -663,13 +595,22 @@ def _terminal_block(args):
     model, interval, start, config, bi, count, t = args
     rng = block_stream(config.seed, bi)
     pb = PathBlock.start(model, interval, start, count, rng)
-    advance(pb, t)
+    if config.bridge_correction:
+        advance(pb, t)
+    else:
+        for grid_t in _observation_grid(config.dt, t):
+            advance(pb, grid_t, bridge=False)
     return pb.x.copy(), pb.alive.copy()
 
 
 def terminal_sample(model: ModelParams, interval: Interval, start: float,
                     t: float, config: PathConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sample of (position, alive) at time t for killed paths."""
+    """Exact sample of (position, alive) at time t for killed paths.
+
+    With ``config.bridge_correction`` off, a path is killed only when a
+    segment endpoint (``config.dt`` grid point or jump time) lies inside the
+    interval: the grid-only validation mode.
+    """
     interval.require_outside(start, "starting point")
     parts = _map_blocks(_terminal_block, _block_args(model, interval, start, config, (t,)))
     xs = np.concatenate([p[0] for p in parts])

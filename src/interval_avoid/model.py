@@ -24,18 +24,16 @@ available in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
     "Interval",
-    "WienerHopfData",
     "laplace_exponent",
     "ladder_exponent",
     "wiener_hopf_roots",
-    "wiener_hopf",
     "kappa",
     "potential",
     "potential_q",
@@ -162,26 +160,6 @@ def kappa(params: ModelParams, q: float) -> float:
     """kappa(q) = kappa_hat(q) = rho1(q) rho2(q) / eta; equals sqrt(q) here."""
     rho1, rho2 = wiener_hopf_roots(params, q)
     return rho1 * rho2 / params.eta
-
-
-@dataclass(frozen=True)
-class WienerHopfData:
-    """Factorisation data: beta plus the q-root and kappa functions."""
-
-    beta: float
-    rho1_of_q: "callable" = field(repr=False)
-    rho2_of_q: "callable" = field(repr=False)
-    kappa_of_q: "callable" = field(repr=False)
-
-
-def wiener_hopf(params: ModelParams) -> WienerHopfData:
-    params.require_centred("Wiener-Hopf data")
-    return WienerHopfData(
-        beta=params.beta,
-        rho1_of_q=lambda q: wiener_hopf_roots(params, q)[0],
-        rho2_of_q=lambda q: wiener_hopf_roots(params, q)[1],
-        kappa_of_q=lambda q: kappa(params, q),
-    )
 
 
 def potential(params: ModelParams, x):

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._rng import block_stream
 from .closedform import Harmonics, harmonics
-from .engine import EstimatorResult, PathBlock, PathConfig, advance, terminal_sample
+from .engine import (EstimatorResult, PathBlock, PathConfig, _observation_grid, advance,
+                     terminal_sample)
 from .model import Interval, ModelParams
 
 __all__ = [
@@ -35,6 +36,13 @@ __all__ = [
 Transform = Literal["plus", "minus", "updown"]
 
 _KIND = {"plus": "plus", "minus": "minus", "updown": "combined"}
+
+
+def _ess(weights: np.ndarray) -> float:
+    """Effective sample size (sum w)^2 / sum w^2; 0 for an all-zero ensemble."""
+    s = weights.sum()
+    s2 = (weights * weights).sum()
+    return float(s * s / s2) if s2 > 0.0 else 0.0
 
 
 class EnsembleExtinctionError(RuntimeError):
@@ -71,9 +79,7 @@ class ParticleEnsemble:
 
     @property
     def ess(self) -> float:
-        s = self.weights.sum()
-        s2 = (self.weights * self.weights).sum()
-        return float(s * s / s2) if s2 > 0.0 else 0.0
+        return _ess(self.weights)
 
     def weighted_fraction(self, mask: np.ndarray) -> float:
         s = self.weights.sum()
@@ -121,15 +127,10 @@ class _System:
                 self.level_weight[just] = (self.h.value(self.kind, pb.level_value[just])
                                            / self.normalizer)
 
-        ess = self.ess()
+        ess = _ess(self.weights)
         self.ess_min = min(self.ess_min, ess)
         if self.ess_threshold > 0.0 and ess < self.ess_threshold * pb.n:
             self.resample()
-
-    def ess(self) -> float:
-        s = self.weights.sum()
-        s2 = (self.weights * self.weights).sum()
-        return float(s * s / s2) if s2 > 0.0 else 0.0
 
     def resample(self) -> None:
         pb = self.block
@@ -179,6 +180,7 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     if transform not in _KIND:
         raise ValueError(f"transform must be one of {sorted(_KIND)}, got {transform!r}")
     interval.require_outside(start, "starting point")
+    config.require_bridge("propagate_ensemble")
     rng = block_stream(config.seed, 0)
     sys_ = _System(model, interval, transform, start, config.n_paths, rng,
                    ess_threshold, track_level=track_level)
@@ -188,9 +190,7 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     snapshots = [sys_.snapshot(transform)] if 0.0 in record else []
     record = [t for t in record if t > 0.0]
 
-    n_steps = int(math.ceil(config.horizon / config.dt))
-    grid = [min(k * config.dt, config.horizon) for k in range(1, n_steps + 1)]
-    times = sorted(set(grid) | set(record))
+    times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
     for t in times:
         sys_.step(t)
         if t in record:
@@ -217,7 +217,7 @@ def _replicated(model, interval, transform, start, config, replicates, ess_thres
     resamples = 0
     for r in range(replicates):
         cfg = PathConfig(dt=config.dt, horizon=horizon, seed=config.seed,
-                         n_paths=per_rep, bridge_correction=config.bridge_correction)
+                         n_paths=per_rep)
         rng = block_stream(config.seed, r)
         sys_ = _System(model, interval, transform, start, per_rep, rng, ess_threshold)
         out = reducer(sys_, cfg)
@@ -243,11 +243,11 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     p_up + p_down = 1 exactly since live particles are never inside [a, b].
     Uncertainty comes from independent replicate ensembles.
     """
+    config.require_bridge("drift_probability")
 
     def reduce(sys_: _System, cfg: PathConfig):
-        n_steps = int(math.ceil(horizon / cfg.dt))
-        for k in range(1, n_steps + 1):
-            sys_.step(min(k * cfg.dt, horizon))
+        for t in _observation_grid(cfg.dt, horizon):
+            sys_.step(t)
         up = sys_.block.x > interval.b
         return sys_.snapshot(transform).weighted_fraction(up)
 
@@ -274,16 +274,15 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     occupation indicator; increases with the horizon to a finite limit for
     the transient conditioned process.
     """
+    config.require_bridge("occupation_time")
     d, c = window
     if not (d < interval.a and c > interval.b):
         raise ValueError(f"window must satisfy d < a and c > b, got {window}")
 
     def reduce(sys_: _System, cfg: PathConfig):
         total = 0.0
-        n_steps = int(math.ceil(horizon / cfg.dt))
         t_prev = 0.0
-        for k in range(1, n_steps + 1):
-            t = min(k * cfg.dt, horizon)
+        for t in _observation_grid(cfg.dt, horizon):
             sys_.step(t)
             x = sys_.block.x
             inside = ((x >= d) & (x < interval.a)) | ((x > interval.b) & (x <= c))

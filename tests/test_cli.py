@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -98,6 +99,34 @@ def test_simulate_dump_paths(tmp_path, capsys):
     assert ids == {"0", "1", "2"}
 
 
+# sha256 of the --dump-paths CSV, pinned so a kernel change that moves any
+# recorded event, value or random draw shows up
+@pytest.mark.parametrize("flags,digest", [
+    (["--start", "2", "--t", "0.5", "--dump-paths", "3", "--horizon", "2"],
+     "8c064baa795421b5d73a0bc0f6bd67bca521f5e686bf8d03b1e9e4a9a78e78cf"),
+    (["--start", "1.6", "--dt", "0.05", "--horizon", "8", "--seed", "7",
+      "--dump-paths", "50"],
+     "42327ea872518ac76c88b0656c2fe91a6d21d92f71d41a6e97c1a932ac03b4dc"),
+    (["--start", "-1", "--dt", "0.05", "--horizon", "8", "--seed", "7", "--no-bridge",
+      "--dump-paths", "50"],
+     "f6992a8f55f5fbeaa4aada4aef40a278afa2669d6a184f75fd3098b180244db9"),
+])
+def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
+    dump = tmp_path / "p.csv"
+    code, _, _ = run_cli(["simulate", "--estimator", "survival", "--paths", "10",
+                          "--dump-file", str(dump), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_no_bridge_outside_survival_exits_2(capsys):
+    code, out, err = run_cli(["simulate", "--estimator", "clock", "--start", "1.3",
+                              "--q", "2", "--paths", "200", "--dt", "0.2", "--seed", "3",
+                              "--no-bridge"], capsys)
+    assert code == 2 and out == ""
+    assert "survival only" in err
+
+
 def test_simulate_interior_start_exits_2(capsys):
     code, _, err = run_cli(["simulate", "--start", "0.5", "--paths", "10",
                             "--t", "0.1"], capsys)
@@ -127,6 +156,12 @@ def test_condition_json(capsys, tmp_path):
     assert doc["p_up"] + doc["p_down"] == pytest.approx(1.0, abs=1e-12)
     header = ts.read_text().splitlines()[0]
     assert header == "time,total_weight,ess,frac_above,frac_below"
+
+
+def test_condition_extinction_exits_2(capsys):
+    code, out, err = run_cli(["condition", "--start", "2", "--particles", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "extinct" in err
 
 
 # ------------------------------------------------------------------- verify

@@ -7,7 +7,7 @@ from scipy.integrate import quad as sp_quad
 from interval_avoid import (Interval, ModelParams, crossing_factor,
                             default_series_depth, gamma_bound,
                             harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
-                            harmonics, ladder_symmetry_ratio, nu, overshoot_law,
+                            harmonics, nu, overshoot_law,
                             potential, potential_q)
 from interval_avoid.closedform import harmonic_minus_q_partial_sum
 
@@ -41,10 +41,6 @@ def test_gamma_bound_value_and_supremum(model, interval):
               for x in np.linspace(-50.0, -1e-6, 200)]
     assert max(masses) <= gam + 1e-15
     assert max(masses) == pytest.approx(gam, rel=1e-3)
-
-
-def test_ladder_symmetry_ratio(model):
-    assert ladder_symmetry_ratio(model) == 1.0
 
 
 # ------------------------------------------------------------- overshoot law

@@ -48,6 +48,17 @@ def test_invalid_values_rejected(doc):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"paths": True},
+    {"particles": True},
+    {"seed": False},
+    {"tolerances": {"deterministic": True}},
+])
+def test_booleans_rejected_as_numbers(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"eta": 1.5}, "seed": 7}))

@@ -10,6 +10,8 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             potential_q, simulate_path, terminal_sample)
 from interval_avoid.engine import (PathBlock, adjustment_coefficient, advance,
                                    ks_critical_value, ks_distance)
+from interval_avoid.particles import (drift_probability, occupation_time,
+                                      propagate_ensemble)
 from interval_avoid._rng import block_stream
 
 
@@ -103,6 +105,33 @@ def test_simulate_path_invariants(model, interval):
     assert hit_seen and cross_seen
 
 
+@pytest.mark.parametrize("params,start,bridge", [
+    (ModelParams(), 1.6, True),
+    (ModelParams(), -0.4, False),
+    (ModelParams(sigma=0.7, lam=3.0, eta=2.5), 2.2, True),
+    (ModelParams(drift=0.4), -1.5, True),
+])
+def test_simulate_path_matches_single_advance(interval, params, start, bridge):
+    """With dt = horizon the recorder's event-by-event kernel calls end where
+    one advance call to the horizon on the same stream ends."""
+    horizon = 3.0
+    cfg = PathConfig(dt=horizon, horizon=horizon, seed=17, n_paths=1,
+                     bridge_correction=bridge)
+    for pid in range(50):
+        tr = simulate_path(params, interval, start, cfg, path_index=pid)
+        pb = PathBlock.start(params, interval, start, 1, block_stream(17, pid))
+        advance(pb, horizon, bridge=bridge)
+        assert tr.hit == (not pb.alive[0])
+        assert len(tr.crossings) == pb.n_cross[0]
+        if tr.hit:
+            assert tr.hit_time == pb.hit_time[0] == tr.times[-1]
+            assert tr.values[-1] == pb.hit_value[0]
+            assert tr.k_dagger == (pb.k_dagger[0] if pb.k_dagger[0] >= 0 else None)
+        else:
+            assert tr.times[-1] == horizon == pb.t[0]
+            assert tr.values[-1] == pb.x[0]
+
+
 def test_simulate_path_rejects_interior_start(model, interval):
     cfg = PathConfig(dt=0.1, horizon=1.0, seed=1, n_paths=1)
     with pytest.raises(ValueError):
@@ -163,6 +192,31 @@ def test_no_bridge_survival_decreases_with_dt(model, interval):
     assert all(m1 > m2 - 3 * se for m1, m2 in zip(means, means[1:]))
     assert means[0] > means[-1] > exact.total.mean - 3 * se
     assert all(m > exact.total.mean - 3 * se for m in means)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda m, iv, cfg: estimate_clock_event(m, iv, 2.0, 1.0, cfg),
+    lambda m, iv, cfg: empirical_crossing_law(m, iv, 2.0, 1, cfg),
+    lambda m, iv, cfg: estimate_avoidance(ModelParams(drift=0.5), iv, 2.0, cfg),
+    lambda m, iv, cfg: propagate_ensemble(m, iv, "updown", 2.0, cfg),
+    lambda m, iv, cfg: drift_probability(m, iv, 2.0, 1.0, cfg),
+    lambda m, iv, cfg: occupation_time(m, iv, 2.0, (-1.0, 2.0), 1.0, cfg),
+], ids=["clock", "crossing", "avoidance", "propagate", "drift", "occupation"])
+def test_grid_only_mode_is_survival_only(model, interval, estimate):
+    cfg = PathConfig(dt=0.1, horizon=1.0, seed=3, n_paths=64, bridge_correction=False)
+    with pytest.raises(ValueError, match="survival only"):
+        estimate(model, interval, cfg)
+
+
+def test_no_bridge_terminal_sample_kills_on_grid_only(model, interval):
+    """Grid-only paths die only at segment endpoints inside [a, b], so more
+    of them survive than exact paths do."""
+    exact = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000)
+    grid = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000, bridge_correction=False)
+    _, alive_exact = terminal_sample(model, interval, 1.3, 1.0, exact)
+    xs, alive_grid = terminal_sample(model, interval, 1.3, 1.0, grid)
+    assert alive_grid.sum() > alive_exact.sum()
+    assert not interval.contains(xs[alive_grid]).any()
 
 
 # -------------------------------------------------------------- clock events

@@ -5,7 +5,7 @@ import pytest
 
 from interval_avoid import (Interval, ModelParams, kappa, ladder_exponent,
                             laplace_exponent, potential, potential_q,
-                            potential_q_total, wiener_hopf, wiener_hopf_roots)
+                            potential_q_total, wiener_hopf_roots)
 
 from oracles import Oracle
 
@@ -35,7 +35,7 @@ def test_interval_requires_strict_order():
 def test_closed_forms_reject_drift():
     drifted = ModelParams(drift=0.5)
     with pytest.raises(ValueError, match="drift"):
-        wiener_hopf(drifted)
+        wiener_hopf_roots(drifted, 1.0)
     with pytest.raises(ValueError, match="drift"):
         potential(drifted, 1.0)
     with pytest.raises(ValueError, match="drift"):
@@ -119,14 +119,6 @@ def test_root_identities_random_q(model):
         r1, r2 = wiener_hopf_roots(model, q)
         assert abs(r1 * r2 - math.sqrt(q)) <= 1e-12 * math.sqrt(q)
         assert abs(r1**2 + r2**2 - (model.beta**2 + q)) <= 1e-12 * (model.beta**2 + q)
-
-
-def test_wiener_hopf_data_bundle(model):
-    wh = wiener_hopf(model)
-    assert wh.beta == model.beta
-    assert wh.rho1_of_q(0.25) == pytest.approx(0.34237082449104994, rel=1e-13)
-    assert wh.rho2_of_q(0.25) == pytest.approx(1.4604048132409446, rel=1e-13)
-    assert wh.kappa_of_q(4.0) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_kappa_values(model):
