@@ -93,15 +93,22 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
     if not isinstance(particles, int) or particles < 1:
         raise ConfigError("particles must be a positive integer")
 
+    seed = doc.get("seed", DEFAULTS["seed"])
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError("seed must be an integer in [0, 2**64)")
+    output_path = doc.get("output_path", DEFAULTS["output_path"])
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output_path must be a string or null")
+
     return SuiteConfig(
         suite=doc.get("suite", suite),
         model=model,
         interval=interval,
-        seed=int(doc.get("seed", DEFAULTS["seed"])),
+        seed=seed,
         paths=paths,
         particles=particles,
         tolerances=dict(tolerances),
-        output_path=doc.get("output_path", DEFAULTS["output_path"]),
+        output_path=output_path,
     )
 
 

@@ -68,10 +68,10 @@ class PathConfig:
     bridge_correction: bool = True
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive (got {self.dt})")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive (got {self.horizon})")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite (got {self.dt})")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite (got {self.horizon})")
         if self.dt > self.horizon:
             raise ValueError(f"dt = {self.dt} exceeds horizon = {self.horizon}")
         if self.n_paths < 1:
@@ -367,8 +367,8 @@ class SurvivalEstimate:
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
                       t: float, config: PathConfig) -> SurvivalEstimate:
     """P(t < T), split by the side of the interval occupied at time t."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite (got {t})")
     xs, alive = terminal_sample(model, interval, start, t, config)
     n = xs.size
     return SurvivalEstimate(
@@ -402,8 +402,8 @@ def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
     interval.require_outside(start, "starting point")
     config.require_bridge("estimate_clock_event")
-    if not q > 0.0:
-        raise ValueError(f"q must be positive (got {q})")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite (got {q})")
     parts = _map_blocks(_clock_block, _block_args(model, interval, start, config, (q,)))
     n = sum(p[0] for p in parts)
     return ClockEstimate(

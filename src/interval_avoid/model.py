@@ -57,6 +57,8 @@ class ModelParams:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.sigma, self.lam, self.eta, self.drift)):
+            raise ValueError(f"model parameters must be finite (got {self})")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive (got {self.sigma}); "
                              "a Brownian component is required")
@@ -88,6 +90,8 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"interval ends must be finite (got a={self.a}, b={self.b})")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b (got a={self.a}, b={self.b})")
 
@@ -105,6 +109,8 @@ class Interval:
         return (x >= self.a) & (x <= self.b)
 
     def require_outside(self, x, what: str = "evaluation point") -> None:
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{what} must be finite")
         if np.any(self.contains(x)):
             raise ValueError(f"{what} must lie outside [{self.a}, {self.b}]")
 

@@ -2,8 +2,13 @@
 
 Particles evolve under the plain killed dynamics; each carries the
 Radon-Nikodym weight 1_{t < T} h(xi_t) / h(start), so weighted averages of
-bounded functionals estimate expectations under the transformed law.  The
-weight is maintained incrementally (the ratio h(new)/h(old) telescopes),
+bounded functionals estimate expectations under the transformed law.
+
+The weight telescopes, so a functional of the position at one time needs
+only the exact killed sample at that time: ``drift_probability`` weights one
+``terminal_sample`` at the horizon, with no grid and no resampling.
+Path functionals observed along a grid (``propagate_ensemble``,
+``occupation_time``) maintain the weight incrementally as h(new)/h(old),
 which keeps it meaningful across multinomial resampling steps: resampling
 preserves the total weight exactly and the weighted empirical law in
 expectation.
@@ -36,6 +41,13 @@ __all__ = [
 Transform = Literal["plus", "minus", "updown"]
 
 _KIND = {"plus": "plus", "minus": "minus", "updown": "combined"}
+
+
+def _kind(transform: str) -> str:
+    """Harmonic kind of a transform name; ValueError for an unknown one."""
+    if transform not in _KIND:
+        raise ValueError(f"transform must be one of {sorted(_KIND)}, got {transform!r}")
+    return _KIND[transform]
 
 
 def _ess(weights: np.ndarray) -> float:
@@ -177,8 +189,7 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     count; 0 disables resampling.  Returns (snapshots, system) where the
     system exposes ess_min, resample count and tracked level passages.
     """
-    if transform not in _KIND:
-        raise ValueError(f"transform must be one of {sorted(_KIND)}, got {transform!r}")
+    _kind(transform)
     interval.require_outside(start, "starting point")
     config.require_bridge("propagate_ensemble")
     rng = block_stream(config.seed, 0)
@@ -200,6 +211,13 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
 
 @dataclass(frozen=True)
 class DriftProbability:
+    """Escape-direction estimate; ``per_replicate`` holds the batch ratios.
+
+    ``ess_min`` is the smallest batch effective sample size of the terminal
+    weights.  ``resamples`` is always 0 (no resampling happens); it is kept
+    because ``bench/probe.py`` reads it.
+    """
+
     p_up: EstimatorResult
     p_down: EstimatorResult
     ess_min: float
@@ -235,31 +253,45 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def drift_probability(model: ModelParams, interval: Interval, start: float,
                       horizon: float, config: PathConfig, *,
-                      transform: Transform = "updown", replicates: int = 8,
-                      ess_threshold: float = 0.5) -> DriftProbability:
+                      transform: Transform = "updown",
+                      replicates: int = 8) -> DriftProbability:
     """Weighted fractions above/below the interval at the horizon.
 
-    Estimates the escape-direction probabilities of the conditioned process;
-    p_up + p_down = 1 exactly since live particles are never inside [a, b].
-    Uncertainty comes from independent replicate ensembles.
+    Estimates the escape-direction probabilities of the conditioned process,
+    P^h_x(xi_T > b) = E_x[1{T < T_[a,b]} h(xi_T) 1{xi_T > b}] / h(x), from
+    one exact ``terminal_sample`` of ``replicates * (n_paths // replicates)``
+    killed paths weighted by w = 1{alive} h(xi_T) / h(x).  The sample is cut
+    into ``replicates`` contiguous batches; ``p_up`` is the mean of the batch
+    ratios sum(w 1{xi_T > b}) / sum(w) and its stderr comes from their
+    spread.  p_up + p_down = 1 exactly since live paths are never inside
+    [a, b].  The sample is block-parallel, so the result is bit-identical
+    for any worker count.  A batch whose weight is all zero raises
+    ``EnsembleExtinctionError``.
     """
+    kind = _kind(transform)
     config.require_bridge("drift_probability")
-
-    def reduce(sys_: _System, cfg: PathConfig):
-        for t in _observation_grid(cfg.dt, horizon):
-            sys_.step(t)
-        up = sys_.block.x > interval.b
-        return sys_.snapshot(transform).weighted_fraction(up)
-
-    vals, ess_min, resamples = _replicated(model, interval, transform, start, config,
-                                           replicates, ess_threshold, reduce, horizon)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1 (got {replicates})")
+    per_rep = max(1, config.n_paths // replicates)
+    cfg = PathConfig(dt=config.dt, horizon=horizon, seed=config.seed,
+                     n_paths=replicates * per_rep)
+    xs, alive = terminal_sample(model, interval, start, horizon, cfg)
+    h = harmonics(model, interval)
+    w = np.zeros(xs.size)
+    w[alive] = h.value(kind, xs[alive]) / float(h.value(kind, start))
+    w = w.reshape(replicates, per_rep)
+    total = w.sum(axis=1)
+    if not np.all(total > 0.0):
+        raise EnsembleExtinctionError(transform, start, horizon, per_rep)
+    up = (xs > interval.b).reshape(replicates, per_rep)
+    vals = (w * up).sum(axis=1) / total
     m, se = _mean_se(vals)
-    n = config.n_paths
+    n = cfg.n_paths
     return DriftProbability(
         p_up=EstimatorResult(m, se, n),
         p_down=EstimatorResult(1.0 - m, se, n),
-        ess_min=ess_min,
-        resamples=resamples,
+        ess_min=min(_ess(row) for row in w),
+        resamples=0,
         per_replicate=vals,
     )
 

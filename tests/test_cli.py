@@ -133,6 +133,23 @@ def test_simulate_interior_start_exits_2(capsys):
     assert code == 2 and "outside" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--start", "2", "--sigma", "inf", "--paths", "10", "--t", "0.1"],
+    ["simulate", "--start", "nan", "--paths", "10", "--t", "0.1"],
+    ["simulate", "--start=-inf", "--paths", "10", "--t", "0.1"],
+    ["simulate", "--start", "2", "--b", "inf", "--paths", "10", "--t", "0.1"],
+    ["simulate", "--start", "2", "--paths", "10", "--t", "inf"],
+    ["simulate", "--estimator", "clock", "--start", "2", "--paths", "10", "--q", "inf"],
+    ["condition", "--start", "inf", "--particles", "16", "--horizon", "1"],
+    ["condition", "--start", "2", "--eta", "nan", "--particles", "16", "--horizon", "1"],
+    ["condition", "--start", "2", "--particles", "16", "--horizon", "inf"],
+])
+def test_non_finite_input_exits_2(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_simulate_avoidance(capsys):
     code, out, _ = run_cli(["simulate", "--estimator", "avoidance", "--drift", "0.5",
                             "--start", "2", "--paths", "4000"], capsys)
@@ -207,6 +224,21 @@ def test_verify_invalid_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--suite", "closedform",
                             "--config", str(cfg)], capsys)
     assert code == 2 and "unknown key" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"model": {"sigma": Infinity}}',
+    '{"output_path": 5}',
+    '{"seed": 1180591620717411303424}',
+    '{"seed": -1}',
+])
+def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(["verify", "--suite", "closedform",
+                              "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -36,6 +36,15 @@ def test_unknown_keys_rejected(doc):
 
 @pytest.mark.parametrize("doc", [
     {"model": {"sigma": 0.0}},
+    {"model": {"sigma": float("inf")}},
+    {"model": {"drift": float("nan")}},
+    {"interval": {"b": float("inf")}},
+    {"output_path": 5},
+    {"output_path": ["report.json"]},
+    {"seed": 2**70},
+    {"seed": 2**64},
+    {"seed": -1},
+    {"seed": 7.5},
     {"interval": {"a": 2.0, "b": 1.0}},
     {"paths": -5},
     {"paths": 2.5},

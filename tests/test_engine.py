@@ -24,6 +24,10 @@ def test_path_config_validation():
         PathConfig(dt=2.0, horizon=1.0, seed=1, n_paths=10)
     with pytest.raises(ValueError):
         PathConfig(dt=0.1, horizon=1.0, seed=1, n_paths=0)
+    with pytest.raises(ValueError, match="finite"):
+        PathConfig(dt=0.1, horizon=math.inf, seed=1, n_paths=10)
+    with pytest.raises(ValueError, match="finite"):
+        PathConfig(dt=math.nan, horizon=1.0, seed=1, n_paths=10)
 
 
 # ------------------------------------------------------------------- bridge
@@ -303,11 +307,19 @@ def test_strong_markov_between_crossings(model, interval):
 
 def test_estimators_bit_identical_across_workers(model, interval):
     cfg = PathConfig(dt=0.1, horizon=1.0, seed=71, n_paths=70_000)
-    base = estimate_survival(model, interval, 2.0, 0.5, cfg)
+
+    def estimates():
+        surv = estimate_survival(model, interval, 2.0, 0.5, cfg)
+        # 8 batches of 8750 paths straddle the 8192-path blocks
+        dp = drift_probability(model, interval, 2.0, 5.0, cfg)
+        return surv, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
+                      dp.per_replicate.tobytes())
+
+    base = estimates()
     old = os.environ.get("INTERVAL_AVOID_THREADS")
     try:
         os.environ["INTERVAL_AVOID_THREADS"] = "3"
-        multi = estimate_survival(model, interval, 2.0, 0.5, cfg)
+        multi = estimates()
     finally:
         if old is None:
             os.environ.pop("INTERVAL_AVOID_THREADS", None)

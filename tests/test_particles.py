@@ -76,7 +76,7 @@ def test_drift_probability_partition_and_target(model, interval):
     h = harmonics(model, interval)
     target = float(h.plus(2.0) / h.combined(2.0))
     assert dp.p_up.mean == pytest.approx(target, abs=0.02 + 3 * dp.p_up.stderr)
-    assert dp.ess_min > 0 and dp.resamples > 0
+    assert dp.resamples == 0 and 0 < dp.ess_min <= 16_384 // 4
 
 
 def test_drift_probability_midpoint_symmetry(model, interval):
@@ -89,13 +89,26 @@ def test_drift_probability_midpoint_symmetry(model, interval):
 
 
 def test_resampling_unbiasedness(model, interval):
-    on = drift_probability(model, interval, 2.0, 15.0, cfg(8, 16_384, 15.0),
-                           transform="updown", replicates=4, ess_threshold=0.5)
-    off = drift_probability(model, interval, 2.0, 15.0, cfg(9, 16_384, 15.0),
-                            transform="updown", replicates=4, ess_threshold=0.0)
-    assert off.resamples == 0 and on.resamples > 0
-    se = math.hypot(on.p_up.stderr, off.p_up.stderr)
-    assert on.p_up.mean == pytest.approx(off.p_up.mean, abs=3 * se)
+    # SIR with and without resampling, and the resampling-free terminal
+    # importance weights, estimate the same weighted up-fraction at T = 15
+    up = {}
+    for threshold, seeds in ((0.5, range(8, 14)), (0.0, range(14, 20))):
+        fracs, resamples = [], 0
+        for seed in seeds:
+            snaps, sys_ = propagate_ensemble(model, interval, "updown", 2.0,
+                                             cfg(seed, 8192, 15.0),
+                                             ess_threshold=threshold)
+            fracs.append(snaps[-1].weighted_fraction(snaps[-1].states > interval.b))
+            resamples += sys_.resamples
+        assert (resamples > 0) == (threshold > 0.0)
+        fracs = np.asarray(fracs)
+        up[threshold] = (fracs.mean(), fracs.std(ddof=1) / math.sqrt(fracs.size))
+    dp = drift_probability(model, interval, 2.0, 15.0, cfg(20, 16_384, 15.0),
+                           transform="updown", replicates=4)
+    up["terminal"] = (dp.p_up.mean, dp.p_up.stderr)
+    for x, y in ((0.5, 0.0), (0.5, "terminal"), (0.0, "terminal")):
+        (mx, sx), (my, sy) = up[x], up[y]
+        assert mx == pytest.approx(my, abs=3 * math.hypot(sx, sy)), (x, y, up)
 
 
 def test_plus_transform_suppresses_downside(model, interval):
