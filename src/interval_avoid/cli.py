@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -158,8 +159,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_condition(args) -> int:
     model, interval = _model_interval(args)
-    config = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
+    if not 0.0 < args.dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite (got {args.dt})")
+    # p_up comes from the exact terminal sample, which has no grid: --dt only
+    # spaces the --timeseries rows
+    config = PathConfig(dt=args.horizon, horizon=args.horizon, seed=args.seed,
                         n_paths=args.particles)
+    if args.timeseries:
+        small = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
+                           n_paths=min(args.particles, 8192))
     dp = drift_probability(model, interval, args.start, args.horizon, config,
                            transform=args.transform)
     payload = {
@@ -182,10 +190,8 @@ def _cmd_condition(args) -> int:
 
     if args.timeseries:
         times = [k * args.dt for k in range(0, int(args.horizon / args.dt) + 1)]
-        small = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
-                           n_paths=min(args.particles, 8192))
-        snaps, _sys = propagate_ensemble(model, interval, args.transform, args.start,
-                                         small, record_times=times)
+        snaps = propagate_ensemble(model, interval, args.transform, args.start,
+                                   small, record_times=times)
         with open(args.timeseries, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,total_weight,ess,frac_above,frac_below\n")
             for s in snaps:

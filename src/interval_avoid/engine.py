@@ -68,10 +68,10 @@ class PathConfig:
     bridge_correction: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite (got {self.dt})")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite (got {self.horizon})")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite (got {self.dt})")
         if self.dt > self.horizon:
             raise ValueError(f"dt = {self.dt} exceeds horizon = {self.horizon}")
         if self.n_paths < 1:
@@ -222,8 +222,11 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True,
             expo = np.zeros(idx.size)
             same_hi = above0 & above1
             same_lo = ~above0 & below1
-            expo[same_hi] = (x0[same_hi] - b) * (x1[same_hi] - b) / dt[same_hi]
-            expo[same_lo] = (a - x0[same_lo]) * (a - x1[same_lo]) / dt[same_lo]
+            # far from the interval the product overflows to inf, and
+            # exp(-inf) = 0 is the exact limit: such a segment cannot touch it
+            with np.errstate(over="ignore"):
+                expo[same_hi] = (x0[same_hi] - b) * (x1[same_hi] - b) / dt[same_hi]
+                expo[same_lo] = (a - x0[same_lo]) * (a - x1[same_lo]) / dt[same_lo]
             p_kill = np.where(same_hi | same_lo,
                               np.exp(-2.0 * expo / (sigma * sigma)), 1.0)
             died = u < p_kill

@@ -4,14 +4,15 @@ Particles evolve under the plain killed dynamics; each carries the
 Radon-Nikodym weight 1_{t < T} h(xi_t) / h(start), so weighted averages of
 bounded functionals estimate expectations under the transformed law.
 
-The weight telescopes, so a functional of the position at one time needs
-only the exact killed sample at that time: ``drift_probability`` weights one
-``terminal_sample`` at the horizon, with no grid and no resampling.
-Path functionals observed along a grid (``propagate_ensemble``,
-``occupation_time``) maintain the weight incrementally as h(new)/h(old),
-which keeps it meaningful across multinomial resampling steps: resampling
-preserves the total weight exactly and the weighted empirical law in
-expectation.
+The weight telescopes, so it is evaluated at the time it is needed and never
+carried from step to step: ``drift_probability`` weights one
+``terminal_sample`` at the horizon, while ``propagate_ensemble`` and
+``occupation_time`` advance every (seed, block) path block through the
+observation grid and weight it afresh at each grid time.  Nothing is
+resampled: every estimate is an average over independent killed paths, so
+its standard error is the iid one, and the effective sample size of an
+ensemble decays as its paths die.  All three are block-parallel, so their
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from ._rng import block_stream
-from .closedform import Harmonics, harmonics
-from .engine import (EstimatorResult, PathBlock, PathConfig, _observation_grid, advance,
-                     terminal_sample)
+from .closedform import harmonics
+from .engine import (EstimatorResult, PathBlock, PathConfig, _block_args, _map_blocks,
+                     _observation_grid, advance, terminal_sample)
 from .model import Interval, ModelParams
 
 __all__ = [
@@ -58,7 +59,7 @@ def _ess(weights: np.ndarray) -> float:
 
 
 class EnsembleExtinctionError(RuntimeError):
-    """All particles dead; the weighted ensemble can no longer be propagated."""
+    """No particle alive at the end of a pass, or a weighted batch of zero weight."""
 
     def __init__(self, transform: str, start: float, time: float, n: int):
         super().__init__(
@@ -98,115 +99,61 @@ class ParticleEnsemble:
         return float((self.weights * mask).sum() / s) if s > 0.0 else math.nan
 
 
-class _System:
-    """One ensemble: a path block plus weights and resampling machinery."""
+def _weighted_pass(model, interval, kind, start, config, bi, count, times):
+    """Advance block ``bi`` through ``times``; yield (t, block, w) at each.
 
-    def __init__(self, model: ModelParams, interval: Interval, transform: Transform,
-                 start: float, n: int, rng: np.random.Generator,
-                 ess_threshold: float, track_level: Optional[float] = None):
-        self.h: Harmonics = harmonics(model, interval)
-        self.kind = _KIND[transform]
-        self.transform = transform
-        self.start = float(start)
-        self.normalizer = float(self.h.value(self.kind, start))
-        self.block = PathBlock.start(model, interval, start, n, rng,
-                                     track_level=track_level)
-        self.weights = np.ones(n)
-        self.h_cur = np.full(n, self.normalizer)
-        self.ess_threshold = float(ess_threshold)
-        self.resamples = 0
-        self.ess_min = float(n)
-        self.interval = interval
-        # first-passage weights for the tracked level, frozen at passage time
-        self.level_weight = np.full(n, np.nan) if track_level is not None else None
-
-    def step(self, t: float) -> None:
-        pb = self.block
+    w = 1{alive} h(xi_t) / h(start) is evaluated afresh at every time.
+    """
+    h = harmonics(model, interval)
+    h0 = float(h.value(kind, start))
+    pb = PathBlock.start(model, interval, start, count, block_stream(config.seed, bi))
+    for t in times:
         advance(pb, t)
-        alive = pb.alive
-        if not alive.any():
-            raise EnsembleExtinctionError(self.transform, self.start, t, pb.n)
-        h_new = np.zeros(pb.n)
-        h_new[alive] = self.h.value(self.kind, pb.x[alive])
-        ratio = np.zeros(pb.n)
-        live = alive & (self.weights > 0.0)
-        ratio[live] = h_new[live] / self.h_cur[live]
-        self.weights = self.weights * ratio
-        self.h_cur = np.where(alive, h_new, self.h_cur)
-        if self.level_weight is not None:
-            just = ~np.isnan(pb.level_time) & np.isnan(self.level_weight)
-            if just.any():
-                self.level_weight[just] = (self.h.value(self.kind, pb.level_value[just])
-                                           / self.normalizer)
+        w = np.zeros(count)
+        w[pb.alive] = h.value(kind, pb.x[pb.alive]) / h0
+        yield t, pb, w
 
-        ess = _ess(self.weights)
-        self.ess_min = min(self.ess_min, ess)
-        if self.ess_threshold > 0.0 and ess < self.ess_threshold * pb.n:
-            self.resample()
 
-    def resample(self) -> None:
-        pb = self.block
-        total = self.weights.sum()
-        if total <= 0.0:
-            raise EnsembleExtinctionError(self.transform, self.start,
-                                          float(pb.t.max()), pb.n)
-        counts = pb.rng.multinomial(pb.n, self.weights / total)
-        sel = np.repeat(np.arange(pb.n), counts)
-        for arr in (pb.x, pb.t, pb.next_jump, pb.hit_time, pb.hit_value):
-            arr[:] = arr[sel]
-        pb.alive[:] = pb.alive[sel]
-        pb.frozen[:] = pb.frozen[sel]
-        pb.n_cross[:] = pb.n_cross[sel]
-        pb.k_dagger[:] = pb.k_dagger[sel]
-        if pb.level_time is not None:
-            pb.level_time[:] = pb.level_time[sel]
-            pb.level_value[:] = pb.level_value[sel]
-        if self.level_weight is not None:
-            self.level_weight[:] = self.level_weight[sel]
-        self.h_cur[:] = self.h_cur[sel]
-        self.weights[:] = total / pb.n     # total weight preserved exactly
-        self.resamples += 1
-
-    def snapshot(self, transform: Transform) -> ParticleEnsemble:
-        return ParticleEnsemble(
-            states=self.block.x.copy(),
-            weights=self.weights.copy(),
-            alive=self.block.alive.copy(),
-            time=float(self.block.t.max()),
-            transform=transform,
-            normalizer=self.normalizer,
-        )
+def _ensemble_block(args):
+    model, interval, start, config, bi, count, kind, times, record = args
+    snaps = []
+    for t, pb, w in _weighted_pass(model, interval, kind, start, config, bi, count, times):
+        if t in record:
+            snaps.append((pb.x.copy(), w, pb.alive.copy()))
+    return snaps, bool(pb.alive.any())
 
 
 def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transform,
                        start: float, config: PathConfig, *,
-                       ess_threshold: float = 0.5,
-                       record_times: Optional[Sequence[float]] = None,
-                       track_level: Optional[float] = None):
-    """Propagate one weighted ensemble and return snapshots at the record times.
+                       record_times: Optional[Sequence[float]] = None
+                       ) -> list[ParticleEnsemble]:
+    """Weighted ensemble snapshots at the record times (default: the horizon).
 
-    ``ess_threshold`` is the resampling trigger as a fraction of the particle
-    count; 0 disables resampling.  Returns (snapshots, system) where the
-    system exposes ess_min, resample count and tracked level passages.
+    Each (seed, block) path block is advanced through the observation grid
+    merged with the record times and weighted at each record time by
+    w = 1{alive} h(xi_t) / h(start); nothing is resampled.  Raises
+    ``EnsembleExtinctionError`` when no path is alive at the end of the pass.
     """
-    _kind(transform)
+    kind = _kind(transform)
     interval.require_outside(start, "starting point")
     config.require_bridge("propagate_ensemble")
-    rng = block_stream(config.seed, 0)
-    sys_ = _System(model, interval, transform, start, config.n_paths, rng,
-                   ess_threshold, track_level=track_level)
-    if record_times is None:
-        record_times = [config.horizon]
-    record = sorted(set(float(t) for t in record_times))
-    snapshots = [sys_.snapshot(transform)] if 0.0 in record else []
-    record = [t for t in record if t > 0.0]
-
+    record = sorted({float(t) for t in
+                     (record_times if record_times is not None else [config.horizon])})
+    if not all(0.0 <= t < math.inf for t in record):
+        raise ValueError(f"record times must be nonnegative and finite (got {record})")
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
-    for t in times:
-        sys_.step(t)
-        if t in record:
-            snapshots.append(sys_.snapshot(transform))
-    return snapshots, sys_
+    parts = _map_blocks(_ensemble_block, _block_args(model, interval, start, config,
+                                                     (kind, times, record)))
+    if not any(alive for _, alive in parts):
+        raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
+    normalizer = float(harmonics(model, interval).value(kind, start))
+    snapshots = []
+    for t in record:
+        # pop each block's arrays so only one copy of the snapshots is held
+        states, weights, alive = (np.concatenate(arrays) for arrays in
+                                  zip(*(snaps.pop(0) for snaps, _ in parts)))
+        snapshots.append(ParticleEnsemble(states, weights, alive, t, transform, normalizer))
+    return snapshots
 
 
 @dataclass(frozen=True)
@@ -223,26 +170,6 @@ class DriftProbability:
     ess_min: float
     resamples: int
     per_replicate: np.ndarray
-
-
-def _replicated(model, interval, transform, start, config, replicates, ess_threshold,
-                reducer, horizon=None):
-    """Run independent replicate ensembles; reduce each, return per-replicate values."""
-    horizon = config.horizon if horizon is None else horizon
-    per_rep = max(1, config.n_paths // replicates)
-    values = []
-    ess_min = math.inf
-    resamples = 0
-    for r in range(replicates):
-        cfg = PathConfig(dt=config.dt, horizon=horizon, seed=config.seed,
-                         n_paths=per_rep)
-        rng = block_stream(config.seed, r)
-        sys_ = _System(model, interval, transform, start, per_rep, rng, ess_threshold)
-        out = reducer(sys_, cfg)
-        values.append(out)
-        ess_min = min(ess_min, sys_.ess_min)
-        resamples += sys_.resamples
-    return np.asarray(values), ess_min, resamples
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -273,7 +200,7 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1 (got {replicates})")
     per_rep = max(1, config.n_paths // replicates)
-    cfg = PathConfig(dt=config.dt, horizon=horizon, seed=config.seed,
+    cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
                      n_paths=replicates * per_rep)
     xs, alive = terminal_sample(model, interval, start, horizon, cfg)
     h = harmonics(model, interval)
@@ -296,36 +223,50 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     )
 
 
-def occupation_time(model: ModelParams, interval: Interval, start: float,
-                    window: tuple[float, float], horizon: float, config: PathConfig, *,
-                    transform: Transform = "updown", replicates: int = 8,
-                    ess_threshold: float = 0.5) -> EstimatorResult:
-    """Expected time in [d, a) u (b, c] before the horizon, under the transform.
+def _occupation_block(args):
+    model, interval, start, config, bi, count, kind, window, horizons = args
+    d, c = window
+    a, b = interval.a, interval.b
+    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
+    occ = np.zeros(count)
+    at = {}
+    t_prev = 0.0
+    for t, pb, w in _weighted_pass(model, interval, kind, start, config, bi, count, times):
+        x = pb.x
+        inside = ((x >= d) & (x < a)) | ((x > b) & (x <= c))
+        occ += (t - t_prev) * w * inside
+        t_prev = t
+        if t in horizons:
+            at[t] = occ.copy()
+    return np.column_stack([at[hz] for hz in horizons])
 
-    Rectangle-rule quadrature on the observation grid of the weighted
-    occupation indicator; increases with the horizon to a finite limit for
-    the transient conditioned process.
+
+def occupation_time(model: ModelParams, interval: Interval, start: float,
+                    window: tuple[float, float], horizons: Sequence[float],
+                    config: PathConfig, *, transform: Transform = "updown") -> np.ndarray:
+    """Each path's weighted time in [d, a) u (b, c] up to each horizon.
+
+    Returns an (n_paths, len(horizons)) array: row i holds path i's
+    rectangle-rule integral sum_k dt_k w_k 1{xi_k in W}, with
+    w_k = 1{alive} h(xi_k) / h(start), over the observation grid merged with
+    the horizons, up to each horizon.  Rows are independent paths, so column
+    means and their iid standard errors estimate the expected occupation under
+    the transform, which increases with the horizon to a finite limit for the
+    transient conditioned process.  The grid ends at the last horizon;
+    ``config.horizon`` is not used.
     """
+    kind = _kind(transform)
+    interval.require_outside(start, "starting point")
     config.require_bridge("occupation_time")
     d, c = window
     if not (d < interval.a and c > interval.b):
         raise ValueError(f"window must satisfy d < a and c > b, got {window}")
-
-    def reduce(sys_: _System, cfg: PathConfig):
-        total = 0.0
-        t_prev = 0.0
-        for t in _observation_grid(cfg.dt, horizon):
-            sys_.step(t)
-            x = sys_.block.x
-            inside = ((x >= d) & (x < interval.a)) | ((x > interval.b) & (x <= c))
-            total += (t - t_prev) * float((sys_.weights * inside).mean())
-            t_prev = t
-        return total
-
-    vals, _, _ = _replicated(model, interval, transform, start, config,
-                             replicates, ess_threshold, reduce, horizon)
-    m, se = _mean_se(vals)
-    return EstimatorResult(m, se, config.n_paths)
+    horizons = tuple(float(hz) for hz in horizons)
+    if not horizons or not all(0.0 < hz < math.inf for hz in horizons):
+        raise ValueError(f"horizons must be positive and finite (got {horizons})")
+    parts = _map_blocks(_occupation_block, _block_args(model, interval, start, config,
+                                                       (kind, window, horizons)))
+    return np.concatenate(parts)
 
 
 def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,

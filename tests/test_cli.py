@@ -171,8 +171,33 @@ def test_condition_json(capsys, tmp_path):
     assert set(doc) >= {"p_up", "p_down", "stderr_up", "stderr_down",
                         "ess_min", "resamples"}
     assert doc["p_up"] + doc["p_down"] == pytest.approx(1.0, abs=1e-12)
-    header = ts.read_text().splitlines()[0]
-    assert header == "time,total_weight,ess,frac_above,frac_below"
+    lines = ts.read_text().splitlines()
+    assert lines[0] == "time,total_weight,ess,frac_above,frac_below"
+    # no resampling: the ensemble's effective size decays as paths die
+    first, last = (float(line.split(",")[2]) for line in (lines[1], lines[-1]))
+    assert first == 2048 and last < first
+
+
+def test_condition_dt_gates_only_the_timeseries(capsys, tmp_path):
+    # p_up comes from one exact terminal sample: --dt > --horizon is harmless
+    base = ["condition", "--start", "2", "--horizon", "0.05", "--particles", "64"]
+    code, out, _ = run_cli(base, capsys)
+    assert code == 0 and json.loads(out)["config_echo"]["dt"] == 0.1
+    code, out, err = run_cli(base + ["--timeseries", str(tmp_path / "ts.csv")], capsys)
+    assert code == 2 and out == "" and "exceeds horizon" in err
+    for dt in ("0", "-0.1", "nan", "inf"):
+        code, out, err = run_cli(base + ["--dt", dt], capsys)
+        assert code == 2 and out == "" and "dt must be positive and finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--start", "1e300", "--paths", "1000"],
+    ["condition", "--start", "1e300", "--particles", "1024", "--horizon", "5"],
+])
+def test_huge_start_no_overflow_warning(capsys, args):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and json.loads(out)
 
 
 def test_condition_extinction_exits_2(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 
 from interval_avoid import (Interval, ModelParams, crossing_factor,
@@ -14,6 +16,25 @@ from interval_avoid.closedform import harmonic_minus_q_partial_sum
 from oracles import Oracle
 
 ORC = Oracle()
+
+
+def _lattice(lo, hi):
+    """Multiples of 2**-10 in [lo, hi]: interval ends, points and their
+    mirror images a + b - x are then exact, so a symmetry check measures the
+    closed forms and not the rounding of its own inputs."""
+    return st.integers(round(lo * 1024), round(hi * 1024)).map(lambda k: k / 1024)
+
+
+# random centred models and intervals; the default model is an @example
+MODELS = dict(sigma=st.floats(0.2, 4.0), lam=st.floats(0.05, 5.0),
+              eta=st.floats(0.1, 5.0), a=_lattice(-3.0, 3.0), width=_lattice(0.01, 4.0))
+DEFAULT = dict(sigma=math.sqrt(2.0), lam=1.0, eta=1.0, a=0.0, width=1.0)
+DISTANCES = st.lists(_lattice(0.001, 8.0), min_size=1, max_size=12)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _pair(sigma, lam, eta, a, width):
+    return ModelParams(sigma=sigma, lam=lam, eta=eta), Interval(a, a + width)
 
 
 # ------------------------------------------------------------ crossing factor
@@ -125,22 +146,34 @@ def test_nu_from_minus_one(model, interval):
     assert m2.side == "below" and m2.boundary == interval.a
 
 
-def test_nu_reflection_symmetry(model, interval):
+@PROPERTY
+@given(**MODELS, dists=DISTANCES)
+@example(**DEFAULT, dists=[1.4, 1.2])
+def test_nu_reflection_symmetry(sigma, lam, eta, a, width, dists):
+    model, interval = _pair(sigma, lam, eta, a, width)
     mid2 = interval.a + interval.b
-    for start in (-1.4, 2.2):
+    for i, dist in enumerate(dists):
+        start = interval.a - dist if i % 2 == 0 else interval.b + dist
         for k in (1, 2, 3):
             direct = nu(model, interval, start, k)
             mirror = nu(model, interval, mid2 - start, k)
             assert direct.mass == pytest.approx(mirror.mass, rel=1e-13)
             assert direct.side != mirror.side
-            y = 2.3 if direct.side == "above" else mid2 - 2.3
+            y = interval.b + 1.3 if direct.side == "above" else interval.a - 1.3
             assert direct.density(y) == pytest.approx(mirror.density(mid2 - y), rel=1e-13)
 
 
-def test_nu_mass_gamma_bound(model, interval):
+@PROPERTY
+@given(**MODELS, dists=DISTANCES)
+@example(**DEFAULT, dists=[1.0])
+def test_nu_mass_gamma_bound(sigma, lam, eta, a, width, dists):
+    model, interval = _pair(sigma, lam, eta, a, width)
     gam = gamma_bound(model, interval)
-    for k in (1, 2, 3, 5):
-        assert nu(model, interval, -1.0, k).mass <= gam**k
+    assert gam < 1.0
+    for i, dist in enumerate(dists):
+        start = interval.a - dist if i % 2 == 0 else interval.b + dist
+        for k in (1, 2, 3, 5):
+            assert nu(model, interval, start, k).mass <= gam**k
 
 
 def test_nu_rejects_interior_start(model, interval):
@@ -167,11 +200,14 @@ def test_harmonic_values_match_series_oracle(model, interval):
     assert h.combined(2.0) == pytest.approx(float(ORC.h(2.0)), rel=1e-11)
 
 
-def test_harmonic_additivity_and_symmetry(model, interval):
+@PROPERTY
+@given(**MODELS, dists=DISTANCES)
+@example(**DEFAULT, dists=[0.001, 0.3, 1.0, 2.5, 6.0])
+def test_harmonic_additivity_and_symmetry(sigma, lam, eta, a, width, dists):
+    model, interval = _pair(sigma, lam, eta, a, width)
     h = harmonics(model, interval)
-    rng = np.random.default_rng(11)
-    xs = np.concatenate([interval.a - rng.uniform(1e-3, 6, 25),
-                         interval.b + rng.uniform(1e-3, 6, 25)])
+    s = np.asarray(dists)
+    xs = np.concatenate([interval.a - s, interval.b + s])
     assert np.allclose(h.combined(xs), h.plus(xs) + h.minus(xs), rtol=1e-14, atol=0)
     assert np.allclose(h.plus(xs), h.minus(interval.a + interval.b - xs), rtol=1e-12)
     assert np.all(h.plus(xs) > 0) and np.all(h.minus(xs) > 0)
@@ -239,16 +275,18 @@ def test_series_monotone_and_geometric_tail(model, interval):
             prev = part
 
 
-def test_series_matches_closed_form_random_points(model, interval):
+@PROPERTY
+@given(**MODELS, dists=DISTANCES)
+@example(**DEFAULT, dists=[0.001, 0.7, 3.0, 8.0])
+def test_series_matches_closed_form_random_points(sigma, lam, eta, a, width, dists):
+    # the partial sum through K = 10 misses at most c^(2K) of the closed form
+    model, interval = _pair(sigma, lam, eta, a, width)
     h = harmonics(model, interval)
-    c = h.c
-    rng = np.random.default_rng(12)
-    xs = np.concatenate([interval.a - rng.uniform(1e-3, 8, 10),
-                         interval.b + rng.uniform(1e-3, 8, 10)])
-    for x in xs:
-        closed = float(h.plus(x))
-        part = harmonic_plus_partial_sum(model, interval, float(x), 10)
-        assert abs(part - closed) <= c**20 * closed + 1e-12
+    for dist in dists:
+        for x in (interval.a - dist, interval.b + dist):
+            closed = float(h.plus(x))
+            part = harmonic_plus_partial_sum(model, interval, x, 10)
+            assert abs(part - closed) <= (h.c**20 + 1e-13) * closed, (x, part, closed)
 
 
 def test_default_series_depth(model, interval):

@@ -204,7 +204,7 @@ def test_no_bridge_survival_decreases_with_dt(model, interval):
     lambda m, iv, cfg: estimate_avoidance(ModelParams(drift=0.5), iv, 2.0, cfg),
     lambda m, iv, cfg: propagate_ensemble(m, iv, "updown", 2.0, cfg),
     lambda m, iv, cfg: drift_probability(m, iv, 2.0, 1.0, cfg),
-    lambda m, iv, cfg: occupation_time(m, iv, 2.0, (-1.0, 2.0), 1.0, cfg),
+    lambda m, iv, cfg: occupation_time(m, iv, 2.0, (-1.0, 2.0), (1.0,), cfg),
 ], ids=["clock", "crossing", "avoidance", "propagate", "drift", "occupation"])
 def test_grid_only_mode_is_survival_only(model, interval, estimate):
     cfg = PathConfig(dt=0.1, horizon=1.0, seed=3, n_paths=64, bridge_correction=False)
@@ -312,8 +312,13 @@ def test_estimators_bit_identical_across_workers(model, interval):
         surv = estimate_survival(model, interval, 2.0, 0.5, cfg)
         # 8 batches of 8750 paths straddle the 8192-path blocks
         dp = drift_probability(model, interval, 2.0, 5.0, cfg)
+        snaps = propagate_ensemble(model, interval, "updown", 2.0, cfg,
+                                   record_times=[0.55, 1.0])
+        occ = occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0), cfg)
         return surv, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
-                      dp.per_replicate.tobytes())
+                      dp.per_replicate.tobytes()), occ.tobytes(), [
+            (s.time, s.states.tobytes(), s.weights.tobytes(), s.alive.tobytes())
+            for s in snaps]
 
     base = estimates()
     old = os.environ.get("INTERVAL_AVOID_THREADS")

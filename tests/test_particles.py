@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from interval_avoid import (EnsembleExtinctionError, PathConfig,
                             drift_probability, harmonicity_residual, harmonics,
                             occupation_time, propagate_ensemble)
+from interval_avoid._rng import block_stream
+from interval_avoid.engine import PathBlock, _observation_grid, advance
 
 
 def cfg(seed, n, horizon, dt=0.1):
@@ -13,21 +16,19 @@ def cfg(seed, n, horizon, dt=0.1):
 
 
 def test_initial_ensemble(model, interval):
-    snaps, sys_ = propagate_ensemble(model, interval, "updown", 2.0,
-                                     cfg(1, 256, 1.0), record_times=[0.0, 1.0])
+    snaps = propagate_ensemble(model, interval, "updown", 2.0,
+                               cfg(1, 256, 1.0), record_times=[0.0, 1.0])
     first = snaps[0]
     assert first.time == 0.0
     assert np.all(first.weights == 1.0)
     assert first.ess == 256.0
     assert first.normalizer == pytest.approx(float(harmonics(model, interval).combined(2.0)))
-    assert sys_.resamples >= 0
+    assert [s.time for s in snaps] == [0.0, 1.0]
 
 
 def test_mean_weight_is_martingale(model, interval):
-    # without resampling the mean weight stays at 1 in expectation
-    snaps, _ = propagate_ensemble(model, interval, "updown", 2.0,
-                                  cfg(2, 60_000, 2.0), ess_threshold=0.0,
-                                  record_times=[2.0])
+    snaps = propagate_ensemble(model, interval, "updown", 2.0,
+                               cfg(2, 60_000, 2.0), record_times=[2.0])
     last = snaps[-1]
     mean = last.weights.mean()
     se = last.weights.std(ddof=1) / math.sqrt(last.n)
@@ -35,9 +36,8 @@ def test_mean_weight_is_martingale(model, interval):
 
 
 def test_weights_match_harmonic_ratio(model, interval):
-    snaps, sys_ = propagate_ensemble(model, interval, "plus", 2.0,
-                                     cfg(3, 4096, 1.0), ess_threshold=0.0,
-                                     record_times=[1.0])
+    snaps = propagate_ensemble(model, interval, "plus", 2.0,
+                               cfg(3, 4096, 1.0), record_times=[1.0])
     last = snaps[-1]
     h = harmonics(model, interval)
     alive = last.alive
@@ -88,81 +88,74 @@ def test_drift_probability_midpoint_symmetry(model, interval):
     assert up.p_up.mean == pytest.approx(dn.p_down.mean, abs=se)
 
 
-def test_resampling_unbiasedness(model, interval):
-    # SIR with and without resampling, and the resampling-free terminal
-    # importance weights, estimate the same weighted up-fraction at T = 15
-    up = {}
-    for threshold, seeds in ((0.5, range(8, 14)), (0.0, range(14, 20))):
-        fracs, resamples = [], 0
-        for seed in seeds:
-            snaps, sys_ = propagate_ensemble(model, interval, "updown", 2.0,
-                                             cfg(seed, 8192, 15.0),
-                                             ess_threshold=threshold)
-            fracs.append(snaps[-1].weighted_fraction(snaps[-1].states > interval.b))
-            resamples += sys_.resamples
-        assert (resamples > 0) == (threshold > 0.0)
-        fracs = np.asarray(fracs)
-        up[threshold] = (fracs.mean(), fracs.std(ddof=1) / math.sqrt(fracs.size))
+def test_grid_pass_matches_terminal_weights(model, interval):
+    # the weight telescopes: stepping through the dt grid and sampling the
+    # horizon in one exact step estimate the same weighted up-fraction
+    last = propagate_ensemble(model, interval, "updown", 2.0, cfg(8, 32_768, 15.0))[-1]
+    w, up = last.weights, last.states > interval.b
+    grid = last.weighted_fraction(up)
+    grid_se = math.sqrt(np.sum(w * w * (up - grid) ** 2)) / w.sum()
     dp = drift_probability(model, interval, 2.0, 15.0, cfg(20, 16_384, 15.0),
                            transform="updown", replicates=4)
-    up["terminal"] = (dp.p_up.mean, dp.p_up.stderr)
-    for x, y in ((0.5, 0.0), (0.5, "terminal"), (0.0, "terminal")):
-        (mx, sx), (my, sy) = up[x], up[y]
-        assert mx == pytest.approx(my, abs=3 * math.hypot(sx, sy)), (x, y, up)
+    assert grid == pytest.approx(dp.p_up.mean, abs=3 * math.hypot(grid_se, dp.p_up.stderr))
+
+
+# sha256 of the snapshot states and alive flags, pinned from the resampling
+# ensemble it replaced (run with resampling off): the grid pass draws the
+# same random numbers in the same order
+def test_grid_pass_pinned(model, interval):
+    snaps = propagate_ensemble(model, interval, "updown", 2.0, cfg(21, 8192, 5.0),
+                               record_times=[0.0, 1.25, 2.55, 5.0])
+    digest = hashlib.sha256()
+    for s in snaps:
+        digest.update(s.states.tobytes())
+        digest.update(s.alive.tobytes())
+    assert digest.hexdigest() == (
+        "bed672bc08927bf15cd18828ae9b1ff710ba7f2b6c7828fe9a1712dd8e7feb84")
 
 
 def test_plus_transform_suppresses_downside(model, interval):
-    snaps, _ = propagate_ensemble(model, interval, "plus", 2.0,
-                                  cfg(10, 8192, 10.0), record_times=[2.0, 10.0])
+    snaps = propagate_ensemble(model, interval, "plus", 2.0,
+                               cfg(10, 8192, 10.0), record_times=[2.0, 10.0])
     frac_below = [s.weighted_fraction(s.states < interval.a) for s in snaps]
     assert frac_below[-1] <= frac_below[0] + 0.01
     assert frac_below[-1] < 0.02
 
 
-def test_stopping_time_weight_identity(model, interval):
-    """On shared paths, the particle estimate of a first-passage probability
-    is exactly the average of h(position)/h(start) over the recorded
-    passages (the stopping-time form of the change of measure)."""
-    h = harmonics(model, interval)
-    snaps, sys_ = propagate_ensemble(model, interval, "plus", 2.0,
-                                     cfg(11, 8192, 10.0), ess_threshold=0.0,
-                                     record_times=[10.0], track_level=-2.0)
-    lw = sys_.level_weight
-    passed = ~np.isnan(lw)
-    lhs = np.where(passed, lw, 0.0)
-    rhs = np.zeros_like(lhs)
-    rhs[passed] = h.plus(sys_.block.level_value[passed]) / float(h.plus(2.0))
-    assert np.array_equal(lhs, rhs)        # same-path identity, exact per path
-    assert 0.0 <= lhs.mean() < 0.05
-
-
 def test_downward_escape_vanishes_under_plus(model, interval):
+    """P^plus(reach (-inf, c] by time 12) is the average of
+    1{passage} h_plus(position at passage) / h_plus(start) over killed paths
+    (the stopping-time form of the change of measure); it vanishes as c
+    falls."""
+    h = harmonics(model, interval)
     probs = []
     for i, c in enumerate((-2.0, -5.0, -10.0)):
-        snaps, sys_ = propagate_ensemble(model, interval, "plus", 2.0,
-                                         cfg(12 + i, 16_384, 12.0),
-                                         ess_threshold=0.0,
-                                         record_times=[12.0], track_level=c)
-        lw = np.nan_to_num(sys_.level_weight, nan=0.0)
-        probs.append(lw.sum() / sys_.block.n)
-    assert probs[0] < 0.05
+        pb = PathBlock.start(model, interval, 2.0, 16_384, block_stream(12 + i, 0),
+                             track_level=c)
+        for t in _observation_grid(0.1, 12.0):
+            advance(pb, t)
+        passed = ~np.isnan(pb.level_time)
+        probs.append(h.plus(pb.level_value[passed]).sum() / float(h.plus(2.0)) / pb.n)
+    assert 0.0 <= probs[0] < 0.05
     assert probs[2] <= probs[1] + 1e-3 <= probs[0] + 2e-3
     assert probs[2] < 1e-3
 
 
 def test_occupation_time_degenerate_window(model, interval):
     occ = occupation_time(model, interval, 2.0,
-                          (interval.a - 1e-9, interval.b + 1e-9), 5.0,
-                          cfg(15, 2048, 5.0), replicates=2)
-    assert occ.mean == pytest.approx(0.0, abs=1e-6)
+                          (interval.a - 1e-9, interval.b + 1e-9), (5.0,),
+                          cfg(15, 2048, 5.0))
+    assert occ.shape == (2048, 1)
+    assert occ.mean() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_occupation_time_increases_with_horizon(model, interval):
-    o1 = occupation_time(model, interval, 2.0, (-2.0, 3.0), 5.0,
-                         cfg(16, 8192, 5.0), replicates=4)
-    o2 = occupation_time(model, interval, 2.0, (-2.0, 3.0), 20.0,
-                         cfg(17, 8192, 20.0), replicates=4)
-    assert o2.mean > o1.mean
+    # one pass: every path's occupation is cumulative, so it never decreases
+    occ = occupation_time(model, interval, 2.0, (-2.0, 3.0), (5.0, 20.0, 12.5),
+                          cfg(16, 8192, 20.0))
+    assert occ.shape == (8192, 3)
+    assert np.all(occ[:, 0] <= occ[:, 2]) and np.all(occ[:, 2] <= occ[:, 1])
+    assert occ[:, 1].mean() > occ[:, 0].mean()
 
 
 def test_extinction_reported(model, interval):
@@ -181,4 +174,14 @@ def test_invalid_transform_rejected(model, interval):
 def test_window_validation(model, interval):
     with pytest.raises(ValueError):
         occupation_time(model, interval, 2.0, (interval.a + 0.1, interval.b + 1.0),
-                        5.0, cfg(20, 128, 5.0))
+                        (5.0,), cfg(20, 128, 5.0))
+
+
+@pytest.mark.parametrize("times", [(), (0.0,), (-1.0, 5.0), (math.inf,), (math.nan,)])
+def test_horizons_validation(model, interval, times):
+    with pytest.raises(ValueError, match="horizons"):
+        occupation_time(model, interval, 2.0, (-2.0, 3.0), times, cfg(20, 128, 5.0))
+    if times and times[0] != 0.0:
+        with pytest.raises(ValueError, match="record times"):
+            propagate_ensemble(model, interval, "plus", 2.0, cfg(20, 128, 5.0),
+                               record_times=times)
