@@ -8,19 +8,16 @@ realisation of the conditioned laws, and `suites`/`cli` the verification
 harness.
 """
 
-from .closedform import (CrossingMeasure, Harmonics, OvershootLaw, crossing_factor,
-                         default_series_depth, gamma_bound, harmonic_plus_partial_sum,
-                         harmonic_plus_q_partial_sum, harmonics, nu, overshoot_law)
-from .engine import (AvoidanceEstimate, ClockEstimate, CrossingLawEstimate,
-                     EstimatorResult, PathConfig, SurvivalEstimate, Trajectory,
-                     bridge_cross_prob, empirical_crossing_law, estimate_avoidance,
-                     estimate_clock_event, estimate_survival, simulate_path,
-                     terminal_sample)
+from .closedform import (crossing_factor, default_series_depth, gamma_bound,
+                         harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
+                         harmonics, nu, overshoot_law)
+from .engine import (PathConfig, bridge_cross_prob, empirical_crossing_law,
+                     estimate_avoidance, estimate_clock_event, estimate_survival,
+                     simulate_path, terminal_sample)
 from .model import (Interval, ModelParams, kappa, ladder_exponent, laplace_exponent,
                     potential, potential_q, potential_q_total, wiener_hopf_roots)
-from .particles import (DriftProbability, EnsembleExtinctionError, ParticleEnsemble,
-                        drift_probability, harmonicity_residual, occupation_time,
-                        propagate_ensemble)
-from .suites import SuiteReport, emit_table, run_suite
+from .particles import (EnsembleExtinctionError, drift_probability, harmonicity_residual,
+                        occupation_time, propagate_ensemble)
+from .suites import emit_table, run_suite
 
 __version__ = "1.0.0"

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .engine import (PathConfig, estimate_avoidance, estimate_clock_event,
-                     estimate_survival, simulate_path)
+from .engine import (PathConfig, _observation_grid, estimate_avoidance,
+                     estimate_clock_event, estimate_survival, simulate_path)
 from .model import Interval, ModelParams
 from .particles import EnsembleExtinctionError, drift_probability, propagate_ensemble
 from .suites import SUITES, dumps_17g, emit_table, run_suite
@@ -189,7 +189,7 @@ def _cmd_condition(args) -> int:
     print(dumps_17g(payload))
 
     if args.timeseries:
-        times = [k * args.dt for k in range(0, int(args.horizon / args.dt) + 1)]
+        times = [0.0] + _observation_grid(args.dt, args.horizon)
         snaps = propagate_ensemble(model, interval, args.transform, args.start,
                                    small, record_times=times)
         with open(args.timeseries, "w", encoding="utf-8", newline="\n") as fh:

@@ -85,18 +85,26 @@ def default_series_depth(params: ModelParams, interval: Interval, tol: float = 1
 class OvershootLaw:
     """Law of the position at first one-sided passage over a boundary.
 
-    The law is an atom of size ``creep_mass`` at ``boundary`` (continuous
-    touch) plus the density ``density_scale * exp(-eta * distance)`` beyond
-    it, where distance = y - boundary (up) or boundary - y (down).  Total
-    mass is 1: creep_mass + density_scale/eta = 1.
+    The passage is by a jump with probability ``jump_mass``, landing with
+    density ``density_scale * exp(-eta * distance)`` beyond the boundary,
+    where distance = y - boundary (up) or boundary - y (down) and
+    density_scale = eta * jump_mass; the rest, ``creep_mass``, is an atom at
+    ``boundary`` (continuous touch).
     """
 
     boundary: float
     direction: Direction
-    creep_mass: float
-    density_scale: float
+    jump_mass: float
     start: float
     eta: float
+
+    @property
+    def creep_mass(self) -> float:
+        return 1.0 - self.jump_mass
+
+    @property
+    def density_scale(self) -> float:
+        return self.eta * self.jump_mass
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -109,18 +117,7 @@ class OvershootLaw:
         d = level - self.boundary if self.direction == "up" else self.boundary - level
         if d < 0.0:
             raise ValueError("level must lie beyond the boundary")
-        return self.density_scale / self.eta * math.exp(-self.eta * d)
-
-    def conditional_tail_cdf(self, y, level: float):
-        """CDF of the overshoot distance beyond ``level`` given it exceeds ``level``.
-
-        Memorylessness makes this an Exp(eta) law in the distance past
-        ``level`` regardless of the starting point.
-        """
-        y = np.asarray(y, dtype=float)
-        d = y - level if self.direction == "up" else level - y
-        out = np.where(d > 0.0, -np.expm1(-self.eta * np.maximum(d, 0.0)), 0.0)
-        return out if out.ndim else float(out)
+        return self.jump_mass * math.exp(-self.eta * d)
 
 
 def overshoot_law(params: ModelParams, interval: Interval, start: float,
@@ -138,12 +135,10 @@ def overshoot_law(params: ModelParams, interval: Interval, start: float,
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     beta = params.beta
-    scale = params.eta * (beta - params.eta) / beta * (-math.expm1(-beta * dist))
     return OvershootLaw(
         boundary=boundary,
         direction=direction,
-        creep_mass=1.0 - scale / params.eta,
-        density_scale=scale,
+        jump_mass=(beta - params.eta) / beta * (-math.expm1(-beta * dist)),
         start=start,
         eta=params.eta,
     )
@@ -184,12 +179,21 @@ class CrossingMeasure:
         return out if out.ndim else float(out)
 
     def conditional_cdf(self, y):
-        """CDF of the law normalised to a probability on its support."""
+        """CDF P(Y <= y) of the law normalised to a probability on its support.
+
+        Above the interval it is 1 - e^{-eta (y - b)} for y > b; below it,
+        where the distance past the boundary falls as y grows, it is
+        e^{-eta (a - y)} for y < a and 1 from a on.
+        """
         if self.is_point_mass:
             raise ValueError("k = 0 is a point mass")
         y = np.asarray(y, dtype=float)
-        d = y - self.boundary if self.side == "above" else self.boundary - y
-        out = np.where(d > 0.0, -np.expm1(-self.eta * np.maximum(d, 0.0)), 0.0)
+        if self.side == "above":
+            d = y - self.boundary
+            out = np.where(d > 0.0, -np.expm1(-self.eta * np.maximum(d, 0.0)), 0.0)
+        else:
+            d = self.boundary - y
+            out = np.where(d > 0.0, np.exp(-self.eta * np.maximum(d, 0.0)), 1.0)
         return out if out.ndim else float(out)
 
 
@@ -199,6 +203,7 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
     Successive crossings alternate sides and scale geometrically: with
     m1 = (beta-eta)/beta (1-e^{-beta d0}) e^{-eta w} the mass of the first
     jump over (d0 the distance from start to the near boundary, w = b - a),
+    the first-passage overshoot law's mass beyond the far boundary,
     mass(nu_k) = c^(k-1) m1, and the shape past the far boundary is always
     Exp(eta) by memorylessness.
     """
@@ -211,10 +216,10 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
         side = "below" if starts_below else "above"
         return CrossingMeasure(k=0, side=side, mass=1.0, amplitude=math.nan,
                                boundary=math.nan, eta=params.eta, start=start)
-    beta = params.beta
-    d0 = interval.a - start if starts_below else start - interval.b
-    m1 = ((beta - params.eta) / beta * (-math.expm1(-beta * d0))
-          * math.exp(-params.eta * interval.width))
+    if starts_below:
+        m1 = overshoot_law(params, interval, start, "up").mass_beyond(interval.b)
+    else:
+        m1 = overshoot_law(params, interval, start, "down").mass_beyond(interval.a)
     c = crossing_factor(params, interval)
     mass = c ** (k - 1) * m1
     # odd crossings land on the opposite side of the start, even ones back home

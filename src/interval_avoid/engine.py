@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -104,21 +104,28 @@ def _observation_grid(dt: float, horizon: float) -> list[float]:
     return [min(k * dt, horizon) for k in range(1, n_steps + 1)]
 
 
-def bridge_cross_prob(x0: float, x1: float, dt: float, level: float,
-                      side: Literal["above", "below"], sigma: float) -> float:
-    """Probability that a Brownian segment touches ``level``.
+def bridge_cross_prob(x0, x1, dt, interval: Interval, sigma: float) -> np.ndarray:
+    """Probability that Brownian segments from x0 to x1 over dt touch [a, b].
 
-    Both endpoints must sit on ``side`` of the level (touching it is
-    allowed and gives probability 1).  The bridge law does not depend on the
-    drift, so the formula holds for drifted segments as well.
+    ``x0``, ``x1`` and ``dt`` are arrays of one shape (dt > 0).  A segment
+    with both endpoints strictly on one side, at distances d0, d1 from the
+    near boundary, touches with the bridge probability
+    exp(-2 d0 d1 / (sigma^2 dt)); any other segment (straddling the interval
+    or with an endpoint in it) touches with probability 1.  The bridge law
+    does not depend on the drift, so the formula holds for drifted segments
+    as well.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    d0 = x0 - level if side == "above" else level - x0
-    d1 = x1 - level if side == "above" else level - x1
-    if d0 < 0.0 or d1 < 0.0:
-        raise ValueError(f"endpoints must lie {side} level {level} (got {x0}, {x1})")
-    return min(1.0, math.exp(-2.0 * d0 * d1 / (sigma * sigma * dt)))
+    x0, x1, dt = (np.asarray(v, dtype=float) for v in (x0, x1, dt))
+    a, b = interval.a, interval.b
+    expo = np.zeros(x0.shape)
+    same_hi = (x0 > b) & (x1 > b)
+    same_lo = (x0 < a) & (x1 < a)
+    # far from the interval the product overflows to inf, and exp(-inf) = 0
+    # is the exact limit: such a segment cannot touch it
+    with np.errstate(over="ignore"):
+        expo[same_hi] = (x0[same_hi] - b) * (x1[same_hi] - b) / dt[same_hi]
+        expo[same_lo] = (a - x0[same_lo]) * (a - x1[same_lo]) / dt[same_lo]
+    return np.where(same_hi | same_lo, np.exp(-2.0 * expo / (sigma * sigma)), 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,7 +149,6 @@ class PathBlock:
     n_cross: np.ndarray
     k_dagger: np.ndarray         # crossing index at a jump-landing hit, else -1
     cross_pos: Optional[np.ndarray] = None   # (n, max_crossings)
-    cross_t: Optional[np.ndarray] = None
     level: Optional[float] = None            # tracked first passage at/below level
     level_time: Optional[np.ndarray] = None
     level_value: Optional[np.ndarray] = None
@@ -168,7 +174,6 @@ class PathBlock:
         )
         if max_crossings > 0:
             pb.cross_pos = np.full((n, max_crossings), np.nan)
-            pb.cross_t = np.full((n, max_crossings), np.nan)
         if track_level is not None:
             pb.level = float(track_level)
             pb.level_time = np.full(n, np.nan)
@@ -213,23 +218,10 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True,
 
         x1 = x0 + drift * dt + sigma * np.sqrt(dt) * rng.standard_normal(idx.size)
 
-        above1 = x1 > b
-        below1 = x1 < a
-        inside1 = ~above1 & ~below1
+        inside1 = interval.contains(x1)
         if bridge:
             u = rng.random(idx.size)
-            above0 = x0 > b
-            expo = np.zeros(idx.size)
-            same_hi = above0 & above1
-            same_lo = ~above0 & below1
-            # far from the interval the product overflows to inf, and
-            # exp(-inf) = 0 is the exact limit: such a segment cannot touch it
-            with np.errstate(over="ignore"):
-                expo[same_hi] = (x0[same_hi] - b) * (x1[same_hi] - b) / dt[same_hi]
-                expo[same_lo] = (a - x0[same_lo]) * (a - x1[same_lo]) / dt[same_lo]
-            p_kill = np.where(same_hi | same_lo,
-                              np.exp(-2.0 * expo / (sigma * sigma)), 1.0)
-            died = u < p_kill
+            died = u < bridge_cross_prob(x0, x1, dt, interval, sigma)
         else:
             died = inside1
 
@@ -265,7 +257,6 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True,
                     cap = pb.cross_pos.shape[1]
                     rec = slot < cap
                     pb.cross_pos[cidx[rec], slot[rec]] = xpost[crossed][rec]
-                    pb.cross_t[cidx[rec], slot[rec]] = t1[jl][crossed][rec]
                 pb.n_cross[cidx] = slot + 1
 
             pb.x[jidx] = xpost
@@ -435,16 +426,19 @@ def ks_critical_value(m: int, alpha: float = 0.01) -> float:
 
 @dataclass(frozen=True)
 class CrossingLawEstimate:
-    k: int
-    positions: np.ndarray
+    """Laws of crossings j = 1..k from one censored pass.
+
+    Every per-crossing field is a length-k tuple indexed j - 1.
+    """
+
     n_paths: int
-    mass: EstimatorResult
-    ks_distance: float
-    ks_critical: float
-    insufficient: bool
     censored_fraction: float
-    censor_bias_bound: float
-    all_counts: np.ndarray       # paths reaching crossing j (1-based), j = 1..k
+    positions: tuple[np.ndarray, ...]
+    mass: tuple[EstimatorResult, ...]
+    ks_distance: tuple[float, ...]
+    ks_critical: tuple[float, ...]
+    insufficient: tuple[bool, ...]
+    censor_bias_bound: tuple[float, ...]
 
 
 def _crossing_block(args):
@@ -454,56 +448,51 @@ def _crossing_block(args):
     advance(pb, horizon, stop_after=k)
     outside = ~interval.contains(np.nan_to_num(pb.cross_pos, nan=interval.midpoint))
     recorded = ~np.isnan(pb.cross_pos) & outside
-    counts = recorded.sum(axis=0)
+    positions = [pb.cross_pos[recorded[:, j], j] for j in range(k)]
     censored = pb.alive & ~pb.frozen
-    # residual crossing potential of censored paths: gamma^(k - crossings so far)
+    # residual potential of the censored paths short of crossing j:
+    # gamma^(j - crossings so far) each
     gam = gamma_bound(model, interval)
-    bias = float(np.sum(gam ** (k - pb.n_cross[censored])))
-    kth = pb.cross_pos[recorded[:, k - 1], k - 1]
-    return count, counts, kth, int(censored.sum()), bias
+    done = pb.n_cross[censored]
+    bias = [float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)]
+    return count, positions, int(censored.sum()), bias
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                            k: int, config: PathConfig,
                            min_samples: int = 500) -> CrossingLawEstimate:
-    """Empirical law of the k-th crossing landing position, against nu_k.
+    """Empirical laws of the crossing landing positions j = 1..k, against nu_j.
 
-    Paths are censored at ``config.horizon``; the mass estimate therefore
-    undershoots by at most censored_fraction * gamma^(k - crossings so far),
-    which is returned as ``censor_bias_bound`` (hitting times have infinite
-    mean, so some cap is unavoidable).  The conditional shape past the far
-    boundary is unaffected by censoring.
+    One pass freezes each path at its k-th crossing and censors it at
+    ``config.horizon`` (hitting times have infinite mean, so some cap is
+    unavoidable).  Crossing j's mass therefore undershoots by at most
+    ``censor_bias_bound[j - 1]``: every censored path short of crossing j
+    adds gamma^(j - crossings so far), divided by the path count.  A path
+    frozen at crossing k, or already past crossing j, adds nothing.  The
+    conditional shape past the far boundary is unaffected by censoring.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     interval.require_outside(start, "starting point")
     config.require_bridge("empirical_crossing_law")
+    laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
     parts = _map_blocks(
         _crossing_block,
         _block_args(model, interval, start, config, (k, config.horizon)))
     n = sum(p[0] for p in parts)
-    counts = np.sum([p[1] for p in parts], axis=0)
-    positions = np.concatenate([p[2] for p in parts]) if n else np.empty(0)
-    censored = sum(p[3] for p in parts)
-    bias = sum(p[4] for p in parts) / n
-
-    law = nu(model, interval, start, k)
-    m = positions.size
-    if m:
-        dist = ks_distance(positions, law.conditional_cdf)
-    else:
-        dist = math.nan
+    positions = tuple(np.concatenate([p[1][j] for p in parts]) for j in range(k))
+    censored = sum(p[2] for p in parts)
+    sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
-        k=k,
-        positions=positions,
         n_paths=n,
-        mass=_binomial_result(float(m), n),
-        ks_distance=dist,
-        ks_critical=ks_critical_value(max(m, 1)),
-        insufficient=m < min_samples,
         censored_fraction=censored / n,
-        censor_bias_bound=bias,
-        all_counts=counts,
+        positions=positions,
+        mass=tuple(_binomial_result(float(m), n) for m in sizes),
+        ks_distance=tuple(ks_distance(pos, law.conditional_cdf) if pos.size else math.nan
+                          for pos, law in zip(positions, laws)),
+        ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
+        insufficient=tuple(m < min_samples for m in sizes),
+        censor_bias_bound=tuple(sum(p[3][j] for p in parts) / n for j in range(k)),
     )
 
 

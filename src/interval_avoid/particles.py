@@ -99,19 +99,29 @@ class ParticleEnsemble:
         return float((self.weights * mask).sum() / s) if s > 0.0 else math.nan
 
 
+def _weigher(model, interval, kind, start):
+    """The h-transform weight (x, alive) -> 1{alive} h(x) / h(start)."""
+    h = harmonics(model, interval)
+    h0 = float(h.value(kind, start))
+
+    def weigh(x: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        w = np.zeros(x.size)
+        w[alive] = h.value(kind, x[alive]) / h0
+        return w
+
+    return weigh
+
+
 def _weighted_pass(model, interval, kind, start, config, bi, count, times):
     """Advance block ``bi`` through ``times``; yield (t, block, w) at each.
 
     w = 1{alive} h(xi_t) / h(start) is evaluated afresh at every time.
     """
-    h = harmonics(model, interval)
-    h0 = float(h.value(kind, start))
+    weigh = _weigher(model, interval, kind, start)
     pb = PathBlock.start(model, interval, start, count, block_stream(config.seed, bi))
     for t in times:
         advance(pb, t)
-        w = np.zeros(count)
-        w[pb.alive] = h.value(kind, pb.x[pb.alive]) / h0
-        yield t, pb, w
+        yield t, pb, weigh(pb.x, pb.alive)
 
 
 def _ensemble_block(args):
@@ -203,10 +213,7 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
                      n_paths=replicates * per_rep)
     xs, alive = terminal_sample(model, interval, start, horizon, cfg)
-    h = harmonics(model, interval)
-    w = np.zeros(xs.size)
-    w[alive] = h.value(kind, xs[alive]) / float(h.value(kind, start))
-    w = w.reshape(replicates, per_rep)
+    w = _weigher(model, interval, kind, start)(xs, alive).reshape(replicates, per_rep)
     total = w.sum(axis=1)
     if not np.all(total > 0.0):
         raise EnsembleExtinctionError(transform, start, horizon, per_rep)
@@ -278,11 +285,9 @@ def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
     """
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
-    h = harmonics(model, interval)
-    href = float(h.value(kind, start))
+    weigh = _weigher(model, interval, kind, start)
     xs, alive = terminal_sample(model, interval, start, t, config)
-    w = np.zeros(xs.size)
-    w[alive] = h.value(kind, xs[alive]) / href
+    w = weigh(xs, alive)
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(w.size))
     return EstimatorResult(mean - 1.0, se, int(xs.size))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_condition_json(capsys, tmp_path):
     # no resampling: the ensemble's effective size decays as paths die
     first, last = (float(line.split(",")[2]) for line in (lines[1], lines[-1]))
     assert first == 2048 and last < first
+
+
+def test_condition_timeseries_ends_at_horizon(tmp_path, capsys):
+    # 0.7 / 0.1 = 6.999...: the rows still run to the horizon
+    ts = tmp_path / "ts.csv"
+    code, _, _ = run_cli(["condition", "--start", "2", "--horizon", "0.7", "--dt", "0.1",
+                          "--particles", "256", "--seed", "9", "--timeseries", str(ts)],
+                         capsys)
+    assert code == 0
+    rows = ts.read_text().splitlines()[1:]
+    assert len(rows) == math.ceil(0.7 / 0.1) + 1
+    assert float(rows[0].split(",")[0]) == 0.0
+    assert float(rows[-1].split(",")[0]) == 0.7
 
 
 def test_condition_dt_gates_only_the_timeseries(capsys, tmp_path):

@@ -106,6 +106,21 @@ def test_overshoot_law_side_errors(model, interval):
 
 # ---------------------------------------------------------- crossing measures
 
+def test_nu_conditional_cdf_both_sides(model, interval):
+    """P(Y <= y) rises from 0 to 1 on either side; below the interval it is
+    the mirror image of the law above."""
+    above = nu(model, interval, -1.0, 1)
+    below = nu(model, interval, 2.0, 1)
+    assert (above.side, below.side) == ("above", "below")
+    dist = np.array([0.0, 0.3, 1.7, 40.0])
+    assert np.allclose(below.conditional_cdf(interval.a - dist),
+                       1.0 - above.conditional_cdf(interval.b + dist), rtol=1e-14)
+    ys = np.linspace(-8.0, -1e-9, 50)
+    assert np.all(np.diff(below.conditional_cdf(ys)) > 0.0)
+    assert below.conditional_cdf(interval.a) == 1.0
+    assert above.conditional_cdf(interval.b) == 0.0
+
+
 def test_nu_zero_is_point_mass(model, interval):
     m = nu(model, interval, 2.0, 0)
     assert m.is_point_mass and m.mass == 1.0 and m.start == 2.0

@@ -6,8 +6,8 @@ import pytest
 
 from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob,
                             empirical_crossing_law, estimate_avoidance,
-                            estimate_clock_event, estimate_survival, kappa, nu,
-                            potential_q, simulate_path, terminal_sample)
+                            estimate_clock_event, estimate_survival, gamma_bound,
+                            kappa, nu, potential_q, simulate_path, terminal_sample)
 from interval_avoid.engine import (PathBlock, adjustment_coefficient, advance,
                                    ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, occupation_time,
@@ -32,17 +32,25 @@ def test_path_config_validation():
 
 # ------------------------------------------------------------------- bridge
 
+@pytest.mark.filterwarnings("error")
 def test_bridge_cross_prob_values():
     sq2 = math.sqrt(2.0)
-    assert bridge_cross_prob(0.0, 1.0, 0.1, 0.0, "above", sq2) == 1.0
-    assert bridge_cross_prob(1.0, 0.0, 0.1, 0.0, "above", sq2) == 1.0
-    assert bridge_cross_prob(1.0, 1.0, 0.1, 0.0, "above", sq2) == pytest.approx(
-        math.exp(-10.0), rel=1e-13)
-    assert bridge_cross_prob(0.4, 2.0, 0.3, 0.0, "above", sq2) == bridge_cross_prob(
-        2.0, 0.4, 0.3, 0.0, "above", sq2)
-    assert bridge_cross_prob(-1.0, -2.0, 0.5, 0.0, "below", 1.0) <= 1.0
-    with pytest.raises(ValueError):
-        bridge_cross_prob(-1.0, 1.0, 0.1, 0.0, "above", sq2)
+    iv = Interval(-1.0, 0.0)
+    x0 = np.array([1.0, 0.4, 2.0, 0.0, 1.0, 1.0, 1.0, -2.0, 1e300])
+    x1 = np.array([1.0, 2.0, 0.4, 1.0, 0.0, -0.5, -3.0, -3.0, 1e300])
+    dt = np.array([0.1, 0.3, 0.3, 0.1, 0.1, 0.1, 0.1, 0.5, 1e-300])
+    p = bridge_cross_prob(x0, x1, dt, iv, sq2)
+    assert p[0] == pytest.approx(math.exp(-10.0), rel=1e-13)
+    assert p[1] == p[2]                         # symmetric in the endpoints
+    assert np.all(p[3:7] == 1.0)                # touching, inside or straddling
+    assert p[7] == pytest.approx(math.exp(-2.0 * 1.0 * 2.0 / (2.0 * 0.5)), rel=1e-13)
+    assert p[8] == 0.0                          # overflow is the exact limit, silently
+    for i in (0, 1, 7):
+        b_side = x0[i] > iv.b
+        d0 = x0[i] - iv.b if b_side else iv.a - x0[i]
+        d1 = x1[i] - iv.b if b_side else iv.a - x1[i]
+        assert p[i] == pytest.approx(math.exp(-2.0 * d0 * d1 / (2.0 * dt[i])), rel=1e-13)
+    assert float(bridge_cross_prob(1.0, 1.0, 0.1, iv, sq2)) == p[0]   # scalars
 
 
 def test_bridge_cross_prob_against_dense_grid():
@@ -58,11 +66,11 @@ def test_bridge_cross_prob_against_dense_grid():
     path = x0 + np.linspace(1.0 / steps, 1.0, steps) * (x1 - x0) + w
     crossed = (path <= level).any(axis=1)
     p_hat = crossed.mean()
-    p = bridge_cross_prob(x0, x1, dt, level, "above", sigma)
+    p = float(bridge_cross_prob(x0, x1, dt, Interval(level - 1.0, level), sigma))
     se = math.sqrt(p_hat * (1 - p_hat) / n)
     assert p_hat <= p + 3 * se                 # discrete monitoring undercounts
     shifted = level - 0.5826 * sigma * math.sqrt(h)
-    p_disc = bridge_cross_prob(x0, x1, dt, shifted, "above", sigma)
+    p_disc = float(bridge_cross_prob(x0, x1, dt, Interval(shifted - 1.0, shifted), sigma))
     assert p_hat == pytest.approx(p_disc, abs=3 * se + 0.01 * p)
 
 
@@ -247,20 +255,43 @@ def test_clock_resolvent_identity(model):
 # ------------------------------------------------------------- crossing laws
 
 def test_crossing_law_mass_and_shape(model, interval):
+    """One k = 3 pass gives the laws of crossings 1, 2 and 3."""
     cfg = PathConfig(dt=1.0, horizon=2000.0, seed=51, n_paths=200_000)
-    law = empirical_crossing_law(model, interval, -1.0, 1, cfg)
-    assert not law.insufficient
-    target = nu(model, interval, -1.0, 1).mass
-    assert law.mass.mean == pytest.approx(
-        target, abs=3 * law.mass.stderr + law.censor_bias_bound)
-    assert law.ks_distance <= law.ks_critical
-    assert np.all(law.positions > interval.b)
+    law = empirical_crossing_law(model, interval, -1.0, 3, cfg)
+    assert law.insufficient[:2] == (False, False)
+    for j in (1, 2, 3):
+        m = law.mass[j - 1]
+        assert m.mean == pytest.approx(
+            nu(model, interval, -1.0, j).mass,
+            abs=3 * m.stderr + law.censor_bias_bound[j - 1]), j
+    # odd crossings land above b, even ones below a
+    assert np.all(law.positions[0] > interval.b)
+    assert np.all(law.positions[1] < interval.a)
+    assert np.all(law.positions[2] > interval.b)
+    for j in (1, 2):
+        assert law.ks_distance[j - 1] <= law.ks_critical[j - 1], j
+
+
+def test_crossing_law_censor_bounds_cover_the_gap(model, interval):
+    """At horizon 50 some 7.5% of paths are censored; each crossing's own
+    bound covers the mass those paths would still add."""
+    cfg = PathConfig(dt=1.0, horizon=50.0, seed=53, n_paths=200_000)
+    law = empirical_crossing_law(model, interval, -1.0, 3, cfg)
+    assert 0.05 < law.censored_fraction < 0.1
+    for j in (1, 2, 3):
+        m, bound = law.mass[j - 1], law.censor_bias_bound[j - 1]
+        gap = nu(model, interval, -1.0, j).mass - m.mean
+        assert -3 * m.stderr <= gap <= bound + 3 * m.stderr, j
+    # the undershoot is real, and a path already past crossing 1 adds nothing
+    # to law 1's bound
+    assert nu(model, interval, -1.0, 1).mass - law.mass[0].mean > 3 * law.mass[0].stderr
+    assert law.censor_bias_bound[0] < law.censored_fraction * gamma_bound(model, interval)
 
 
 def test_crossing_law_insufficient_flag(model, interval):
     cfg = PathConfig(dt=1.0, horizon=50.0, seed=52, n_paths=500)
     law = empirical_crossing_law(model, interval, -1.0, 2, cfg)
-    assert law.insufficient
+    assert law.insufficient == (True, True)
 
 
 def test_ks_helpers():
@@ -315,8 +346,15 @@ def test_estimators_bit_identical_across_workers(model, interval):
         snaps = propagate_ensemble(model, interval, "updown", 2.0, cfg,
                                    record_times=[0.55, 1.0])
         occ = occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0), cfg)
+        # 20 000 paths: blocks of 8192, 8192 and 3616
+        law = empirical_crossing_law(model, interval, -1.0, 3,
+                                     PathConfig(dt=1.0, horizon=200.0, seed=72,
+                                                n_paths=20_000))
         return surv, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
-                      dp.per_replicate.tobytes()), occ.tobytes(), [
+                      dp.per_replicate.tobytes()), occ.tobytes(), (
+            law.n_paths, law.censored_fraction, law.mass, law.ks_distance,
+            law.ks_critical, law.insufficient, law.censor_bias_bound,
+            [p.tobytes() for p in law.positions]), [
             (s.time, s.states.tobytes(), s.weights.tobytes(), s.alive.tobytes())
             for s in snaps]
 
@@ -335,9 +373,10 @@ def test_estimators_bit_identical_across_workers(model, interval):
 
 def test_crossing_law_deterministic(model, interval):
     cfg = PathConfig(dt=1.0, horizon=200.0, seed=73, n_paths=30_000)
-    a = empirical_crossing_law(model, interval, -1.0, 1, cfg)
-    b = empirical_crossing_law(model, interval, -1.0, 1, cfg)
-    assert a.mass == b.mass and np.array_equal(a.positions, b.positions)
+    a = empirical_crossing_law(model, interval, -1.0, 2, cfg)
+    b = empirical_crossing_law(model, interval, -1.0, 2, cfg)
+    assert a.mass == b.mass and a.censor_bias_bound == b.censor_bias_bound
+    assert all(np.array_equal(p, q) for p, q in zip(a.positions, b.positions))
 
 
 # ----------------------------------------------------------------- avoidance
