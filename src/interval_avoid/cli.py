@@ -42,6 +42,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"grid must be min:max:step, got {text!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}")
     n = int(round((hi - lo) / step))

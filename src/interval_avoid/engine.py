@@ -17,9 +17,16 @@ or beyond the other boundary) are recorded as crossings; a jump landing
 inside kills on the spot.  All event-time observables are therefore exact in
 distribution; no discretisation grid is needed unless one is requested.
 
-Blocks of paths are simulated together with numpy; each block owns its own
-counter-based stream (see _rng), so estimator outputs are bit-identical for
-a fixed seed regardless of the worker count.
+Blocks of paths are simulated together with numpy by one kernel,
+``advance``.  Each of its loop iterations resolves up to K events for every
+live path: K is one plus the expected number of jumps left before the latest
+target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
+while a block is full and grows to MAX_EVENTS in the long tail of a
+horizon.  A path stops at death, at its target, at a crossing cap or at an
+exit level above the interval.  Each block owns its own counter-based stream
+(see _rng), and K depends only on the block's state, so estimator outputs are
+bit-identical for a fixed seed regardless of the worker count; the order in
+which draws are consumed does depend on K.
 """
 
 from __future__ import annotations
@@ -117,15 +124,16 @@ def bridge_cross_prob(x0, x1, dt, interval: Interval, sigma: float) -> np.ndarra
     """
     x0, x1, dt = (np.asarray(v, dtype=float) for v in (x0, x1, dt))
     a, b = interval.a, interval.b
-    expo = np.zeros(x0.shape)
-    same_hi = (x0 > b) & (x1 > b)
-    same_lo = (x0 < a) & (x1 < a)
+    # distances past the boundary on x0's side, clipped at 0: both are
+    # positive only for a same-side segment; any other segment gets
+    # exponent 0, so probability 1
+    above = x0 > b
+    d0 = np.maximum(np.where(above, x0 - b, a - x0), 0.0)
+    d1 = np.maximum(np.where(above, x1 - b, a - x1), 0.0)
     # far from the interval the product overflows to inf, and exp(-inf) = 0
     # is the exact limit: such a segment cannot touch it
     with np.errstate(over="ignore"):
-        expo[same_hi] = (x0[same_hi] - b) * (x1[same_hi] - b) / dt[same_hi]
-        expo[same_lo] = (a - x0[same_lo]) * (a - x1[same_lo]) / dt[same_lo]
-    return np.where(same_hi | same_lo, np.exp(-2.0 * expo / (sigma * sigma)), 1.0)
+        return np.exp(d0 * d1 / dt * (-2.0 / (sigma * sigma)))
 
 
 # --------------------------------------------------------------------------- #
@@ -185,100 +193,164 @@ class PathBlock:
         return self.x.shape[0]
 
 
-def _record_level(pb: PathBlock, idx: np.ndarray, when: np.ndarray) -> None:
-    mask = np.isnan(pb.level_time[idx]) & (pb.x[idx] <= pb.level) & pb.alive[idx]
-    hit = idx[mask]
-    pb.level_time[hit] = when[mask]
-    pb.level_value[hit] = pb.x[hit]
+MAX_EVENTS = 64     # cap on the events drawn per live path per loop iteration
 
 
-def advance(pb: PathBlock, targets, *, bridge: bool = True,
-            stop_after: int = 0) -> None:
-    """Advance every live path to its target time (or death, or crossing cap).
+def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
+    """K for the m = t0.size live paths at times t0 with targets tt: one event
+    plus the expected jumps left to the latest target, capped at MAX_EVENTS
+    and at BLOCK_SIZE // m so that an iteration's (m, K) arrays never
+    outgrow one block."""
+    expected = lam * float(tt.max() - t0.min())
+    return max(1, min(MAX_EVENTS, BLOCK_SIZE // t0.size, 1 + int(min(expected, MAX_EVENTS))))
 
-    ``targets`` is a scalar or per-path array of absolute times.  With
-    ``stop_after`` > 0, a path is frozen once it has recorded that many
-    crossings (used to censor crossing-law extraction).
+
+def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
+            exit_above: Optional[float] = None) -> None:
+    """Advance every live path to its target time, death or early stop.
+
+    ``targets`` is a scalar or per-path array of absolute times.  A path
+    stops at the first of: death (bridge touch or an endpoint inside the
+    interval, or with ``bridge=False`` an endpoint inside only; a jump
+    landing inside), its target, its ``stop_after``-th crossing (if > 0) and
+    the first event value at or above ``exit_above`` (if given; a path
+    already there is frozen on entry).  An early stop sets ``frozen``.  A
+    dead path holds its hit time and hit value in ``t`` and ``x``.
+
+    Each loop iteration draws K events for each of its m live paths, with
+    K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
+    - earliest time)))): K - 1 inter-jump gaps, K normals, K bridge uniforms,
+    a Laplace(1/eta) signed jump size for each column that ends in a jump,
+    and then one gap for each path whose stopping event is a jump.  Event c of a path ends at its c-th next jump, or at its
+    target if that comes first.  Positions come from cumulative sums along
+    the row, and each row resolves its events up to its first stopping
+    column; the draws past it are discarded, which leaves the law exact.
+    K depends only on the block's state, so results are bit-identical
+    across worker counts, but the draw order depends on K and therefore on
+    how a horizon is split into calls.
     """
     model, interval = pb.model, pb.interval
     a, b = interval.a, interval.b
     sigma, lam, eta, drift = model.sigma, model.lam, model.eta, model.drift
     targets = np.broadcast_to(np.asarray(targets, dtype=float), (pb.n,))
+    rng = pb.rng
+    if exit_above is not None:
+        pb.frozen |= pb.alive & (pb.x >= exit_above)
 
     idx = np.flatnonzero(pb.alive & ~pb.frozen & (pb.t < targets))
     while idx.size:
-        rng = pb.rng
-        t0 = pb.t[idx]
-        x0 = pb.x[idx]
-        tj = pb.next_jump[idx]
-        tt = targets[idx]
-        jump_now = tj <= tt
-        t1 = np.where(jump_now, tj, tt)
-        dt = np.maximum(t1 - t0, 1e-300)
+        m = idx.size
+        t0, x0, tt = pb.t[idx], pb.x[idx], targets[idx][:, None]
+        K = _events_per_path(t0, tt, lam)
+        # jump clock: column c's next jump time, and the event time it ends at
+        tj = pb.next_jump[idx][:, None]
+        if K > 1:
+            tj = tj + np.cumsum(np.concatenate(
+                [np.zeros((m, 1)), rng.exponential(1.0 / lam, (m, K - 1))], axis=1), axis=1)
+        jump = tj <= tt
+        t1 = np.minimum(tj, tt)
+        dt = np.diff(t1, axis=1, prepend=t0[:, None]) if K > 1 else t1 - t0[:, None]
+        np.maximum(dt, 1e-300, out=dt)
 
-        x1 = x0 + drift * dt + sigma * np.sqrt(dt) * rng.standard_normal(idx.size)
+        steps = drift * dt + sigma * np.sqrt(dt) * rng.standard_normal((m, K))
+        size = np.zeros((m, K))
+        size[jump] = rng.laplace(0.0, 1.0 / eta, np.count_nonzero(jump))
+        post = steps + size                      # value after each event
+        if K > 1:
+            np.cumsum(post, axis=1, out=post)
+        post += x0[:, None]
+        pre = post - size                        # value just before it
+        seg0 = (np.concatenate([x0[:, None], post[:, :-1]], axis=1) if K > 1
+                else x0[:, None])                # segment start values
 
-        inside1 = interval.contains(x1)
         if bridge:
-            u = rng.random(idx.size)
-            died = u < bridge_cross_prob(x0, x1, dt, interval, sigma)
+            killed = rng.random((m, K)) < bridge_cross_prob(seg0, pre, dt, interval, sigma)
         else:
-            died = inside1
+            killed = interval.contains(pre)
+        # a live pre-jump value is outside [a, b]; a non-jump column has
+        # post == pre and never crosses
+        crossed = np.where(pre > b, post <= b, post >= a)
+        landed = interval.contains(post)
+        n_cross = pb.n_cross[idx][:, None] + (np.cumsum(crossed, axis=1) if K > 1
+                                              else crossed)
+        early = []                               # crossing cap, exit level
+        if stop_after > 0:
+            early.append(jump & (n_cross >= stop_after))
+        if exit_above is not None:
+            early.append(post >= exit_above)
 
-        if died.any():
-            dead = idx[died]
-            pb.alive[dead] = False
-            pb.t[dead] = t1[died]
-            pb.hit_time[dead] = t1[died]
+        # each row's first stopping column c (the last one if none stops)
+        if K > 1:
+            stop = killed | landed | (tj >= tt)
+            for mask in early:
+                stop |= mask
+            stop[:, -1] = True
+            col = stop.argmax(axis=1)
+            flat = np.arange(m) * K + col
+
+            def at_stop(v):
+                return v.ravel()[flat]
+        else:
+            col = np.zeros(m, dtype=np.intp)
+
+            def at_stop(v):
+                return v[:, 0]
+
+        kill_c = at_stop(killed)
+        dead = kill_c | at_stop(landed)
+        t_c = at_stop(t1)
+        x_c = at_stop(post)
+        n_c = at_stop(n_cross) - (kill_c & at_stop(crossed))
+        pb.t[idx] = t_c
+        pb.n_cross[idx] = n_c
+
+        if pb.cross_pos is not None:
+            # crossings up to the stopping column, unless a kill preempts it
+            r, c = np.nonzero(crossed)
+            keep = (c < col[r]) | ((c == col[r]) & ~kill_c[r])
+            r, c = r[keep], c[keep]
+            slot = n_cross[r, c] - 1
+            rec = slot < pb.cross_pos.shape[1]
+            pb.cross_pos[idx[r[rec]], slot[rec]] = post[r[rec], c[rec]]
+
+        if dead.any():
+            di = np.flatnonzero(dead)
+            bridge_hit = kill_c[di]
+            hv = np.where(bridge_hit, at_stop(pre)[di], x_c[di])
             # continuous entry touches the near boundary first; only an
             # endpoint landing inside keeps its own value
-            pb.hit_value[dead] = np.where(inside1[died], x1[died],
-                                          np.where(x0[died] > b, b, a))
+            edge = bridge_hit & ~interval.contains(hv)
+            hv[edge] = np.where(at_stop(seg0)[di][edge] > b, b, a)
+            x_c[di] = hv
+            gone = idx[di]
+            pb.alive[gone] = False
+            pb.hit_time[gone] = t_c[di]
+            pb.hit_value[gone] = hv
+            pb.k_dagger[gone[~bridge_hit]] = n_c[di[~bridge_hit]]
+        pb.x[idx] = x_c
 
-        live = ~died
-        lidx = idx[live]
-        pb.x[lidx] = x1[live]
-        pb.t[lidx] = t1[live]
+        # the jump pending after the stopping event; a path that jumped there
+        # (landing inside included) draws its next gap
+        tj_c = at_stop(tj)
+        ji = np.flatnonzero(at_stop(jump) & ~kill_c)
+        tj_c[ji] += rng.exponential(1.0 / lam, ji.size)
+        pb.next_jump[idx] = tj_c
 
-        jl = jump_now & live
-        jidx = idx[jl]
-        if jidx.size:
-            mag = rng.exponential(1.0 / eta, jidx.size)
-            sign_up = rng.random(jidx.size) < 0.5
-            xpre = x1[jl]
-            xpost = xpre + np.where(sign_up, mag, -mag)
-            crossed = ((xpre > b) & (xpost <= b)) | ((xpre < a) & (xpost >= a))
-            landed_inside = (xpost >= a) & (xpost <= b)
-
-            if crossed.any():
-                cidx = jidx[crossed]
-                slot = pb.n_cross[cidx]
-                if pb.cross_pos is not None:
-                    cap = pb.cross_pos.shape[1]
-                    rec = slot < cap
-                    pb.cross_pos[cidx[rec], slot[rec]] = xpost[crossed][rec]
-                pb.n_cross[cidx] = slot + 1
-
-            pb.x[jidx] = xpost
-            pb.next_jump[jidx] = t1[jl] + rng.exponential(1.0 / lam, jidx.size)
-
-            if landed_inside.any():
-                dead = jidx[landed_inside]
-                pb.alive[dead] = False
-                pb.hit_time[dead] = t1[jl][landed_inside]
-                pb.hit_value[dead] = xpost[landed_inside]
-                pb.k_dagger[dead] = pb.n_cross[dead]
-
-            if stop_after > 0:
-                pb.frozen[jidx[pb.n_cross[jidx] >= stop_after]] = True
+        for mask in early:
+            pb.frozen[idx[at_stop(mask) & ~dead]] = True
 
         if pb.level is not None:
-            _record_level(pb, lidx, t1[live])
+            # first event value at or below the level; at the stopping
+            # column only if the path survives it
+            cols = np.arange(K)
+            low = (post <= pb.level) & np.isnan(pb.level_time[idx])[:, None] & (
+                (cols < col[:, None]) | ((cols == col[:, None]) & ~dead[:, None]))
+            r = np.flatnonzero(low.any(axis=1))
+            c = low[r].argmax(axis=1)
+            pb.level_time[idx[r]] = t1[r, c]
+            pb.level_value[idx[r]] = post[r, c]
 
-        # paths remain active only if they jumped, survived, and are not done
-        still = jl & ~died
-        sidx = idx[still]
-        idx = sidx[pb.alive[sidx] & ~pb.frozen[sidx] & (pb.t[sidx] < targets[sidx])]
+        idx = idx[pb.alive[idx] & ~pb.frozen[idx] & (t_c < tt[:, 0])]
 
 
 # --------------------------------------------------------------------------- #
@@ -318,7 +390,7 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
             jump_t, n_cross = pb.next_jump[0], pb.n_cross[0]
             advance(pb, min(jump_t, grid_t), bridge=config.bridge_correction)
             times.append(pb.t[0])
-            values.append(pb.x[0] if pb.alive[0] else pb.hit_value[0])
+            values.append(pb.x[0])
             jumps.append(pb.next_jump[0] != jump_t)
             if pb.n_cross[0] > n_cross:
                 crossings.append((pb.t[0], pb.x[0]))
@@ -533,19 +605,9 @@ def _avoidance_block(args):
     model, interval, start, config, bi, count, horizon, exit_level, g = args
     rng = block_stream(config.seed, bi)
     pb = PathBlock.start(model, interval, start, count, rng)
-    # advance in stretches, freezing paths that escape above the exit level
-    stretch = max(10.0, 200.0 / model.lam)
-    t_next = stretch
-    bound = 0.0
-    while True:
-        out = pb.alive & ~pb.frozen & (pb.x >= exit_level)
-        if out.any():
-            bound += float(np.exp(-g * (pb.x[out] - interval.b)).sum())
-            pb.frozen[out] = True
-        if not (pb.alive & ~pb.frozen & (pb.t < horizon)).any():
-            break
-        advance(pb, min(t_next, horizon))
-        t_next += stretch
+    advance(pb, horizon, exit_above=exit_level)
+    # each escaped path is frozen at its first event at or above the exit level
+    bound = float(np.exp(-g * (pb.x[pb.frozen] - interval.b)).sum())
     avoided = int(pb.frozen.sum())
     unresolved = int((pb.alive & ~pb.frozen).sum())
     return count, avoided, unresolved, bound

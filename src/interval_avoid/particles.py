@@ -182,12 +182,6 @@ class DriftProbability:
     per_replicate: np.ndarray
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return m, se
-
-
 def drift_probability(model: ModelParams, interval: Interval, start: float,
                       horizon: float, config: PathConfig, *,
                       transform: Transform = "updown",
@@ -197,13 +191,15 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     Estimates the escape-direction probabilities of the conditioned process,
     P^h_x(xi_T > b) = E_x[1{T < T_[a,b]} h(xi_T) 1{xi_T > b}] / h(x), from
     one exact ``terminal_sample`` of ``replicates * (n_paths // replicates)``
-    killed paths weighted by w = 1{alive} h(xi_T) / h(x).  The sample is cut
-    into ``replicates`` contiguous batches; ``p_up`` is the mean of the batch
-    ratios sum(w 1{xi_T > b}) / sum(w) and its stderr comes from their
-    spread.  p_up + p_down = 1 exactly since live paths are never inside
-    [a, b].  The sample is block-parallel, so the result is bit-identical
-    for any worker count.  A batch whose weight is all zero raises
-    ``EnsembleExtinctionError``.
+    killed paths weighted by w = 1{alive} h(xi_T) / h(x).  ``p_up`` is the
+    ratio of sums p = sum(w 1{xi_T > b}) / sum(w) over all paths, and its
+    stderr is the delta-method iid one, sqrt(sum(w^2 (1{xi_T > b} - p)^2)) /
+    sum(w).  p_up + p_down = 1 exactly since live paths are never inside
+    [a, b].  The sample is also cut into ``replicates`` contiguous batches,
+    whose ratios (``per_replicate``) and smallest effective sample size
+    (``ess_min``) are reported as diagnostics; a batch whose weight is all
+    zero raises ``EnsembleExtinctionError``.  The sample is block-parallel,
+    so the result is bit-identical for any worker count.
     """
     kind = _kind(transform)
     config.require_bridge("drift_probability")
@@ -213,20 +209,22 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
                      n_paths=replicates * per_rep)
     xs, alive = terminal_sample(model, interval, start, horizon, cfg)
-    w = _weigher(model, interval, kind, start)(xs, alive).reshape(replicates, per_rep)
-    total = w.sum(axis=1)
-    if not np.all(total > 0.0):
+    w = _weigher(model, interval, kind, start)(xs, alive)
+    up = xs > interval.b
+    batches = w.reshape(replicates, per_rep)
+    batch_total = batches.sum(axis=1)
+    if not np.all(batch_total > 0.0):
         raise EnsembleExtinctionError(transform, start, horizon, per_rep)
-    up = (xs > interval.b).reshape(replicates, per_rep)
-    vals = (w * up).sum(axis=1) / total
-    m, se = _mean_se(vals)
+    total = w.sum()
+    p = float(w @ up / total)
+    se = float(math.sqrt(np.sum((w * (up - p)) ** 2)) / total)
     n = cfg.n_paths
     return DriftProbability(
-        p_up=EstimatorResult(m, se, n),
-        p_down=EstimatorResult(1.0 - m, se, n),
-        ess_min=min(_ess(row) for row in w),
+        p_up=EstimatorResult(p, se, n),
+        p_down=EstimatorResult(1.0 - p, se, n),
+        ess_min=min(_ess(row) for row in batches),
         resamples=0,
-        per_replicate=vals,
+        per_replicate=(batches * up.reshape(replicates, per_rep)).sum(axis=1) / batch_total,
     )
 
 

@@ -47,6 +47,15 @@ def test_tables_grid_inside_interval_exits_2(tmp_path, capsys):
     assert "outside" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", ["0:inf:1", "2:3:inf", "nan:1:0.5"])
+def test_tables_non_finite_grid_exits_2(tmp_path, capsys, grid):
+    code, _, err = run_cli(["tables", f"--grid={grid}", "--out", str(tmp_path / "x.csv")],
+                           capsys)
+    assert code == 2
+    assert "must be finite" in err
+
+
 def test_tables_potentials_zero_row(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code, _, _ = run_cli(["tables", "--kind", "potentials", "--grid", "0:2:0.5",
@@ -107,10 +116,10 @@ def test_simulate_dump_paths(tmp_path, capsys):
      "8c064baa795421b5d73a0bc0f6bd67bca521f5e686bf8d03b1e9e4a9a78e78cf"),
     (["--start", "1.6", "--dt", "0.05", "--horizon", "8", "--seed", "7",
       "--dump-paths", "50"],
-     "42327ea872518ac76c88b0656c2fe91a6d21d92f71d41a6e97c1a932ac03b4dc"),
+     "becdb393819e342a1b05d551eac0cc2518e7903bd9114c2b58bd2d7780b92cfb"),
     (["--start", "-1", "--dt", "0.05", "--horizon", "8", "--seed", "7", "--no-bridge",
       "--dump-paths", "50"],
-     "f6992a8f55f5fbeaa4aada4aef40a278afa2669d6a184f75fd3098b180244db9"),
+     "a72eaf07c5f565b3b8d8954e8d8961edf07f0008199501b07dd4e58ad5cd80bc"),
 ])
 def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
     dump = tmp_path / "p.csv"

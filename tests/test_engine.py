@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob,
                             empirical_crossing_law, estimate_avoidance,
@@ -13,6 +16,7 @@ from interval_avoid.engine import (PathBlock, adjustment_coefficient, advance,
 from interval_avoid.particles import (drift_probability, occupation_time,
                                       propagate_ensemble)
 from interval_avoid._rng import block_stream
+from laws import chi2_pvalue
 
 
 # ------------------------------------------------------------------- config
@@ -74,6 +78,53 @@ def test_bridge_cross_prob_against_dense_grid():
     assert p_hat == pytest.approx(p_disc, abs=3 * se + 0.01 * p)
 
 
+# ------------------------------------------------------------ kernel invariants
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
+       drift=st.floats(-1.0, 1.0),
+       start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 7.0)),
+       horizon=st.floats(0.01, 30.0), stop_after=st.integers(0, 3),
+       exit_gap=st.one_of(st.none(), st.floats(-1.0, 4.0)), bridge=st.booleans(),
+       seed=st.integers(0, 2**32))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.0, start=2.0, horizon=20.0,
+         stop_after=0, exit_gap=1.0, bridge=True, seed=1)
+def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
+                            stop_after, exit_gap, bridge, seed):
+    """Over two calls with per-path targets: hit values lie in [a, b], live
+    paths lie outside it, crossing counts never decrease, times never pass
+    the target, a live unfrozen path ends on its target and a frozen one has
+    reached the crossing cap or the exit level.  The exit level sits
+    ``exit_gap`` above the start (or above b for a start below the
+    interval), so a negative gap freezes paths on entry."""
+    model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+    exit_above = (None if exit_gap is None
+                  else max(interval.b + 0.01, max(start, interval.b) + exit_gap))
+    n = 96
+    rng = np.random.default_rng(seed)
+    first = rng.uniform(0.0, horizon, n)
+    pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0), max_crossings=3)
+    for targets in (first, first + rng.uniform(0.0, horizon, n)):
+        n_before = pb.n_cross.copy()
+        advance(pb, targets, bridge=bridge, stop_after=stop_after, exit_above=exit_above)
+        live, dead, frozen = pb.alive, ~pb.alive, pb.frozen
+        assert np.all(pb.n_cross >= n_before)
+        assert np.all(pb.t <= targets)
+        assert not interval.contains(pb.x[live]).any()
+        assert np.all(interval.contains(pb.hit_value[dead]))
+        assert np.all(pb.hit_time[dead] == pb.t[dead])
+        assert np.all(pb.t[live & ~frozen] == targets[live & ~frozen])
+        assert np.all(live[frozen])
+        reached = np.zeros(n, dtype=bool)
+        if stop_after:
+            reached |= pb.n_cross >= stop_after
+        if exit_above is not None:
+            reached |= pb.x >= exit_above
+        assert np.all(reached[frozen])
+        recorded = np.sum(~np.isnan(pb.cross_pos), axis=1)
+        assert np.array_equal(recorded, np.minimum(pb.n_cross, 3))
+
+
 # ---------------------------------------------------------------- trajectory
 
 def test_simulate_path_deterministic(model, interval):
@@ -124,24 +175,40 @@ def test_simulate_path_invariants(model, interval):
     (ModelParams(drift=0.4), -1.5, True),
 ])
 def test_simulate_path_matches_single_advance(interval, params, start, bridge):
-    """With dt = horizon the recorder's event-by-event kernel calls end where
-    one advance call to the horizon on the same stream ends."""
-    horizon = 3.0
+    """With dt = horizon the recorder's event-by-event kernel calls and one
+    advance call to the horizon draw the same law: hit fraction, crossing
+    counts, hit times and terminal positions agree at level 0.001 (2000
+    recorded paths against 4000 block paths on another stream)."""
+    horizon, n = 3.0, 2000
     cfg = PathConfig(dt=horizon, horizon=horizon, seed=17, n_paths=1,
                      bridge_correction=bridge)
-    for pid in range(50):
+    hit, n_cross, hit_t, end_x = [], [], [], []
+    for pid in range(n):
         tr = simulate_path(params, interval, start, cfg, path_index=pid)
-        pb = PathBlock.start(params, interval, start, 1, block_stream(17, pid))
-        advance(pb, horizon, bridge=bridge)
-        assert tr.hit == (not pb.alive[0])
-        assert len(tr.crossings) == pb.n_cross[0]
+        assert np.all(np.diff(tr.times) > 0) and len(tr.times) == len(tr.values)
         if tr.hit:
-            assert tr.hit_time == pb.hit_time[0] == tr.times[-1]
-            assert tr.values[-1] == pb.hit_value[0]
-            assert tr.k_dagger == (pb.k_dagger[0] if pb.k_dagger[0] >= 0 else None)
+            assert tr.hit_time == tr.times[-1] <= horizon
+            assert interval.a <= tr.values[-1] <= interval.b
+            hit_t.append(tr.hit_time)
         else:
-            assert tr.times[-1] == horizon == pb.t[0]
-            assert tr.values[-1] == pb.x[0]
+            assert tr.times[-1] == horizon
+            assert not interval.contains(tr.values[-1])
+            end_x.append(tr.values[-1])
+        if tr.k_dagger is not None:
+            assert tr.hit and tr.k_dagger == len(tr.crossings)
+        hit.append(tr.hit)
+        n_cross.append(len(tr.crossings))
+    pb = PathBlock.start(params, interval, start, 2 * n, block_stream(18, 0))
+    advance(pb, horizon, bridge=bridge)
+    dead = ~pb.alive
+    assert np.all(pb.t[pb.alive] == horizon)
+    p_values = [
+        chi2_pvalue(np.array(hit, dtype=int), dead.astype(int)),
+        chi2_pvalue(np.array(n_cross), pb.n_cross),
+        stats.ks_2samp(hit_t, pb.hit_time[dead]).pvalue,
+        stats.ks_2samp(end_x, pb.x[pb.alive]).pvalue,
+    ]
+    assert min(p_values) >= 1e-3, p_values
 
 
 def test_simulate_path_rejects_interior_start(model, interval):
@@ -350,8 +417,12 @@ def test_estimators_bit_identical_across_workers(model, interval):
         law = empirical_crossing_law(model, interval, -1.0, 3,
                                      PathConfig(dt=1.0, horizon=200.0, seed=72,
                                                 n_paths=20_000))
-        return surv, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
-                      dp.per_replicate.tobytes()), occ.tobytes(), (
+        clock = estimate_clock_event(model, interval, 2.0, 0.5, cfg)
+        avoid = estimate_avoidance(ModelParams(drift=0.5), interval, 2.0,
+                                   PathConfig(dt=1.0, horizon=1.0, seed=74,
+                                              n_paths=20_000))
+        return surv, clock, avoid, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
+                                    dp.per_replicate.tobytes()), occ.tobytes(), (
             law.n_paths, law.censored_fraction, law.mass, law.ks_distance,
             law.ks_critical, law.insufficient, law.censor_bias_bound,
             [p.tobytes() for p in law.positions]), [
