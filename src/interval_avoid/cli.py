@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(t)
     t.add_argument("--kind", choices=("harmonics", "potentials", "nu_masses"),
                    default="harmonics")
-    t.add_argument("--grid", default="-4:5:0.25",
+    t.add_argument("--grid", required=True,
                    help="grid as min:max:step (potentials use it as distances)")
     t.add_argument("--k-max", type=int, default=4)
     t.add_argument("--out", required=True)

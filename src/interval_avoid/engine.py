@@ -23,15 +23,17 @@ live path: K is one plus the expected number of jumps left before the latest
 target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
 horizon.  A path stops at death, at its target, at a crossing cap or at an
-exit level above the interval.  Each block owns its own counter-based stream
-(see _rng), and K depends only on the block's state, so estimator outputs are
-bit-identical for a fixed seed regardless of the worker count; the order in
-which draws are consumed does depend on K.
+exit level above the interval.  Every estimator runs its blocks through one
+runner, ``_map_blocks``, which starts block bi on the counter-based stream
+keyed by (seed, bi) (see _rng).  K depends only on the block's state, so
+estimator outputs are bit-identical for a fixed seed regardless of the worker
+count; the order in which draws are consumed does depend on K.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -58,7 +60,6 @@ __all__ = [
     "ks_distance",
     "ks_critical_value",
     "SurvivalEstimate",
-    "ClockEstimate",
     "CrossingLawEstimate",
     "AvoidanceEstimate",
 ]
@@ -81,6 +82,10 @@ class PathConfig:
             raise ValueError(f"dt must be positive and finite (got {self.dt})")
         if self.dt > self.horizon:
             raise ValueError(f"dt = {self.dt} exceeds horizon = {self.horizon}")
+        for name in ("seed", "n_paths"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1 (got {self.n_paths})")
         if not 0 <= int(self.seed) < 2**64:
@@ -157,14 +162,10 @@ class PathBlock:
     n_cross: np.ndarray
     k_dagger: np.ndarray         # crossing index at a jump-landing hit, else -1
     cross_pos: Optional[np.ndarray] = None   # (n, max_crossings)
-    level: Optional[float] = None            # tracked first passage at/below level
-    level_time: Optional[np.ndarray] = None
-    level_value: Optional[np.ndarray] = None
 
     @classmethod
     def start(cls, model: ModelParams, interval: Interval, start: float, n: int,
-              rng: np.random.Generator, *, max_crossings: int = 0,
-              track_level: Optional[float] = None) -> "PathBlock":
+              rng: np.random.Generator, *, max_crossings: int = 0) -> "PathBlock":
         interval.require_outside(start, "starting point")
         pb = cls(
             model=model,
@@ -182,10 +183,6 @@ class PathBlock:
         )
         if max_crossings > 0:
             pb.cross_pos = np.full((n, max_crossings), np.nan)
-        if track_level is not None:
-            pb.level = float(track_level)
-            pb.level_time = np.full(n, np.nan)
-            pb.level_value = np.full(n, np.nan)
         return pb
 
     @property
@@ -242,6 +239,10 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         m = idx.size
         t0, x0, tt = pb.t[idx], pb.x[idx], targets[idx][:, None]
         K = _events_per_path(t0, tt, lam)
+        # The K > 1 branches below could serve K = 1 too with the same draws,
+        # but the fork is kept: without it step_ms is 1.31-1.41x,
+        # bulk_paths_per_s 0.74-0.85x and propagate_ms_per_step 1.16-1.43x
+        # (bench/micro.py medians, 2 CPUs, two separate sets of paired runs).
         # jump clock: column c's next jump time, and the event time it ends at
         tj = pb.next_jump[idx][:, None]
         if K > 1:
@@ -339,17 +340,6 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         for mask in early:
             pb.frozen[idx[at_stop(mask) & ~dead]] = True
 
-        if pb.level is not None:
-            # first event value at or below the level; at the stopping
-            # column only if the path survives it
-            cols = np.arange(K)
-            low = (post <= pb.level) & np.isnan(pb.level_time[idx])[:, None] & (
-                (cols < col[:, None]) | ((cols == col[:, None]) & ~dead[:, None]))
-            r = np.flatnonzero(low.any(axis=1))
-            c = low[r].argmax(axis=1)
-            pb.level_time[idx[r]] = t1[r, c]
-            pb.level_value[idx[r]] = post[r, c]
-
         idx = idx[pb.alive[idx] & ~pb.frozen[idx] & (t_c < tt[:, 0])]
 
 
@@ -410,17 +400,31 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
 # Block-parallel estimator plumbing
 # --------------------------------------------------------------------------- #
 
-def _map_blocks(fn, argsets):
+def _run_block(task):
+    fn, model, interval, start, seed, bi, count, extra = task
+    return fn(PathBlock.start(model, interval, start, count, block_stream(seed, bi)), *extra)
+
+
+def _map_blocks(fn, model, interval, start, config, *extra):
+    """[fn(pb, *extra) for each block pb of ``config.n_paths`` paths], in block order.
+
+    Block bi holds up to BLOCK_SIZE paths started at ``start`` on the stream
+    keyed by (config.seed, bi), so the results do not depend on how many
+    workers run the blocks.
+    """
+    tasks = [(fn, model, interval, start, config.seed, bi, count, extra)
+             for bi, _offset, count in iter_blocks(config.n_paths, BLOCK_SIZE)]
     workers = worker_count()
-    if workers <= 1 or len(argsets) <= 1:
-        return [fn(args) for args in argsets]
+    if workers <= 1 or len(tasks) <= 1:
+        return [_run_block(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, argsets, chunksize=1))
+        return list(ex.map(_run_block, tasks, chunksize=1))
 
 
-def _block_args(model, interval, start, config, extra=()):
-    return [(model, interval, start, config, bi, count) + tuple(extra)
-            for bi, _offset, count in iter_blocks(config.n_paths, BLOCK_SIZE)]
+def _concat_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, alive) arrays of the blocks, joined in block order."""
+    xs, alive = zip(*parts)
+    return np.concatenate(xs), np.concatenate(alive)
 
 
 @dataclass(frozen=True)
@@ -430,12 +434,8 @@ class SurvivalEstimate:
     below: EstimatorResult
 
 
-def estimate_survival(model: ModelParams, interval: Interval, start: float,
-                      t: float, config: PathConfig) -> SurvivalEstimate:
-    """P(t < T), split by the side of the interval occupied at time t."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite (got {t})")
-    xs, alive = terminal_sample(model, interval, start, t, config)
+def _side_split(interval: Interval, xs: np.ndarray, alive: np.ndarray) -> SurvivalEstimate:
+    """Fractions of paths alive in total, above and below the interval."""
     n = xs.size
     return SurvivalEstimate(
         total=_binomial_result(int(alive.sum()), n),
@@ -444,40 +444,28 @@ def estimate_survival(model: ModelParams, interval: Interval, start: float,
     )
 
 
-@dataclass(frozen=True)
-class ClockEstimate:
-    total: EstimatorResult
-    above: EstimatorResult
-    below: EstimatorResult
-    q: float
+def estimate_survival(model: ModelParams, interval: Interval, start: float,
+                      t: float, config: PathConfig) -> SurvivalEstimate:
+    """P(t < T), split by the side of the interval occupied at time t."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite (got {t})")
+    return _side_split(interval, *terminal_sample(model, interval, start, t, config))
 
 
-def _clock_block(args):
-    model, interval, start, config, bi, count, q = args
-    rng = block_stream(config.seed, bi)
-    pb = PathBlock.start(model, interval, start, count, rng)
-    clocks = rng.exponential(1.0 / q, count)
-    advance(pb, clocks)
-    up = pb.alive & (pb.x > interval.b)
-    dn = pb.alive & (pb.x < interval.a)
-    return count, int(pb.alive.sum()), int(up.sum()), int(dn.sum())
+def _clock_block(pb, q):
+    advance(pb, pb.rng.exponential(1.0 / q, pb.n))
+    return pb.x, pb.alive
 
 
 def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
-                         q: float, config: PathConfig) -> ClockEstimate:
+                         q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
     interval.require_outside(start, "starting point")
     config.require_bridge("estimate_clock_event")
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite (got {q})")
-    parts = _map_blocks(_clock_block, _block_args(model, interval, start, config, (q,)))
-    n = sum(p[0] for p in parts)
-    return ClockEstimate(
-        total=_binomial_result(sum(p[1] for p in parts), n),
-        above=_binomial_result(sum(p[2] for p in parts), n),
-        below=_binomial_result(sum(p[3] for p in parts), n),
-        q=q,
-    )
+    parts = _map_blocks(_clock_block, model, interval, start, config, q)
+    return _side_split(interval, *_concat_blocks(parts))
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -513,10 +501,9 @@ class CrossingLawEstimate:
     censor_bias_bound: tuple[float, ...]
 
 
-def _crossing_block(args):
-    model, interval, start, config, bi, count, k, horizon = args
-    rng = block_stream(config.seed, bi)
-    pb = PathBlock.start(model, interval, start, count, rng, max_crossings=k)
+def _crossing_block(pb, k, horizon):
+    pb.cross_pos = np.full((pb.n, k), np.nan)     # crossings 1..k of each path
+    interval = pb.interval
     advance(pb, horizon, stop_after=k)
     outside = ~interval.contains(np.nan_to_num(pb.cross_pos, nan=interval.midpoint))
     recorded = ~np.isnan(pb.cross_pos) & outside
@@ -524,10 +511,10 @@ def _crossing_block(args):
     censored = pb.alive & ~pb.frozen
     # residual potential of the censored paths short of crossing j:
     # gamma^(j - crossings so far) each
-    gam = gamma_bound(model, interval)
+    gam = gamma_bound(pb.model, interval)
     done = pb.n_cross[censored]
     bias = [float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)]
-    return count, positions, int(censored.sum()), bias
+    return positions, int(censored.sum()), bias
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
@@ -548,12 +535,10 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     interval.require_outside(start, "starting point")
     config.require_bridge("empirical_crossing_law")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
-    parts = _map_blocks(
-        _crossing_block,
-        _block_args(model, interval, start, config, (k, config.horizon)))
-    n = sum(p[0] for p in parts)
-    positions = tuple(np.concatenate([p[1][j] for p in parts]) for j in range(k))
-    censored = sum(p[2] for p in parts)
+    parts = _map_blocks(_crossing_block, model, interval, start, config, k, config.horizon)
+    n = config.n_paths
+    positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
+    censored = sum(p[1] for p in parts)
     sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
         n_paths=n,
@@ -564,7 +549,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                           for pos, law in zip(positions, laws)),
         ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
         insufficient=tuple(m < min_samples for m in sizes),
-        censor_bias_bound=tuple(sum(p[3][j] for p in parts) / n for j in range(k)),
+        censor_bias_bound=tuple(sum(p[2][j] for p in parts) / n for j in range(k)),
     )
 
 
@@ -601,16 +586,13 @@ def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> 
     return s * s
 
 
-def _avoidance_block(args):
-    model, interval, start, config, bi, count, horizon, exit_level, g = args
-    rng = block_stream(config.seed, bi)
-    pb = PathBlock.start(model, interval, start, count, rng)
+def _avoidance_block(pb, horizon, exit_level, g):
     advance(pb, horizon, exit_above=exit_level)
     # each escaped path is frozen at its first event at or above the exit level
-    bound = float(np.exp(-g * (pb.x[pb.frozen] - interval.b)).sum())
+    bound = float(np.exp(-g * (pb.x[pb.frozen] - pb.interval.b)).sum())
     avoided = int(pb.frozen.sum())
     unresolved = int((pb.alive & ~pb.frozen).sum())
-    return count, avoided, unresolved, bound
+    return avoided, unresolved, bound
 
 
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
@@ -629,13 +611,12 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     g = adjustment_coefficient(model)
     exit_level = interval.b + math.log(1.0 / bound_target) / g
     horizon = _avoidance_horizon(model, interval, start)
-    parts = _map_blocks(
-        _avoidance_block,
-        _block_args(model, interval, start, config, (horizon, exit_level, g)))
-    n = sum(p[0] for p in parts)
-    avoided = sum(p[1] for p in parts)
-    unresolved = sum(p[2] for p in parts)
-    bound = (sum(p[3] for p in parts) + unresolved) / n
+    parts = _map_blocks(_avoidance_block, model, interval, start, config,
+                        horizon, exit_level, g)
+    n = config.n_paths
+    avoided = sum(p[0] for p in parts)
+    unresolved = sum(p[1] for p in parts)
+    bound = (sum(p[2] for p in parts) + unresolved) / n
     return AvoidanceEstimate(
         result=_binomial_result(float(avoided), n),
         horizon=horizon,
@@ -645,16 +626,10 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     )
 
 
-def _terminal_block(args):
-    model, interval, start, config, bi, count, t = args
-    rng = block_stream(config.seed, bi)
-    pb = PathBlock.start(model, interval, start, count, rng)
-    if config.bridge_correction:
-        advance(pb, t)
-    else:
-        for grid_t in _observation_grid(config.dt, t):
-            advance(pb, grid_t, bridge=False)
-    return pb.x.copy(), pb.alive.copy()
+def _terminal_block(pb, times, bridge):
+    for t in times:
+        advance(pb, t, bridge=bridge)
+    return pb.x, pb.alive
 
 
 def terminal_sample(model: ModelParams, interval: Interval, start: float,
@@ -666,7 +641,7 @@ def terminal_sample(model: ModelParams, interval: Interval, start: float,
     interval: the grid-only validation mode.
     """
     interval.require_outside(start, "starting point")
-    parts = _map_blocks(_terminal_block, _block_args(model, interval, start, config, (t,)))
-    xs = np.concatenate([p[0] for p in parts])
-    alive = np.concatenate([p[1] for p in parts])
-    return xs, alive
+    bridge = config.bridge_correction
+    times = [t] if bridge else _observation_grid(config.dt, t)
+    return _concat_blocks(_map_blocks(_terminal_block, model, interval, start, config,
+                                      times, bridge))

@@ -23,10 +23,9 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from ._rng import block_stream
 from .closedform import harmonics
-from .engine import (EstimatorResult, PathBlock, PathConfig, _block_args, _map_blocks,
-                     _observation_grid, advance, terminal_sample)
+from .engine import (EstimatorResult, PathConfig, _map_blocks, _observation_grid, advance,
+                     terminal_sample)
 from .model import Interval, ModelParams
 
 __all__ = [
@@ -112,24 +111,21 @@ def _weigher(model, interval, kind, start):
     return weigh
 
 
-def _weighted_pass(model, interval, kind, start, config, bi, count, times):
-    """Advance block ``bi`` through ``times``; yield (t, block, w) at each.
+def _weighted_pass(pb, kind, start, times):
+    """Advance block ``pb`` (started at ``start``) through ``times``; yield
+    (t, w) at each.
 
     w = 1{alive} h(xi_t) / h(start) is evaluated afresh at every time.
     """
-    weigh = _weigher(model, interval, kind, start)
-    pb = PathBlock.start(model, interval, start, count, block_stream(config.seed, bi))
+    weigh = _weigher(pb.model, pb.interval, kind, start)
     for t in times:
         advance(pb, t)
-        yield t, pb, weigh(pb.x, pb.alive)
+        yield t, weigh(pb.x, pb.alive)
 
 
-def _ensemble_block(args):
-    model, interval, start, config, bi, count, kind, times, record = args
-    snaps = []
-    for t, pb, w in _weighted_pass(model, interval, kind, start, config, bi, count, times):
-        if t in record:
-            snaps.append((pb.x.copy(), w, pb.alive.copy()))
+def _ensemble_block(pb, kind, start, times, record):
+    snaps = [(pb.x.copy(), w, pb.alive.copy())
+             for t, w in _weighted_pass(pb, kind, start, times) if t in record]
     return snaps, bool(pb.alive.any())
 
 
@@ -152,8 +148,8 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     if not all(0.0 <= t < math.inf for t in record):
         raise ValueError(f"record times must be nonnegative and finite (got {record})")
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
-    parts = _map_blocks(_ensemble_block, _block_args(model, interval, start, config,
-                                                     (kind, times, record)))
+    parts = _map_blocks(_ensemble_block, model, interval, start, config,
+                        kind, start, times, record)
     if not any(alive for _, alive in parts):
         raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
     normalizer = float(harmonics(model, interval).value(kind, start))
@@ -228,15 +224,13 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     )
 
 
-def _occupation_block(args):
-    model, interval, start, config, bi, count, kind, window, horizons = args
+def _occupation_block(pb, kind, start, window, horizons, times):
     d, c = window
-    a, b = interval.a, interval.b
-    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
-    occ = np.zeros(count)
+    a, b = pb.interval.a, pb.interval.b
+    occ = np.zeros(pb.n)
     at = {}
     t_prev = 0.0
-    for t, pb, w in _weighted_pass(model, interval, kind, start, config, bi, count, times):
+    for t, w in _weighted_pass(pb, kind, start, times):
         x = pb.x
         inside = ((x >= d) & (x < a)) | ((x > b) & (x <= c))
         occ += (t - t_prev) * w * inside
@@ -269,8 +263,9 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     horizons = tuple(float(hz) for hz in horizons)
     if not horizons or not all(0.0 < hz < math.inf for hz in horizons):
         raise ValueError(f"horizons must be positive and finite (got {horizons})")
-    parts = _map_blocks(_occupation_block, _block_args(model, interval, start, config,
-                                                       (kind, window, horizons)))
+    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
+    parts = _map_blocks(_occupation_block, model, interval, start, config,
+                        kind, start, window, horizons, times)
     return np.concatenate(parts)
 
 

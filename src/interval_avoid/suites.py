@@ -337,70 +337,54 @@ def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
 # clocklimit / conditioning suites: exponential-clock identities (6, thm fingerprints)
 # --------------------------------------------------------------------------- #
 
-def _clock_scan(config: SuiteConfig, restrict_above: bool):
+def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
+                 claims: tuple[str, str, str], criterion: Optional[int]) -> list[Check]:
+    """Scaled clock probabilities P(e_q < T, side)/sqrt(q) for q = 0.1, 0.03,
+    0.01 against their q -> 0 limit and the q-relaxed series: the side is
+    "above only" (limit h_plus) or "total" (limit h = h_plus + h_minus).
+    ``claims`` holds the increase, limit and bound claims, in that order."""
     model, iv = config.model, config.interval
     n = config.paths or 200_000
     start = 2.0 if _is_default(config) else iv.b + iv.width
-    qs = (0.1, 0.03, 0.01)
     rows = []
-    for i, q in enumerate(qs):
+    for i, q in enumerate((0.1, 0.03, 0.01)):
         cfg = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
-                             seed=derive_seed(config.seed, 6 + int(restrict_above), i))
+                             seed=derive_seed(config.seed, 6 + int(above_only), i))
         est = eng.estimate_clock_event(model, iv, start, q, cfg)
-        res = est.above if restrict_above else est.total
+        res = est.above if above_only else est.total
         rows.append((q, res.mean / math.sqrt(q), res.stderr / math.sqrt(q)))
-    return start, rows
+    h = cf.harmonics(model, iv)
+    target = float(h.plus(start) if above_only else h.combined(start))
+    K = cf.default_series_depth(model, iv)
+    increasing, limit, bound = claims
+    checks: list[Check] = []
+    checks.append(check_le(
+        "scaled_clock_increasing", increasing,
+        max(rows[0][1] - rows[1][1], rows[1][1] - rows[2][1]), 0.0, criterion=criterion))
+    q, scaled, se = rows[-1]
+    checks.append(check_close(
+        limit_name, limit, scaled, target, 0.05 * target + 3.0 * se, criterion=criterion))
+    for q, scaled, se in rows:
+        hq = cf.harmonic_plus_q_partial_sum(model, iv, start, q, K)
+        if not above_only:
+            hq += cf.harmonic_minus_q_partial_sum(model, iv, start, q, K)
+        checks.append(check_le(f"clock_bound_q{q:g}", bound, scaled, hq, 3.0 * se,
+                               criterion=criterion))
+    return checks
 
 
 def _suite_clocklimit(config: SuiteConfig) -> list[Check]:
-    model, iv = config.model, config.interval
-    start, rows = _clock_scan(config, restrict_above=True)
-    h = cf.harmonics(model, iv)
-    target = float(h.plus(start))
-    K = cf.default_series_depth(model, iv)
-    checks: list[Check] = []
-    checks.append(check_le(
-        "scaled_clock_increasing",
+    return _clock_suite(config, True, "clock_limit_h_plus", (
         "P(e_q < T, above)/sqrt(q) increases as q drops toward h_plus",
-        max(rows[0][1] - rows[1][1], rows[1][1] - rows[2][1]), 0.0, criterion=6))
-    q, scaled, se = rows[-1]
-    checks.append(check_close(
-        "clock_limit_h_plus",
         "P(e_q < T, above)/sqrt(q) -> h_plus(x) as q -> 0",
-        scaled, target, 0.05 * target + 3.0 * se, criterion=6))
-    for q, scaled, se in rows:
-        hq = cf.harmonic_plus_q_partial_sum(model, iv, start, q, K)
-        checks.append(check_le(
-            f"clock_bound_q{q:g}",
-            "P(e_q < T, above)/sqrt(q) <= q-relaxed series value",
-            scaled, hq, 3.0 * se, criterion=6))
-    return checks
+        "P(e_q < T, above)/sqrt(q) <= q-relaxed series value"), criterion=6)
 
 
 def _suite_conditioning(config: SuiteConfig) -> list[Check]:
-    model, iv = config.model, config.interval
-    start, rows = _clock_scan(config, restrict_above=False)
-    h = cf.harmonics(model, iv)
-    target = float(h.combined(start))
-    K = cf.default_series_depth(model, iv)
-    checks: list[Check] = []
-    checks.append(check_le(
-        "scaled_clock_increasing",
+    return _clock_suite(config, False, "clock_limit_h", (
         "P(e_q < T)/sqrt(q) increases as q drops toward h = h_plus + h_minus",
-        max(rows[0][1] - rows[1][1], rows[1][1] - rows[2][1]), 0.0))
-    q, scaled, se = rows[-1]
-    checks.append(check_close(
-        "clock_limit_h",
         "P(e_q < T)/sqrt(q) -> h(x) as q -> 0 (randomised conditioning weight)",
-        scaled, target, 0.05 * target + 3.0 * se))
-    for q, scaled, se in rows:
-        hq = (cf.harmonic_plus_q_partial_sum(model, iv, start, q, K)
-              + cf.harmonic_minus_q_partial_sum(model, iv, start, q, K))
-        checks.append(check_le(
-            f"clock_bound_q{q:g}",
-            "P(e_q < T)/sqrt(q) <= sum of q-relaxed series values",
-            scaled, hq, 3.0 * se))
-    return checks
+        "P(e_q < T)/sqrt(q) <= sum of q-relaxed series values"), criterion=None)
 
 
 # --------------------------------------------------------------------------- #
@@ -618,6 +602,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def emit_table(kind: str, grid: Iterable[float], output_path: str,
                model: ModelParams, interval: Interval, k_max: int = 4) -> None:
     """Write a CSV of closed-form values over a grid, 17 significant digits."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1 (got {k_max})")
     rows: list[list] = []
     if kind == "harmonics":
         h = cf.harmonics(model, interval)

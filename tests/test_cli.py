@@ -40,6 +40,25 @@ def test_tables_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_tables_requires_grid(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_tables_k_max_below_one_exits_2(tmp_path, capsys, k_max):
+    out = tmp_path / "nu.csv"
+    code, _, err = run_cli(["tables", "--kind", "nu_masses", "--grid=-1:-1:1",
+                            "--k-max", k_max, "--out", str(out)], capsys)
+    assert code == 2
+    assert "k_max" in err
+    assert not out.exists()
+
+
 def test_tables_grid_inside_interval_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["tables", "--grid", "0:3:0.5",
                             "--out", str(tmp_path / "x.csv")], capsys)

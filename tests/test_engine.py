@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -32,6 +33,11 @@ def test_path_config_validation():
         PathConfig(dt=0.1, horizon=math.inf, seed=1, n_paths=10)
     with pytest.raises(ValueError, match="finite"):
         PathConfig(dt=math.nan, horizon=1.0, seed=1, n_paths=10)
+    for seed, n_paths in ((7.5, 10), (-0.5, 10), (True, 10), (1, True), (1, 2.5)):
+        with pytest.raises(ValueError, match="integer"):
+            PathConfig(dt=0.1, horizon=1.0, seed=seed, n_paths=n_paths)
+    cfg = PathConfig(dt=0.1, horizon=1.0, seed=np.uint64(2**63), n_paths=np.int64(10))
+    assert cfg.n_paths == 10
 
 
 # ------------------------------------------------------------------- bridge
@@ -448,6 +454,32 @@ def test_crossing_law_deterministic(model, interval):
     b = empirical_crossing_law(model, interval, -1.0, 2, cfg)
     assert a.mass == b.mass and a.censor_bias_bound == b.censor_bias_bound
     assert all(np.array_equal(p, q) for p, q in zip(a.positions, b.positions))
+
+
+# sha256 of fixed-seed estimator outputs, pinned so that a change to how a
+# block gets its stream, its start state or its draws shows up; the clock and
+# crossing budgets span two blocks
+def test_estimators_pinned(model, interval):
+    digest = hashlib.sha256()
+
+    def add(*values):
+        for v in values:
+            digest.update(v.tobytes() if isinstance(v, np.ndarray) else repr(v).encode())
+
+    cfg = PathConfig(dt=0.1, horizon=1.0, seed=91, n_paths=9000)
+    clock = estimate_clock_event(model, interval, 2.0, 0.5, cfg)
+    add(clock.total, clock.above, clock.below)
+    avoid = estimate_avoidance(ModelParams(drift=0.5), interval, 2.0,
+                               PathConfig(dt=1.0, horizon=1.0, seed=92, n_paths=2000))
+    add(avoid.result, avoid.return_prob_bound, avoid.unresolved)
+    law = empirical_crossing_law(model, interval, -1.0, 2,
+                                 PathConfig(dt=1.0, horizon=50.0, seed=93, n_paths=9000))
+    add(*law.positions, law.mass, law.censor_bias_bound)
+    add(*terminal_sample(model, interval, 1.3, 0.7, cfg))
+    add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
+                        PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
+    assert digest.hexdigest() == (
+        "370b37bd209449c5cf1c0b00e31a9b44a352cb3bc68e3d6f1ba65a73a0dd4e3f")
 
 
 # ----------------------------------------------------------------- avoidance

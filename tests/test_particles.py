@@ -125,16 +125,18 @@ def test_downward_escape_vanishes_under_plus(model, interval):
     """P^plus(reach (-inf, c] by time 12) is the average of
     1{passage} h_plus(position at passage) / h_plus(start) over killed paths
     (the stopping-time form of the change of measure); it vanishes as c
-    falls."""
+    falls.  The centred model is symmetric under x -> a + b - x, and
+    h_plus(x) = h_minus(a + b - x), so the passage below c from 2 is read off
+    as the first event at or above a + b - c from a + b - 2, weighted by
+    h_minus."""
     h = harmonics(model, interval)
+    mirror = interval.a + interval.b
     probs = []
     for i, c in enumerate((-2.0, -5.0, -10.0)):
-        pb = PathBlock.start(model, interval, 2.0, 16_384, block_stream(12 + i, 0),
-                             track_level=c)
+        pb = PathBlock.start(model, interval, mirror - 2.0, 16_384, block_stream(12 + i, 0))
         for t in _observation_grid(0.1, 12.0):
-            advance(pb, t)
-        passed = ~np.isnan(pb.level_time)
-        probs.append(h.plus(pb.level_value[passed]).sum() / float(h.plus(2.0)) / pb.n)
+            advance(pb, t, exit_above=mirror - c)
+        probs.append(h.minus(pb.x[pb.frozen]).sum() / float(h.minus(mirror - 2.0)) / pb.n)
     assert 0.0 <= probs[0] < 0.05
     assert probs[2] <= probs[1] + 1e-3 <= probs[0] + 2e-3
     assert probs[2] < 1e-3
