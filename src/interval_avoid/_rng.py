@@ -35,13 +35,18 @@ def iter_blocks(n: int, block_size: int = BLOCK_SIZE):
 
 
 def worker_count() -> int:
-    """Worker cap from the environment; defaults to sequential execution."""
+    """Worker cap from INTERVAL_AVOID_THREADS, at most the CPU count.
+
+    Unset or empty means sequential execution; any other value that is not
+    an integer >= 1 is a ValueError.
+    """
     raw = os.environ.get(_ENV_WORKERS)
     if not raw:
         return 1
     try:
         requested = int(raw)
     except ValueError:
-        return 1
-    cpus = os.cpu_count() or 1
-    return max(1, min(requested, cpus))
+        requested = 0
+    if requested < 1:
+        raise ValueError(f"{_ENV_WORKERS} must be an integer >= 1 (got {raw!r})")
+    return min(requested, os.cpu_count() or 1)

@@ -24,10 +24,14 @@ target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
 horizon.  A path stops at death, at its target, at a crossing cap or at an
 exit level above the interval.  Every estimator runs its blocks through one
-runner, ``_map_blocks``, which starts block bi on the counter-based stream
-keyed by (seed, bi) (see _rng).  K depends only on the block's state, so
+runner, ``_map_jobs``, which starts block bi of a job on the counter-based
+stream keyed by (the job's seed, bi) (see _rng) and sends the blocks of all
+its jobs to the process pool as one task list, in job order.  Inside a
+``with block_pool():`` every call shares one held pool; outside one, a call
+that fans out builds its own.  K depends only on the block's state, so
 estimator outputs are bit-identical for a fixed seed regardless of the worker
-count; the order in which draws are consumed does depend on K.
+count and of the order in which blocks run; the order in which one block's
+draws are consumed does depend on K.
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ __all__ = [
     "estimate_clock_event",
     "empirical_crossing_law",
     "estimate_avoidance",
+    "estimate_avoidance_many",
     "terminal_sample",
+    "block_pool",
     "ks_distance",
     "ks_critical_value",
     "SurvivalEstimate",
@@ -405,20 +411,62 @@ def _run_block(task):
     return fn(PathBlock.start(model, interval, start, count, block_stream(seed, bi)), *extra)
 
 
-def _map_blocks(fn, model, interval, start, config, *extra):
-    """[fn(pb, *extra) for each block pb of ``config.n_paths`` paths], in block order.
+_held_pool: Optional[ProcessPoolExecutor] = None    # set only inside block_pool
 
-    Block bi holds up to BLOCK_SIZE paths started at ``start`` on the stream
-    keyed by (config.seed, bi), so the results do not depend on how many
-    workers run the blocks.
+
+class block_pool:
+    """Context manager that holds one process pool until its ``with`` exits.
+
+    Every estimator call inside the ``with`` sends its blocks to this pool
+    instead of starting its own.  With ``worker_count()`` at 1 nothing is
+    held and the ``with`` yields None.  A nested use yields the outer pool
+    and leaves its shutdown to the outer ``with``.  The pool belongs to the
+    process, so enter it from one thread at a time.
     """
-    tasks = [(fn, model, interval, start, config.seed, bi, count, extra)
-             for bi, _offset, count in iter_blocks(config.n_paths, BLOCK_SIZE)]
-    workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_block(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_run_block, tasks, chunksize=1))
+
+    def __enter__(self) -> Optional[ProcessPoolExecutor]:
+        global _held_pool
+        workers = worker_count()
+        self._owner = _held_pool is None and workers > 1
+        if self._owner:
+            _held_pool = ProcessPoolExecutor(max_workers=workers)
+        return _held_pool
+
+    def __exit__(self, *exc) -> None:
+        global _held_pool
+        if self._owner:
+            pool, _held_pool = _held_pool, None
+            pool.shutdown(cancel_futures=True)
+
+
+def _map_jobs(jobs):
+    """For each job (fn, model, interval, start, config, extra), the list
+    [fn(pb, *extra) for each block pb of its ``config.n_paths`` paths], in
+    job order and block order.
+
+    Block bi of a job holds up to BLOCK_SIZE paths started at its ``start``
+    on the stream keyed by (config.seed, bi), so the results depend neither
+    on how many workers run the blocks nor on the order of the jobs.  With
+    more than one worker and more than one block, every block of every job
+    goes to the pool as one task list, in job order; list the costly jobs
+    first, so that no worker is left with a long task at the end.
+    """
+    tasks, ends = [], []
+    for fn, model, interval, start, config, extra in jobs:
+        tasks += [(fn, model, interval, start, config.seed, bi, count, extra)
+                  for bi, _offset, count in iter_blocks(config.n_paths, BLOCK_SIZE)]
+        ends.append(len(tasks))
+    if worker_count() <= 1 or len(tasks) <= 1:
+        results = [_run_block(task) for task in tasks]
+    else:
+        with block_pool() as pool:
+            results = list(pool.map(_run_block, tasks, chunksize=1))
+    return [results[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _map_blocks(fn, model, interval, start, config, *extra):
+    """[fn(pb, *extra) for each block pb of ``config.n_paths`` paths], in block order."""
+    return _map_jobs([(fn, model, interval, start, config, extra)])[0]
 
 
 def _concat_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -447,8 +495,6 @@ def _side_split(interval: Interval, xs: np.ndarray, alive: np.ndarray) -> Surviv
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
                       t: float, config: PathConfig) -> SurvivalEstimate:
     """P(t < T), split by the side of the interval occupied at time t."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite (got {t})")
     return _side_split(interval, *terminal_sample(model, interval, start, t, config))
 
 
@@ -562,6 +608,54 @@ class AvoidanceEstimate:
     unresolved: int
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
+    step for step as the common C routine ``brentq`` at its default
+    tolerances (xtol = 2e-12, rtol = 4 eps, at most 100 iterations), so the
+    two return the same float (tests compare them).
+    """
+    xtol, rtol, maxiter = 2e-12, 4 * float(np.finfo(float).eps), 100
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):       # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def adjustment_coefficient(model: ModelParams) -> float:
     """Positive root of (sigma^2/2) g + lam g/(eta^2 - g^2) = drift, g in (0, eta).
 
@@ -570,12 +664,11 @@ def adjustment_coefficient(model: ModelParams) -> float:
     """
     if not model.drift > 0.0:
         raise ValueError("adjustment coefficient requires positive drift")
-    from scipy.optimize import brentq
 
     def f(g):
         return 0.5 * model.sigma**2 * g + model.lam * g / (model.eta**2 - g * g) - model.drift
 
-    return float(brentq(f, 1e-12, model.eta * (1.0 - 1e-12)))
+    return float(_brentq(f, 1e-12, model.eta * (1.0 - 1e-12)))
 
 
 def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> float:
@@ -604,26 +697,41 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     below ``bound_target``; the summed per-path bounds are reported.  The
     horizon cap is sized so that drift dominates a 30-sigma fluctuation.
     """
+    return estimate_avoidance_many(model, interval, [(start, config)],
+                                   bound_target=bound_target)[0]
+
+
+def estimate_avoidance_many(model: ModelParams, interval: Interval, items,
+                            *, bound_target: float = 1e-7) -> list[AvoidanceEstimate]:
+    """``estimate_avoidance`` at each (start, config) of ``items``, in order.
+
+    The blocks of every item run as one task list, in item order, so list
+    the costly starts first.  Each estimate equals the one that
+    ``estimate_avoidance`` returns for its item alone.
+    """
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
-    interval.require_outside(start, "starting point")
-    config.require_bridge("estimate_avoidance")
+    for start, config in items:
+        interval.require_outside(start, "starting point")
+        config.require_bridge("estimate_avoidance")
     g = adjustment_coefficient(model)
     exit_level = interval.b + math.log(1.0 / bound_target) / g
-    horizon = _avoidance_horizon(model, interval, start)
-    parts = _map_blocks(_avoidance_block, model, interval, start, config,
-                        horizon, exit_level, g)
-    n = config.n_paths
-    avoided = sum(p[0] for p in parts)
-    unresolved = sum(p[1] for p in parts)
-    bound = (sum(p[2] for p in parts) + unresolved) / n
-    return AvoidanceEstimate(
-        result=_binomial_result(float(avoided), n),
-        horizon=horizon,
-        exit_level=exit_level,
-        return_prob_bound=bound,
-        unresolved=unresolved,
-    )
+    horizons = [_avoidance_horizon(model, interval, start) for start, _config in items]
+    jobs = [(_avoidance_block, model, interval, start, config, (horizon, exit_level, g))
+            for (start, config), horizon in zip(items, horizons)]
+    estimates = []
+    for (_start, config), horizon, parts in zip(items, horizons, _map_jobs(jobs)):
+        n = config.n_paths
+        avoided = sum(p[0] for p in parts)
+        unresolved = sum(p[1] for p in parts)
+        estimates.append(AvoidanceEstimate(
+            result=_binomial_result(float(avoided), n),
+            horizon=horizon,
+            exit_level=exit_level,
+            return_prob_bound=(sum(p[2] for p in parts) + unresolved) / n,
+            unresolved=unresolved,
+        ))
+    return estimates
 
 
 def _terminal_block(pb, times, bridge):
@@ -640,6 +748,8 @@ def terminal_sample(model: ModelParams, interval: Interval, start: float,
     segment endpoint (``config.dt`` grid point or jump time) lies inside the
     interval: the grid-only validation mode.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite (got {t})")
     interval.require_outside(start, "starting point")
     bridge = config.bridge_correction
     times = [t] if bridge else _observation_grid(config.dt, t)

@@ -489,11 +489,33 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
         raise ValueError("transient suite requires positive drift")
     checks: list[Check] = []
 
-    # far above the interval the process drifts away without returning
+    def avoidance_config(n, *tags):
+        return eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
+                              seed=derive_seed(config.seed, *tags))
+
+    # avoidance estimates far above the interval (where the process drifts
+    # away without returning), on a grid for the nested harmonicity identity
+    # and at the start (the reference)
     far = iv.b + 50.0 / model.eta
-    cfg_far = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=8192,
-                             seed=derive_seed(config.seed, 11))
-    est_far = eng.estimate_avoidance(model, iv, far, cfg_far)
+    n_grid = (config.paths or 200_000) // 12
+    xs_below = iv.a - np.arange(0.25, 6.01, 0.25)[::-1]
+    xs_above = iv.b + np.arange(0.25, 10.01, 0.25)
+    start, t_obs = 2.0, 1.0
+    n_ref = 4 * n_grid
+    above = [(float(x), avoidance_config(n_grid, 12, 1000 + i))
+             for i, x in enumerate(xs_above)]
+    below = [(float(x), avoidance_config(n_grid, 12, i)) for i, x in enumerate(xs_below)]
+    # one task list, costliest first (Graham's LPT rule, so that no worker is
+    # left alone with a long task at the end): the far start, the starts above
+    # the interval from the highest down, the reference, the starts below;
+    # each result is read back by its index in that list
+    estimates = eng.estimate_avoidance_many(
+        model, iv, [(far, avoidance_config(8192, 11)), *above[::-1],
+                    (start, avoidance_config(n_ref, 13)), *below])
+    est_far, ref = estimates[0], estimates[len(above) + 1]
+    est_above = estimates[len(above):0:-1]
+    est_below = estimates[len(above) + 2:]
+
     checks.append(check_ge(
         "far_start_avoids",
         "avoidance probability tends to 1 far above the interval",
@@ -501,27 +523,10 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
         3.0 * est_far.result.stderr + est_far.return_prob_bound + 1e-9,
         criterion=9))
 
-    # avoidance-probability grid for the nested harmonicity identity
-    n_grid = (config.paths or 200_000) // 12
-    xs_below = iv.a - np.arange(0.25, 6.01, 0.25)[::-1]
-    xs_above = iv.b + np.arange(0.25, 10.01, 0.25)
-    def grid_estimate(x, tag, n):
-        cfg = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
-                             seed=derive_seed(config.seed, 12, tag))
-        est = eng.estimate_avoidance(model, iv, float(x), cfg)
-        return est.result.mean, est.result.stderr
-
-    vals_b, ses_b = zip(*[grid_estimate(x, i, n_grid) for i, x in enumerate(xs_below)])
-    vals_a, ses_a = zip(*[grid_estimate(x, 1000 + i, n_grid)
-                          for i, x in enumerate(xs_above)])
+    vals_b, ses_b = zip(*[(e.result.mean, e.result.stderr) for e in est_below])
+    vals_a, ses_a = zip(*[(e.result.mean, e.result.stderr) for e in est_above])
     evaluate, node_weights = _interp_grid(xs_below, np.array(vals_b),
                                           xs_above, np.array(vals_a), iv)
-
-    start, t_obs = 2.0, 1.0
-    n_ref = 4 * n_grid
-    cfg_ref = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n_ref,
-                             seed=derive_seed(config.seed, 13))
-    ref = eng.estimate_avoidance(model, iv, start, cfg_ref)
 
     n_outer = config.paths or 200_000
     cfg_outer = eng.PathConfig(dt=1.0, horizon=max(t_obs, 1.0), n_paths=n_outer,
@@ -581,7 +586,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     tic = time.perf_counter()
-    checks = SUITES[name](config)
+    with eng.block_pool():
+        checks = SUITES[name](config)
     report = SuiteReport(
         suite=name,
         passed=all(c.passed for c in checks),

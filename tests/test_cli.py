@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import interval_avoid
 from interval_avoid.cli import main
 from interval_avoid.suites import dumps_17g
 
@@ -306,6 +310,36 @@ def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
                               "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("INTERVAL_AVOID_THREADS", "two")
+    code, out, err = run_cli(["verify", "--suite", "closedform"], capsys)
+    assert code == 2 and out == ""
+    assert "INTERVAL_AVOID_THREADS" in err
+
+
+def test_avoidance_route_imports_no_scipy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": 1200}))
+    script = f"""
+import sys
+from interval_avoid import Interval, ModelParams, PathConfig, estimate_avoidance
+from interval_avoid.cli import main
+estimate_avoidance(ModelParams(drift=0.5), Interval(0.0, 1.0), 2.0,
+                   PathConfig(dt=1.0, horizon=1.0, seed=1, n_paths=500))
+code = main(["verify", "--suite", "transient5", "--config", {str(cfg)!r},
+             "--out", {str(tmp_path / "report.json")!r}])
+print("RESULT", code, "scipy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(interval_avoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("INTERVAL_AVOID_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
 
 
 def test_verify_unknown_suite_usage_error(capsys):

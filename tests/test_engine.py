@@ -1,26 +1,58 @@
 import hashlib
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
 from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob,
                             empirical_crossing_law, estimate_avoidance,
                             estimate_clock_event, estimate_survival, gamma_bound,
-                            kappa, nu, potential_q, simulate_path, terminal_sample)
+                            kappa, nu, potential_q, run_suite, simulate_path,
+                            terminal_sample)
+from interval_avoid.config import parse_config
 from interval_avoid.engine import (PathBlock, adjustment_coefficient, advance,
+                                   block_pool, estimate_avoidance_many,
                                    ks_critical_value, ks_distance)
-from interval_avoid.particles import (drift_probability, occupation_time,
-                                      propagate_ensemble)
-from interval_avoid._rng import block_stream
+from interval_avoid.particles import (drift_probability, harmonicity_residual,
+                                      occupation_time, propagate_ensemble)
+from interval_avoid.suites import dumps_17g
+from interval_avoid._rng import block_stream, worker_count
 from laws import chi2_pvalue
 
 
 # ------------------------------------------------------------------- config
+
+@pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3"])
+def test_malformed_thread_count_rejected(monkeypatch, raw):
+    monkeypatch.setenv("INTERVAL_AVOID_THREADS", raw)
+    with pytest.raises(ValueError, match="INTERVAL_AVOID_THREADS"):
+        worker_count()
+
+
+def test_unset_or_empty_thread_count_is_sequential(monkeypatch):
+    monkeypatch.delenv("INTERVAL_AVOID_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("INTERVAL_AVOID_THREADS", "")
+    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("t", [-1.0, -5.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda m, iv, t, cfg: terminal_sample(m, iv, 2.0, t, cfg),
+    lambda m, iv, t, cfg: harmonicity_residual(m, iv, "combined", 2.0, t, cfg),
+], ids=["terminal_sample", "harmonicity_residual"])
+def test_negative_or_nan_time_rejected(model, interval, call, t):
+    cfg = PathConfig(dt=0.1, horizon=1.0, seed=5, n_paths=64)
+    with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        call(model, interval, t, cfg)
+
 
 def test_path_config_validation():
     with pytest.raises(ValueError):
@@ -448,6 +480,51 @@ def test_estimators_bit_identical_across_workers(model, interval):
     assert multi == base
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+def test_suite_holds_one_pool_and_shuts_it_down(monkeypatch):
+    built = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+
+    def report(threads):
+        monkeypatch.setenv("INTERVAL_AVOID_THREADS", threads)
+        built.clear()
+        out = run_suite(parse_config({"paths": 12288}, suite="transient5")).to_dict()
+        del out["runtime_seconds"]
+        return dumps_17g(out), len(built)
+
+    two, pools_two = report("2")
+    assert pools_two == 1
+    assert multiprocessing.active_children() == []
+    one, pools_one = report("1")
+    assert pools_one == 0
+    assert two == one
+
+    # calls that fan out share the held pool (at 12288 paths only the
+    # suite's outer sample spans two blocks)
+    monkeypatch.setenv("INTERVAL_AVOID_THREADS", "2")
+    built.clear()
+    cfg = PathConfig(dt=0.01, horizon=0.01, seed=7, n_paths=2 * 8192)
+    with block_pool():
+        for _ in range(3):
+            terminal_sample(ModelParams(), Interval(0.0, 1.0), 2.0, 0.01, cfg)
+    assert len(built) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_avoidance_many_matches_single_calls(interval):
+    m = ModelParams(drift=0.5)
+    items = [(interval.b + 3.0, PathConfig(dt=1.0, horizon=1.0, seed=95, n_paths=9000)),
+             (interval.a - 1.0, PathConfig(dt=1.0, horizon=1.0, seed=96, n_paths=300))]
+    assert estimate_avoidance_many(m, interval, items) == [
+        estimate_avoidance(m, interval, start, cfg) for start, cfg in items]
+
+
 def test_crossing_law_deterministic(model, interval):
     cfg = PathConfig(dt=1.0, horizon=200.0, seed=73, n_paths=30_000)
     a = empirical_crossing_law(model, interval, -1.0, 2, cfg)
@@ -496,6 +573,19 @@ def test_adjustment_coefficient_equation():
     assert 0.0 < g < m.eta
     assert 0.5 * m.sigma**2 * g + m.lam * g / (m.eta**2 - g * g) == pytest.approx(
         m.drift, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.05, 20.0), lam=st.floats(0.01, 50.0), eta=st.floats(0.01, 50.0),
+       drift=st.floats(1e-3, 50.0))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5)    # transient5's default model
+def test_adjustment_coefficient_is_brentq_bit_for_bit(sigma, lam, eta, drift):
+    m = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+
+    def f(g):
+        return 0.5 * m.sigma**2 * g + m.lam * g / (m.eta**2 - g * g) - m.drift
+
+    assert adjustment_coefficient(m) == brentq(f, 1e-12, m.eta * (1.0 - 1e-12))
 
 
 def test_avoidance_far_start(interval):
