@@ -134,6 +134,11 @@ def bridge_cross_prob(x0, x1, dt, interval: Interval, sigma: float) -> np.ndarra
     as well.
     """
     x0, x1, dt = (np.asarray(v, dtype=float) for v in (x0, x1, dt))
+    return np.exp(_bridge_exponent(x0, x1, dt, interval, sigma))
+
+
+def _bridge_exponent(x0, x1, dt, interval: Interval, sigma: float) -> np.ndarray:
+    """The log of ``bridge_cross_prob``: -2 d0 d1 / (sigma^2 dt), at most 0."""
     a, b = interval.a, interval.b
     # distances past the boundary on x0's side, clipped at 0: both are
     # positive only for a same-side segment; any other segment gets
@@ -144,7 +149,29 @@ def bridge_cross_prob(x0, x1, dt, interval: Interval, sigma: float) -> np.ndarra
     # far from the interval the product overflows to inf, and exp(-inf) = 0
     # is the exact limit: such a segment cannot touch it
     with np.errstate(over="ignore"):
-        return np.exp(d0 * d1 / dt * (-2.0 / (sigma * sigma)))
+        return d0 * d1 / dt * (-2.0 / (sigma * sigma))
+
+
+# Below this exponent exp leaves numpy's fast path (underflow past -745,
+# subnormal results past -708).  exp(-700) ~ 1e-304 is still far below
+# 2^-53, the smallest positive uniform that Generator.random draws.
+_EXP_FLOOR = -700.0
+
+
+def _bridge_kill(u, x0, x1, dt, interval: Interval, sigma: float) -> np.ndarray:
+    """``u < bridge_cross_prob(x0, x1, dt, interval, sigma)``, elementwise.
+
+    Exact for uniforms on Generator.random's grid of multiples of 2^-53:
+    a positive u is at least 2^-53 > exp(_EXP_FLOOR), so it is compared with
+    exp of the exponent floored there, and only the cells with u == 0 (one
+    draw in 2^53) are compared with the unfloored exp.
+    """
+    e = _bridge_exponent(x0, x1, dt, interval, sigma)
+    killed = u < np.exp(np.maximum(e, _EXP_FLOOR))
+    zero = u == 0.0
+    if zero.any():
+        killed[zero] = 0.0 < np.exp(e[zero])
+    return killed
 
 
 # --------------------------------------------------------------------------- #
@@ -197,6 +224,11 @@ class PathBlock:
 
 
 MAX_EVENTS = 64     # cap on the events drawn per live path per loop iteration
+
+
+def _jump_sizes(rng: np.random.Generator, shape, eta: float) -> np.ndarray:
+    """Signed jump sizes, Laplace(1/eta) distributed."""
+    return rng.laplace(0.0, 1.0 / eta, shape)
 
 
 def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
@@ -260,8 +292,12 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         np.maximum(dt, 1e-300, out=dt)
 
         steps = drift * dt + sigma * np.sqrt(dt) * rng.standard_normal((m, K))
-        size = np.zeros((m, K))
-        size[jump] = rng.laplace(0.0, 1.0 / eta, np.count_nonzero(jump))
+        n_jumps = np.count_nonzero(jump)
+        if n_jumps == jump.size:                 # every column ends in a jump
+            size = _jump_sizes(rng, (m, K), eta)
+        else:
+            size = np.zeros((m, K))
+            size[jump] = _jump_sizes(rng, n_jumps, eta)
         post = steps + size                      # value after each event
         if K > 1:
             np.cumsum(post, axis=1, out=post)
@@ -271,7 +307,7 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
                 else x0[:, None])                # segment start values
 
         if bridge:
-            killed = rng.random((m, K)) < bridge_cross_prob(seg0, pre, dt, interval, sigma)
+            killed = _bridge_kill(rng.random((m, K)), seg0, pre, dt, interval, sigma)
         else:
             killed = interval.contains(pre)
         # a live pre-jump value is outside [a, b]; a non-jump column has
@@ -339,8 +375,12 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         # the jump pending after the stopping event; a path that jumped there
         # (landing inside included) draws its next gap
         tj_c = at_stop(tj)
-        ji = np.flatnonzero(at_stop(jump) & ~kill_c)
-        tj_c[ji] += rng.exponential(1.0 / lam, ji.size)
+        jumped = at_stop(jump) & ~kill_c
+        n_jumped = np.count_nonzero(jumped)
+        if n_jumped == m:
+            tj_c += rng.exponential(1.0 / lam, m)
+        else:
+            tj_c[jumped] += rng.exponential(1.0 / lam, n_jumped)
         pb.next_jump[idx] = tj_c
 
         for mask in early:

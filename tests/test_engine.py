@@ -17,9 +17,9 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             kappa, nu, potential_q, run_suite, simulate_path,
                             terminal_sample)
 from interval_avoid.config import parse_config
-from interval_avoid.engine import (PathBlock, adjustment_coefficient, advance,
-                                   block_pool, estimate_avoidance_many,
-                                   ks_critical_value, ks_distance)
+from interval_avoid.engine import (PathBlock, _bridge_exponent, _bridge_kill, _jump_sizes,
+                                   adjustment_coefficient, advance, block_pool,
+                                   estimate_avoidance_many, ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
@@ -114,6 +114,43 @@ def test_bridge_cross_prob_against_dense_grid():
     shifted = level - 0.5826 * sigma * math.sqrt(h)
     p_disc = float(bridge_cross_prob(x0, x1, dt, Interval(shifted - 1.0, shifted), sigma))
     assert p_hat == pytest.approx(p_disc, abs=3 * se + 0.01 * p)
+
+
+U_GRID = 2.0**-53      # Generator.random draws multiples of this
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cells=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
+                                st.floats(1e-300, 10.0),
+                                st.one_of(st.integers(0, 4), st.integers(0, 2**53 - 1))),
+                      min_size=1, max_size=40),
+       sigma=st.floats(0.05, 20.0))
+def test_bridge_kill_is_exact(interval, cells, sigma):
+    x0, x1, dt, k = (np.array(v) for v in zip(*cells))
+    u = k * U_GRID
+    assert np.array_equal(_bridge_kill(u, x0, x1, dt, interval, sigma),
+                          u < bridge_cross_prob(x0, x1, dt, interval, sigma))
+
+
+@pytest.mark.parametrize("exponent", [0.0, -36.0, -700.0, -708.5, -745.2, -800.0, -math.inf])
+@pytest.mark.parametrize("u", [0.0, U_GRID, 0.5])
+def test_bridge_kill_fixed_cases(exponent, u):
+    # a segment below [0, 1] from distance 1 to distance -exponent/2 over
+    # dt = 1 at sigma = 1 has this exponent; -inf is the overflow of d0 d1
+    iv = Interval(0.0, 1.0)
+    x0, x1 = (-1e300, -1e300) if exponent == -math.inf else (-1.0, exponent / 2.0)
+    x0, x1, dt = np.array([x0]), np.array([x1]), np.array([1.0])
+    assert _bridge_exponent(x0, x1, dt, iv, 1.0)[0] == exponent
+    killed = _bridge_kill(np.array([u]), x0, x1, dt, iv, 1.0)[0]
+    assert killed == (u < bridge_cross_prob(x0, x1, dt, iv, 1.0)[0])
+    assert killed == (u < math.exp(exponent))
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.5])
+def test_jump_sizes_are_laplace(eta):
+    sizes = _jump_sizes(block_stream(131, 0), 20_000, eta)
+    assert stats.kstest(sizes, stats.laplace(scale=1.0 / eta).cdf).pvalue >= 1e-3
+    assert _jump_sizes(block_stream(131, 1), (3, 4), eta).shape == (3, 4)
 
 
 # ------------------------------------------------------------ kernel invariants
@@ -441,7 +478,7 @@ def test_strong_markov_between_crossings(model, interval):
 
 # ------------------------------------------------------------- reproducibility
 
-def test_estimators_bit_identical_across_workers(model, interval):
+def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
     cfg = PathConfig(dt=0.1, horizon=1.0, seed=71, n_paths=70_000)
 
     def estimates():
@@ -467,16 +504,15 @@ def test_estimators_bit_identical_across_workers(model, interval):
             (s.time, s.states.tobytes(), s.weights.tobytes(), s.alive.tobytes())
             for s in snaps]
 
+    monkeypatch.delenv("INTERVAL_AVOID_THREADS", raising=False)
     base = estimates()
-    old = os.environ.get("INTERVAL_AVOID_THREADS")
-    try:
-        os.environ["INTERVAL_AVOID_THREADS"] = "3"
+    # worker_count caps the request at the CPU count, so an odd worker
+    # count needs a machine that reports more CPUs than it requests
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("INTERVAL_AVOID_THREADS", "3")
+    assert worker_count() == 3
+    with block_pool():                  # one pool of 3 for every estimator
         multi = estimates()
-    finally:
-        if old is None:
-            os.environ.pop("INTERVAL_AVOID_THREADS", None)
-        else:
-            os.environ["INTERVAL_AVOID_THREADS"] = old
     assert multi == base
 
 

@@ -9,6 +9,7 @@ two-sample test (Kolmogorov-Smirnov for positions and times, chi-square for
 counts) at level ALPHA.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -23,6 +24,9 @@ ALPHA = 1e-3
 SEED = 20261018          # any seed but the fixture's
 SCALE = 5                # new paths per fixture path
 MIN_KS = 20              # smallest sample compared by KS
+# sha256 of the committed fixture: a fixture redrawn by the current kernel
+# would turn every test below into a comparison of the kernel with itself
+FIXTURE_SHA256 = "e6bda30a44a27d4fdee9ebff77150213bd5c04d7fa7891061963d42e6d5a1efb"
 
 
 def _maker():
@@ -44,6 +48,11 @@ def fixture():
 
 def test_fixture_is_small():
     assert (DATA / "kernel_fixture.npz").stat().st_size <= 256 * 1024
+
+
+def test_fixture_is_the_old_kernels_sample():
+    digest = hashlib.sha256((DATA / "kernel_fixture.npz").read_bytes()).hexdigest()
+    assert digest == FIXTURE_SHA256
 
 
 @pytest.mark.parametrize("case", range(len(MAKER.CASES)))
