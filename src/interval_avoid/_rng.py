@@ -1,9 +1,9 @@
 """Reproducible random-number streams for block-parallel Monte Carlo.
 
 Paths are processed in fixed-size blocks.  Each block owns an independent
-Philox counter-based stream keyed by (seed, block index), so results are
-bit-identical for a fixed seed no matter how many workers process the
-blocks, and no matter in which order they finish.
+PCG64DXSM stream seeded by ``SeedSequence(seed, spawn_key=(block,))``, so
+results are bit-identical for a fixed seed no matter how many workers
+process the blocks, and no matter in which order they finish.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ _ENV_WORKERS = "INTERVAL_AVOID_THREADS"
 
 
 def block_stream(seed: int, block_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one block of paths."""
+    """Independent PCG64DXSM stream for one block of paths, seeded by
+    ``SeedSequence(seed, spawn_key=(block_index,))``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def iter_blocks(n: int, block_size: int = BLOCK_SIZE):

@@ -24,14 +24,14 @@ target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
 horizon.  A path stops at death, at its target, at a crossing cap or at an
 exit level above the interval.  Every estimator runs its blocks through one
-runner, ``_map_jobs``, which starts block bi of a job on the counter-based
-stream keyed by (the job's seed, bi) (see _rng) and sends the blocks of all
-its jobs to the process pool as one task list, in job order.  Inside a
-``with block_pool():`` every call shares one held pool; outside one, a call
-that fans out builds its own.  K depends only on the block's state, so
-estimator outputs are bit-identical for a fixed seed regardless of the worker
-count and of the order in which blocks run; the order in which one block's
-draws are consumed does depend on K.
+runner, ``_map_jobs``, which starts block bi of a job on the PCG64DXSM
+stream seeded by SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng)
+and sends the blocks of all its jobs to the process pool as one task list,
+in job order.  Inside a ``with block_pool():`` every call shares one held
+pool; outside one, a call that fans out builds its own.  K depends only on
+the block's state, so estimator outputs are bit-identical for a fixed seed
+regardless of the worker count and of the order in which blocks run; the
+order in which one block's draws are consumed does depend on K.
 """
 
 from __future__ import annotations
@@ -227,8 +227,12 @@ MAX_EVENTS = 64     # cap on the events drawn per live path per loop iteration
 
 
 def _jump_sizes(rng: np.random.Generator, shape, eta: float) -> np.ndarray:
-    """Signed jump sizes, Laplace(1/eta) distributed."""
-    return rng.laplace(0.0, 1.0 / eta, shape)
+    """Signed jump sizes, Laplace(1/eta) distributed: (E1 - E2) / eta for two
+    standard exponentials, which the ziggurat draws faster than one Laplace."""
+    size = rng.standard_exponential(shape)
+    size -= rng.standard_exponential(shape)
+    size /= eta
+    return size
 
 
 def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
@@ -256,10 +260,11 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
     - earliest time)))): K - 1 inter-jump gaps, K normals, K bridge uniforms,
     a Laplace(1/eta) signed jump size for each column that ends in a jump,
-    and then one gap for each path whose stopping event is a jump.  Event c of a path ends at its c-th next jump, or at its
-    target if that comes first.  Positions come from cumulative sums along
-    the row, and each row resolves its events up to its first stopping
-    column; the draws past it are discarded, which leaves the law exact.
+    and then one gap for each path whose stopping event is a jump.  Event c
+    of a path ends at its c-th next jump, or at its target if that comes
+    first.  Positions come from cumulative sums along the row, and each row
+    resolves its events up to its first stopping column; the draws past it
+    are discarded, which leaves the law exact.
     K depends only on the block's state, so results are bit-identical
     across worker counts, but the draw order depends on K and therefore on
     how a horizon is split into calls.
@@ -278,9 +283,9 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         t0, x0, tt = pb.t[idx], pb.x[idx], targets[idx][:, None]
         K = _events_per_path(t0, tt, lam)
         # The K > 1 branches below could serve K = 1 too with the same draws,
-        # but the fork is kept: without it step_ms is 1.31-1.41x,
-        # bulk_paths_per_s 0.74-0.85x and propagate_ms_per_step 1.16-1.43x
-        # (bench/micro.py medians, 2 CPUs, two separate sets of paired runs).
+        # but the fork is kept: without it step_ms is 1.38-1.64x,
+        # bulk_paths_per_s 0.61-0.84x and propagate_ms_per_step 1.22-1.48x
+        # (bench/micro.py medians, 2 CPUs, three paired runs).
         # jump clock: column c's next jump time, and the event time it ends at
         tj = pb.next_jump[idx][:, None]
         if K > 1:

@@ -136,13 +136,13 @@ def test_simulate_dump_paths(tmp_path, capsys):
 # recorded event, value or random draw shows up
 @pytest.mark.parametrize("flags,digest", [
     (["--start", "2", "--t", "0.5", "--dump-paths", "3", "--horizon", "2"],
-     "8c064baa795421b5d73a0bc0f6bd67bca521f5e686bf8d03b1e9e4a9a78e78cf"),
+     "5a884d02e3fb29edd9a47bcb9c768f1db76a483add7745a758d7b1d9b472e752"),
     (["--start", "1.6", "--dt", "0.05", "--horizon", "8", "--seed", "7",
       "--dump-paths", "50"],
-     "becdb393819e342a1b05d551eac0cc2518e7903bd9114c2b58bd2d7780b92cfb"),
+     "376c8e93fb68f97c7c98b1e28bf05563d538d277b8cb09679b3fd7fbc987ede7"),
     (["--start", "-1", "--dt", "0.05", "--horizon", "8", "--seed", "7", "--no-bridge",
       "--dump-paths", "50"],
-     "a72eaf07c5f565b3b8d8954e8d8961edf07f0008199501b07dd4e58ad5cd80bc"),
+     "ff5ec2feeda122f37700c60aaecefb4b5b20e3b779f1d0d73fb9f0a5f8cab2c7"),
 ])
 def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
     dump = tmp_path / "p.csv"

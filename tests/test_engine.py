@@ -592,7 +592,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "370b37bd209449c5cf1c0b00e31a9b44a352cb3bc68e3d6f1ba65a73a0dd4e3f")
+        "8029a686d4c98f276ddab7a540d210a0c284ae8f24dc1182361872209da51cf2")
 
 
 # ----------------------------------------------------------------- avoidance

@@ -110,7 +110,7 @@ def test_grid_pass_pinned(model, interval):
         digest.update(s.states.tobytes())
         digest.update(s.alive.tobytes())
     assert digest.hexdigest() == (
-        "6fc047125b2400ff1094765199926056a6908aa27c8d0b82861fced368d17ffd")
+        "fb404ecd426e0f6310feb0d8ace85124f7e836f425879671028e25ea6cf9b62c")
 
 
 def test_plus_transform_suppresses_downside(model, interval):
