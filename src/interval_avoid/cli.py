@@ -111,11 +111,13 @@ def _cmd_tables(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model, interval = _model_interval(args)
-    config = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
-                        n_paths=args.paths, bridge_correction=not args.no_bridge)
+    config = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed, n_paths=args.paths)
+    if args.no_bridge and args.estimator != "survival":
+        raise ConfigError(f"--no-bridge is for survival only (got --estimator {args.estimator})")
     if args.estimator == "survival":
         t = args.horizon if args.t is None else args.t
-        est = estimate_survival(model, interval, args.start, t, config)
+        est = estimate_survival(model, interval, args.start, t, config,
+                                bridge=not args.no_bridge)
         result, extra = est.total, {"above": est.above.mean, "below": est.below.mean, "t": t}
     elif args.estimator == "clock":
         if args.q is None:
@@ -151,7 +153,8 @@ def _cmd_simulate(args) -> int:
         with open(args.dump_file, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("path_id,t,value,is_jump,killed\n")
             for pid in range(args.dump_paths):
-                tr = simulate_path(model, interval, args.start, config, path_index=pid)
+                tr = simulate_path(model, interval, args.start, config, path_index=pid,
+                                   bridge=not args.no_bridge)
                 for i in range(tr.times.size):
                     killed = tr.hit and i == tr.times.size - 1
                     fh.write(f"{pid},{tr.times[i]:.17g},{tr.values[i]:.17g},"
@@ -192,15 +195,15 @@ def _cmd_condition(args) -> int:
 
     if args.timeseries:
         times = [0.0] + _observation_grid(args.dt, args.horizon)
-        snaps = propagate_ensemble(model, interval, args.transform, args.start,
-                                   small, record_times=times)
+        ens = propagate_ensemble(model, interval, args.transform, args.start,
+                                 small, record_times=times)
         with open(args.timeseries, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,total_weight,ess,frac_above,frac_below\n")
-            for s in snaps:
-                up = s.weighted_fraction(s.states > interval.b)
-                dn = s.weighted_fraction(s.states < interval.a)
-                fh.write(f"{s.time:.17g},{s.total_weight / s.n:.17g},{s.ess:.17g},"
-                         f"{up:.17g},{dn:.17g}\n")
+            for t, w, w2, w_up, w_dn in zip(ens.times, ens.weight, ens.weight_sq,
+                                            ens.weight_above, ens.weight_below):
+                ess = w * w / w2 if w2 > 0.0 else 0.0
+                up, dn = (w_up / w, w_dn / w) if w > 0.0 else (math.nan, math.nan)
+                fh.write(f"{t:.17g},{w / ens.n:.17g},{ess:.17g},{up:.17g},{dn:.17g}\n")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from typing import Literal
 
 import numpy as np
 
-from .model import Interval, ModelParams, potential, potential_q, wiener_hopf_roots
+from .model import Interval, ModelParams, _potential_q_coeffs, potential, potential_q
 
 __all__ = [
     "OvershootLaw",
@@ -349,9 +349,7 @@ def harmonic_plus_q_partial_sum(params: ModelParams, interval: Interval, x: floa
     params.require_centred("q-relaxed h_plus series")
     if K < 0:
         raise ValueError("K must be a nonnegative integer")
-    rho1, rho2 = wiener_hopf_roots(params, q)
-    aa = (params.eta - rho1) / (rho2 - rho1)
-    bb = (rho2 - params.eta) / (rho2 - rho1)
+    aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
     unit = aa / (params.eta + rho1) + bb / (params.eta + rho2)
     measures = _series_masses(params, interval, x, K)
     total = 0.0

@@ -79,7 +79,6 @@ class PathConfig:
     horizon: float
     seed: int
     n_paths: int
-    bridge_correction: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.horizon < math.inf:
@@ -96,11 +95,6 @@ class PathConfig:
             raise ValueError(f"n_paths must be >= 1 (got {self.n_paths})")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def require_bridge(self, what: str) -> None:
-        if not self.bridge_correction:
-            raise ValueError(f"{what} requires exact bridge killing; "
-                             "bridge_correction=False is supported by survival only")
 
 
 @dataclass(frozen=True)
@@ -417,19 +411,21 @@ class Trajectory:
 
 
 def simulate_path(model: ModelParams, interval: Interval, start: float,
-                  config: PathConfig, path_index: int = 0) -> Trajectory:
+                  config: PathConfig, path_index: int = 0, *,
+                  bridge: bool = True) -> Trajectory:
     """Record one path of the ``advance`` kernel on the observation grid.
 
     Each kernel call stops at the next jump or grid time, so every event is
     read back from a one-path block.  Deterministic in (config.seed,
     path_index, start): each path owns the stream keyed by (seed, path_index).
+    ``bridge=False`` kills only at segment endpoints inside the interval.
     """
     pb = PathBlock.start(model, interval, start, 1, block_stream(config.seed, path_index))
     times, values, jumps, crossings = [0.0], [float(start)], [False], []
     for grid_t in _observation_grid(config.dt, config.horizon):
         while pb.alive[0] and pb.t[0] < grid_t:
             jump_t, n_cross = pb.next_jump[0], pb.n_cross[0]
-            advance(pb, min(jump_t, grid_t), bridge=config.bridge_correction)
+            advance(pb, min(jump_t, grid_t), bridge=bridge)
             times.append(pb.t[0])
             values.append(pb.x[0])
             jumps.append(pb.next_jump[0] != jump_t)
@@ -538,9 +534,10 @@ def _side_split(interval: Interval, xs: np.ndarray, alive: np.ndarray) -> Surviv
 
 
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
-                      t: float, config: PathConfig) -> SurvivalEstimate:
-    """P(t < T), split by the side of the interval occupied at time t."""
-    return _side_split(interval, *terminal_sample(model, interval, start, t, config))
+                      t: float, config: PathConfig, *, bridge: bool = True) -> SurvivalEstimate:
+    """P(t < T), split by the side occupied at time t; ``bridge`` as in ``terminal_sample``."""
+    return _side_split(interval, *terminal_sample(model, interval, start, t, config,
+                                                  bridge=bridge))
 
 
 def _clock_block(pb, q):
@@ -552,7 +549,6 @@ def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
     interval.require_outside(start, "starting point")
-    config.require_bridge("estimate_clock_event")
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite (got {q})")
     parts = _map_blocks(_clock_block, model, interval, start, config, q)
@@ -573,6 +569,9 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 def ks_critical_value(m: int, alpha: float = 0.01) -> float:
     """Asymptotic one-sample critical value sqrt(-ln(alpha/2)/2)/sqrt(m)."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(m)
+
+
+MIN_LAW_SAMPLES = 500   # a law with fewer recorded crossings is ``insufficient``
 
 
 @dataclass(frozen=True)
@@ -609,8 +608,7 @@ def _crossing_block(pb, k, horizon):
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
-                           k: int, config: PathConfig,
-                           min_samples: int = 500) -> CrossingLawEstimate:
+                           k: int, config: PathConfig) -> CrossingLawEstimate:
     """Empirical laws of the crossing landing positions j = 1..k, against nu_j.
 
     One pass freezes each path at its k-th crossing and censors it at
@@ -624,7 +622,6 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     if k < 1:
         raise ValueError("k must be >= 1")
     interval.require_outside(start, "starting point")
-    config.require_bridge("empirical_crossing_law")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
     parts = _map_blocks(_crossing_block, model, interval, start, config, k, config.horizon)
     n = config.n_paths
@@ -639,7 +636,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
         ks_distance=tuple(ks_distance(pos, law.conditional_cdf) if pos.size else math.nan
                           for pos, law in zip(positions, laws)),
         ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
-        insufficient=tuple(m < min_samples for m in sizes),
+        insufficient=tuple(m < MIN_LAW_SAMPLES for m in sizes),
         censor_bias_bound=tuple(sum(p[2][j] for p in parts) / n for j in range(k)),
     )
 
@@ -756,9 +753,8 @@ def estimate_avoidance_many(model: ModelParams, interval: Interval, items,
     """
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
-    for start, config in items:
+    for start, _config in items:
         interval.require_outside(start, "starting point")
-        config.require_bridge("estimate_avoidance")
     g = adjustment_coefficient(model)
     exit_level = interval.b + math.log(1.0 / bound_target) / g
     horizons = [_avoidance_horizon(model, interval, start) for start, _config in items]
@@ -786,17 +782,17 @@ def _terminal_block(pb, times, bridge):
 
 
 def terminal_sample(model: ModelParams, interval: Interval, start: float,
-                    t: float, config: PathConfig) -> tuple[np.ndarray, np.ndarray]:
+                    t: float, config: PathConfig, *,
+                    bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Exact sample of (position, alive) at time t for killed paths.
 
-    With ``config.bridge_correction`` off, a path is killed only when a
-    segment endpoint (``config.dt`` grid point or jump time) lies inside the
-    interval: the grid-only validation mode.
+    With ``bridge=False``, a path is killed only when a segment endpoint
+    (``config.dt`` grid point or jump time) lies inside the interval: the
+    grid-only validation mode.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite (got {t})")
     interval.require_outside(start, "starting point")
-    bridge = config.bridge_correction
     times = [t] if bridge else _observation_grid(config.dt, t)
     return _concat_blocks(_map_blocks(_terminal_block, model, interval, start, config,
                                       times, bridge))

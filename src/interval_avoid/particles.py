@@ -8,11 +8,12 @@ The weight telescopes, so it is evaluated at the time it is needed and never
 carried from step to step: ``drift_probability`` weights one
 ``terminal_sample`` at the horizon, while ``propagate_ensemble`` and
 ``occupation_time`` advance every (seed, block) path block through the
-observation grid and weight it afresh at each grid time.  Nothing is
-resampled: every estimate is an average over independent killed paths, so
-its standard error is the iid one, and the effective sample size of an
-ensemble decays as its paths die.  All three are block-parallel, so their
-results are bit-identical for any worker count.
+observation grid and weight it afresh at each grid time; the former keeps
+no paths, only each block's weighted sums at the record times, added in
+block order.  Nothing is resampled: every estimate is an average over
+independent killed paths, so its standard error is the iid one, and the
+effective sample size of an ensemble decays as its paths die.  All three are
+block-parallel, so their results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .engine import (EstimatorResult, PathConfig, _map_blocks, _observation_grid
 from .model import Interval, ModelParams
 
 __all__ = [
-    "ParticleEnsemble",
+    "EnsembleSums",
     "EnsembleExtinctionError",
     "propagate_ensemble",
     "drift_probability",
@@ -70,32 +71,23 @@ class EnsembleExtinctionError(RuntimeError):
         self.n = n
 
 
-@dataclass
-class ParticleEnsemble:
-    """Snapshot of a weighted ensemble at one observation time."""
+@dataclass(frozen=True)
+class EnsembleSums:
+    """Weighted sums of an ensemble of ``n`` killed paths at each record time.
 
-    states: np.ndarray
-    weights: np.ndarray
-    alive: np.ndarray
-    time: float
-    transform: Transform
-    normalizer: float            # h(start)
+    Entry k of each array sums over all paths at ``times[k]``, with
+    w = 1{alive} h(xi_t) / h(start): ``weight`` is sum w, ``weight_sq`` sum
+    w^2, ``weight_above`` sum w 1{xi_t > b}, ``weight_sq_above``
+    sum w^2 1{xi_t > b} and ``weight_below`` sum w 1{xi_t < a}.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.states.size
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    @property
-    def ess(self) -> float:
-        return _ess(self.weights)
-
-    def weighted_fraction(self, mask: np.ndarray) -> float:
-        s = self.weights.sum()
-        return float((self.weights * mask).sum() / s) if s > 0.0 else math.nan
+    times: tuple[float, ...]
+    n: int
+    weight: np.ndarray
+    weight_sq: np.ndarray
+    weight_above: np.ndarray
+    weight_sq_above: np.ndarray
+    weight_below: np.ndarray
 
 
 def _weigher(model, interval, kind, start):
@@ -124,25 +116,30 @@ def _weighted_pass(pb, kind, start, times):
 
 
 def _ensemble_block(pb, kind, start, times, record):
-    snaps = [(pb.x.copy(), w, pb.alive.copy())
-             for t, w in _weighted_pass(pb, kind, start, times) if t in record]
-    return snaps, bool(pb.alive.any())
+    a, b = pb.interval.a, pb.interval.b
+    sums = []
+    for t, w in _weighted_pass(pb, kind, start, times):
+        if t in record:
+            up, ww = pb.x > b, w * w
+            sums.append((w.sum(), ww.sum(), (w * up).sum(), (ww * up).sum(),
+                         (w * (pb.x < a)).sum()))
+    return np.reshape(sums, (-1, 5)).T, bool(pb.alive.any())
 
 
 def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transform,
                        start: float, config: PathConfig, *,
-                       record_times: Optional[Sequence[float]] = None
-                       ) -> list[ParticleEnsemble]:
-    """Weighted ensemble snapshots at the record times (default: the horizon).
+                       record_times: Optional[Sequence[float]] = None) -> EnsembleSums:
+    """Weighted sums of the ensemble at the record times (default: the horizon).
 
     Each (seed, block) path block is advanced through the observation grid
-    merged with the record times and weighted at each record time by
-    w = 1{alive} h(xi_t) / h(start); nothing is resampled.  Raises
+    merged with the record times, weighted at each record time by
+    w = 1{alive} h(xi_t) / h(start) and reduced to its sums there; the
+    blocks' sums are added in block order, so memory grows with the number
+    of record times only.  Nothing is resampled.  Raises
     ``EnsembleExtinctionError`` when no path is alive at the end of the pass.
     """
     kind = _kind(transform)
     interval.require_outside(start, "starting point")
-    config.require_bridge("propagate_ensemble")
     record = sorted({float(t) for t in
                      (record_times if record_times is not None else [config.horizon])})
     if not all(0.0 <= t < math.inf for t in record):
@@ -152,14 +149,8 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
                         kind, start, times, record)
     if not any(alive for _, alive in parts):
         raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
-    normalizer = float(harmonics(model, interval).value(kind, start))
-    snapshots = []
-    for t in record:
-        # pop each block's arrays so only one copy of the snapshots is held
-        states, weights, alive = (np.concatenate(arrays) for arrays in
-                                  zip(*(snaps.pop(0) for snaps, _ in parts)))
-        snapshots.append(ParticleEnsemble(states, weights, alive, t, transform, normalizer))
-    return snapshots
+    sums = sum(block for block, _ in parts)
+    return EnsembleSums(tuple(record), config.n_paths, *sums)
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,6 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     so the result is bit-identical for any worker count.
     """
     kind = _kind(transform)
-    config.require_bridge("drift_probability")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1 (got {replicates})")
     per_rep = max(1, config.n_paths // replicates)
@@ -256,7 +246,6 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     """
     kind = _kind(transform)
     interval.require_outside(start, "starting point")
-    config.require_bridge("occupation_time")
     d, c = window
     if not (d < interval.a and c > interval.b):
         raise ValueError(f"window must satisfy d < a and c > b, got {window}")

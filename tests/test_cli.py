@@ -211,6 +211,18 @@ def test_condition_json(capsys, tmp_path):
     assert first == 2048 and last < first
 
 
+# sha256 of a --timeseries CSV, pinned so that a change to the ensemble's
+# sums or to the columns derived from them shows up
+def test_condition_timeseries_pinned(tmp_path, capsys):
+    ts = tmp_path / "ts.csv"
+    code, _, _ = run_cli(["condition", "--start", "1.5", "--horizon", "4", "--dt", "0.25",
+                          "--particles", "4096", "--seed", "7", "--timeseries", str(ts)],
+                         capsys)
+    assert code == 0
+    assert hashlib.sha256(ts.read_bytes()).hexdigest() == (
+        "a44844c2dc60c9b2b7e3bfab15f7767147f4e2c60e191283b5c07acf996e6256")
+
+
 def test_condition_timeseries_ends_at_horizon(tmp_path, capsys):
     # 0.7 / 0.1 = 6.999...: the rows still run to the horizon
     ts = tmp_path / "ts.csv"

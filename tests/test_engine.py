@@ -255,11 +255,10 @@ def test_simulate_path_matches_single_advance(interval, params, start, bridge):
     counts, hit times and terminal positions agree at level 0.001 (2000
     recorded paths against 4000 block paths on another stream)."""
     horizon, n = 3.0, 2000
-    cfg = PathConfig(dt=horizon, horizon=horizon, seed=17, n_paths=1,
-                     bridge_correction=bridge)
+    cfg = PathConfig(dt=horizon, horizon=horizon, seed=17, n_paths=1)
     hit, n_cross, hit_t, end_x = [], [], [], []
     for pid in range(n):
-        tr = simulate_path(params, interval, start, cfg, path_index=pid)
+        tr = simulate_path(params, interval, start, cfg, path_index=pid, bridge=bridge)
         assert np.all(np.diff(tr.times) > 0) and len(tr.times) == len(tr.values)
         if tr.hit:
             assert tr.hit_time == tr.times[-1] <= horizon
@@ -339,36 +338,21 @@ def test_no_bridge_survival_decreases_with_dt(model, interval):
     exact = estimate_survival(model, interval, 1.3, 0.5, exact_cfg)
     means = []
     for i, dt in enumerate((0.2, 0.1, 0.05, 0.025)):
-        cfg = PathConfig(dt=dt, horizon=1.0, seed=22 + i, n_paths=150_000,
-                         bridge_correction=False)
-        means.append(estimate_survival(model, interval, 1.3, 0.5, cfg).total.mean)
+        cfg = PathConfig(dt=dt, horizon=1.0, seed=22 + i, n_paths=150_000)
+        means.append(estimate_survival(model, interval, 1.3, 0.5, cfg,
+                                       bridge=False).total.mean)
     se = exact.total.stderr
     assert all(m1 > m2 - 3 * se for m1, m2 in zip(means, means[1:]))
     assert means[0] > means[-1] > exact.total.mean - 3 * se
     assert all(m > exact.total.mean - 3 * se for m in means)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda m, iv, cfg: estimate_clock_event(m, iv, 2.0, 1.0, cfg),
-    lambda m, iv, cfg: empirical_crossing_law(m, iv, 2.0, 1, cfg),
-    lambda m, iv, cfg: estimate_avoidance(ModelParams(drift=0.5), iv, 2.0, cfg),
-    lambda m, iv, cfg: propagate_ensemble(m, iv, "updown", 2.0, cfg),
-    lambda m, iv, cfg: drift_probability(m, iv, 2.0, 1.0, cfg),
-    lambda m, iv, cfg: occupation_time(m, iv, 2.0, (-1.0, 2.0), (1.0,), cfg),
-], ids=["clock", "crossing", "avoidance", "propagate", "drift", "occupation"])
-def test_grid_only_mode_is_survival_only(model, interval, estimate):
-    cfg = PathConfig(dt=0.1, horizon=1.0, seed=3, n_paths=64, bridge_correction=False)
-    with pytest.raises(ValueError, match="survival only"):
-        estimate(model, interval, cfg)
-
-
 def test_no_bridge_terminal_sample_kills_on_grid_only(model, interval):
     """Grid-only paths die only at segment endpoints inside [a, b], so more
     of them survive than exact paths do."""
-    exact = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000)
-    grid = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000, bridge_correction=False)
-    _, alive_exact = terminal_sample(model, interval, 1.3, 1.0, exact)
-    xs, alive_grid = terminal_sample(model, interval, 1.3, 1.0, grid)
+    cfg = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000)
+    _, alive_exact = terminal_sample(model, interval, 1.3, 1.0, cfg)
+    xs, alive_grid = terminal_sample(model, interval, 1.3, 1.0, cfg, bridge=False)
     assert alive_grid.sum() > alive_exact.sum()
     assert not interval.contains(xs[alive_grid]).any()
 
@@ -485,8 +469,8 @@ def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
         surv = estimate_survival(model, interval, 2.0, 0.5, cfg)
         # 8 batches of 8750 paths straddle the 8192-path blocks
         dp = drift_probability(model, interval, 2.0, 5.0, cfg)
-        snaps = propagate_ensemble(model, interval, "updown", 2.0, cfg,
-                                   record_times=[0.55, 1.0])
+        ens = propagate_ensemble(model, interval, "updown", 2.0, cfg,
+                                 record_times=[0.55, 1.0])
         occ = occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0), cfg)
         # 20 000 paths: blocks of 8192, 8192 and 3616
         law = empirical_crossing_law(model, interval, -1.0, 3,
@@ -500,9 +484,9 @@ def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
                                     dp.per_replicate.tobytes()), occ.tobytes(), (
             law.n_paths, law.censored_fraction, law.mass, law.ks_distance,
             law.ks_critical, law.insufficient, law.censor_bias_bound,
-            [p.tobytes() for p in law.positions]), [
-            (s.time, s.states.tobytes(), s.weights.tobytes(), s.alive.tobytes())
-            for s in snaps]
+            [p.tobytes() for p in law.positions]), (ens.times, ens.n, [
+                a.tobytes() for a in (ens.weight, ens.weight_sq, ens.weight_above,
+                                      ens.weight_sq_above, ens.weight_below)])
 
     monkeypatch.delenv("INTERVAL_AVOID_THREADS", raising=False)
     base = estimates()

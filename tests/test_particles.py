@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from interval_avoid import (EnsembleExtinctionError, PathConfig,
                             drift_probability, harmonicity_residual, harmonics,
                             occupation_time, propagate_ensemble)
-from interval_avoid._rng import block_stream
+from interval_avoid._rng import BLOCK_SIZE, block_stream, iter_blocks
 from interval_avoid.engine import PathBlock, _observation_grid, advance
 
 
@@ -15,36 +16,79 @@ def cfg(seed, n, horizon, dt=0.1):
     return PathConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n)
 
 
+def sum_arrays(ens):
+    return np.stack([ens.weight, ens.weight_sq, ens.weight_above, ens.weight_sq_above,
+                     ens.weight_below])
+
+
+def own_block_sums(model, interval, h_of, start, config, record):
+    """Each block's five sums at the record times, taken over its own arrays
+    of positions and weights 1{alive} h(x) / h(start)."""
+    times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
+    blocks = []
+    for bi, _offset, count in iter_blocks(config.n_paths):
+        pb = PathBlock.start(model, interval, start, count, block_stream(config.seed, bi))
+        rows = []
+        for t in times:
+            advance(pb, t)
+            if t in record:
+                w = np.zeros(count)
+                w[pb.alive] = h_of(pb.x[pb.alive]) / float(h_of(start))
+                up, down = pb.x > interval.b, pb.x < interval.a
+                rows.append([w.sum(), (w**2).sum(), w[up].sum(), (w[up]**2).sum(),
+                             w[down].sum()])
+        blocks.append(np.array(rows).T)
+    return blocks
+
+
 def test_initial_ensemble(model, interval):
-    snaps = propagate_ensemble(model, interval, "updown", 2.0,
-                               cfg(1, 256, 1.0), record_times=[0.0, 1.0])
-    first = snaps[0]
-    assert first.time == 0.0
-    assert np.all(first.weights == 1.0)
-    assert first.ess == 256.0
-    assert first.normalizer == pytest.approx(float(harmonics(model, interval).combined(2.0)))
-    assert [s.time for s in snaps] == [0.0, 1.0]
+    ens = propagate_ensemble(model, interval, "updown", 2.0,
+                             cfg(1, 256, 1.0), record_times=[0.0, 1.0])
+    assert ens.times == (0.0, 1.0) and ens.n == 256
+    # every weight is 1 at the start, above the interval
+    assert list(sum_arrays(ens)[:, 0]) == [256.0, 256.0, 256.0, 256.0, 0.0]
 
 
 def test_mean_weight_is_martingale(model, interval):
-    snaps = propagate_ensemble(model, interval, "updown", 2.0,
-                               cfg(2, 60_000, 2.0), record_times=[2.0])
-    last = snaps[-1]
-    mean = last.weights.mean()
-    se = last.weights.std(ddof=1) / math.sqrt(last.n)
+    ens = propagate_ensemble(model, interval, "updown", 2.0,
+                             cfg(2, 60_000, 2.0), record_times=[2.0])
+    n = ens.n
+    mean = ens.weight[-1] / n
+    se = math.sqrt((ens.weight_sq[-1] - n * mean * mean) / (n - 1) / n)
     assert mean == pytest.approx(1.0, abs=3 * se)
 
 
 def test_weights_match_harmonic_ratio(model, interval):
-    snaps = propagate_ensemble(model, interval, "plus", 2.0,
-                               cfg(3, 4096, 1.0), record_times=[1.0])
-    last = snaps[-1]
-    h = harmonics(model, interval)
-    alive = last.alive
-    expect = np.zeros(last.n)
-    expect[alive] = h.plus(last.states[alive]) / float(h.plus(2.0))
-    assert np.allclose(last.weights, expect, rtol=1e-10)
-    assert np.all(last.weights[~alive] == 0.0)
+    config = cfg(3, 4096, 1.0)
+    ens = propagate_ensemble(model, interval, "plus", 2.0, config, record_times=[1.0])
+    (expect,) = own_block_sums(model, interval, harmonics(model, interval).plus, 2.0,
+                               config, [1.0])
+    assert np.allclose(sum_arrays(ens), expect, rtol=1e-10)
+
+
+def test_block_sums_merge_in_block_order(model, interval):
+    # 20 000 paths: blocks of 8192, 8192 and 3616
+    config, record = cfg(22, 20_000, 2.0), [0.0, 0.55, 2.0]
+    ens = propagate_ensemble(model, interval, "updown", 2.0, config, record_times=record)
+    blocks = own_block_sums(model, interval, harmonics(model, interval).combined, 2.0,
+                            config, record)
+    assert len(blocks) == 3
+    assert np.allclose(sum_arrays(ens), sum(blocks), rtol=1e-12, atol=0.0)
+
+
+def test_ensemble_memory_is_per_time(model, interval):
+    # one block over the 1201 record times of horizon 120: snapshots of
+    # states, weights and alive flags would take 160 MiB, the sums 48 kB
+    times = [0.0] + _observation_grid(0.1, 120.0)
+    tracemalloc.start()
+    try:
+        ens = propagate_ensemble(model, interval, "updown", 2.0,
+                                 cfg(7, BLOCK_SIZE, 120.0), record_times=times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ens.times) == 1201
+    assert peak < 16 * 2**20
 
 
 def test_harmonicity_residual_all_kinds(model, interval):
@@ -91,32 +135,29 @@ def test_drift_probability_midpoint_symmetry(model, interval):
 def test_grid_pass_matches_terminal_weights(model, interval):
     # the weight telescopes: stepping through the dt grid and sampling the
     # horizon in one exact step estimate the same weighted up-fraction
-    last = propagate_ensemble(model, interval, "updown", 2.0, cfg(8, 32_768, 15.0))[-1]
-    w, up = last.weights, last.states > interval.b
-    grid = last.weighted_fraction(up)
-    grid_se = math.sqrt(np.sum(w * w * (up - grid) ** 2)) / w.sum()
+    ens = propagate_ensemble(model, interval, "updown", 2.0, cfg(8, 32_768, 15.0))
+    w, w2, w2_up = ens.weight[-1], ens.weight_sq[-1], ens.weight_sq_above[-1]
+    grid = ens.weight_above[-1] / w
+    # sum w^2 (1{x > b} - grid)^2, split into the paths above b and the rest
+    grid_se = math.sqrt((1.0 - grid) ** 2 * w2_up + grid**2 * (w2 - w2_up)) / w
     dp = drift_probability(model, interval, 2.0, 15.0, cfg(20, 16_384, 15.0),
                            transform="updown", replicates=4)
     assert grid == pytest.approx(dp.p_up.mean, abs=3 * math.hypot(grid_se, dp.p_up.stderr))
 
 
-# sha256 of the snapshot states and alive flags, pinned so that a kernel or
-# grid-pass change that moves any draw shows up
+# sha256 of the weighted sums, pinned so that a kernel or grid-pass change
+# that moves any draw shows up
 def test_grid_pass_pinned(model, interval):
-    snaps = propagate_ensemble(model, interval, "updown", 2.0, cfg(21, 8192, 5.0),
-                               record_times=[0.0, 1.25, 2.55, 5.0])
-    digest = hashlib.sha256()
-    for s in snaps:
-        digest.update(s.states.tobytes())
-        digest.update(s.alive.tobytes())
-    assert digest.hexdigest() == (
-        "fb404ecd426e0f6310feb0d8ace85124f7e836f425879671028e25ea6cf9b62c")
+    ens = propagate_ensemble(model, interval, "updown", 2.0, cfg(21, 8192, 5.0),
+                             record_times=[0.0, 1.25, 2.55, 5.0])
+    assert hashlib.sha256(sum_arrays(ens).tobytes()).hexdigest() == (
+        "173878b5cc7c7e4a478cebb9f56b9c7d41a174ad808ae0c952bd4974cc73b528")
 
 
 def test_plus_transform_suppresses_downside(model, interval):
-    snaps = propagate_ensemble(model, interval, "plus", 2.0,
-                               cfg(10, 8192, 10.0), record_times=[2.0, 10.0])
-    frac_below = [s.weighted_fraction(s.states < interval.a) for s in snaps]
+    ens = propagate_ensemble(model, interval, "plus", 2.0,
+                             cfg(10, 8192, 10.0), record_times=[2.0, 10.0])
+    frac_below = ens.weight_below / ens.weight
     assert frac_below[-1] <= frac_below[0] + 0.01
     assert frac_below[-1] < 0.02
 
