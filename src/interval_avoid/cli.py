@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .engine import (PathConfig, _observation_grid, estimate_avoidance,
                      estimate_clock_event, estimate_survival, simulate_path)
-from .model import Interval, ModelParams
+from .model import Interval, ModelParams, require_number
 from .particles import EnsembleExtinctionError, drift_probability, propagate_ensemble
 from .suites import SUITES, dumps_17g, emit_table, run_suite
 
@@ -42,8 +42,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"grid must be min:max:step, got {text!r}")
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigError(f"grid bounds and step must be finite, got {text!r}")
+    for v in (lo, hi, step):
+        require_number(v, "grid bounds and step")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}")
     n = int(round((hi - lo) / step))
@@ -164,8 +164,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_condition(args) -> int:
     model, interval = _model_interval(args)
-    if not 0.0 < args.dt < math.inf:
-        raise ConfigError(f"dt must be positive and finite (got {args.dt})")
+    require_number(args.dt, "dt", low=0.0, strict=True)
     # p_up comes from the exact terminal sample, which has no grid: --dt only
     # spaces the --timeseries rows
     config = PathConfig(dt=args.horizon, horizon=args.horizon, seed=args.seed,

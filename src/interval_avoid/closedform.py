@@ -30,7 +30,8 @@ from typing import Literal
 
 import numpy as np
 
-from .model import Interval, ModelParams, _potential_q_coeffs, potential, potential_q
+from .model import (Interval, ModelParams, _potential_q_coeffs, potential, potential_q,
+                    require_number)
 
 __all__ = [
     "OvershootLaw",
@@ -124,6 +125,7 @@ def overshoot_law(params: ModelParams, interval: Interval, start: float,
                   direction: Direction) -> OvershootLaw:
     """First-passage law over a (upwards from start < a) or b (downwards)."""
     params.require_centred("overshoot law")
+    interval.require_outside(start, "starting point")
     if direction == "up":
         if not start < interval.a:
             raise ValueError(f"upward passage requires start < a (got {start} >= {interval.a})")
@@ -208,8 +210,7 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
     Exp(eta) by memorylessness.
     """
     params.require_centred("crossing measures")
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    require_number(k, "k", integer=True, low=0)
     interval.require_outside(start, "starting point")
     starts_below = start < interval.a
     if k == 0:
@@ -323,8 +324,7 @@ def harmonic_plus_partial_sum(params: ModelParams, interval: Interval, x: float,
     k = 0 term for x > b is the point-mass evaluation U(x-b).
     """
     params.require_centred("h_plus series")
-    if K < 0:
-        raise ValueError("K must be a nonnegative integer")
+    require_number(K, "K", integer=True, low=0)
     measures = _series_masses(params, interval, x, K)
     unit = 2.0 / (params.beta + params.eta)   # integral of U against Exp(eta)
     total = 0.0
@@ -344,11 +344,9 @@ def harmonic_plus_q_partial_sum(params: ModelParams, interval: Interval, x: floa
     A/(eta+rho1) + B/(eta+rho2); monotone decreasing in q and bounded above
     by the plain partial sum at equal K.
     """
-    if not q > 0.0:
-        raise ValueError(f"q must be positive (got {q})")
+    require_number(q, "q", low=0.0, strict=True)
     params.require_centred("q-relaxed h_plus series")
-    if K < 0:
-        raise ValueError("K must be a nonnegative integer")
+    require_number(K, "K", integer=True, low=0)
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
     unit = aa / (params.eta + rho1) + bb / (params.eta + rho2)
     measures = _series_masses(params, interval, x, K)

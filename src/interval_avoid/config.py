@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .model import Interval, ModelParams
+from .model import Interval, ModelParams, require_number
 
 __all__ = ["SuiteConfig", "ConfigError", "load_config", "parse_config", "DEFAULTS"]
 
@@ -51,51 +51,45 @@ class SuiteConfig:
         return float(self.tolerances.get(name, default))
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+def _reject_unknown(block, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in ("paths", "particles", "seed"):
-        if isinstance(doc.get(key), bool):      # bool is an int subclass
-            raise ConfigError(f"{key} must be an integer, not a boolean")
-
-    model_block = {**DEFAULTS["model"], **doc.get("model", {})}
     _reject_unknown(doc.get("model", {}), _MODEL_KEYS, "model block")
-    interval_block = {**DEFAULTS["interval"], **doc.get("interval", {})}
     _reject_unknown(doc.get("interval", {}), _INTERVAL_KEYS, "interval block")
-
+    model_block = {**DEFAULTS["model"], **doc.get("model", {})}
+    interval_block = {**DEFAULTS["interval"], **doc.get("interval", {})}
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
-    for key, value in tolerances.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance {key!r} must be a positive number")
+    paths = doc.get("paths", DEFAULTS["paths"])
+    particles = doc.get("particles", DEFAULTS["particles"])
+    seed = doc.get("seed", DEFAULTS["seed"])
 
     try:
+        # the raw JSON values, before float() could accept a string or a boolean
+        for where, block in (("model", model_block), ("interval", interval_block)):
+            for key, value in block.items():
+                require_number(value, f"{where} {key}")
         model = ModelParams(sigma=float(model_block["sigma"]),
                             lam=float(model_block["lambda"]),
                             eta=float(model_block["eta"]),
                             drift=float(model_block["drift"]))
         interval = Interval(a=float(interval_block["a"]), b=float(interval_block["b"]))
+        for key, value in tolerances.items():
+            require_number(value, f"tolerance {key!r}", low=0.0, strict=True)
+        if paths is not None:
+            require_number(paths, "paths", integer=True, low=1)
+        require_number(particles, "particles", integer=True, low=1)
+        require_number(seed, "seed", integer=True, low=0, high=2**64)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    paths = doc.get("paths", DEFAULTS["paths"])
-    if paths is not None and (not isinstance(paths, int) or paths < 1):
-        raise ConfigError("paths must be a positive integer")
-    particles = doc.get("particles", DEFAULTS["particles"])
-    if not isinstance(particles, int) or particles < 1:
-        raise ConfigError("particles must be a positive integer")
-
-    seed = doc.get("seed", DEFAULTS["seed"])
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an integer in [0, 2**64)")
     output_path = doc.get("output_path", DEFAULTS["output_path"])
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path must be a string or null")

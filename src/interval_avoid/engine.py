@@ -37,7 +37,6 @@ order in which one block's draws are consumed does depend on K.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -46,7 +45,7 @@ import numpy as np
 
 from ._rng import BLOCK_SIZE, block_stream, iter_blocks, worker_count
 from .closedform import gamma_bound, nu
-from .model import Interval, ModelParams
+from .model import Interval, ModelParams, require_number
 
 __all__ = [
     "PathConfig",
@@ -81,20 +80,12 @@ class PathConfig:
     n_paths: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite (got {self.horizon})")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite (got {self.dt})")
+        require_number(self.horizon, "horizon", low=0.0, strict=True)
+        require_number(self.dt, "dt", low=0.0, strict=True)
         if self.dt > self.horizon:
             raise ValueError(f"dt = {self.dt} exceeds horizon = {self.horizon}")
-        for name in ("seed", "n_paths"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer (got {value!r})")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1 (got {self.n_paths})")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        require_number(self.seed, "seed", integer=True, low=0, high=2**64)
+        require_number(self.n_paths, "n_paths", integer=True, low=1)
 
 
 @dataclass(frozen=True)
@@ -183,8 +174,6 @@ class PathBlock:
     t: np.ndarray
     alive: np.ndarray
     frozen: np.ndarray           # stopped early (crossing cap or avoidance exit)
-    hit_time: np.ndarray
-    hit_value: np.ndarray
     next_jump: np.ndarray
     n_cross: np.ndarray
     k_dagger: np.ndarray         # crossing index at a jump-landing hit, else -1
@@ -202,8 +191,6 @@ class PathBlock:
             t=np.zeros(n),
             alive=np.ones(n, dtype=bool),
             frozen=np.zeros(n, dtype=bool),
-            hit_time=np.full(n, np.nan),
-            hit_value=np.full(n, np.nan),
             next_jump=rng.exponential(1.0 / model.lam, n),
             n_cross=np.zeros(n, dtype=np.int64),
             k_dagger=np.full(n, -1, dtype=np.int64),
@@ -366,8 +353,6 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
             x_c[di] = hv
             gone = idx[di]
             pb.alive[gone] = False
-            pb.hit_time[gone] = t_c[di]
-            pb.hit_value[gone] = hv
             pb.k_dagger[gone[~bridge_hit]] = n_c[di[~bridge_hit]]
         pb.x[idx] = x_c
 
@@ -397,15 +382,14 @@ class Trajectory:
     """One recorded path: grid and jump times, values, crossings, hit data.
 
     ``values`` holds right limits (post-jump at jump marks); a hit ends the
-    path with its hit value.  ``k_dagger`` is set only when the hit happens
-    at a jump crossing the interval.
+    path at its hit time ``times[-1]`` with its hit value.  ``k_dagger`` is
+    set only when the hit happens at a jump crossing the interval.
     """
 
     times: np.ndarray
     values: np.ndarray
     is_jump: np.ndarray
     hit: bool
-    hit_time: Optional[float]
     crossings: list
     k_dagger: Optional[int]
 
@@ -431,13 +415,11 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
             jumps.append(pb.next_jump[0] != jump_t)
             if pb.n_cross[0] > n_cross:
                 crossings.append((pb.t[0], pb.x[0]))
-    hit = not pb.alive[0]
     return Trajectory(
         times=np.asarray(times),
         values=np.asarray(values),
         is_jump=np.asarray(jumps, dtype=bool),
-        hit=hit,
-        hit_time=float(pb.hit_time[0]) if hit else None,
+        hit=not pb.alive[0],
         crossings=crossings,
         k_dagger=int(pb.k_dagger[0]) if pb.k_dagger[0] >= 0 else None,
     )
@@ -549,8 +531,7 @@ def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
     interval.require_outside(start, "starting point")
-    if not 0.0 < q < math.inf:
-        raise ValueError(f"q must be positive and finite (got {q})")
+    require_number(q, "q", low=0.0, strict=True)
     parts = _map_blocks(_clock_block, model, interval, start, config, q)
     return _side_split(interval, *_concat_blocks(parts))
 
@@ -619,8 +600,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     frozen at crossing k, or already past crossing j, adds nothing.  The
     conditional shape past the far boundary is unaffected by censoring.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
     parts = _map_blocks(_crossing_block, model, interval, start, config, k, config.horizon)
@@ -790,8 +770,7 @@ def terminal_sample(model: ModelParams, interval: Interval, start: float,
     (``config.dt`` grid point or jump time) lies inside the interval: the
     grid-only validation mode.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite (got {t})")
+    require_number(t, "t", low=0.0)
     interval.require_outside(start, "starting point")
     times = [t] if bridge else _observation_grid(config.dt, t)
     return _concat_blocks(_map_blocks(_terminal_block, model, interval, start, config,

@@ -24,11 +24,13 @@ available in closed form:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "require_number",
     "ModelParams",
     "Interval",
     "laplace_exponent",
@@ -39,6 +41,26 @@ __all__ = [
     "potential_q",
     "potential_q_total",
 ]
+
+
+def require_number(value, what: str, *, integer: bool = False, low: float = -math.inf,
+                   strict: bool = False, high: float = math.inf) -> None:
+    """The one rule for a scalar input: a real number (an integer if
+    ``integer``), not a boolean, finite, with low <= value < high (low < value
+    if ``strict``).  Anything else is a ValueError naming ``what``."""
+    try:
+        if (isinstance(value, numbers.Integral if integer else numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value)
+                and (low < value if strict else low <= value) and value < high):
+            return
+    except OverflowError:       # an int beyond the float range
+        pass
+    rule = "an integer" if integer else "finite"
+    if low == 0.0 and high == math.inf and not integer:
+        rule = ("positive" if strict else "nonnegative") + " and finite"
+    elif low > -math.inf or high < math.inf:
+        rule += f" in {'(' if strict else '['}{low}, {high})"
+    raise ValueError(f"{what} must be {rule} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -57,15 +79,9 @@ class ModelParams:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.sigma, self.lam, self.eta, self.drift)):
-            raise ValueError(f"model parameters must be finite (got {self})")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive (got {self.sigma}); "
-                             "a Brownian component is required")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive (got {self.lam})")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive (got {self.eta})")
+        for name in ("sigma", "lam", "eta"):
+            require_number(getattr(self, name), name, low=0.0, strict=True)
+        require_number(self.drift, "drift")
 
     @property
     def beta(self) -> float:
@@ -90,8 +106,8 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval ends must be finite (got a={self.a}, b={self.b})")
+        require_number(self.a, "interval end a")
+        require_number(self.b, "interval end b")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b (got a={self.a}, b={self.b})")
 
@@ -109,6 +125,8 @@ class Interval:
         return (x >= self.a) & (x <= self.b)
 
     def require_outside(self, x, what: str = "evaluation point") -> None:
+        if np.asarray(x).dtype.kind not in "iuf":
+            raise ValueError(f"{what} must be a real number (got {x!r})")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"{what} must be finite")
         if np.any(self.contains(x)):
@@ -149,8 +167,7 @@ def wiener_hopf_roots(params: ModelParams, q: float) -> tuple[float, float]:
     root, so rho1 stays accurate as q -> 0.
     """
     params.require_centred("Wiener-Hopf roots")
-    if q < 0.0:
-        raise ValueError(f"q must be nonnegative (got {q})")
+    require_number(q, "q", low=0.0)
     beta2 = params.beta**2
     if q == 0.0:
         return 0.0, params.beta
@@ -192,8 +209,7 @@ def potential_q(params: ModelParams, x, q: float):
     Cumulative of the density A e^{-rho1 x} + B e^{-rho2 x}; increases to
     1/kappa(q) and grows to U(x) pointwise as q -> 0.
     """
-    if not q > 0.0:
-        raise ValueError(f"q must be positive (got {q})")
+    require_number(q, "q", low=0.0, strict=True)
     params.require_centred("q-potential")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
@@ -204,6 +220,7 @@ def potential_q(params: ModelParams, x, q: float):
 
 
 def potential_q_total(params: ModelParams, q: float) -> float:
-    """Total mass U_q(infinity) = A/rho1 + B/rho2 = 1/kappa(q)."""
+    """Total mass U_q(infinity) = A/rho1 + B/rho2 = 1/kappa(q), q > 0."""
+    require_number(q, "q", low=0.0, strict=True)
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
     return aa / rho1 + bb / rho2

@@ -27,7 +27,7 @@ import numpy as np
 from .closedform import harmonics
 from .engine import (EstimatorResult, PathConfig, _map_blocks, _observation_grid, advance,
                      terminal_sample)
-from .model import Interval, ModelParams
+from .model import Interval, ModelParams, require_number
 
 __all__ = [
     "EnsembleSums",
@@ -140,10 +140,11 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     """
     kind = _kind(transform)
     interval.require_outside(start, "starting point")
-    record = sorted({float(t) for t in
-                     (record_times if record_times is not None else [config.horizon])})
-    if not all(0.0 <= t < math.inf for t in record):
-        raise ValueError(f"record times must be nonnegative and finite (got {record})")
+    if record_times is None:
+        record_times = [config.horizon]
+    for t in record_times:
+        require_number(t, "record times", low=0.0)
+    record = sorted({float(t) for t in record_times})
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
     parts = _map_blocks(_ensemble_block, model, interval, start, config,
                         kind, start, times, record)
@@ -189,8 +190,7 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     so the result is bit-identical for any worker count.
     """
     kind = _kind(transform)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1 (got {replicates})")
+    require_number(replicates, "replicates", integer=True, low=1)
     per_rep = max(1, config.n_paths // replicates)
     cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
                      n_paths=replicates * per_rep)
@@ -249,9 +249,11 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     d, c = window
     if not (d < interval.a and c > interval.b):
         raise ValueError(f"window must satisfy d < a and c > b, got {window}")
+    for hz in horizons:
+        require_number(hz, "horizons", low=0.0, strict=True)
     horizons = tuple(float(hz) for hz in horizons)
-    if not horizons or not all(0.0 < hz < math.inf for hz in horizons):
-        raise ValueError(f"horizons must be positive and finite (got {horizons})")
+    if not horizons:
+        raise ValueError("horizons must not be empty")
     times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
     parts = _map_blocks(_occupation_block, model, interval, start, config,
                         kind, start, window, horizons, times)
@@ -265,6 +267,7 @@ def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
     Plain Monte Carlo on exact terminal samples; zero in expectation for a
     harmonic h.
     """
+    require_number(t, "t", low=0.0)
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
     weigh = _weigher(model, interval, kind, start)

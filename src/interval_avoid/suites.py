@@ -30,7 +30,8 @@ from . import engine as eng
 from . import particles as pt
 from .config import SuiteConfig
 from .model import (Interval, ModelParams, kappa, ladder_exponent, laplace_exponent,
-                    potential, potential_q, potential_q_total, wiener_hopf_roots)
+                    potential, potential_q, potential_q_total, require_number,
+                    wiener_hopf_roots)
 
 __all__ = ["Check", "SuiteReport", "run_suite", "emit_table", "SUITES",
            "REFERENCE", "dumps_17g", "derive_seed"]
@@ -608,8 +609,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def emit_table(kind: str, grid: Iterable[float], output_path: str,
                model: ModelParams, interval: Interval, k_max: int = 4) -> None:
     """Write a CSV of closed-form values over a grid, 17 significant digits."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1 (got {k_max})")
+    require_number(k_max, "k_max", integer=True, low=1)
     rows: list[list] = []
     if kind == "harmonics":
         h = cf.harmonics(model, interval)

@@ -48,8 +48,8 @@ def sample_case(i: int, seed: int, n: int) -> dict:
     hit = ~pb.alive
     out = {
         "params": np.array([sigma, lam, eta, drift, start, HORIZON]),
-        "hit_time": np.sort(pb.hit_time[hit]),
-        "hit_value": np.sort(pb.hit_value[hit]),
+        "hit_time": np.sort(pb.t[hit]),
+        "hit_value": np.sort(pb.x[hit]),
         "n_cross": pb.n_cross.astype(np.int16),
         "k_dagger": pb.k_dagger.astype(np.int16),
     }

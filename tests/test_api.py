@@ -3,11 +3,21 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
+import os
 from pathlib import Path
 
 import pytest
 
 import interval_avoid
+from interval_avoid import (Interval, ModelParams, PathConfig, empirical_crossing_law,
+                            estimate_clock_event, estimate_survival, nu, potential_q,
+                            potential_q_total, terminal_sample, wiener_hopf_roots)
+from interval_avoid.closedform import (harmonic_plus_partial_sum,
+                                       harmonic_plus_q_partial_sum, overshoot_law)
+from interval_avoid.particles import (drift_probability, harmonicity_residual, occupation_time,
+                                      propagate_ensemble)
+from interval_avoid.suites import emit_table
 
 MODULES = ("model", "closedform", "engine", "particles", "suites", "config")
 
@@ -63,3 +73,68 @@ def test_benchmark_reads_these_fields():
     fields = {f.name for f in dataclasses.fields(DriftProbability)}
     assert {"ess_min", "resamples"} <= fields
     assert "max_crossings" in inspect.signature(PathBlock.start).parameters
+
+
+_M, _IV = ModelParams(), Interval(0.0, 1.0)
+_CFG = PathConfig(dt=0.1, horizon=1.0, seed=3, n_paths=16)
+
+# (name, call with the value under test, an out-of-range value, integer-valued)
+SCALARS = [
+    ("ModelParams.sigma", lambda v: ModelParams(sigma=v), 0.0, False),
+    ("ModelParams.lam", lambda v: ModelParams(lam=v), -1.0, False),
+    ("ModelParams.eta", lambda v: ModelParams(eta=v), 0.0, False),
+    ("ModelParams.drift", lambda v: ModelParams(drift=v), None, False),
+    ("Interval.a", lambda v: Interval(v, 2.0), None, False),
+    ("Interval.b", lambda v: Interval(-2.0, v), None, False),
+    ("wiener_hopf_roots.q", lambda v: wiener_hopf_roots(_M, v), -1.0, False),
+    ("potential_q.q", lambda v: potential_q(_M, 1.0, v), 0.0, False),
+    ("potential_q_total.q", lambda v: potential_q_total(_M, v), 0.0, False),
+    ("PathConfig.horizon", lambda v: PathConfig(dt=0.1, horizon=v, seed=1, n_paths=8),
+     0.0, False),
+    ("PathConfig.dt", lambda v: PathConfig(dt=v, horizon=1.0, seed=1, n_paths=8), 0.0, False),
+    ("PathConfig.seed", lambda v: PathConfig(dt=0.1, horizon=1.0, seed=v, n_paths=8),
+     2**64, True),
+    ("PathConfig.n_paths", lambda v: PathConfig(dt=0.1, horizon=1.0, seed=1, n_paths=v),
+     0, True),
+    ("estimate_clock_event.q", lambda v: estimate_clock_event(_M, _IV, 2.0, v, _CFG),
+     0.0, False),
+    ("empirical_crossing_law.k", lambda v: empirical_crossing_law(_M, _IV, 2.0, v, _CFG),
+     0, True),
+    ("terminal_sample.t", lambda v: terminal_sample(_M, _IV, 2.0, v, _CFG), -1.0, False),
+    ("harmonicity_residual.t",
+     lambda v: harmonicity_residual(_M, _IV, "combined", 2.0, v, _CFG), -1.0, False),
+    ("estimate_survival.start", lambda v: estimate_survival(_M, _IV, v, 1.0, _CFG),
+     0.5, False),
+    ("propagate_ensemble.record_times",
+     lambda v: propagate_ensemble(_M, _IV, "plus", 2.0, _CFG, record_times=[1.0, v]),
+     -1.0, False),
+    ("occupation_time.horizons",
+     lambda v: occupation_time(_M, _IV, 2.0, (-2.0, 3.0), [1.0, v], _CFG), 0.0, False),
+    ("drift_probability.replicates",
+     lambda v: drift_probability(_M, _IV, 2.0, 1.0, _CFG, replicates=v), 0, True),
+    ("nu.k", lambda v: nu(_M, _IV, 2.0, v), -1, True),
+    ("overshoot_law.start", lambda v: overshoot_law(_M, Interval(5.0, 6.0), v, "up"),
+     -math.inf, False),
+    ("harmonic_plus_partial_sum.K", lambda v: harmonic_plus_partial_sum(_M, _IV, 2.0, v),
+     -1, True),
+    ("harmonic_plus_q_partial_sum.q",
+     lambda v: harmonic_plus_q_partial_sum(_M, _IV, 2.0, v, 2), 0.0, False),
+    ("harmonic_plus_q_partial_sum.K",
+     lambda v: harmonic_plus_q_partial_sum(_M, _IV, 2.0, 0.5, v), -1, True),
+    ("emit_table.k_max",
+     lambda v: emit_table("nu_masses", [2.0], os.devnull, _M, _IV, k_max=v), 0, True),
+]
+
+
+@pytest.mark.parametrize("call,value", [
+    pytest.param(call, value, id=f"{name}={value!r}")
+    for name, call, out_of_range, integer in SCALARS
+    for value in [True, False, "1", None, math.nan, math.inf]
+    + ([] if out_of_range is None else [out_of_range]) + ([1.5] if integer else [])
+])
+def test_library_scalars_reject_invalid_values(call, value):
+    """Every library scalar follows the one rule: a boolean, a string, None, a
+    non-finite or out-of-range value (and a fraction where an integer is
+    required) is a ValueError, never another exception or a result."""
+    with pytest.raises(ValueError):
+        call(value)

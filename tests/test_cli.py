@@ -314,6 +314,10 @@ def test_verify_invalid_config_exits_2(tmp_path, capsys):
     '{"output_path": 5}',
     '{"seed": 1180591620717411303424}',
     '{"seed": -1}',
+    '{"model": {"lambda": null}}',
+    '{"interval": [0, 1]}',
+    '{"model": {"sigma": true}}',
+    '{"tolerances": {"deterministic": Infinity}}',
 ])
 def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -322,6 +326,7 @@ def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
                               "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch):

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interval_avoid.config import ConfigError, load_config, parse_config
 
@@ -51,6 +54,13 @@ def test_unknown_keys_rejected(doc):
     {"tolerances": {"deterministic": -1.0}},
     {"tolerances": [1, 2]},
     [1, 2, 3],
+    {"model": {"sigma": "2"}},
+    {"model": {"lambda": None}},
+    {"model": []},
+    {"model": None},
+    {"interval": [0, 1]},
+    {"interval": "x"},
+    {"tolerances": {"deterministic": math.inf}},
 ])
 def test_invalid_values_rejected(doc):
     with pytest.raises(ConfigError):
@@ -62,10 +72,36 @@ def test_invalid_values_rejected(doc):
     {"particles": True},
     {"seed": False},
     {"tolerances": {"deterministic": True}},
+    {"model": {"sigma": True}},
+    {"interval": {"a": False}},
 ])
 def test_booleans_rejected_as_numbers(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+_NUMERIC_KEYS = [("model", "sigma"), ("model", "lambda"), ("model", "eta"),
+                 ("model", "drift"), ("interval", "a"), ("interval", "b"),
+                 (None, "seed"), (None, "paths"), (None, "particles"),
+                 ("tolerances", "deterministic")]
+_JUNK = st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                  st.lists(st.floats(), max_size=2),
+                  st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(junk=st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _JUNK, min_size=1))
+def test_junk_numbers_are_config_errors(junk):
+    """Any value in any numeric key either parses or is a ConfigError."""
+    doc = {"model": {"sigma": 1.5, "lambda": 2.0, "eta": 1.0, "drift": 0.25},
+           "interval": {"a": -1.0, "b": 0.5}, "seed": 11, "paths": 4096,
+           "particles": 1024, "tolerances": {"deterministic": 1e-9}}
+    for (block, key), value in junk.items():
+        (doc[block] if block else doc)[key] = value
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
 
 
 def test_load_config_roundtrip(tmp_path):

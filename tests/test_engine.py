@@ -65,6 +65,8 @@ def test_path_config_validation():
         PathConfig(dt=0.1, horizon=math.inf, seed=1, n_paths=10)
     with pytest.raises(ValueError, match="finite"):
         PathConfig(dt=math.nan, horizon=1.0, seed=1, n_paths=10)
+    with pytest.raises(ValueError):
+        PathConfig(dt=True, horizon=1.0, seed=1, n_paths=10)
     for seed, n_paths in ((7.5, 10), (-0.5, 10), (True, 10), (1, True), (1, 2.5)):
         with pytest.raises(ValueError, match="integer"):
             PathConfig(dt=0.1, horizon=1.0, seed=seed, n_paths=n_paths)
@@ -186,8 +188,7 @@ def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
         assert np.all(pb.n_cross >= n_before)
         assert np.all(pb.t <= targets)
         assert not interval.contains(pb.x[live]).any()
-        assert np.all(interval.contains(pb.hit_value[dead]))
-        assert np.all(pb.hit_time[dead] == pb.t[dead])
+        assert np.all(interval.contains(pb.x[dead]))
         assert np.all(pb.t[live & ~frozen] == targets[live & ~frozen])
         assert np.all(live[frozen])
         reached = np.zeros(n, dtype=bool)
@@ -220,7 +221,7 @@ def test_simulate_path_invariants(model, interval):
         assert np.all(np.diff(tr.times) > 0)
         if tr.hit:
             hit_seen = True
-            assert tr.hit_time == tr.times[-1] and tr.hit_time <= 8.0
+            assert tr.times[-1] <= 8.0
             inside = (tr.values[:-1] >= interval.a) & (tr.values[:-1] <= interval.b)
             assert not inside.any()     # alive samples stay outside
         else:
@@ -261,9 +262,9 @@ def test_simulate_path_matches_single_advance(interval, params, start, bridge):
         tr = simulate_path(params, interval, start, cfg, path_index=pid, bridge=bridge)
         assert np.all(np.diff(tr.times) > 0) and len(tr.times) == len(tr.values)
         if tr.hit:
-            assert tr.hit_time == tr.times[-1] <= horizon
+            assert tr.times[-1] <= horizon
             assert interval.a <= tr.values[-1] <= interval.b
-            hit_t.append(tr.hit_time)
+            hit_t.append(tr.times[-1])
         else:
             assert tr.times[-1] == horizon
             assert not interval.contains(tr.values[-1])
@@ -279,7 +280,7 @@ def test_simulate_path_matches_single_advance(interval, params, start, bridge):
     p_values = [
         chi2_pvalue(np.array(hit, dtype=int), dead.astype(int)),
         chi2_pvalue(np.array(n_cross), pb.n_cross),
-        stats.ks_2samp(hit_t, pb.hit_time[dead]).pvalue,
+        stats.ks_2samp(hit_t, pb.t[dead]).pvalue,
         stats.ks_2samp(end_x, pb.x[pb.alive]).pvalue,
     ]
     assert min(p_values) >= 1e-3, p_values
