@@ -69,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="raw Monte Carlo estimators")
     _add_model_flags(s)
     s.add_argument("--estimator", choices=("survival", "clock", "avoidance"),
-                   default="survival")
+                   default="survival",
+                   help="avoidance ignores --dt and --horizon: it walks each path for "
+                        "at most ceil(lambda * horizon_used) jump segments, with "
+                        "horizon_used sized from the start")
     s.add_argument("--start", type=float, required=True)
     s.add_argument("--paths", type=int, default=100_000)
     s.add_argument("--dt", type=float, default=0.05)
@@ -128,6 +131,7 @@ def _cmd_simulate(args) -> int:
     else:
         est = estimate_avoidance(model, interval, args.start, config)
         result = est.result
+        # horizon_used is the time cap H: the walk's cap is ceil(lambda * H) jump segments
         extra = {"horizon_used": est.horizon, "exit_level": est.exit_level,
                  "return_prob_bound": est.return_prob_bound,
                  "unresolved": est.unresolved}

@@ -74,6 +74,7 @@ def gamma_bound(params: ModelParams, interval: Interval) -> float:
 
 def default_series_depth(params: ModelParams, interval: Interval, tol: float = 1e-12) -> int:
     """Truncation K with c^(2K) below ``tol``."""
+    require_number(tol, "tol", low=0.0, strict=True)
     c = crossing_factor(params, interval)
     return max(1, math.ceil(0.5 * math.log(tol) / math.log(c)))
 
@@ -115,6 +116,7 @@ class OvershootLaw:
 
     def mass_beyond(self, level: float) -> float:
         """P(passage position strictly beyond ``level``), level past the boundary."""
+        require_number(level, "level")
         d = level - self.boundary if self.direction == "up" else self.boundary - level
         if d < 0.0:
             raise ValueError("level must lie beyond the boundary")
@@ -253,8 +255,8 @@ class Harmonics:
     coef_near: float
 
     def _sides(self, x):
-        x = np.asarray(x, dtype=float)
         self.interval.require_outside(x)
+        x = np.asarray(x, dtype=float)
         above = x > self.interval.b
         s = np.where(above, x - self.interval.b, self.interval.a - x)
         return x, above, s

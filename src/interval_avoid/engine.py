@@ -32,6 +32,18 @@ pool; outside one, a call that fans out builds its own.  K depends only on
 the block's state, so estimator outputs are bit-identical for a fixed seed
 regardless of the worker count and of the order in which blocks run; the
 order in which one block's draws are consumed does depend on K.
+
+The avoidance estimator alone does not use ``advance``: its observable, the
+first post-jump value at or above an exit level before any entry into
+[a, b], has no time in it.  ``_avoidance_walk`` samples each inter-jump
+segment without its duration.  At an Exp(lam) time the infimum of a
+Brownian motion with drift and its rise after the infimum are independent
+exponentials with rates phi- and phi+, phi+- = (sqrt(drift^2 + 2 lam
+sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf factorisation), so one draw
+of four standard exponentials per live path and segment (rise, fall and
+the two halves of the Laplace jump) decides the kill, the landing and the
+exit, at well under half the cost of an ``advance`` event.  Its time cap is
+a cap of ceil(lam * horizon) jump segments.
 """
 
 from __future__ import annotations
@@ -623,6 +635,14 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
 
 @dataclass(frozen=True)
 class AvoidanceEstimate:
+    """P(T = infinity) and its certificate.
+
+    ``horizon`` is the time cap H; the walk stops after ceil(lam * H) jump
+    segments, and paths still live then are ``unresolved``.  Each of them
+    adds 1, and each path frozen at the exit level adds its bound
+    exp(-g (x - b)), to ``return_prob_bound`` (divided by the path count).
+    """
+
     result: EstimatorResult
     horizon: float
     exit_level: float
@@ -701,9 +721,63 @@ def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> 
     return s * s
 
 
-def _avoidance_block(pb, horizon, exit_level, g):
-    advance(pb, horizon, exit_above=exit_level)
-    # each escaped path is frozen at its first event at or above the exit level
+def _avoidance_walk(pb: PathBlock, n_segments: int, exit_level: float) -> None:
+    """Walk the live paths of ``pb`` from jump to jump, without event times,
+    until death, the exit level or ``n_segments`` segments.
+
+    A segment is the Brownian motion with drift run for an Exp(lam) time,
+    then a jump.  At an exponential time the infimum of that motion and its
+    rise after the infimum are independent, Exp(phi-) and Exp(phi+) below
+    and above the start, with phi+- = (sqrt(drift^2 + 2 lam sigma^2) -+
+    drift) / sigma^2 (Wiener-Hopf factorisation; Kyprianou, Fluctuations of
+    Levy Processes, 2nd ed., section 6.5).  So each iteration draws one
+    (4, m) array of standard exponentials U, D, E1, E2 for its m live
+    paths.  With lo = x - D/phi-, a path above b dies if lo <= b, and a path
+    below a dies if x + U/phi+ >= a (its supremum).  Otherwise it moves to
+    post = lo + U/phi+ + (E1 - E2)/eta, dies if post lies in [a, b] and is
+    frozen at post if post >= ``exit_level``; a path already at the exit
+    level is frozen before any draw.  The live paths are compacted after
+    every iteration.  Paths still live after ``n_segments`` segments keep
+    their last position; ``t``, ``next_jump`` and a dead path's ``x`` are
+    left as they were.
+    """
+    model, a, b = pb.model, pb.interval.a, pb.interval.b
+    root = math.sqrt(model.drift**2 + 2.0 * model.lam * model.sigma**2)
+    # 1/phi+ and 1/phi-, each in the form without cancellation for drift > 0
+    rise = (root + model.drift) / (2.0 * model.lam)
+    fall = model.sigma**2 / (root + model.drift)
+    pb.frozen |= pb.alive & (pb.x >= exit_level)
+    idx = np.flatnonzero(pb.alive & ~pb.frozen)
+    x = pb.x[idx]
+    for _ in range(n_segments):
+        if not idx.size:
+            break
+        up, down, post, e2 = pb.rng.standard_exponential((4, idx.size))
+        up *= rise
+        down *= fall
+        lo = x - down
+        dead = np.where(x > b, lo <= b, x + up >= a)
+        post -= e2
+        post /= model.eta
+        post += lo + up
+        dead |= (post >= a) & (post <= b)
+        out = post >= exit_level
+        stop = dead | out
+        if stop.any():
+            out &= ~dead
+            pb.alive[idx[dead]] = False
+            pb.frozen[idx[out]] = True
+            pb.x[idx[out]] = post[out]
+            keep = ~stop
+            idx, post = idx[keep], post[keep]
+        x = post
+    pb.x[idx] = x
+
+
+def _avoidance_block(pb, n_segments, exit_level, g):
+    _avoidance_walk(pb, n_segments, exit_level)
+    # each escaped path is frozen at its first jump landing at or above the
+    # exit level
     bound = float(np.exp(-g * (pb.x[pb.frozen] - pb.interval.b)).sum())
     avoided = int(pb.frozen.sum())
     unresolved = int((pb.alive & ~pb.frozen).sum())
@@ -714,10 +788,12 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
                        config: PathConfig, *, bound_target: float = 1e-7) -> AvoidanceEstimate:
     """P(T = infinity) for a transient (drift > 0) model.
 
-    A path counts as avoiding once it climbs ``exit_level`` above the
-    interval, where the certified return probability exp(-g * distance) is
-    below ``bound_target``; the summed per-path bounds are reported.  The
-    horizon cap is sized so that drift dominates a 30-sigma fluctuation.
+    A path counts as avoiding once a jump lands it at or above
+    ``exit_level``, where the certified return probability exp(-g *
+    distance) is below ``bound_target``; the summed per-path bounds are
+    reported.  Paths are walked from jump to jump without event times
+    (``_avoidance_walk``), for at most ceil(lam * horizon) jump segments,
+    with the horizon sized so that drift dominates a 30-sigma fluctuation.
     """
     return estimate_avoidance_many(model, interval, [(start, config)],
                                    bound_target=bound_target)[0]
@@ -733,12 +809,14 @@ def estimate_avoidance_many(model: ModelParams, interval: Interval, items,
     """
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
+    require_number(bound_target, "bound_target", low=0.0, strict=True, high=1.0)
     for start, _config in items:
         interval.require_outside(start, "starting point")
     g = adjustment_coefficient(model)
     exit_level = interval.b + math.log(1.0 / bound_target) / g
     horizons = [_avoidance_horizon(model, interval, start) for start, _config in items]
-    jobs = [(_avoidance_block, model, interval, start, config, (horizon, exit_level, g))
+    jobs = [(_avoidance_block, model, interval, start, config,
+             (math.ceil(model.lam * horizon), exit_level, g))
             for (start, config), horizon in zip(items, horizons)]
     estimates = []
     for (_start, config), horizon, parts in zip(items, horizons, _map_jobs(jobs)):

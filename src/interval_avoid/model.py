@@ -63,6 +63,18 @@ def require_number(value, what: str, *, integer: bool = False, low: float = -mat
     raise ValueError(f"{what} must be {rule} (got {value!r})")
 
 
+def _require_real_array(x, what: str) -> np.ndarray:
+    """The array form of the rule: integer or float values (no booleans,
+    strings or objects), every one finite.  Returns ``x`` as a float array;
+    anything else is a ValueError naming ``what``."""
+    if np.asarray(x).dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a real number (got {x!r})")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the jump diffusion.
@@ -125,11 +137,7 @@ class Interval:
         return (x >= self.a) & (x <= self.b)
 
     def require_outside(self, x, what: str = "evaluation point") -> None:
-        if np.asarray(x).dtype.kind not in "iuf":
-            raise ValueError(f"{what} must be a real number (got {x!r})")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{what} must be finite")
-        if np.any(self.contains(x)):
+        if np.any(self.contains(_require_real_array(x, what))):
             raise ValueError(f"{what} must lie outside [{self.a}, {self.b}]")
 
 
@@ -188,7 +196,7 @@ def kappa(params: ModelParams, q: float) -> float:
 def potential(params: ModelParams, x):
     """Shared ladder potential U(x) = (eta/beta) x + (beta-eta)/beta^2 (1-e^{-beta x})."""
     params.require_centred("ladder potential")
-    x = np.asarray(x, dtype=float)
+    x = _require_real_array(x, "x")
     if np.any(x < 0.0):
         raise ValueError("potential is defined for x >= 0")
     beta = params.beta
@@ -211,7 +219,7 @@ def potential_q(params: ModelParams, x, q: float):
     """
     require_number(q, "q", low=0.0, strict=True)
     params.require_centred("q-potential")
-    x = np.asarray(x, dtype=float)
+    x = _require_real_array(x, "x")
     if np.any(x < 0.0):
         raise ValueError("q-potential is defined for x >= 0")
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)

@@ -509,7 +509,9 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # one task list, costliest first (Graham's LPT rule, so that no worker is
     # left alone with a long task at the end): the far start, the starts above
     # the interval from the highest down, the reference, the starts below;
-    # each result is read back by its index in that list
+    # each result is read back by its index in that list.  The far start's
+    # one block costs less than a block of the highest grid starts, but what
+    # the rule needs holds: the cheapest blocks, starts just below a, come last
     estimates = eng.estimate_avoidance_many(
         model, iv, [(far, avoidance_config(8192, 11)), *above[::-1],
                     (start, avoidance_config(n_ref, 13)), *below])

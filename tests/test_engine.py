@@ -17,8 +17,10 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             kappa, nu, potential_q, run_suite, simulate_path,
                             terminal_sample)
 from interval_avoid.config import parse_config
-from interval_avoid.engine import (PathBlock, _bridge_exponent, _bridge_kill, _jump_sizes,
-                                   adjustment_coefficient, advance, block_pool,
+from interval_avoid import engine
+from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
+                                   _avoidance_walk, _bridge_exponent, _bridge_kill,
+                                   _jump_sizes, adjustment_coefficient, advance, block_pool,
                                    estimate_avoidance_many, ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
@@ -577,7 +579,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "8029a686d4c98f276ddab7a540d210a0c284ae8f24dc1182361872209da51cf2")
+        "04639f07624473cfe7ee08312ad087562e4ce380b0e267a60c017071e961e34e")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -626,3 +628,108 @@ def test_avoidance_monotone_in_start(interval):
     hi = estimate_avoidance(m, interval, interval.b + 3.0, cfg2)
     assert lo.result.mean <= hi.result.mean + 3 * math.hypot(lo.result.stderr,
                                                              hi.result.stderr)
+
+
+# ------------------------------------------------------------ avoidance walk
+
+def _walk_and_advance_tables(model, interval, start, n_blocks, seeds):
+    """2 x 3 table of (dead, frozen with overshoot of the exit level below
+    log(2)/eta, frozen with a larger one) for the walk and for ``advance``
+    with ``exit_above``."""
+    # estimate_avoidance's exit level at its default bound_target 1e-7
+    exit_level = interval.b + math.log(1e7) / adjustment_coefficient(model)
+    horizon = _avoidance_horizon(model, interval, start)
+    cut = math.log(2.0) / model.eta
+    rows = []
+    for route, seed in zip(("walk", "advance"), seeds):
+        row = np.zeros(3, dtype=int)
+        for bi in range(n_blocks):
+            pb = PathBlock.start(model, interval, start, 8192, block_stream(seed, bi))
+            if route == "walk":
+                _avoidance_walk(pb, math.ceil(model.lam * horizon), exit_level)
+            else:
+                advance(pb, horizon, exit_above=exit_level)
+            assert not (pb.alive & ~pb.frozen).any()     # nothing unresolved
+            over = pb.x[pb.frozen] - exit_level
+            row += [np.count_nonzero(~pb.alive), np.count_nonzero(over < cut),
+                    np.count_nonzero(over >= cut)]
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_avoidance_walk_matches_advance(interval):
+    """The walk and ``advance(..., exit_above=...)`` sample one law of (death,
+    overshoot of the exit level) at four starts, 65 536 paths a side: one
+    pooled chi-square over the four 2 x 3 tables at alpha = 0.0027."""
+    model = ModelParams(drift=0.5)
+    starts = [interval.a - 3.0, interval.b + 0.25, interval.b + 2.0, interval.b + 10.0]
+    stat = dof = 0
+    for i, start in enumerate(starts):
+        table = _walk_and_advance_tables(model, interval, start, 8, (300 + i, 400 + i))
+        result = stats.chi2_contingency(table, correction=False)
+        stat, dof = stat + result.statistic, dof + result.dof
+    assert dof == 8
+    assert stats.chi2.sf(stat, dof) >= 0.0027
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
+       drift=st.floats(0.05, 2.0),
+       start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 12.0)),
+       exit_gap=st.floats(0.01, 8.0), n_segments=st.integers(0, 60),
+       seed=st.integers(0, 2**32))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, exit_gap=6.0,
+         n_segments=60, seed=1)
+def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit_gap,
+                                   n_segments, seed):
+    """A frozen path is alive at or above the exit level, an unresolved one
+    lies outside [a, b], dead + frozen + unresolved = n, time and jump clock
+    are untouched, a start at the exit level is frozen with no draw, and the
+    same stream gives the same result."""
+    model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+    n = 96
+    exit_level = interval.b + exit_gap
+
+    def walk(x0):
+        pb = PathBlock.start(model, interval, x0, n, block_stream(seed, 0))
+        t, next_jump = pb.t.copy(), pb.next_jump.copy()
+        state = pb.rng.bit_generator.state
+        avoided, unresolved, _bound = _avoidance_block(pb, n_segments, exit_level, 0.5)
+        assert np.array_equal(pb.t, t) and np.array_equal(pb.next_jump, next_jump)
+        return pb, avoided, unresolved, state
+
+    pb, avoided, unresolved, _state = walk(start)
+    live = pb.alive & ~pb.frozen
+    assert np.all(pb.alive[pb.frozen])
+    assert np.all(pb.x[pb.frozen] >= exit_level)
+    assert not interval.contains(pb.x[live]).any()
+    assert np.count_nonzero(~pb.alive) + avoided + unresolved == n
+    assert unresolved == np.count_nonzero(live)
+    if n_segments == 0:
+        assert unresolved == np.count_nonzero(pb.x < exit_level)
+
+    again = walk(start)[0]
+    for field in ("x", "alive", "frozen"):
+        assert np.array_equal(getattr(pb, field), getattr(again, field))
+
+    top, avoided, unresolved, state = walk(exit_level)
+    assert avoided == n and unresolved == 0
+    assert np.all(top.x == exit_level)
+    assert top.rng.bit_generator.state == state
+
+
+def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
+    """With a cap of ceil(lam * 2.5) = 3 jump segments from b + 2, paths still
+    live count as unresolved, and each adds 1 to the return bound on top of
+    the frozen paths' bounds exp(-g (x - b)) <= bound_target."""
+    model = ModelParams(drift=0.5)
+    cfg = PathConfig(dt=1.0, horizon=1.0, seed=87, n_paths=4000)
+    full = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
+    assert full.unresolved == 0
+    monkeypatch.setattr(engine, "_avoidance_horizon", lambda *args: 2.5)
+    est = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
+    assert est.horizon == 2.5
+    assert est.unresolved > 100
+    avoided = round(est.result.mean * cfg.n_paths)
+    assert est.unresolved / cfg.n_paths <= est.return_prob_bound
+    assert est.return_prob_bound <= (est.unresolved + avoided * 1e-7) / cfg.n_paths * (1 + 1e-12)
