@@ -34,6 +34,7 @@ _MODEL_KEYS = {"sigma", "lambda", "eta", "drift"}
 _INTERVAL_KEYS = {"a", "b"}
 _TOP_KEYS = {"suite", "model", "interval", "seed", "paths", "particles",
              "tolerances", "output_path"}
+_TOLERANCE_KEYS = {"deterministic", "roots"}     # the names the suites read
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
     model_block = {**DEFAULTS["model"], **doc.get("model", {})}
     interval_block = {**DEFAULTS["interval"], **doc.get("interval", {})}
     tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
+    _reject_unknown(tolerances, _TOLERANCE_KEYS, "tolerances block")
     paths = doc.get("paths", DEFAULTS["paths"])
     particles = doc.get("particles", DEFAULTS["particles"])
     seed = doc.get("seed", DEFAULTS["seed"])

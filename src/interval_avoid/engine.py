@@ -650,67 +650,24 @@ class AvoidanceEstimate:
     unresolved: int
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
-
-    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
-    step for step as the common C routine ``brentq`` at its default
-    tolerances (xtol = 2e-12, rtol = 4 eps, at most 100 iterations), so the
-    two return the same float (tests compare them).
-    """
-    xtol, rtol, maxiter = 2e-12, 4 * float(np.finfo(float).eps), 100
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):       # keep the better end in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # inverse quadratic step
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
-
-
 def adjustment_coefficient(model: ModelParams) -> float:
-    """Positive root of (sigma^2/2) g + lam g/(eta^2 - g^2) = drift, g in (0, eta).
+    """Root g in (0, eta) of psi(g) = 0, i.e. (sigma^2/2) g + lam g/(eta^2 - g^2) = drift.
 
     exp(-g xi_t) is then a unit-mean martingale, so the probability that an
-    upward-drifting path ever falls by D is at most exp(-g D).
+    upward-drifting path ever falls by D is at most exp(-g D).  Multiplying
+    -psi(-theta)/theta by eta^2 - theta^2 leaves the cubic
+    (drift + sigma^2 theta/2)(eta^2 - theta^2) + lam theta, whose real roots
+    are -r2 < -eta < -g < 0 < eta < rho (Kou & Wang 2003).  Its two outer
+    roots, polished by one Newton step, give g through the product of the
+    roots, r2 g rho = 2 drift eta^2 / sigma^2, which keeps a tiny g accurate.
     """
     if not model.drift > 0.0:
         raise ValueError("adjustment coefficient requires positive drift")
-
-    def f(g):
-        return 0.5 * model.sigma**2 * g + model.lam * g / (model.eta**2 - g * g) - model.drift
-
-    return float(_brentq(f, 1e-12, model.eta * (1.0 - 1e-12)))
+    s2 = 0.5 * model.sigma**2
+    cubic = [-s2, -model.drift, s2 * model.eta**2 + model.lam, model.drift * model.eta**2]
+    roots = np.sort(np.roots(cubic).real)
+    roots -= np.polyval(cubic, roots) / np.polyval(np.polyder(cubic), roots)
+    return float(model.drift * model.eta**2 / (s2 * -roots[0] * roots[2]))
 
 
 def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> float:

@@ -12,13 +12,14 @@ available in closed form:
   and  beta = sqrt(eta^2 + 2 lam / sigma^2).
 * Shared ascending/descending ladder potential
   U(x) = (eta/beta) x + (beta-eta)/beta^2 * (1 - exp(-beta x)).
-* For q > 0, the roots 0 < rho1(q) <= rho2(q) of the biquadratic
-  rho^4 - rho^2 (beta^2 + q) + q eta^2 = 0 give the downward-passage exponents;
-  they satisfy rho1 rho2 = eta sqrt(q) and rho1^2 + rho2^2 = beta^2 + q, and the
-  killed ladder exponent value is kappa(q) = rho1 rho2 / eta = sqrt(q).  The
-  q-potential of the descending ladder height has density
-  A exp(-rho1 x) + B exp(-rho2 x) with A = (eta-rho1)/(rho2-rho1),
-  B = (rho2-eta)/(rho2-rho1), total mass 1/kappa(q).
+* For q > 0, the roots 0 < rho1(q) < eta < rho2(q) of -psi(rho) = q, that is of
+  the biquadratic rho^4 - rho^2 (beta^2 + p) + p eta^2 = 0 with p = 2q/sigma^2,
+  give the downward-passage exponents; they satisfy rho1 rho2 = eta sqrt(p) and
+  rho1^2 + rho2^2 = beta^2 + p, and the killed ladder exponent value in the
+  normalisation of U is kappa(q) = rho1 rho2 / eta = sqrt(2q)/sigma (sqrt(q) at
+  the default sigma = sqrt(2)).  The q-potential of the descending ladder
+  height has density A exp(-rho1 x) + B exp(-rho2 x) with
+  A = (eta-rho1)/(rho2-rho1), B = (rho2-eta)/(rho2-rho1), total mass 1/kappa(q).
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def ladder_exponent(params: ModelParams, theta):
 
 
 def wiener_hopf_roots(params: ModelParams, q: float) -> tuple[float, float]:
-    """Roots 0 <= rho1 <= rho2 of rho^4 - rho^2 (beta^2+q) + q eta^2 = 0.
+    """Roots 0 <= rho1 < eta < rho2 of -psi(rho) = q, i.e. of
+    rho^4 - rho^2 (beta^2 + p) + p eta^2 = 0 with p = 2q/sigma^2.
 
     Solved as a quadratic in rho^2 with the conjugate trick for the small
     root, so rho1 stays accurate as q -> 0.
@@ -179,16 +181,18 @@ def wiener_hopf_roots(params: ModelParams, q: float) -> tuple[float, float]:
     beta2 = params.beta**2
     if q == 0.0:
         return 0.0, params.beta
-    s = beta2 + q
-    disc = math.sqrt(s * s - 4.0 * q * params.eta**2)
+    p = 2.0 * q / params.sigma**2
+    s = beta2 + p
+    disc = math.sqrt(s * s - 4.0 * p * params.eta**2)
     s2 = 0.5 * (s + disc)          # larger root of the quadratic in rho^2
     rho2 = math.sqrt(s2)
-    rho1 = params.eta * math.sqrt(q) / rho2   # from rho1 * rho2 = eta sqrt(q)
+    rho1 = params.eta * math.sqrt(p) / rho2   # from rho1 * rho2 = eta sqrt(p)
     return rho1, rho2
 
 
 def kappa(params: ModelParams, q: float) -> float:
-    """kappa(q) = kappa_hat(q) = rho1(q) rho2(q) / eta; equals sqrt(q) here."""
+    """kappa(q) = kappa_hat(q) = rho1(q) rho2(q) / eta = sqrt(2q)/sigma, the
+    killed ladder exponent in the normalisation of U (U_q(infinity) = 1/kappa(q))."""
     rho1, rho2 = wiener_hopf_roots(params, q)
     return rho1 * rho2 / params.eta
 

@@ -222,25 +222,31 @@ def _suite_closedform(config: SuiteConfig) -> list[Check]:
         "psi(theta) = upsilon(theta) * upsilon(-theta) on (-eta, eta)",
         fac_err, 0.0, tol_det, criterion=2))
 
-    # root identities and kappa(q) = sqrt(q)
+    # the roots solve -psi(rho) = q at the true rate, and kappa(q) scales the
+    # q-killed factorisation q + psi(theta) = (sigma^2/2) k_q(theta) k_q(-theta),
+    # k_q(theta) = kappa(q) (1 + theta/rho1)(1 + theta/rho2)/(1 + theta/eta)
     qs = rng.uniform(1e-6, 10.0, 100)
-    prod_err = sum_err = kap_err = 0.0
+    t2 = thetas * thetas
+    psi = laplace_exponent(model, thetas)
+    res_err = sum_err = kap_err = 0.0
     for q in qs:
         r1, r2 = wiener_hopf_roots(model, q)
-        prod_err = max(prod_err, abs(r1 * r2 - model.eta * math.sqrt(q))
-                       / (model.eta * math.sqrt(q)))
-        sum_err = max(sum_err, abs(r1 * r1 + r2 * r2 - (model.beta**2 + q))
-                      / (model.beta**2 + q))
-        kap_err = max(kap_err, abs(kappa(model, q) - math.sqrt(q)) / math.sqrt(q))
+        res_err = max(res_err, abs(-laplace_exponent(model, r1) - q) / q)
+        s = model.beta**2 + 2.0 * q / model.sigma**2
+        sum_err = max(sum_err, abs(r1 * r1 + r2 * r2 - s) / s)
+        fac = (0.5 * model.sigma**2 * kappa(model, q)**2
+               * (1.0 - t2 / (r1 * r1)) * (1.0 - t2 / (r2 * r2)) / (1.0 - t2 / model.eta**2))
+        kap_err = max(kap_err, float(np.max(np.abs(q + psi - fac) / (q + np.abs(psi)))))
     checks.append(check_close(
-        "root_product", "rho1(q) rho2(q) = eta sqrt(q)", prod_err, 0.0, tol_root,
+        "root_product", "-psi(rho1(q)) = q (rho1 solves the true-rate equation)",
+        res_err, 0.0, tol_root, criterion=2))
+    checks.append(check_close(
+        "root_sum", "rho1^2 + rho2^2 = beta^2 + 2q/sigma^2", sum_err, 0.0, tol_root,
         criterion=2))
     checks.append(check_close(
-        "root_sum", "rho1^2 + rho2^2 = beta^2 + q", sum_err, 0.0, tol_root,
-        criterion=2))
-    checks.append(check_close(
-        "kappa_is_sqrt_q", "kappa(q) = kappa_hat(q) = sqrt(q)", kap_err, 0.0, tol_root,
-        criterion=2))
+        "kappa_is_sqrt_q",
+        "q + psi(theta) = (sigma^2/2) k_q(theta) k_q(-theta), k_q(0) = kappa(q) = sqrt(2q)/sigma",
+        kap_err, 0.0, tol_root, criterion=2))
 
     mass_err = max(abs(kappa(model, q) * potential_q_total(model, q) - 1.0)
                    for q in (0.25, 0.5, 1.0, 2.0))
@@ -340,20 +346,21 @@ def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
 
 def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
                  claims: tuple[str, str, str], criterion: Optional[int]) -> list[Check]:
-    """Scaled clock probabilities P(e_q < T, side)/sqrt(q) for q = 0.1, 0.03,
+    """Scaled clock probabilities P(e_q < T, side)/kappa(q) for q = 0.1, 0.03,
     0.01 against their q -> 0 limit and the q-relaxed series: the side is
     "above only" (limit h_plus) or "total" (limit h = h_plus + h_minus).
     ``claims`` holds the increase, limit and bound claims, in that order."""
     model, iv = config.model, config.interval
     n = config.paths or 200_000
-    start = 2.0 if _is_default(config) else iv.b + iv.width
+    start = iv.b + iv.width
     rows = []
     for i, q in enumerate((0.1, 0.03, 0.01)):
         cfg = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
                              seed=derive_seed(config.seed, 6 + int(above_only), i))
         est = eng.estimate_clock_event(model, iv, start, q, cfg)
         res = est.above if above_only else est.total
-        rows.append((q, res.mean / math.sqrt(q), res.stderr / math.sqrt(q)))
+        k = kappa(model, q)
+        rows.append((q, res.mean / k, res.stderr / k))
     h = cf.harmonics(model, iv)
     target = float(h.plus(start) if above_only else h.combined(start))
     K = cf.default_series_depth(model, iv)
@@ -376,16 +383,16 @@ def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
 
 def _suite_clocklimit(config: SuiteConfig) -> list[Check]:
     return _clock_suite(config, True, "clock_limit_h_plus", (
-        "P(e_q < T, above)/sqrt(q) increases as q drops toward h_plus",
-        "P(e_q < T, above)/sqrt(q) -> h_plus(x) as q -> 0",
-        "P(e_q < T, above)/sqrt(q) <= q-relaxed series value"), criterion=6)
+        "P(e_q < T, above)/kappa(q) increases as q drops toward h_plus",
+        "P(e_q < T, above)/kappa(q) -> h_plus(x) as q -> 0",
+        "P(e_q < T, above)/kappa(q) <= q-relaxed series value"), criterion=6)
 
 
 def _suite_conditioning(config: SuiteConfig) -> list[Check]:
     return _clock_suite(config, False, "clock_limit_h", (
-        "P(e_q < T)/sqrt(q) increases as q drops toward h = h_plus + h_minus",
-        "P(e_q < T)/sqrt(q) -> h(x) as q -> 0 (randomised conditioning weight)",
-        "P(e_q < T)/sqrt(q) <= sum of q-relaxed series values"), criterion=None)
+        "P(e_q < T)/kappa(q) increases as q drops toward h = h_plus + h_minus",
+        "P(e_q < T)/kappa(q) -> h(x) as q -> 0 (randomised conditioning weight)",
+        "P(e_q < T)/kappa(q) <= sum of q-relaxed series values"), criterion=None)
 
 
 # --------------------------------------------------------------------------- #
@@ -395,7 +402,7 @@ def _suite_conditioning(config: SuiteConfig) -> list[Check]:
 def _suite_longtime(config: SuiteConfig) -> list[Check]:
     model, iv = config.model, config.interval
     n = config.particles
-    start = 2.0 if _is_default(config) else iv.b + iv.width
+    start = iv.b + iv.width
     h = cf.harmonics(model, iv)
     checks: list[Check] = []
 

@@ -37,9 +37,11 @@ class Oracle:
         return -self.sigma**2 / 2 * theta**2 - self.lam * (jump_mgf - 1)
 
     def roots(self, q):
-        """Positive roots of the quartic via the generic polynomial solver."""
-        q = mpf(q)
-        rts = polyroots([1, 0, -(self.beta**2 + q), 0, q * self.eta**2])
+        """Positive roots of -psi(rho) = q, cleared of its pole: the quartic
+        rho^4 - rho^2 (beta^2 + p) + p eta^2 with p = 2q/sigma^2, via the
+        generic polynomial solver."""
+        p = 2 * mpf(q) / self.sigma**2
+        rts = polyroots([1, 0, -(self.beta**2 + p), 0, p * self.eta**2])
         pos = sorted(float(r.real) for r in rts if r.real > 0 and abs(r.imag) < 1e-25)
         return pos[0], pos[1]
 

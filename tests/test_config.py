@@ -31,6 +31,7 @@ def test_overrides():
     {"mystery": 1},
     {"model": {"eta": 1.0, "theta": 2.0}},
     {"interval": {"a": 0.0, "b": 1.0, "c": 2.0}},
+    {"tolerances": {"determinstic": 5}},
 ])
 def test_unknown_keys_rejected(doc):
     with pytest.raises(ConfigError, match="unknown key"):

@@ -4,12 +4,12 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.optimize import brentq
 
 from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob,
                             empirical_crossing_law, estimate_avoidance,
@@ -381,6 +381,16 @@ def test_clock_resolvent_identity(model):
         assert est.total.mean == pytest.approx(target, abs=3 * est.total.stderr), (q, x)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("suite", ["closedform", "clocklimit", "conditioning"])
+def test_suites_hold_off_the_default_sigma(suite, sigma):
+    """The clock-rate roots solve -psi(rho) = q at every sigma, so the scaled
+    clock probabilities P(e_q < T)/kappa(q) still tend to h, and kappa(q) is
+    sqrt(2q)/sigma rather than the default model's sqrt(q)."""
+    report = run_suite(parse_config({"model": {"sigma": sigma}, "paths": 50_000}, suite=suite))
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
 # ------------------------------------------------------------- crossing laws
 
 def test_crossing_law_mass_and_shape(model, interval):
@@ -590,25 +600,29 @@ def test_avoidance_requires_drift(model, interval):
         estimate_avoidance(model, interval, 2.0, cfg)
 
 
-def test_adjustment_coefficient_equation():
-    m = ModelParams(drift=0.5)
-    g = adjustment_coefficient(m)
-    assert 0.0 < g < m.eta
-    assert 0.5 * m.sigma**2 * g + m.lam * g / (m.eta**2 - g * g) == pytest.approx(
-        m.drift, rel=1e-10)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sigma=st.floats(0.05, 20.0), lam=st.floats(0.01, 50.0), eta=st.floats(0.01, 50.0),
        drift=st.floats(1e-3, 50.0))
 @example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5)    # transient5's default model
-def test_adjustment_coefficient_is_brentq_bit_for_bit(sigma, lam, eta, drift):
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=1e-13)
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=1e13)
+def test_adjustment_coefficient_solves_drift_equation(sigma, lam, eta, drift):
+    """g in (0, eta) solves (sigma^2/2) g + lam g/(eta^2 - g^2) = drift: the
+    residual over the slope moves g by under 1e-14 relative, and g is the
+    middle root (negated) of the cubic, found at 40 digits."""
     m = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
-
-    def f(g):
-        return 0.5 * m.sigma**2 * g + m.lam * g / (m.eta**2 - g * g) - m.drift
-
-    assert adjustment_coefficient(m) == brentq(f, 1e-12, m.eta * (1.0 - 1e-12))
+    g = adjustment_coefficient(m)
+    assert 0.0 < g < m.eta
+    with mpmath.workdps(40):
+        s2, mu, lm, eta2, gm = (mpmath.mpf(sigma)**2 / 2, mpmath.mpf(drift),
+                                mpmath.mpf(lam), mpmath.mpf(eta)**2, mpmath.mpf(g))
+        residual = s2 * gm + lm * gm / (eta2 - gm**2) - mu
+        slope = s2 + lm * (eta2 + gm**2) / (eta2 - gm**2)**2
+        assert abs(residual / (slope * gm)) <= 1e-14
+        roots = mpmath.polyroots([-s2, -mu, s2 * eta2 + lm, mu * eta2],
+                                 maxsteps=200, extraprec=200)
+        ref = -sorted(mpmath.re(r) for r in roots)[1]
+        assert abs(gm - ref) <= 1e-14 * ref
 
 
 def test_avoidance_far_start(interval):

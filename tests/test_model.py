@@ -131,6 +131,19 @@ def test_roots_at_quarter(model):
     assert r1 * r2 == pytest.approx(0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_roots_solve_true_rate(sigma):
+    """Off sigma = sqrt(2) the roots still solve -psi(rho) = q, and
+    kappa(q) = sqrt(2q)/sigma."""
+    m = ModelParams(sigma=sigma)
+    r1, r2 = wiener_hopf_roots(m, 0.25)
+    o1, o2 = Oracle(sigma=sigma).roots(0.25)
+    assert r1 == pytest.approx(o1, rel=1e-13)
+    assert r2 == pytest.approx(o2, rel=1e-13)
+    assert -laplace_exponent(m, r1) == pytest.approx(0.25, rel=1e-13)
+    assert kappa(m, 0.25) == pytest.approx(math.sqrt(0.5) / sigma, rel=1e-14)
+
+
 def test_roots_at_zero(model):
     assert wiener_hopf_roots(model, 0.0) == (0.0, model.beta)
 
