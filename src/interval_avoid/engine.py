@@ -33,17 +33,21 @@ the block's state, so estimator outputs are bit-identical for a fixed seed
 regardless of the worker count and of the order in which blocks run; the
 order in which one block's draws are consumed does depend on K.
 
-The avoidance estimator alone does not use ``advance``: its observable, the
-first post-jump value at or above an exit level before any entry into
-[a, b], has no time in it.  ``_avoidance_walk`` samples each inter-jump
+Two estimators do not use ``advance``, because their observables have no
+time in it: avoidance (the first post-jump value at or above an exit level
+before any entry into [a, b]) and the crossing laws (the landings of the
+first k jumps over the interval).  Their walks sample each inter-jump
 segment without its duration.  At an Exp(lam) time the infimum of a
 Brownian motion with drift and its rise after the infimum are independent
 exponentials with rates phi- and phi+, phi+- = (sqrt(drift^2 + 2 lam
-sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf factorisation), so one draw
-of four standard exponentials per live path and segment (rise, fall and
-the two halves of the Laplace jump) decides the kill, the landing and the
-exit, at well under half the cost of an ``advance`` event.  Its time cap is
-a cap of ceil(lam * horizon) jump segments.
+sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf factorisation), so four
+standard exponentials per path and segment (rise, fall and the two halves
+of the Laplace jump) decide the kill, the landing, the crossing and the
+exit, at well under half the cost of an ``advance`` event.
+``_avoidance_walk`` resolves one segment per live path and iteration;
+``_crossing_walk`` resolves up to K, by ``advance``'s rule with the
+segments left in place of the expected jumps.  Each walk's time cap is a
+cap of ceil(lam * horizon) jump segments.
 """
 
 from __future__ import annotations
@@ -571,7 +575,10 @@ MIN_LAW_SAMPLES = 500   # a law with fewer recorded crossings is ``insufficient`
 class CrossingLawEstimate:
     """Laws of crossings j = 1..k from one censored pass.
 
-    Every per-crossing field is a length-k tuple indexed j - 1.
+    The pass censors each path after ceil(lam * horizon) jump segments;
+    ``censored_fraction`` is the share of paths still live and short of
+    crossing k then.  Every per-crossing field is a length-k tuple indexed
+    j - 1.
     """
 
     n_paths: int
@@ -584,10 +591,89 @@ class CrossingLawEstimate:
     censor_bias_bound: tuple[float, ...]
 
 
-def _crossing_block(pb, k, horizon):
+def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
+    """1/phi+ and 1/phi-, the mean rise above and fall below its start of a
+    Brownian motion with drift run for an Exp(lam) time, with phi+- =
+    (sqrt(drift^2 + 2 lam sigma^2) -+ drift) / sigma^2.  Each is computed in
+    the form without cancellation for the sign of the drift."""
+    root = math.sqrt(model.drift**2 + 2.0 * model.lam * model.sigma**2)
+    if model.drift >= 0.0:
+        return (root + model.drift) / (2.0 * model.lam), model.sigma**2 / (root + model.drift)
+    return model.sigma**2 / (root - model.drift), (root - model.drift) / (2.0 * model.lam)
+
+
+def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
+    """Walk the live paths of ``pb`` from jump to jump, without event times,
+    until death, their k-th crossing or ``n_segments`` segments.
+
+    A segment is sampled as in ``_avoidance_walk``: from a start x the path
+    falls to x - D/phi-, rises U/phi+ above that and jumps (E1 - E2)/eta.
+    Each iteration resolves up to K segments per live path, with K =
+    max(1, min(MAX_EVENTS, BLOCK_SIZE // m, segments left)) for its m live
+    paths (all of them have used the same number of segments), from one
+    (4, m, K) draw of standard exponentials U, D, E1, E2.  Positions are
+    cumulative sums along the row.  A segment starting above b kills if its
+    infimum is at or below b, one starting below a if its supremum is at or
+    above a.  As in ``advance``, a landing at or beyond the near boundary
+    is a crossing, and a landing inside [a, b] kills as well; a kill
+    preempts its own segment's crossing.  Each row stops at its first kill,
+    landing inside or k-th crossing, and the draws past it are discarded.
+    Crossings are recorded in ``pb.cross_pos``, which must have k columns; a
+    path frozen at its k-th crossing holds its landing in ``x``.  ``t``,
+    ``next_jump``, ``k_dagger`` and a dead path's ``x`` are left as they
+    were.
+    """
+    model, a, b = pb.model, pb.interval.a, pb.interval.b
+    rise, fall = _wiener_hopf_scales(model)
+    idx = np.flatnonzero(pb.alive & ~pb.frozen)
+    x, n_cross = pb.x[idx], pb.n_cross[idx]
+    left = n_segments
+    while idx.size and left > 0:
+        m = idx.size
+        K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
+        left -= K
+        up, down, post, e2 = pb.rng.standard_exponential((4, m, K))
+        up *= rise
+        down *= fall
+        post -= e2
+        post /= model.eta
+        post += up - down
+        np.cumsum(post, axis=1, out=post)
+        post += x[:, None]
+        seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1)
+        above = seg0 > b
+        killed = np.where(above, seg0 - down <= b, seg0 + up >= a)
+        crossed = np.where(above, post <= b, post >= a)
+        count = n_cross[:, None] + np.cumsum(crossed, axis=1)
+        stop = killed | ((post >= a) & (post <= b)) | (count >= k)
+        stop[:, -1] = True
+        col = stop.argmax(axis=1)
+        rows = np.arange(m)
+        kill_c = killed[rows, col]
+        n_c = count[rows, col] - (kill_c & crossed[rows, col])
+
+        # crossings up to the stopping column, unless a kill preempts it
+        r, c = np.nonzero(crossed)
+        keep = (c < col[r]) | ((c == col[r]) & ~kill_c[r])
+        r, c = r[keep], c[keep]
+        pb.cross_pos[idx[r], count[r, c] - 1] = post[r, c]
+
+        x_c = post[rows, col]
+        dead = kill_c | ((x_c >= a) & (x_c <= b))
+        frozen = ~dead & (n_c >= k)
+        pb.n_cross[idx] = n_c
+        pb.alive[idx[dead]] = False
+        pb.frozen[idx[frozen]] = True
+        pb.x[idx[frozen]] = x_c[frozen]
+        go = ~(dead | frozen)
+        idx, x, n_cross = idx[go], x_c[go], n_c[go]
+    pb.x[idx] = x
+
+
+def _crossing_block(pb, k, n_segments):
     pb.cross_pos = np.full((pb.n, k), np.nan)     # crossings 1..k of each path
     interval = pb.interval
-    advance(pb, horizon, stop_after=k)
+    _crossing_walk(pb, n_segments, k)
     outside = ~interval.contains(np.nan_to_num(pb.cross_pos, nan=interval.midpoint))
     recorded = ~np.isnan(pb.cross_pos) & outside
     positions = [pb.cross_pos[recorded[:, j], j] for j in range(k)]
@@ -604,9 +690,11 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                            k: int, config: PathConfig) -> CrossingLawEstimate:
     """Empirical laws of the crossing landing positions j = 1..k, against nu_j.
 
-    One pass freezes each path at its k-th crossing and censors it at
-    ``config.horizon`` (hitting times have infinite mean, so some cap is
-    unavoidable).  Crossing j's mass therefore undershoots by at most
+    One pass walks each path from jump to jump (``_crossing_walk``), freezes
+    it at its k-th crossing and censors it after ceil(lam *
+    ``config.horizon``) jump segments (hitting times have infinite mean, so
+    some cap is unavoidable).  Crossing j's mass therefore undershoots by at
+    most
     ``censor_bias_bound[j - 1]``: every censored path short of crossing j
     adds gamma^(j - crossings so far), divided by the path count.  A path
     frozen at crossing k, or already past crossing j, adds nothing.  The
@@ -615,7 +703,8 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
-    parts = _map_blocks(_crossing_block, model, interval, start, config, k, config.horizon)
+    parts = _map_blocks(_crossing_block, model, interval, start, config, k,
+                        math.ceil(model.lam * config.horizon))
     n = config.n_paths
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
@@ -699,10 +788,7 @@ def _avoidance_walk(pb: PathBlock, n_segments: int, exit_level: float) -> None:
     left as they were.
     """
     model, a, b = pb.model, pb.interval.a, pb.interval.b
-    root = math.sqrt(model.drift**2 + 2.0 * model.lam * model.sigma**2)
-    # 1/phi+ and 1/phi-, each in the form without cancellation for drift > 0
-    rise = (root + model.drift) / (2.0 * model.lam)
-    fall = model.sigma**2 / (root + model.drift)
+    rise, fall = _wiener_hopf_scales(model)
     pb.frozen |= pb.alive & (pb.x >= exit_level)
     idx = np.flatnonzero(pb.alive & ~pb.frozen)
     x = pb.x[idx]

@@ -8,12 +8,9 @@ from scipy import stats
 MIN_BIN = 60     # draws per pooled chi-square bin, all samples together
 
 
-def chi2_pvalue(*samples) -> float:
-    """p-value of a chi-square test that integer samples share one law.
-
-    Adjacent values are pooled until each bin holds at least MIN_BIN draws
-    in all; 1.0 when fewer than two bins remain.
-    """
+def pooled_counts(*samples) -> np.ndarray:
+    """Counts of integer samples, one row per sample, over bins of adjacent
+    values pooled until each bin holds at least MIN_BIN draws in all."""
     values = np.unique(np.concatenate(samples))
     counts = np.array([[np.sum(s == v) for v in values] for s in samples])
     bins, acc = [], np.zeros(len(samples), dtype=int)
@@ -24,6 +21,13 @@ def chi2_pvalue(*samples) -> float:
             acc = np.zeros(len(samples), dtype=int)
     if bins:
         bins[-1] = bins[-1] + acc
-    if len(bins) < 2:
+    return np.array(bins, dtype=int).reshape(-1, len(samples)).T
+
+
+def chi2_pvalue(*samples) -> float:
+    """p-value of a chi-square test that integer samples share one law, over
+    the bins of ``pooled_counts``; 1.0 when fewer than two bins remain."""
+    table = pooled_counts(*samples)
+    if table.shape[1] < 2:
         return 1.0
-    return float(stats.chi2_contingency(np.array(bins).T).pvalue)
+    return float(stats.chi2_contingency(table).pvalue)

@@ -20,13 +20,15 @@ from interval_avoid.config import parse_config
 from interval_avoid import engine
 from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
                                    _avoidance_walk, _bridge_exponent, _bridge_kill,
+                                   _crossing_walk,
                                    _jump_sizes, adjustment_coefficient, advance, block_pool,
                                    estimate_avoidance_many, ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
 from interval_avoid._rng import block_stream, worker_count
-from laws import chi2_pvalue
+from laws import chi2_pvalue, pooled_counts
+from test_kernel_law import MAKER
 
 
 # ------------------------------------------------------------------- config
@@ -433,6 +435,110 @@ def test_crossing_law_insufficient_flag(model, interval):
     assert law.insufficient == (True, True)
 
 
+# ------------------------------------------------------------- crossing walk
+
+def _crossing_outcomes(case, route, seed, n_segments, k, n_blocks=5):
+    """Outcome codes (dead with j crossings: j, frozen: k + 1, live with j
+    crossings: k + 2 + j) and the recorded landings of crossings 1 and 2 of
+    ``n_blocks`` full blocks of kernel case ``case``, after ``n_segments``
+    jump segments of the walk or of ``advance`` stopped at each next jump."""
+    sigma, lam, eta, drift, start = MAKER.CASES[case]
+    model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+    codes, landings = [], ([], [])
+    for bi in range(n_blocks):
+        pb = PathBlock.start(model, MAKER.INTERVAL, start, 8192, block_stream(seed, bi),
+                             max_crossings=k)
+        if route == "walk":
+            _crossing_walk(pb, n_segments, k)
+        else:
+            for _ in range(n_segments):
+                advance(pb, pb.next_jump.copy(), stop_after=k)
+        codes.append(np.select([~pb.alive, pb.frozen], [pb.n_cross, k + 1],
+                               k + 2 + pb.n_cross))
+        for j, out in enumerate(landings):
+            pos = pb.cross_pos[:, j]
+            out.append(pos[~np.isnan(pos)])
+    return np.concatenate(codes), [np.concatenate(pos) for pos in landings]
+
+
+def test_crossing_walk_matches_advance():
+    """After 20 jump segments, the walk and ``advance`` run to each next jump
+    sample one law of outcome (dead, frozen or live, by crossing count) and
+    of the landings of crossings 1 and 2, for each kernel case, 40 960 paths
+    a side: one pooled chi-square over the three outcome tables and a
+    two-sample KS per landing law, Bonferroni-held at alpha = 0.0027."""
+    stat = dof = 0
+    p_values = {}
+    for case in range(len(MAKER.CASES)):
+        walk, walk_pos = _crossing_outcomes(case, "walk", 500 + case, 20, 3)
+        ref, ref_pos = _crossing_outcomes(case, "advance", 600 + case, 20, 3)
+        result = stats.chi2_contingency(pooled_counts(walk, ref), correction=False)
+        stat, dof = stat + result.statistic, dof + result.dof
+        for j in (0, 1):
+            assert min(walk_pos[j].size, ref_pos[j].size) >= 20, (case, j)
+            p_values[case, j + 1] = stats.ks_2samp(walk_pos[j], ref_pos[j]).pvalue
+    assert dof >= 12
+    p_values["outcome"] = stats.chi2.sf(stat, dof)
+    assert min(p_values.values()) >= 0.0027 / len(p_values), p_values
+
+
+class _SegmentCounter:
+    """A stream that adds up the last axis of each draw: the segments per
+    path that each walk iteration resolves."""
+
+    def __init__(self, rng):
+        self.rng, self.segments = rng, 0
+
+    def standard_exponential(self, shape):
+        self.segments += shape[-1]
+        return self.rng.standard_exponential(shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
+       start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 7.0)),
+       caps=st.tuples(st.integers(0, 60), st.integers(0, 60)), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, start=-1.0, caps=(60, 60), k=3, seed=1)
+def test_crossing_walk_invariants(interval, sigma, lam, eta, start, caps, k, seed):
+    """Over two walks of one block of a centred model: dead paths stay dead,
+    crossings are recorded in order and alternate sides from the start's far
+    side, with a landing inside only as a dead path's last; a frozen path
+    has made k crossings and holds its k-th landing, past the far boundary;
+    a live path lies outside [a, b] on the side its crossing count gives;
+    and no walk resolves more segments than its cap."""
+    a, b = interval.a, interval.b
+    model = ModelParams(sigma=sigma, lam=lam, eta=eta)
+    n = 96
+    pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0), max_crossings=k)
+    pb.rng = _SegmentCounter(pb.rng)
+    # crossing j lands above b when j is odd for a start below a
+    lands_above = (start < a) ^ (np.arange(k) % 2 == 1)
+    for cap in caps:
+        dead_before = ~pb.alive
+        pb.rng.segments = 0
+        _crossing_walk(pb, cap, k)
+        assert pb.rng.segments <= cap
+        assert not pb.alive[dead_before].any()
+
+        pos = pb.cross_pos
+        recorded = ~np.isnan(pos)
+        assert np.array_equal(recorded, np.arange(k) < pb.n_cross[:, None])
+        inside = recorded & (pos >= a) & (pos <= b)
+        past = np.where(lands_above, pos > b, pos < a)
+        assert np.all(past[recorded & ~inside])
+        last = np.arange(k) == pb.n_cross[:, None] - 1
+        assert np.all(last[inside]) and not pb.alive[inside.any(axis=1)].any()
+
+        frozen, live = pb.frozen, pb.alive & ~pb.frozen
+        assert np.all(pb.alive[frozen]) and np.all(pb.n_cross[frozen] == k)
+        assert np.array_equal(pb.x[frozen], pos[frozen, k - 1])
+        assert not inside[frozen].any()
+        assert np.all(pb.n_cross[live] < k)
+        assert not interval.contains(pb.x[live]).any()
+        assert np.array_equal(pb.x[live] > b, (start > b) ^ (pb.n_cross[live] % 2 == 1))
+
+
 def test_ks_helpers():
     rng = np.random.default_rng(1)
     u = rng.random(50_000)
@@ -589,7 +695,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "04639f07624473cfe7ee08312ad087562e4ce380b0e267a60c017071e961e34e")
+        "f010f8725c77c489335def3977b8e0c0b580dccac8a8ec30ffbe090294c7337f")
 
 
 # ----------------------------------------------------------------- avoidance
