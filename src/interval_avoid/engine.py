@@ -623,7 +623,8 @@ def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
     ``next_jump``, ``k_dagger`` and a dead path's ``x`` are left as they
     were.
     """
-    model, a, b = pb.model, pb.interval.a, pb.interval.b
+    model, interval = pb.model, pb.interval
+    a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
     idx = np.flatnonzero(pb.alive & ~pb.frozen)
     x, n_cross = pb.x[idx], pb.n_cross[idx]
@@ -645,7 +646,7 @@ def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
         killed = np.where(above, seg0 - down <= b, seg0 + up >= a)
         crossed = np.where(above, post <= b, post >= a)
         count = n_cross[:, None] + np.cumsum(crossed, axis=1)
-        stop = killed | ((post >= a) & (post <= b)) | (count >= k)
+        stop = killed | interval.contains(post) | (count >= k)
         stop[:, -1] = True
         col = stop.argmax(axis=1)
         rows = np.arange(m)
@@ -659,7 +660,7 @@ def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
         pb.cross_pos[idx[r], count[r, c] - 1] = post[r, c]
 
         x_c = post[rows, col]
-        dead = kill_c | ((x_c >= a) & (x_c <= b))
+        dead = kill_c | interval.contains(x_c)
         frozen = ~dead & (n_c >= k)
         pb.n_cross[idx] = n_c
         pb.alive[idx[dead]] = False

@@ -20,8 +20,8 @@ from interval_avoid.config import parse_config
 from interval_avoid import engine
 from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
                                    _avoidance_walk, _bridge_exponent, _bridge_kill,
-                                   _crossing_walk,
-                                   _jump_sizes, adjustment_coefficient, advance, block_pool,
+                                   _crossing_walk, _jump_sizes, adjustment_coefficient,
+                                   _wiener_hopf_scales, advance, block_pool,
                                    estimate_avoidance_many, ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
@@ -482,6 +482,23 @@ def test_crossing_walk_matches_advance():
     assert min(p_values.values()) >= 0.0027 / len(p_values), p_values
 
 
+@pytest.mark.parametrize("drift", [0.0, 0.4, -0.4, 1e6, -1e6])
+def test_wiener_hopf_scales(drift):
+    """1/phi+ and 1/phi- to 1e-14 relative against 40 digits for either sign
+    of the drift (root - |drift| cancels when |drift| is large), and a
+    mirrored drift swaps them."""
+    sigma, lam = 0.7, 3.0
+    rise, fall = _wiener_hopf_scales(ModelParams(sigma=sigma, lam=lam, drift=drift))
+    with mpmath.workdps(40):
+        s2 = mpmath.mpf(sigma)**2
+        root = mpmath.sqrt(mpmath.mpf(drift)**2 + 2 * mpmath.mpf(lam) * s2)
+        assert abs(rise * (root - drift) / s2 - 1) <= 1e-14
+        assert abs(fall * (root + drift) / s2 - 1) <= 1e-14
+    if drift:
+        mirrored = ModelParams(sigma=sigma, lam=lam, drift=-drift)
+        assert _wiener_hopf_scales(mirrored) == (fall, rise)
+
+
 class _SegmentCounter:
     """A stream that adds up the last axis of each draw: the segments per
     path that each walk iteration resolves."""
@@ -506,7 +523,8 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, caps, k, see
     side, with a landing inside only as a dead path's last; a frozen path
     has made k crossings and holds its k-th landing, past the far boundary;
     a live path lies outside [a, b] on the side its crossing count gives;
-    and no walk resolves more segments than its cap."""
+    and no walk resolves more segments than its cap, nor fewer while a path
+    is live."""
     a, b = interval.a, interval.b
     model = ModelParams(sigma=sigma, lam=lam, eta=eta)
     n = 96
@@ -524,7 +542,7 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, caps, k, see
         pos = pb.cross_pos
         recorded = ~np.isnan(pos)
         assert np.array_equal(recorded, np.arange(k) < pb.n_cross[:, None])
-        inside = recorded & (pos >= a) & (pos <= b)
+        inside = interval.contains(pos)              # False at NaN
         past = np.where(lands_above, pos > b, pos < a)
         assert np.all(past[recorded & ~inside])
         last = np.arange(k) == pb.n_cross[:, None] - 1
@@ -536,6 +554,8 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, caps, k, see
         assert not inside[frozen].any()
         assert np.all(pb.n_cross[live] < k)
         assert not interval.contains(pb.x[live]).any()
+        if live.any():
+            assert pb.rng.segments == cap
         assert np.array_equal(pb.x[live] > b, (start > b) ^ (pb.n_cross[live] % 2 == 1))
 
 
