@@ -22,16 +22,13 @@ Blocks of paths are simulated together with numpy by one kernel,
 live path: K is one plus the expected number of jumps left before the latest
 target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
-horizon.  A path stops at death, at its target, at a crossing cap or at an
-exit level above the interval.  Every estimator runs its blocks through one
-runner, ``_map_jobs``, which starts block bi of a job on the PCG64DXSM
-stream seeded by SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng)
-and sends the blocks of all its jobs to the process pool as one task list,
-in job order.  Inside a ``with block_pool():`` every call shares one held
-pool; outside one, a call that fans out builds its own.  K depends only on
-the block's state, so estimator outputs are bit-identical for a fixed seed
-regardless of the worker count and of the order in which blocks run; the
-order in which one block's draws are consumed does depend on K.
+horizon.  A path stops at death, at its target or at a crossing cap.  Every
+estimator is a job (``_Job``); ``_map_jobs`` runs the blocks of a list of
+jobs as one task list, block bi of a job on the PCG64DXSM stream seeded by
+SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng).  K depends only
+on the block's state, so estimator outputs are bit-identical for a fixed
+seed regardless of the worker count and of the order in which blocks run;
+the order in which one block's draws are consumed does depend on K.
 
 Two estimators do not use ``advance``, because their observables have no
 time in it: avoidance (the first post-jump value at or above an exit level
@@ -53,6 +50,7 @@ cap of ceil(lam * horizon) jump segments.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -75,9 +73,7 @@ __all__ = [
     "estimate_clock_event",
     "empirical_crossing_law",
     "estimate_avoidance",
-    "estimate_avoidance_many",
     "terminal_sample",
-    "block_pool",
     "ks_distance",
     "ks_critical_value",
     "SurvivalEstimate",
@@ -241,17 +237,15 @@ def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
     return max(1, min(MAX_EVENTS, BLOCK_SIZE // t0.size, 1 + int(min(expected, MAX_EVENTS))))
 
 
-def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
-            exit_above: Optional[float] = None) -> None:
+def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0) -> None:
     """Advance every live path to its target time, death or early stop.
 
     ``targets`` is a scalar or per-path array of absolute times.  A path
     stops at the first of: death (bridge touch or an endpoint inside the
     interval, or with ``bridge=False`` an endpoint inside only; a jump
-    landing inside), its target, its ``stop_after``-th crossing (if > 0) and
-    the first event value at or above ``exit_above`` (if given; a path
-    already there is frozen on entry).  An early stop sets ``frozen``.  A
-    dead path holds its hit time and hit value in ``t`` and ``x``.
+    landing inside), its target and its ``stop_after``-th crossing (if > 0).
+    A stop at the crossing cap sets ``frozen``.  A dead path holds its hit
+    time and hit value in ``t`` and ``x``.
 
     Each loop iteration draws K events for each of its m live paths, with
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
@@ -271,8 +265,6 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
     sigma, lam, eta, drift = model.sigma, model.lam, model.eta, model.drift
     targets = np.broadcast_to(np.asarray(targets, dtype=float), (pb.n,))
     rng = pb.rng
-    if exit_above is not None:
-        pb.frozen |= pb.alive & (pb.x >= exit_above)
 
     idx = np.flatnonzero(pb.alive & ~pb.frozen & (pb.t < targets))
     while idx.size:
@@ -318,17 +310,13 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
         landed = interval.contains(post)
         n_cross = pb.n_cross[idx][:, None] + (np.cumsum(crossed, axis=1) if K > 1
                                               else crossed)
-        early = []                               # crossing cap, exit level
-        if stop_after > 0:
-            early.append(jump & (n_cross >= stop_after))
-        if exit_above is not None:
-            early.append(post >= exit_above)
+        capped = jump & (n_cross >= stop_after) if stop_after > 0 else None
 
         # each row's first stopping column c (the last one if none stops)
         if K > 1:
             stop = killed | landed | (tj >= tt)
-            for mask in early:
-                stop |= mask
+            if capped is not None:
+                stop |= capped
             stop[:, -1] = True
             col = stop.argmax(axis=1)
             flat = np.arange(m) * K + col
@@ -383,8 +371,8 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0,
             tj_c[jumped] += rng.exponential(1.0 / lam, n_jumped)
         pb.next_jump[idx] = tj_c
 
-        for mask in early:
-            pb.frozen[idx[at_stop(mask) & ~dead]] = True
+        if capped is not None:
+            pb.frozen[idx[at_stop(capped) & ~dead]] = True
 
         idx = idx[pb.alive[idx] & ~pb.frozen[idx] & (t_c < tt[:, 0])]
 
@@ -446,66 +434,43 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
 # --------------------------------------------------------------------------- #
 
 def _run_block(task):
-    fn, model, interval, start, seed, bi, count, extra = task
-    return fn(PathBlock.start(model, interval, start, count, block_stream(seed, bi)), *extra)
+    fn, model, interval, start, seed, bi, count, args = task
+    return fn(PathBlock.start(model, interval, start, count, block_stream(seed, bi)), *args)
 
 
-_held_pool: Optional[ProcessPoolExecutor] = None    # set only inside block_pool
+# One estimate: block(pb, *args) runs on each block pb of config.n_paths
+# paths started at start, and finish turns the list of block results, in
+# block order, into the estimate.
+_Job = namedtuple("_Job", "block model interval start config args finish")
 
 
-class block_pool:
-    """Context manager that holds one process pool until its ``with`` exits.
-
-    Every estimator call inside the ``with`` sends its blocks to this pool
-    instead of starting its own.  With ``worker_count()`` at 1 nothing is
-    held and the ``with`` yields None.  A nested use yields the outer pool
-    and leaves its shutdown to the outer ``with``.  The pool belongs to the
-    process, so enter it from one thread at a time.
-    """
-
-    def __enter__(self) -> Optional[ProcessPoolExecutor]:
-        global _held_pool
-        workers = worker_count()
-        self._owner = _held_pool is None and workers > 1
-        if self._owner:
-            _held_pool = ProcessPoolExecutor(max_workers=workers)
-        return _held_pool
-
-    def __exit__(self, *exc) -> None:
-        global _held_pool
-        if self._owner:
-            pool, _held_pool = _held_pool, None
-            pool.shutdown(cancel_futures=True)
-
-
-def _map_jobs(jobs):
-    """For each job (fn, model, interval, start, config, extra), the list
-    [fn(pb, *extra) for each block pb of its ``config.n_paths`` paths], in
-    job order and block order.
+def _map_jobs(jobs: list[_Job]) -> list:
+    """The finished estimate of each job, in job order.
 
     Block bi of a job holds up to BLOCK_SIZE paths started at its ``start``
     on the stream keyed by (config.seed, bi), so the results depend neither
     on how many workers run the blocks nor on the order of the jobs.  With
     more than one worker and more than one block, every block of every job
-    goes to the pool as one task list, in job order; list the costly jobs
-    first, so that no worker is left with a long task at the end.
+    goes to one process pool, shut down before the call returns, as one task
+    list in job order; list the costly jobs first, so that no worker is left
+    with a long task at the end.
     """
     tasks, ends = [], []
-    for fn, model, interval, start, config, extra in jobs:
-        tasks += [(fn, model, interval, start, config.seed, bi, count, extra)
-                  for bi, _offset, count in iter_blocks(config.n_paths, BLOCK_SIZE)]
+    for job in jobs:
+        tasks += [(job.block, job.model, job.interval, job.start, job.config.seed, bi,
+                   count, job.args)
+                  for bi, _offset, count in iter_blocks(job.config.n_paths, BLOCK_SIZE)]
         ends.append(len(tasks))
-    if worker_count() <= 1 or len(tasks) <= 1:
+    workers = worker_count()
+    if workers <= 1 or len(tasks) <= 1:
         results = [_run_block(task) for task in tasks]
     else:
-        with block_pool() as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             results = list(pool.map(_run_block, tasks, chunksize=1))
-    return [results[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
-def _map_blocks(fn, model, interval, start, config, *extra):
-    """[fn(pb, *extra) for each block pb of ``config.n_paths`` paths], in block order."""
-    return _map_jobs([(fn, model, interval, start, config, extra)])[0]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [job.finish(results[lo:hi]) for job, lo, hi in zip(jobs, [0, *ends], ends)]
 
 
 def _concat_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -543,13 +508,17 @@ def _clock_block(pb, q):
     return pb.x, pb.alive
 
 
+def _clock_job(model, interval, start, q, config):
+    interval.require_outside(start, "starting point")
+    require_number(q, "q", low=0.0, strict=True)
+    return _Job(_clock_block, model, interval, start, config, (q,),
+                lambda parts: _side_split(interval, *_concat_blocks(parts)))
+
+
 def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
-    interval.require_outside(start, "starting point")
-    require_number(q, "q", low=0.0, strict=True)
-    parts = _map_blocks(_clock_block, model, interval, start, config, q)
-    return _side_split(interval, *_concat_blocks(parts))
+    return _map_jobs([_clock_job(model, interval, start, q, config)])[0]
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -704,8 +673,8 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
-    parts = _map_blocks(_crossing_block, model, interval, start, config, k,
-                        math.ceil(model.lam * config.horizon))
+    parts = _map_jobs([_Job(_crossing_block, model, interval, start, config,
+                            (k, math.ceil(model.lam * config.horizon)), list)])[0]
     n = config.n_paths
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
@@ -828,6 +797,31 @@ def _avoidance_block(pb, n_segments, exit_level, g):
     return avoided, unresolved, bound
 
 
+def _avoidance_job(model, interval, start, config, bound_target=1e-7):
+    if not model.drift > 0.0:
+        raise ValueError("avoidance estimation requires drift > 0 (transient case)")
+    require_number(bound_target, "bound_target", low=0.0, strict=True, high=1.0)
+    interval.require_outside(start, "starting point")
+    g = adjustment_coefficient(model)
+    exit_level = interval.b + math.log(1.0 / bound_target) / g
+    horizon = _avoidance_horizon(model, interval, start)
+
+    def finish(parts):
+        n = config.n_paths
+        avoided = sum(p[0] for p in parts)
+        unresolved = sum(p[1] for p in parts)
+        return AvoidanceEstimate(
+            result=_binomial_result(float(avoided), n),
+            horizon=horizon,
+            exit_level=exit_level,
+            return_prob_bound=(sum(p[2] for p in parts) + unresolved) / n,
+            unresolved=unresolved,
+        )
+
+    return _Job(_avoidance_block, model, interval, start, config,
+                (math.ceil(model.lam * horizon), exit_level, g), finish)
+
+
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
                        config: PathConfig, *, bound_target: float = 1e-7) -> AvoidanceEstimate:
     """P(T = infinity) for a transient (drift > 0) model.
@@ -839,48 +833,21 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     (``_avoidance_walk``), for at most ceil(lam * horizon) jump segments,
     with the horizon sized so that drift dominates a 30-sigma fluctuation.
     """
-    return estimate_avoidance_many(model, interval, [(start, config)],
-                                   bound_target=bound_target)[0]
-
-
-def estimate_avoidance_many(model: ModelParams, interval: Interval, items,
-                            *, bound_target: float = 1e-7) -> list[AvoidanceEstimate]:
-    """``estimate_avoidance`` at each (start, config) of ``items``, in order.
-
-    The blocks of every item run as one task list, in item order, so list
-    the costly starts first.  Each estimate equals the one that
-    ``estimate_avoidance`` returns for its item alone.
-    """
-    if not model.drift > 0.0:
-        raise ValueError("avoidance estimation requires drift > 0 (transient case)")
-    require_number(bound_target, "bound_target", low=0.0, strict=True, high=1.0)
-    for start, _config in items:
-        interval.require_outside(start, "starting point")
-    g = adjustment_coefficient(model)
-    exit_level = interval.b + math.log(1.0 / bound_target) / g
-    horizons = [_avoidance_horizon(model, interval, start) for start, _config in items]
-    jobs = [(_avoidance_block, model, interval, start, config,
-             (math.ceil(model.lam * horizon), exit_level, g))
-            for (start, config), horizon in zip(items, horizons)]
-    estimates = []
-    for (_start, config), horizon, parts in zip(items, horizons, _map_jobs(jobs)):
-        n = config.n_paths
-        avoided = sum(p[0] for p in parts)
-        unresolved = sum(p[1] for p in parts)
-        estimates.append(AvoidanceEstimate(
-            result=_binomial_result(float(avoided), n),
-            horizon=horizon,
-            exit_level=exit_level,
-            return_prob_bound=(sum(p[2] for p in parts) + unresolved) / n,
-            unresolved=unresolved,
-        ))
-    return estimates
+    return _map_jobs([_avoidance_job(model, interval, start, config, bound_target)])[0]
 
 
 def _terminal_block(pb, times, bridge):
     for t in times:
         advance(pb, t, bridge=bridge)
     return pb.x, pb.alive
+
+
+def _terminal_job(model, interval, start, t, config, bridge=True):
+    require_number(t, "t", low=0.0)
+    interval.require_outside(start, "starting point")
+    times = [t] if bridge else _observation_grid(config.dt, t)
+    return _Job(_terminal_block, model, interval, start, config, (times, bridge),
+                _concat_blocks)
 
 
 def terminal_sample(model: ModelParams, interval: Interval, start: float,
@@ -892,8 +859,4 @@ def terminal_sample(model: ModelParams, interval: Interval, start: float,
     (``config.dt`` grid point or jump time) lies inside the interval: the
     grid-only validation mode.
     """
-    require_number(t, "t", low=0.0)
-    interval.require_outside(start, "starting point")
-    times = [t] if bridge else _observation_grid(config.dt, t)
-    return _concat_blocks(_map_blocks(_terminal_block, model, interval, start, config,
-                                      times, bridge))
+    return _map_jobs([_terminal_job(model, interval, start, t, config, bridge)])[0]

@@ -25,8 +25,8 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .closedform import harmonics
-from .engine import (EstimatorResult, PathConfig, _map_blocks, _observation_grid, advance,
-                     terminal_sample)
+from .engine import (EstimatorResult, PathConfig, _Job, _map_jobs, _observation_grid,
+                     _terminal_job, advance)
 from .model import Interval, ModelParams, require_number
 
 __all__ = [
@@ -146,8 +146,8 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
         require_number(t, "record times", low=0.0)
     record = sorted({float(t) for t in record_times})
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
-    parts = _map_blocks(_ensemble_block, model, interval, start, config,
-                        kind, start, times, record)
+    parts = _map_jobs([_Job(_ensemble_block, model, interval, start, config,
+                            (kind, start, times, record), list)])[0]
     if not any(alive for _, alive in parts):
         raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
     sums = sum(block for block, _ in parts)
@@ -170,6 +170,38 @@ class DriftProbability:
     per_replicate: np.ndarray
 
 
+def _drift_job(model, interval, start, horizon, config, transform, replicates=8):
+    kind = _kind(transform)
+    require_number(replicates, "replicates", integer=True, low=1)
+    per_rep = max(1, config.n_paths // replicates)
+    cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
+                     n_paths=replicates * per_rep)
+    job = _terminal_job(model, interval, start, horizon, cfg)
+    weigh = _weigher(model, interval, kind, start)
+
+    def finish(parts):
+        xs, alive = job.finish(parts)
+        w = weigh(xs, alive)
+        up = xs > interval.b
+        batches = w.reshape(replicates, per_rep)
+        batch_total = batches.sum(axis=1)
+        if not np.all(batch_total > 0.0):
+            raise EnsembleExtinctionError(transform, start, horizon, per_rep)
+        total = w.sum()
+        p = float(w @ up / total)
+        se = float(math.sqrt(np.sum((w * (up - p)) ** 2)) / total)
+        n = cfg.n_paths
+        return DriftProbability(
+            p_up=EstimatorResult(p, se, n),
+            p_down=EstimatorResult(1.0 - p, se, n),
+            ess_min=min(_ess(row) for row in batches),
+            resamples=0,
+            per_replicate=(batches * up.reshape(replicates, per_rep)).sum(axis=1) / batch_total,
+        )
+
+    return job._replace(finish=finish)
+
+
 def drift_probability(model: ModelParams, interval: Interval, start: float,
                       horizon: float, config: PathConfig, *,
                       transform: Transform = "updown",
@@ -189,29 +221,8 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     zero raises ``EnsembleExtinctionError``.  The sample is block-parallel,
     so the result is bit-identical for any worker count.
     """
-    kind = _kind(transform)
-    require_number(replicates, "replicates", integer=True, low=1)
-    per_rep = max(1, config.n_paths // replicates)
-    cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
-                     n_paths=replicates * per_rep)
-    xs, alive = terminal_sample(model, interval, start, horizon, cfg)
-    w = _weigher(model, interval, kind, start)(xs, alive)
-    up = xs > interval.b
-    batches = w.reshape(replicates, per_rep)
-    batch_total = batches.sum(axis=1)
-    if not np.all(batch_total > 0.0):
-        raise EnsembleExtinctionError(transform, start, horizon, per_rep)
-    total = w.sum()
-    p = float(w @ up / total)
-    se = float(math.sqrt(np.sum((w * (up - p)) ** 2)) / total)
-    n = cfg.n_paths
-    return DriftProbability(
-        p_up=EstimatorResult(p, se, n),
-        p_down=EstimatorResult(1.0 - p, se, n),
-        ess_min=min(_ess(row) for row in batches),
-        resamples=0,
-        per_replicate=(batches * up.reshape(replicates, per_rep)).sum(axis=1) / batch_total,
-    )
+    return _map_jobs([_drift_job(model, interval, start, horizon, config, transform,
+                                 replicates)])[0]
 
 
 def _occupation_block(pb, kind, start, window, horizons, times):
@@ -230,6 +241,22 @@ def _occupation_block(pb, kind, start, window, horizons, times):
     return np.column_stack([at[hz] for hz in horizons])
 
 
+def _occupation_job(model, interval, start, window, horizons, config, transform):
+    kind = _kind(transform)
+    interval.require_outside(start, "starting point")
+    d, c = window
+    if not (d < interval.a and c > interval.b):
+        raise ValueError(f"window must satisfy d < a and c > b, got {window}")
+    for hz in horizons:
+        require_number(hz, "horizons", low=0.0, strict=True)
+    horizons = tuple(float(hz) for hz in horizons)
+    if not horizons:
+        raise ValueError("horizons must not be empty")
+    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
+    return _Job(_occupation_block, model, interval, start, config,
+                (kind, start, window, horizons, times), np.concatenate)
+
+
 def occupation_time(model: ModelParams, interval: Interval, start: float,
                     window: tuple[float, float], horizons: Sequence[float],
                     config: PathConfig, *, transform: Transform = "updown") -> np.ndarray:
@@ -244,35 +271,35 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     transient conditioned process.  The grid ends at the last horizon;
     ``config.horizon`` is not used.
     """
-    kind = _kind(transform)
+    return _map_jobs([_occupation_job(model, interval, start, window, horizons, config,
+                                      transform)])[0]
+
+
+def _harmonicity_job(model, interval, kind, start, t, config):
+    _weigher(model, interval, kind, start)     # rejects a drifted model or an unknown kind
     interval.require_outside(start, "starting point")
-    d, c = window
-    if not (d < interval.a and c > interval.b):
-        raise ValueError(f"window must satisfy d < a and c > b, got {window}")
-    for hz in horizons:
-        require_number(hz, "horizons", low=0.0, strict=True)
-    horizons = tuple(float(hz) for hz in horizons)
-    if not horizons:
-        raise ValueError("horizons must not be empty")
-    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
-    parts = _map_blocks(_occupation_block, model, interval, start, config,
-                        kind, start, window, horizons, times)
-    return np.concatenate(parts)
+    n = config.n_paths
+
+    def finish(parts):
+        total, total_sq = sum(block for block, _alive in parts)[:2, 0].tolist()
+        mean = total / n
+        var = (total_sq - total * mean) / (n - 1) if n > 1 else math.nan
+        return EstimatorResult(mean - 1.0, math.sqrt(max(var, 0.0) / n), n)
+
+    # t as the one grid and record time: one advance call per block
+    return _Job(_ensemble_block, model, interval, start, config, (kind, start, [t], [t]),
+                finish)
 
 
 def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
                          start: float, t: float, config: PathConfig) -> EstimatorResult:
     """Relative martingale defect (E[1_{t<T} h(xi_t)] - h(x)) / h(x).
 
-    Plain Monte Carlo on exact terminal samples; zero in expectation for a
-    harmonic h.
+    Plain Monte Carlo on exact terminal samples, each block reduced to its
+    sums of w = 1{alive} h(xi_t) / h(x) and w^2, which are added in block
+    order; zero in expectation for a harmonic h.
     """
     require_number(t, "t", low=0.0)
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
-    weigh = _weigher(model, interval, kind, start)
-    xs, alive = terminal_sample(model, interval, start, t, config)
-    w = weigh(xs, alive)
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(w.size))
-    return EstimatorResult(mean - 1.0, se, int(xs.size))
+    return _map_jobs([_harmonicity_job(model, interval, kind, start, t, config)])[0]

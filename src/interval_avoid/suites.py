@@ -28,6 +28,7 @@ import numpy as np
 from . import closedform as cf
 from . import engine as eng
 from . import particles as pt
+from ._rng import worker_count
 from .config import SuiteConfig
 from .model import (Interval, ModelParams, kappa, ladder_exponent, laplace_exponent,
                     potential, potential_q, potential_q_total, require_number,
@@ -328,15 +329,18 @@ def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
     checks: list[Check] = []
     starts = (-2.0, -1.2, 1.5, 3.0)
     times = (0.25, 1.0, 4.0)
-    for i, x in enumerate(starts):
-        for j, t in enumerate(times):
-            cfg = eng.PathConfig(dt=1.0, horizon=max(t, 1.0), n_paths=n,
-                                 seed=derive_seed(config.seed, 5, i, j))
-            res = pt.harmonicity_residual(model, iv, "combined", x, t, cfg)
-            checks.append(check_close(
-                f"martingale_x{x:g}_t{t:g}",
-                "E[1(t<T) h(xi_t)] = h(x) (harmonicity of h)",
-                res.mean, 0.0, 3.0 * res.stderr, criterion=5))
+    # one task list, the longest times first; sorting restores the check order
+    cases = [(i, x, j, t) for j, t in reversed(list(enumerate(times)))
+             for i, x in enumerate(starts)]
+    jobs = [pt._harmonicity_job(model, iv, "combined", x, t,
+                                eng.PathConfig(dt=1.0, horizon=max(t, 1.0), n_paths=n,
+                                               seed=derive_seed(config.seed, 5, i, j)))
+            for i, x, j, t in cases]
+    for (_i, x, _j, t), res in sorted(zip(cases, eng._map_jobs(jobs))):
+        checks.append(check_close(
+            f"martingale_x{x:g}_t{t:g}",
+            "E[1(t<T) h(xi_t)] = h(x) (harmonicity of h)",
+            res.mean, 0.0, 3.0 * res.stderr, criterion=5))
     return checks
 
 
@@ -353,11 +357,14 @@ def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
     model, iv = config.model, config.interval
     n = config.paths or 200_000
     start = iv.b + iv.width
+    qs = (0.1, 0.03, 0.01)
+    # one task list, the slowest clock (smallest q) first
+    estimates = eng._map_jobs([
+        eng._clock_job(model, iv, start, q, eng.PathConfig(
+            dt=1.0, horizon=1.0, n_paths=n, seed=derive_seed(config.seed, 6 + int(above_only), i)))
+        for i, q in reversed(list(enumerate(qs)))])
     rows = []
-    for i, q in enumerate((0.1, 0.03, 0.01)):
-        cfg = eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
-                             seed=derive_seed(config.seed, 6 + int(above_only), i))
-        est = eng.estimate_clock_event(model, iv, start, q, cfg)
+    for q, est in zip(qs, reversed(estimates)):
         res = est.above if above_only else est.total
         k = kappa(model, q)
         rows.append((q, res.mean / k, res.stderr / k))
@@ -409,7 +416,16 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
     horizon = 60.0
     cfg = eng.PathConfig(dt=0.1, horizon=horizon, n_paths=n,
                          seed=derive_seed(config.seed, 8))
-    dp = pt.drift_probability(model, iv, start, horizon, cfg, transform="updown")
+    cfg_plus = eng.PathConfig(dt=0.1, horizon=40.0, n_paths=n,
+                              seed=derive_seed(config.seed, 9))
+    window = (iv.a - 2.0, iv.b + 2.0)
+    cfg_o = eng.PathConfig(dt=0.1, horizon=200.0, n_paths=max(1024, n // 4),
+                           seed=derive_seed(config.seed, 10, 0))
+    # one task list, costliest first: the occupation pass has 2000 grid times
+    occ, dp, dp_plus = eng._map_jobs([
+        pt._occupation_job(model, iv, start, window, (50.0, 100.0, 200.0), cfg_o, "updown"),
+        pt._drift_job(model, iv, start, horizon, cfg, "updown"),
+        pt._drift_job(model, iv, start, 40.0, cfg_plus, "plus")])
     target = float(h.plus(start) / h.combined(start))
     checks.append(check_close(
         "updown_p_up",
@@ -420,9 +436,6 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
         "weighted side fractions partition the surviving mass",
         dp.p_up.mean + dp.p_down.mean, 1.0, 1e-12, criterion=7))
 
-    cfg_plus = eng.PathConfig(dt=0.1, horizon=40.0, n_paths=n,
-                              seed=derive_seed(config.seed, 9))
-    dp_plus = pt.drift_probability(model, iv, start, 40.0, cfg_plus, transform="plus")
     checks.append(check_ge(
         "plus_transform_drifts_up",
         "under the h_plus transform the process diverges upward",
@@ -432,11 +445,6 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
     # (100, 200] is no more than over (50, 100], where a recurrent process
     # gains sqrt(2) times as much; the paired difference needs no margin for
     # the true growth between the horizons
-    window = (iv.a - 2.0, iv.b + 2.0)
-    cfg_o = eng.PathConfig(dt=0.1, horizon=200.0, n_paths=max(1024, n // 4),
-                           seed=derive_seed(config.seed, 10, 0))
-    occ = pt.occupation_time(model, iv, start, window, (50.0, 100.0, 200.0), cfg_o,
-                             transform="updown")
     growth = (occ[:, 2] - occ[:, 1]) - (occ[:, 1] - occ[:, 0])
     checks.append(check_le(
         "occupation_saturates",
@@ -497,7 +505,7 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
         raise ValueError("transient suite requires positive drift")
     checks: list[Check] = []
 
-    def avoidance_config(n, *tags):
+    def path_config(n, *tags):
         return eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
                               seed=derive_seed(config.seed, *tags))
 
@@ -510,18 +518,21 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     xs_above = iv.b + np.arange(0.25, 10.01, 0.25)
     start, t_obs = 2.0, 1.0
     n_ref = 4 * n_grid
-    above = [(float(x), avoidance_config(n_grid, 12, 1000 + i))
-             for i, x in enumerate(xs_above)]
-    below = [(float(x), avoidance_config(n_grid, 12, i)) for i, x in enumerate(xs_below)]
+    n_outer = config.paths or 200_000
+    above = [(float(x), path_config(n_grid, 12, 1000 + i)) for i, x in enumerate(xs_above)]
+    below = [(float(x), path_config(n_grid, 12, i)) for i, x in enumerate(xs_below)]
     # one task list, costliest first (Graham's LPT rule, so that no worker is
     # left alone with a long task at the end): the far start, the starts above
-    # the interval from the highest down, the reference, the starts below;
-    # each result is read back by its index in that list.  The far start's
-    # one block costs less than a block of the highest grid starts, but what
-    # the rule needs holds: the cheapest blocks, starts just below a, come last
-    estimates = eng.estimate_avoidance_many(
-        model, iv, [(far, avoidance_config(8192, 11)), *above[::-1],
-                    (start, avoidance_config(n_ref, 13)), *below])
+    # the interval from the highest down, the reference, the starts below and
+    # the outer sample at t_obs; each result is read back by its index in
+    # that list.  The far start's one block costs less than a block of the
+    # highest grid starts, but what the rule needs holds: the cheapest
+    # blocks, starts just below a and the outer sample's, come last
+    *estimates, (xs, alive) = eng._map_jobs([
+        eng._avoidance_job(model, iv, x, cfg)
+        for x, cfg in [(far, path_config(8192, 11)), *above[::-1],
+                       (start, path_config(n_ref, 13)), *below]]
+        + [eng._terminal_job(model, iv, start, t_obs, path_config(n_outer, 14))])
     est_far, ref = estimates[0], estimates[len(above) + 1]
     est_above = estimates[len(above):0:-1]
     est_below = estimates[len(above) + 2:]
@@ -538,10 +549,6 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     evaluate, node_weights = _interp_grid(xs_below, np.array(vals_b),
                                           xs_above, np.array(vals_a), iv)
 
-    n_outer = config.paths or 200_000
-    cfg_outer = eng.PathConfig(dt=1.0, horizon=max(t_obs, 1.0), n_paths=n_outer,
-                               seed=derive_seed(config.seed, 14))
-    xs, alive = eng.terminal_sample(model, iv, start, t_obs, cfg_outer)
     w = np.where(alive, evaluate(xs), 0.0)
     outer_mean = float(w.mean())
     outer_se = _stderr(w)
@@ -595,9 +602,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     name = config.suite
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    worker_count()      # a malformed INTERVAL_AVOID_THREADS fails every suite
     tic = time.perf_counter()
-    with eng.block_pool():
-        checks = SUITES[name](config)
+    checks = SUITES[name](config)
     report = SuiteReport(
         suite=name,
         passed=all(c.passed for c in checks),

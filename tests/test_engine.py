@@ -17,12 +17,12 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             kappa, nu, potential_q, run_suite, simulate_path,
                             terminal_sample)
 from interval_avoid.config import parse_config
-from interval_avoid import engine
+from interval_avoid import engine, particles
 from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
                                    _avoidance_walk, _bridge_exponent, _bridge_kill,
                                    _crossing_walk, _jump_sizes, adjustment_coefficient,
-                                   _wiener_hopf_scales, advance, block_pool,
-                                   estimate_avoidance_many, ks_critical_value, ks_distance)
+                                   _wiener_hopf_scales, advance, ks_critical_value,
+                                   ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
@@ -165,29 +165,24 @@ def test_jump_sizes_are_laplace(eta):
 @given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
        drift=st.floats(-1.0, 1.0),
        start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 7.0)),
-       horizon=st.floats(0.01, 30.0), stop_after=st.integers(0, 3),
-       exit_gap=st.one_of(st.none(), st.floats(-1.0, 4.0)), bridge=st.booleans(),
+       horizon=st.floats(0.01, 30.0), stop_after=st.integers(0, 3), bridge=st.booleans(),
        seed=st.integers(0, 2**32))
 @example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.0, start=2.0, horizon=20.0,
-         stop_after=0, exit_gap=1.0, bridge=True, seed=1)
+         stop_after=1, bridge=True, seed=1)
 def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
-                            stop_after, exit_gap, bridge, seed):
+                            stop_after, bridge, seed):
     """Over two calls with per-path targets: hit values lie in [a, b], live
     paths lie outside it, crossing counts never decrease, times never pass
     the target, a live unfrozen path ends on its target and a frozen one has
-    reached the crossing cap or the exit level.  The exit level sits
-    ``exit_gap`` above the start (or above b for a start below the
-    interval), so a negative gap freezes paths on entry."""
+    reached the crossing cap."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
-    exit_above = (None if exit_gap is None
-                  else max(interval.b + 0.01, max(start, interval.b) + exit_gap))
     n = 96
     rng = np.random.default_rng(seed)
     first = rng.uniform(0.0, horizon, n)
     pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0), max_crossings=3)
     for targets in (first, first + rng.uniform(0.0, horizon, n)):
         n_before = pb.n_cross.copy()
-        advance(pb, targets, bridge=bridge, stop_after=stop_after, exit_above=exit_above)
+        advance(pb, targets, bridge=bridge, stop_after=stop_after)
         live, dead, frozen = pb.alive, ~pb.alive, pb.frozen
         assert np.all(pb.n_cross >= n_before)
         assert np.all(pb.t <= targets)
@@ -195,12 +190,7 @@ def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
         assert np.all(interval.contains(pb.x[dead]))
         assert np.all(pb.t[live & ~frozen] == targets[live & ~frozen])
         assert np.all(live[frozen])
-        reached = np.zeros(n, dtype=bool)
-        if stop_after:
-            reached |= pb.n_cross >= stop_after
-        if exit_above is not None:
-            reached |= pb.x >= exit_above
-        assert np.all(reached[frozen])
+        assert np.all(pb.n_cross[frozen] >= stop_after) if stop_after else not frozen.any()
         recorded = np.sum(~np.isnan(pb.cross_pos), axis=1)
         assert np.array_equal(recorded, np.minimum(pb.n_cross, 3))
 
@@ -619,7 +609,9 @@ def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
         avoid = estimate_avoidance(ModelParams(drift=0.5), interval, 2.0,
                                    PathConfig(dt=1.0, horizon=1.0, seed=74,
                                               n_paths=20_000))
-        return surv, clock, avoid, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
+        # per-block sums added in block order
+        harm = harmonicity_residual(model, interval, "combined", -1.2, 1.0, cfg)
+        return surv, clock, avoid, harm, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
                                     dp.per_replicate.tobytes()), occ.tobytes(), (
             law.n_paths, law.censored_fraction, law.mass, law.ks_distance,
             law.ks_critical, law.insufficient, law.censor_bias_bound,
@@ -634,9 +626,32 @@ def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("INTERVAL_AVOID_THREADS", "3")
     assert worker_count() == 3
-    with block_pool():                  # one pool of 3 for every estimator
-        multi = estimates()
-    assert multi == base
+    assert estimates() == base
+
+
+# budgets that keep each Monte Carlo suite well under a second
+SMALL = {"closedform": {}, "overshoot": {"paths": 32768}, "harmonicity": {"paths": 4096},
+         "clocklimit": {"paths": 4096}, "conditioning": {"paths": 4096},
+         "longtime": {"particles": 4096}, "transient5": {"paths": 12288}}
+
+
+def test_each_suite_makes_one_map_jobs_call(monkeypatch):
+    """Every Monte Carlo suite sends all of its blocks as one task list, so it
+    waits at one barrier; closedform simulates nothing."""
+    calls = []
+    run = engine._map_jobs
+
+    def counting(jobs):
+        calls.append(len(jobs))
+        return run(jobs)
+
+    monkeypatch.setattr(engine, "_map_jobs", counting)
+    monkeypatch.setattr(particles, "_map_jobs", counting)
+    monkeypatch.delenv("INTERVAL_AVOID_THREADS", raising=False)
+    for suite, budget in SMALL.items():
+        calls.clear()
+        run_suite(parse_config(budget, suite=suite))
+        assert len(calls) == (0 if suite == "closedform" else 1), (suite, calls)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
@@ -650,38 +665,41 @@ def test_suite_holds_one_pool_and_shuts_it_down(monkeypatch):
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
 
-    def report(threads):
+    def report(suite, threads):
         monkeypatch.setenv("INTERVAL_AVOID_THREADS", threads)
         built.clear()
-        out = run_suite(parse_config({"paths": 12288}, suite="transient5")).to_dict()
+        out = run_suite(parse_config(SMALL[suite], suite=suite)).to_dict()
         del out["runtime_seconds"]
         return dumps_17g(out), len(built)
 
-    two, pools_two = report("2")
-    assert pools_two == 1
-    assert multiprocessing.active_children() == []
-    one, pools_one = report("1")
-    assert pools_one == 0
-    assert two == one
-
-    # calls that fan out share the held pool (at 12288 paths only the
-    # suite's outer sample spans two blocks)
-    monkeypatch.setenv("INTERVAL_AVOID_THREADS", "2")
-    built.clear()
-    cfg = PathConfig(dt=0.01, horizon=0.01, seed=7, n_paths=2 * 8192)
-    with block_pool():
-        for _ in range(3):
-            terminal_sample(ModelParams(), Interval(0.0, 1.0), 2.0, 0.01, cfg)
-    assert len(built) == 1
-    assert multiprocessing.active_children() == []
+    for suite in SMALL:
+        two, pools_two = report(suite, "2")
+        assert pools_two <= 1, suite
+        assert multiprocessing.active_children() == [], suite
+        if suite == "transient5":
+            one, pools_one = report(suite, "1")
+            assert pools_one == 0
+            assert two == one
 
 
-def test_avoidance_many_matches_single_calls(interval):
-    m = ModelParams(drift=0.5)
-    items = [(interval.b + 3.0, PathConfig(dt=1.0, horizon=1.0, seed=95, n_paths=9000)),
-             (interval.a - 1.0, PathConfig(dt=1.0, horizon=1.0, seed=96, n_paths=300))]
-    assert estimate_avoidance_many(m, interval, items) == [
-        estimate_avoidance(m, interval, start, cfg) for start, cfg in items]
+def test_mixed_job_list_matches_public_calls(model, interval):
+    """One task list of different jobs gives each job the estimate of its
+    public call alone."""
+    drifted = ModelParams(drift=0.5)
+    cfg = PathConfig(dt=1.0, horizon=1.0, seed=95, n_paths=9000)
+    small = PathConfig(dt=1.0, horizon=1.0, seed=96, n_paths=300)
+    jobs = [engine._avoidance_job(drifted, interval, interval.b + 3.0, cfg),
+            engine._avoidance_job(drifted, interval, interval.a - 1.0, small),
+            engine._terminal_job(model, interval, 1.3, 0.7, cfg),
+            engine._clock_job(model, interval, 2.0, 0.5, cfg),
+            particles._harmonicity_job(model, interval, "combined", -1.2, 1.0, cfg)]
+    far, near, (xs, alive), clock, harm = engine._map_jobs(jobs)
+    assert far == estimate_avoidance(drifted, interval, interval.b + 3.0, cfg)
+    assert near == estimate_avoidance(drifted, interval, interval.a - 1.0, small)
+    xs1, alive1 = terminal_sample(model, interval, 1.3, 0.7, cfg)
+    assert np.array_equal(xs, xs1) and np.array_equal(alive, alive1)
+    assert clock == estimate_clock_event(model, interval, 2.0, 0.5, cfg)
+    assert harm == harmonicity_residual(model, interval, "combined", -1.2, 1.0, cfg)
 
 
 def test_crossing_law_deterministic(model, interval):
@@ -772,40 +790,42 @@ def test_avoidance_monotone_in_start(interval):
 
 # ------------------------------------------------------------ avoidance walk
 
-def _walk_and_advance_tables(model, interval, start, n_blocks, seeds):
+def _walk_and_advance_tables(model, interval, start, n, seeds):
     """2 x 3 table of (dead, frozen with overshoot of the exit level below
     log(2)/eta, frozen with a larger one) for the walk and for ``advance``
-    with ``exit_above``."""
+    run from jump to jump and stopped at the exit level, n paths a side,
+    each side one block."""
     # estimate_avoidance's exit level at its default bound_target 1e-7
     exit_level = interval.b + math.log(1e7) / adjustment_coefficient(model)
     horizon = _avoidance_horizon(model, interval, start)
     cut = math.log(2.0) / model.eta
     rows = []
     for route, seed in zip(("walk", "advance"), seeds):
-        row = np.zeros(3, dtype=int)
-        for bi in range(n_blocks):
-            pb = PathBlock.start(model, interval, start, 8192, block_stream(seed, bi))
-            if route == "walk":
-                _avoidance_walk(pb, math.ceil(model.lam * horizon), exit_level)
-            else:
-                advance(pb, horizon, exit_above=exit_level)
-            assert not (pb.alive & ~pb.frozen).any()     # nothing unresolved
-            over = pb.x[pb.frozen] - exit_level
-            row += [np.count_nonzero(~pb.alive), np.count_nonzero(over < cut),
-                    np.count_nonzero(over >= cut)]
-        rows.append(row)
+        pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0))
+        if route == "walk":
+            _avoidance_walk(pb, math.ceil(model.lam * horizon), exit_level)
+        else:
+            # one event (the next jump) per call; a path is frozen at its
+            # first landing at or above the exit level
+            while (pb.alive & ~pb.frozen & (pb.t < horizon)).any():
+                advance(pb, pb.next_jump.copy())
+                pb.frozen |= pb.alive & (pb.x >= exit_level)
+        assert not (pb.alive & ~pb.frozen).any()     # nothing unresolved
+        over = pb.x[pb.frozen] - exit_level
+        rows.append([np.count_nonzero(~pb.alive), np.count_nonzero(over < cut),
+                     np.count_nonzero(over >= cut)])
     return np.array(rows)
 
 
 def test_avoidance_walk_matches_advance(interval):
-    """The walk and ``advance(..., exit_above=...)`` sample one law of (death,
-    overshoot of the exit level) at four starts, 65 536 paths a side: one
+    """The walk and ``advance`` stopped at the exit level sample one law of
+    (death, overshoot of the exit level) at four starts, 65 536 paths a side: one
     pooled chi-square over the four 2 x 3 tables at alpha = 0.0027."""
     model = ModelParams(drift=0.5)
     starts = [interval.a - 3.0, interval.b + 0.25, interval.b + 2.0, interval.b + 10.0]
     stat = dof = 0
     for i, start in enumerate(starts):
-        table = _walk_and_advance_tables(model, interval, start, 8, (300 + i, 400 + i))
+        table = _walk_and_advance_tables(model, interval, start, 65_536, (300 + i, 400 + i))
         result = stats.chi2_contingency(table, correction=False)
         stat, dof = stat + result.statistic, dof + result.dof
     assert dof == 8

@@ -176,7 +176,11 @@ def test_downward_escape_vanishes_under_plus(model, interval):
     for i, c in enumerate((-2.0, -5.0, -10.0)):
         pb = PathBlock.start(model, interval, mirror - 2.0, 16_384, block_stream(12 + i, 0))
         for t in _observation_grid(0.1, 12.0):
-            advance(pb, t, exit_above=mirror - c)
+            # one event (the next jump or grid time) per call; a path is
+            # frozen at its first event at or above a + b - c
+            while (pb.alive & ~pb.frozen & (pb.t < t)).any():
+                advance(pb, np.minimum(pb.next_jump, t))
+                pb.frozen |= pb.alive & (pb.x >= mirror - c)
         probs.append(h.minus(pb.x[pb.frozen]).sum() / float(h.minus(mirror - 2.0)) / pb.n)
     assert 0.0 <= probs[0] < 0.05
     assert probs[2] <= probs[1] + 1e-3 <= probs[0] + 2e-3
