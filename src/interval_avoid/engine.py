@@ -571,8 +571,10 @@ def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
     return model.sigma**2 / (root - model.drift), (root - model.drift) / (2.0 * model.lam)
 
 
-def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
-    """Walk the live paths of ``pb`` from jump to jump, without event times,
+def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
+                   rng: np.random.Generator, n_segments: int,
+                   k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
     A segment is sampled as in ``_avoidance_walk``: from a start x the path
@@ -587,22 +589,23 @@ def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
     is a crossing, and a landing inside [a, b] kills as well; a kill
     preempts its own segment's crossing.  Each row stops at its first kill,
     landing inside or k-th crossing, and the draws past it are discarded.
-    Crossings are recorded in ``pb.cross_pos``, which must have k columns; a
-    path frozen at its k-th crossing holds its landing in ``x``.  ``t``,
-    ``next_jump``, ``k_dagger`` and a dead path's ``x`` are left as they
-    were.
+
+    Returns the (n, k) landings of crossings 1..k of each path (NaN past
+    its last; a landing inside [a, b] is a dead path's last) and the index
+    and position of each path still live, which has made fewer than k
+    crossings.
     """
-    model, interval = pb.model, pb.interval
     a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
-    idx = np.flatnonzero(pb.alive & ~pb.frozen)
-    x, n_cross = pb.x[idx], pb.n_cross[idx]
+    landings = np.full((x.size, k), np.nan)
+    idx = np.arange(x.size)
+    n_cross = np.zeros(x.size, dtype=np.int64)
     left = n_segments
     while idx.size and left > 0:
         m = idx.size
         K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
         left -= K
-        up, down, post, e2 = pb.rng.standard_exponential((4, m, K))
+        up, down, post, e2 = rng.standard_exponential((4, m, K))
         up *= rise
         down *= fall
         post -= e2
@@ -626,34 +629,24 @@ def _crossing_walk(pb: PathBlock, n_segments: int, k: int) -> None:
         r, c = np.nonzero(crossed)
         keep = (c < col[r]) | ((c == col[r]) & ~kill_c[r])
         r, c = r[keep], c[keep]
-        pb.cross_pos[idx[r], count[r, c] - 1] = post[r, c]
+        landings[idx[r], count[r, c] - 1] = post[r, c]
 
         x_c = post[rows, col]
-        dead = kill_c | interval.contains(x_c)
-        frozen = ~dead & (n_c >= k)
-        pb.n_cross[idx] = n_c
-        pb.alive[idx[dead]] = False
-        pb.frozen[idx[frozen]] = True
-        pb.x[idx[frozen]] = x_c[frozen]
-        go = ~(dead | frozen)
+        go = ~(kill_c | interval.contains(x_c)) & (n_c < k)
         idx, x, n_cross = idx[go], x_c[go], n_c[go]
-    pb.x[idx] = x
+    return landings, idx, x
 
 
 def _crossing_block(pb, k, n_segments):
-    pb.cross_pos = np.full((pb.n, k), np.nan)     # crossings 1..k of each path
-    interval = pb.interval
-    _crossing_walk(pb, n_segments, k)
-    outside = ~interval.contains(np.nan_to_num(pb.cross_pos, nan=interval.midpoint))
-    recorded = ~np.isnan(pb.cross_pos) & outside
-    positions = [pb.cross_pos[recorded[:, j], j] for j in range(k)]
-    censored = pb.alive & ~pb.frozen
-    # residual potential of the censored paths short of crossing j:
+    a, b = pb.interval.a, pb.interval.b
+    p, live, _x = _crossing_walk(pb.model, pb.interval, pb.x, pb.rng, n_segments, k)
+    positions = [p[(p[:, j] < a) | (p[:, j] > b), j] for j in range(k)]
+    # residual potential of the live (censored) paths short of crossing j:
     # gamma^(j - crossings so far) each
-    gam = gamma_bound(pb.model, interval)
-    done = pb.n_cross[censored]
+    gam = gamma_bound(pb.model, pb.interval)
+    done = np.count_nonzero(~np.isnan(p[live]), axis=1)
     bias = [float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)]
-    return positions, int(censored.sum()), bias
+    return positions, live.size, bias
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
@@ -737,8 +730,10 @@ def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> 
     return s * s
 
 
-def _avoidance_walk(pb: PathBlock, n_segments: int, exit_level: float) -> None:
-    """Walk the live paths of ``pb`` from jump to jump, without event times,
+def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
+                    rng: np.random.Generator, n_segments: int,
+                    exit_level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk paths started at ``x`` from jump to jump, without event times,
     until death, the exit level or ``n_segments`` segments.
 
     A segment is the Brownian motion with drift run for an Exp(lam) time,
@@ -750,22 +745,24 @@ def _avoidance_walk(pb: PathBlock, n_segments: int, exit_level: float) -> None:
     (4, m) array of standard exponentials U, D, E1, E2 for its m live
     paths.  With lo = x - D/phi-, a path above b dies if lo <= b, and a path
     below a dies if x + U/phi+ >= a (its supremum).  Otherwise it moves to
-    post = lo + U/phi+ + (E1 - E2)/eta, dies if post lies in [a, b] and is
-    frozen at post if post >= ``exit_level``; a path already at the exit
-    level is frozen before any draw.  The live paths are compacted after
-    every iteration.  Paths still live after ``n_segments`` segments keep
-    their last position; ``t``, ``next_jump`` and a dead path's ``x`` are
-    left as they were.
+    post = lo + U/phi+ + (E1 - E2)/eta, dies if post lies in [a, b] and
+    escapes if post >= ``exit_level``; a path started at the exit level
+    escapes before any draw.  The live paths are compacted after every
+    iteration.
+
+    Returns each path's exit landing, its first post-jump value at or above
+    the exit level (NaN if it did not escape), and the index and position
+    of each path still live after ``n_segments`` segments.
     """
-    model, a, b = pb.model, pb.interval.a, pb.interval.b
+    a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
-    pb.frozen |= pb.alive & (pb.x >= exit_level)
-    idx = np.flatnonzero(pb.alive & ~pb.frozen)
-    x = pb.x[idx]
+    exits = np.where(x >= exit_level, x, np.nan)
+    idx = np.flatnonzero(x < exit_level)
+    x = x[idx]
     for _ in range(n_segments):
         if not idx.size:
             break
-        up, down, post, e2 = pb.rng.standard_exponential((4, idx.size))
+        up, down, post, e2 = rng.standard_exponential((4, idx.size))
         up *= rise
         down *= fall
         lo = x - down
@@ -778,23 +775,19 @@ def _avoidance_walk(pb: PathBlock, n_segments: int, exit_level: float) -> None:
         stop = dead | out
         if stop.any():
             out &= ~dead
-            pb.alive[idx[dead]] = False
-            pb.frozen[idx[out]] = True
-            pb.x[idx[out]] = post[out]
+            exits[idx[out]] = post[out]
             keep = ~stop
             idx, post = idx[keep], post[keep]
         x = post
-    pb.x[idx] = x
+    return exits, idx, x
 
 
 def _avoidance_block(pb, n_segments, exit_level, g):
-    _avoidance_walk(pb, n_segments, exit_level)
-    # each escaped path is frozen at its first jump landing at or above the
-    # exit level
-    bound = float(np.exp(-g * (pb.x[pb.frozen] - pb.interval.b)).sum())
-    avoided = int(pb.frozen.sum())
-    unresolved = int((pb.alive & ~pb.frozen).sum())
-    return avoided, unresolved, bound
+    exits, live, _x = _avoidance_walk(pb.model, pb.interval, pb.x, pb.rng, n_segments,
+                                      exit_level)
+    escaped = exits[~np.isnan(exits)]
+    bound = float(np.exp(-g * (escaped - pb.interval.b)).sum())
+    return escaped.size, live.size, bound
 
 
 def _avoidance_job(model, interval, start, config, bound_target=1e-7):

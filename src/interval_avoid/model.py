@@ -128,10 +128,6 @@ class Interval:
     def width(self) -> float:
         return self.b - self.a
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def contains(self, x):
         """Membership in the closed interval; works on scalars and arrays."""
         x = np.asarray(x)

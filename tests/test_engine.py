@@ -18,7 +18,7 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             terminal_sample)
 from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
-from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
+from interval_avoid.engine import (PathBlock, _avoidance_horizon,
                                    _avoidance_walk, _bridge_exponent, _bridge_kill,
                                    _crossing_walk, _jump_sizes, adjustment_coefficient,
                                    _wiener_hopf_scales, advance, ks_critical_value,
@@ -434,20 +434,26 @@ def _crossing_outcomes(case, route, seed, n_segments, k, n_blocks=5):
     jump segments of the walk or of ``advance`` stopped at each next jump."""
     sigma, lam, eta, drift, start = MAKER.CASES[case]
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+    interval, n = MAKER.INTERVAL, 8192
     codes, landings = [], ([], [])
     for bi in range(n_blocks):
-        pb = PathBlock.start(model, MAKER.INTERVAL, start, 8192, block_stream(seed, bi),
-                             max_crossings=k)
+        rng = block_stream(seed, bi)
         if route == "walk":
-            _crossing_walk(pb, n_segments, k)
+            pos, live, _x = _crossing_walk(model, interval, np.full(n, start), rng,
+                                           n_segments, k)
+            alive = np.isin(np.arange(n), live)
+            # a path with k landings is frozen unless its k-th landed inside
+            frozen = ~np.isnan(pos[:, k - 1]) & ~interval.contains(pos[:, k - 1])
+            alive |= frozen
         else:
+            pb = PathBlock.start(model, interval, start, n, rng, max_crossings=k)
             for _ in range(n_segments):
                 advance(pb, pb.next_jump.copy(), stop_after=k)
-        codes.append(np.select([~pb.alive, pb.frozen], [pb.n_cross, k + 1],
-                               k + 2 + pb.n_cross))
+            pos, alive, frozen = pb.cross_pos, pb.alive, pb.frozen
+        n_cross = np.count_nonzero(~np.isnan(pos), axis=1)
+        codes.append(np.select([~alive, frozen], [n_cross, k + 1], k + 2 + n_cross))
         for j, out in enumerate(landings):
-            pos = pb.cross_pos[:, j]
-            out.append(pos[~np.isnan(pos)])
+            out.append(pos[~np.isnan(pos[:, j]), j])
     return np.concatenate(codes), [np.concatenate(pos) for pos in landings]
 
 
@@ -489,64 +495,62 @@ def test_wiener_hopf_scales(drift):
         assert _wiener_hopf_scales(mirrored) == (fall, rise)
 
 
-class _SegmentCounter:
-    """A stream that adds up the last axis of each draw: the segments per
-    path that each walk iteration resolves."""
+class _DrawLog:
+    """A stream that logs the shape of each standard exponential draw; any
+    other draw fails the test."""
 
     def __init__(self, rng):
-        self.rng, self.segments = rng, 0
+        self.rng, self.shapes = rng, []
 
     def standard_exponential(self, shape):
-        self.segments += shape[-1]
+        self.shapes.append(shape)
         return self.rng.standard_exponential(shape)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a walk drew from Generator.{name}")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
        start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 7.0)),
-       caps=st.tuples(st.integers(0, 60), st.integers(0, 60)), k=st.integers(1, 3),
-       seed=st.integers(0, 2**32))
-@example(sigma=2**0.5, lam=1.0, eta=1.0, start=-1.0, caps=(60, 60), k=3, seed=1)
-def test_crossing_walk_invariants(interval, sigma, lam, eta, start, caps, k, seed):
-    """Over two walks of one block of a centred model: dead paths stay dead,
-    crossings are recorded in order and alternate sides from the start's far
-    side, with a landing inside only as a dead path's last; a frozen path
-    has made k crossings and holds its k-th landing, past the far boundary;
-    a live path lies outside [a, b] on the side its crossing count gives;
-    and no walk resolves more segments than its cap, nor fewer while a path
-    is live."""
+       cap=st.integers(0, 60), k=st.integers(1, 3), seed=st.integers(0, 2**32))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, start=-1.0, cap=60, k=3, seed=1)
+def test_crossing_walk_invariants(interval, sigma, lam, eta, start, cap, k, seed):
+    """On one block of a centred model: crossings are recorded in order and
+    alternate sides from the start's far side, with a landing inside only as
+    a dead path's last; a path with k landings is no longer live; a live
+    path has made fewer than k crossings and lies outside [a, b] on the side
+    its crossing count gives; and the walk draws only (4, m, K) standard
+    exponentials, m falling, and resolves no more segments than its cap, nor
+    fewer while a path is live."""
     a, b = interval.a, interval.b
     model = ModelParams(sigma=sigma, lam=lam, eta=eta)
     n = 96
-    pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0), max_crossings=k)
-    pb.rng = _SegmentCounter(pb.rng)
+    rng = _DrawLog(block_stream(seed, 0))
+    pos, live, x = _crossing_walk(model, interval, np.full(n, start), rng, cap, k)
+    assert all(len(s) == 3 and s[0] == 4 for s in rng.shapes)
+    widths = [s[1] for s in rng.shapes]
+    assert widths == sorted(widths, reverse=True) and all(m <= n for m in widths)
+    segments = sum(s[2] for s in rng.shapes)
+    assert segments <= cap
+    if live.size:
+        assert segments == cap
+
     # crossing j lands above b when j is odd for a start below a
     lands_above = (start < a) ^ (np.arange(k) % 2 == 1)
-    for cap in caps:
-        dead_before = ~pb.alive
-        pb.rng.segments = 0
-        _crossing_walk(pb, cap, k)
-        assert pb.rng.segments <= cap
-        assert not pb.alive[dead_before].any()
+    recorded = ~np.isnan(pos)
+    n_cross = np.count_nonzero(recorded, axis=1)
+    assert np.array_equal(recorded, np.arange(k) < n_cross[:, None])
+    inside = interval.contains(pos)              # False at NaN
+    past = np.where(lands_above, pos > b, pos < a)
+    assert np.all(past[recorded & ~inside])
+    last = np.arange(k) == n_cross[:, None] - 1
+    assert np.all(last[inside])
 
-        pos = pb.cross_pos
-        recorded = ~np.isnan(pos)
-        assert np.array_equal(recorded, np.arange(k) < pb.n_cross[:, None])
-        inside = interval.contains(pos)              # False at NaN
-        past = np.where(lands_above, pos > b, pos < a)
-        assert np.all(past[recorded & ~inside])
-        last = np.arange(k) == pb.n_cross[:, None] - 1
-        assert np.all(last[inside]) and not pb.alive[inside.any(axis=1)].any()
-
-        frozen, live = pb.frozen, pb.alive & ~pb.frozen
-        assert np.all(pb.alive[frozen]) and np.all(pb.n_cross[frozen] == k)
-        assert np.array_equal(pb.x[frozen], pos[frozen, k - 1])
-        assert not inside[frozen].any()
-        assert np.all(pb.n_cross[live] < k)
-        assert not interval.contains(pb.x[live]).any()
-        if live.any():
-            assert pb.rng.segments == cap
-        assert np.array_equal(pb.x[live] > b, (start > b) ^ (pb.n_cross[live] % 2 == 1))
+    assert np.all(np.diff(live) > 0)
+    assert not inside[live].any() and np.all(n_cross[live] < k)
+    assert not interval.contains(x).any()
+    assert np.array_equal(x > b, (start > b) ^ (n_cross[live] % 2 == 1))
 
 
 def test_ks_helpers():
@@ -801,18 +805,23 @@ def _walk_and_advance_tables(model, interval, start, n, seeds):
     cut = math.log(2.0) / model.eta
     rows = []
     for route, seed in zip(("walk", "advance"), seeds):
-        pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0))
+        rng = block_stream(seed, 0)
         if route == "walk":
-            _avoidance_walk(pb, math.ceil(model.lam * horizon), exit_level)
+            exits, live, _x = _avoidance_walk(model, interval, np.full(n, start), rng,
+                                              math.ceil(model.lam * horizon), exit_level)
+            assert not live.size                     # nothing unresolved
+            exits = exits[~np.isnan(exits)]
         else:
             # one event (the next jump) per call; a path is frozen at its
             # first landing at or above the exit level
+            pb = PathBlock.start(model, interval, start, n, rng)
             while (pb.alive & ~pb.frozen & (pb.t < horizon)).any():
                 advance(pb, pb.next_jump.copy())
                 pb.frozen |= pb.alive & (pb.x >= exit_level)
-        assert not (pb.alive & ~pb.frozen).any()     # nothing unresolved
-        over = pb.x[pb.frozen] - exit_level
-        rows.append([np.count_nonzero(~pb.alive), np.count_nonzero(over < cut),
+            assert not (pb.alive & ~pb.frozen).any()
+            exits = pb.x[pb.frozen]
+        over = exits - exit_level
+        rows.append([n - exits.size, np.count_nonzero(over < cut),
                      np.count_nonzero(over >= cut)])
     return np.array(rows)
 
@@ -842,40 +851,37 @@ def test_avoidance_walk_matches_advance(interval):
          n_segments=60, seed=1)
 def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit_gap,
                                    n_segments, seed):
-    """A frozen path is alive at or above the exit level, an unresolved one
-    lies outside [a, b], dead + frozen + unresolved = n, time and jump clock
-    are untouched, a start at the exit level is frozen with no draw, and the
-    same stream gives the same result."""
+    """An escaped path has landed at or above the exit level and is not
+    live, a live path lies outside [a, b], the walk draws only (4, m)
+    standard exponentials, m falling, one draw per segment while a path is
+    live, and the same stream gives the same result."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
     n = 96
     exit_level = interval.b + exit_gap
 
-    def walk(x0):
-        pb = PathBlock.start(model, interval, x0, n, block_stream(seed, 0))
-        t, next_jump = pb.t.copy(), pb.next_jump.copy()
-        state = pb.rng.bit_generator.state
-        avoided, unresolved, _bound = _avoidance_block(pb, n_segments, exit_level, 0.5)
-        assert np.array_equal(pb.t, t) and np.array_equal(pb.next_jump, next_jump)
-        return pb, avoided, unresolved, state
+    def walk():
+        rng = _DrawLog(block_stream(seed, 0))
+        return _avoidance_walk(model, interval, np.full(n, start), rng, n_segments,
+                               exit_level), rng.shapes
 
-    pb, avoided, unresolved, _state = walk(start)
-    live = pb.alive & ~pb.frozen
-    assert np.all(pb.alive[pb.frozen])
-    assert np.all(pb.x[pb.frozen] >= exit_level)
-    assert not interval.contains(pb.x[live]).any()
-    assert np.count_nonzero(~pb.alive) + avoided + unresolved == n
-    assert unresolved == np.count_nonzero(live)
-    if n_segments == 0:
-        assert unresolved == np.count_nonzero(pb.x < exit_level)
+    (exits, live, x), shapes = walk()
+    escaped = ~np.isnan(exits)
+    assert np.all(exits[escaped] >= exit_level)
+    assert not escaped[live].any()
+    assert np.all(np.diff(live) > 0)
+    assert not interval.contains(x).any()
+    assert all(len(s) == 2 and s[0] == 4 for s in shapes)
+    widths = [s[1] for s in shapes]
+    assert widths == sorted(widths, reverse=True) and all(m <= n for m in widths)
+    assert len(shapes) <= n_segments
+    if live.size:
+        assert len(shapes) == n_segments
+    if shapes:
+        assert np.all(x < exit_level)
 
-    again = walk(start)[0]
-    for field in ("x", "alive", "frozen"):
-        assert np.array_equal(getattr(pb, field), getattr(again, field))
-
-    top, avoided, unresolved, state = walk(exit_level)
-    assert avoided == n and unresolved == 0
-    assert np.all(top.x == exit_level)
-    assert top.rng.bit_generator.state == state
+    (exits2, live2, x2), shapes2 = walk()
+    assert np.array_equal(exits, exits2, equal_nan=True)
+    assert np.array_equal(live, live2) and np.array_equal(x, x2) and shapes == shapes2
 
 
 def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
