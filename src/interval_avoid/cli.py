@@ -18,7 +18,7 @@ from .engine import (PathConfig, _observation_grid, estimate_avoidance,
                      estimate_clock_event, estimate_survival, simulate_path)
 from .model import Interval, ModelParams, require_number
 from .particles import EnsembleExtinctionError, drift_probability, propagate_ensemble
-from .suites import SUITES, dumps_17g, emit_table, run_suite
+from .suites import SUITES, _model_echo, dumps_17g, emit_table, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -146,9 +146,7 @@ def _cmd_simulate(args) -> int:
             "start": args.start, "paths": args.paths, "dt": args.dt,
             "horizon": args.horizon, "seed": args.seed,
             "bridge_correction": not args.no_bridge,
-            "model": {"sigma": model.sigma, "lambda": model.lam,
-                      "eta": model.eta, "drift": model.drift},
-            "interval": {"a": interval.a, "b": interval.b},
+            **_model_echo(model, interval),
         },
     }
     print(dumps_17g(payload))
@@ -189,9 +187,7 @@ def _cmd_condition(args) -> int:
         "config_echo": {
             "start": args.start, "particles": args.particles, "dt": args.dt,
             "horizon": args.horizon, "seed": args.seed,
-            "model": {"sigma": model.sigma, "lambda": model.lam,
-                      "eta": model.eta, "drift": model.drift},
-            "interval": {"a": interval.a, "b": interval.b},
+            **_model_echo(model, interval),
         },
     }
     print(dumps_17g(payload))

@@ -25,10 +25,12 @@ while a block is full and grows to MAX_EVENTS in the long tail of a
 horizon.  A path stops at death, at its target or at a crossing cap.  Every
 estimator is a job (``_Job``); ``_map_jobs`` runs the blocks of a list of
 jobs as one task list, block bi of a job on the PCG64DXSM stream seeded by
-SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng).  K depends only
-on the block's state, so estimator outputs are bit-identical for a fixed
-seed regardless of the worker count and of the order in which blocks run;
-the order in which one block's draws are consumed does depend on K.
+SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng), as
+block(model, interval, start, n, rng, *args); a block that calls ``advance``
+starts its own ``PathBlock``.  K depends only on the block's state, so
+estimator outputs are bit-identical for a fixed seed regardless of the
+worker count and of the order in which blocks run; the order in which one
+block's draws are consumed does depend on K.
 
 Two estimators do not use ``advance``, because their observables have no
 time in it: avoidance (the first post-jump value at or above an exit level
@@ -44,7 +46,8 @@ exit, at well under half the cost of an ``advance`` event.
 ``_avoidance_walk`` resolves one segment per live path and iteration;
 ``_crossing_walk`` resolves up to K, by ``advance``'s rule with the
 segments left in place of the expected jumps.  Each walk's time cap is a
-cap of ceil(lam * horizon) jump segments.
+cap of ceil(lam * horizon) jump segments.  The walks take start positions
+and a stream, not a ``PathBlock``, and return per-path arrays.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ class PathBlock:
     x: np.ndarray
     t: np.ndarray
     alive: np.ndarray
-    frozen: np.ndarray           # stopped early (crossing cap or avoidance exit)
+    frozen: np.ndarray           # stopped early at the crossing cap
     next_jump: np.ndarray
     n_cross: np.ndarray
     k_dagger: np.ndarray         # crossing index at a jump-landing hit, else -1
@@ -435,12 +438,12 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
 
 def _run_block(task):
     fn, model, interval, start, seed, bi, count, args = task
-    return fn(PathBlock.start(model, interval, start, count, block_stream(seed, bi)), *args)
+    return fn(model, interval, start, count, block_stream(seed, bi), *args)
 
 
-# One estimate: block(pb, *args) runs on each block pb of config.n_paths
-# paths started at start, and finish turns the list of block results, in
-# block order, into the estimate.
+# One estimate: block(model, interval, start, n, rng, *args) runs on each
+# block of n paths started at start, with the block's stream rng, and finish
+# turns the list of block results, in block order, into the estimate.
 _Job = namedtuple("_Job", "block model interval start config args finish")
 
 
@@ -503,8 +506,9 @@ def estimate_survival(model: ModelParams, interval: Interval, start: float,
                                                   bridge=bridge))
 
 
-def _clock_block(pb, q):
-    advance(pb, pb.rng.exponential(1.0 / q, pb.n))
+def _clock_block(model, interval, start, n, rng, q):
+    pb = PathBlock.start(model, interval, start, n, rng)
+    advance(pb, rng.exponential(1.0 / q, n))
     return pb.x, pb.alive
 
 
@@ -572,8 +576,7 @@ def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
 
 
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
-                   rng: np.random.Generator, n_segments: int,
-                   k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   rng: np.random.Generator, n_segments: int, k: int) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
@@ -589,11 +592,9 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     is a crossing, and a landing inside [a, b] kills as well; a kill
     preempts its own segment's crossing.  Each row stops at its first kill,
     landing inside or k-th crossing, and the draws past it are discarded.
-
-    Returns the (n, k) landings of crossings 1..k of each path (NaN past
-    its last; a landing inside [a, b] is a dead path's last) and the index
-    and position of each path still live, which has made fewer than k
-    crossings.
+    Returns the (n, k) landings of crossings 1..k (NaN past a path's last;
+    one inside [a, b] is a dead path's last) and the index and position of
+    each path still live.
     """
     a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
@@ -637,13 +638,12 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     return landings, idx, x
 
 
-def _crossing_block(pb, k, n_segments):
-    a, b = pb.interval.a, pb.interval.b
-    p, live, _x = _crossing_walk(pb.model, pb.interval, pb.x, pb.rng, n_segments, k)
-    positions = [p[(p[:, j] < a) | (p[:, j] > b), j] for j in range(k)]
+def _crossing_block(model, interval, start, n, rng, k, n_segments):
+    p, live, _x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k)
+    positions = [p[(p[:, j] < interval.a) | (p[:, j] > interval.b), j] for j in range(k)]
     # residual potential of the live (censored) paths short of crossing j:
     # gamma^(j - crossings so far) each
-    gam = gamma_bound(pb.model, pb.interval)
+    gam = gamma_bound(model, interval)
     done = np.count_nonzero(~np.isnan(p[live]), axis=1)
     bias = [float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)]
     return positions, live.size, bias
@@ -653,14 +653,14 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                            k: int, config: PathConfig) -> CrossingLawEstimate:
     """Empirical laws of the crossing landing positions j = 1..k, against nu_j.
 
-    One pass walks each path from jump to jump (``_crossing_walk``), freezes
+    One pass walks each path from jump to jump (``_crossing_walk``), stops
     it at its k-th crossing and censors it after ceil(lam *
     ``config.horizon``) jump segments (hitting times have infinite mean, so
     some cap is unavoidable).  Crossing j's mass therefore undershoots by at
     most
     ``censor_bias_bound[j - 1]``: every censored path short of crossing j
     adds gamma^(j - crossings so far), divided by the path count.  A path
-    frozen at crossing k, or already past crossing j, adds nothing.  The
+    stopped at crossing k, or already past crossing j, adds nothing.  The
     conditional shape past the far boundary is unaffected by censoring.
     """
     require_number(k, "k", integer=True, low=1)
@@ -691,7 +691,7 @@ class AvoidanceEstimate:
 
     ``horizon`` is the time cap H; the walk stops after ceil(lam * H) jump
     segments, and paths still live then are ``unresolved``.  Each of them
-    adds 1, and each path frozen at the exit level adds its bound
+    adds 1, and each escaped path, with exit landing x, adds its bound
     exp(-g (x - b)), to ``return_prob_bound`` (divided by the path count).
     """
 
@@ -731,8 +731,7 @@ def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> 
 
 
 def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
-                    rng: np.random.Generator, n_segments: int,
-                    exit_level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    rng: np.random.Generator, n_segments: int, exit_level: float) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, the exit level or ``n_segments`` segments.
 
@@ -746,19 +745,15 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     paths.  With lo = x - D/phi-, a path above b dies if lo <= b, and a path
     below a dies if x + U/phi+ >= a (its supremum).  Otherwise it moves to
     post = lo + U/phi+ + (E1 - E2)/eta, dies if post lies in [a, b] and
-    escapes if post >= ``exit_level``; a path started at the exit level
-    escapes before any draw.  The live paths are compacted after every
-    iteration.
-
-    Returns each path's exit landing, its first post-jump value at or above
-    the exit level (NaN if it did not escape), and the index and position
-    of each path still live after ``n_segments`` segments.
+    escapes if post >= ``exit_level``.  The live paths are compacted after
+    every iteration.  Returns each path's exit landing, its first post-jump
+    value at or above the exit level (NaN if it did not escape), and the
+    index and position of each path still live after ``n_segments``.
     """
     a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
-    exits = np.where(x >= exit_level, x, np.nan)
-    idx = np.flatnonzero(x < exit_level)
-    x = x[idx]
+    exits = np.full(x.size, np.nan)
+    idx = np.arange(x.size)
     for _ in range(n_segments):
         if not idx.size:
             break
@@ -782,11 +777,11 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     return exits, idx, x
 
 
-def _avoidance_block(pb, n_segments, exit_level, g):
-    exits, live, _x = _avoidance_walk(pb.model, pb.interval, pb.x, pb.rng, n_segments,
-                                      exit_level)
+def _avoidance_block(model, interval, start, n, rng, n_segments, exit_level, g):
+    exits, live, _x = _avoidance_walk(model, interval, np.full(n, float(start)), rng,
+                                      n_segments, exit_level)
     escaped = exits[~np.isnan(exits)]
-    bound = float(np.exp(-g * (escaped - pb.interval.b)).sum())
+    bound = float(np.exp(-g * (escaped - interval.b)).sum())
     return escaped.size, live.size, bound
 
 
@@ -829,7 +824,8 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     return _map_jobs([_avoidance_job(model, interval, start, config, bound_target)])[0]
 
 
-def _terminal_block(pb, times, bridge):
+def _terminal_block(model, interval, start, n, rng, times, bridge):
+    pb = PathBlock.start(model, interval, start, n, rng)
     for t in times:
         advance(pb, t, bridge=bridge)
     return pb.x, pb.alive

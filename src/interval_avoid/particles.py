@@ -25,8 +25,8 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .closedform import harmonics
-from .engine import (EstimatorResult, PathConfig, _Job, _map_jobs, _observation_grid,
-                     _terminal_job, advance)
+from .engine import (EstimatorResult, PathBlock, PathConfig, _Job, _map_jobs,
+                     _observation_grid, _terminal_job, advance)
 from .model import Interval, ModelParams, require_number
 
 __all__ = [
@@ -115,8 +115,9 @@ def _weighted_pass(pb, kind, start, times):
         yield t, weigh(pb.x, pb.alive)
 
 
-def _ensemble_block(pb, kind, start, times, record):
-    a, b = pb.interval.a, pb.interval.b
+def _ensemble_block(model, interval, start, n, rng, kind, times, record):
+    pb = PathBlock.start(model, interval, start, n, rng)
+    a, b = interval.a, interval.b
     sums = []
     for t, w in _weighted_pass(pb, kind, start, times):
         if t in record:
@@ -147,7 +148,7 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
     record = sorted({float(t) for t in record_times})
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
     parts = _map_jobs([_Job(_ensemble_block, model, interval, start, config,
-                            (kind, start, times, record), list)])[0]
+                            (kind, times, record), list)])[0]
     if not any(alive for _, alive in parts):
         raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
     sums = sum(block for block, _ in parts)
@@ -225,10 +226,11 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
                                  replicates)])[0]
 
 
-def _occupation_block(pb, kind, start, window, horizons, times):
+def _occupation_block(model, interval, start, n, rng, kind, window, horizons, times):
+    pb = PathBlock.start(model, interval, start, n, rng)
     d, c = window
-    a, b = pb.interval.a, pb.interval.b
-    occ = np.zeros(pb.n)
+    a, b = interval.a, interval.b
+    occ = np.zeros(n)
     at = {}
     t_prev = 0.0
     for t, w in _weighted_pass(pb, kind, start, times):
@@ -254,7 +256,7 @@ def _occupation_job(model, interval, start, window, horizons, config, transform)
         raise ValueError("horizons must not be empty")
     times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
     return _Job(_occupation_block, model, interval, start, config,
-                (kind, start, window, horizons, times), np.concatenate)
+                (kind, window, horizons, times), np.concatenate)
 
 
 def occupation_time(model: ModelParams, interval: Interval, start: float,
@@ -287,8 +289,7 @@ def _harmonicity_job(model, interval, kind, start, t, config):
         return EstimatorResult(mean - 1.0, math.sqrt(max(var, 0.0) / n), n)
 
     # t as the one grid and record time: one advance call per block
-    return _Job(_ensemble_block, model, interval, start, config, (kind, start, [t], [t]),
-                finish)
+    return _Job(_ensemble_block, model, interval, start, config, (kind, [t], [t]), finish)
 
 
 def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,

@@ -225,21 +225,26 @@ def _suite_closedform(config: SuiteConfig) -> list[Check]:
 
     # the roots solve -psi(rho) = q at the true rate, and kappa(q) scales the
     # q-killed factorisation q + psi(theta) = (sigma^2/2) k_q(theta) k_q(-theta),
-    # k_q(theta) = kappa(q) (1 + theta/rho1)(1 + theta/rho2)/(1 + theta/eta)
+    # k_q(theta) = kappa(q) (1 + theta/rho1)(1 + theta/rho2)/(1 + theta/eta).
+    # rho1's error is its Newton step over rho1: near the pole at eta the
+    # residual over q measures psi's conditioning, not the root's error.
     qs = rng.uniform(1e-6, 10.0, 100)
     t2 = thetas * thetas
     psi = laplace_exponent(model, thetas)
     res_err = sum_err = kap_err = 0.0
     for q in qs:
         r1, r2 = wiener_hopf_roots(model, q)
-        res_err = max(res_err, abs(-laplace_exponent(model, r1) - q) / q)
+        scale = r1 * r1 * (model.sigma**2 + 2.0 * model.lam * model.eta**2
+                           / (model.eta**2 - r1 * r1)**2)     # -rho1 psi'(rho1)
+        res_err = max(res_err, abs(-laplace_exponent(model, r1) - q) / scale)
         s = model.beta**2 + 2.0 * q / model.sigma**2
         sum_err = max(sum_err, abs(r1 * r1 + r2 * r2 - s) / s)
         fac = (0.5 * model.sigma**2 * kappa(model, q)**2
                * (1.0 - t2 / (r1 * r1)) * (1.0 - t2 / (r2 * r2)) / (1.0 - t2 / model.eta**2))
         kap_err = max(kap_err, float(np.max(np.abs(q + psi - fac) / (q + np.abs(psi)))))
     checks.append(check_close(
-        "root_product", "-psi(rho1(q)) = q (rho1 solves the true-rate equation)",
+        "root_product",
+        "-psi(rho1(q)) = q, to rho1's relative error (-psi(rho1) - q)/(rho1 psi'(rho1))",
         res_err, 0.0, tol_root, criterion=2))
     checks.append(check_close(
         "root_sum", "rho1^2 + rho2^2 = beta^2 + 2q/sigma^2", sum_err, 0.0, tol_root,
@@ -584,12 +589,16 @@ SUITES = {
 }
 
 
+def _model_echo(model: ModelParams, interval: Interval) -> dict:
+    return {"model": {"sigma": model.sigma, "lambda": model.lam, "eta": model.eta,
+                      "drift": model.drift},
+            "interval": {"a": interval.a, "b": interval.b}}
+
+
 def _config_echo(config: SuiteConfig) -> dict:
     return {
         "suite": config.suite,
-        "model": {"sigma": config.model.sigma, "lambda": config.model.lam,
-                  "eta": config.model.eta, "drift": config.model.drift},
-        "interval": {"a": config.interval.a, "b": config.interval.b},
+        **_model_echo(config.model, config.interval),
         "seed": config.seed,
         "paths": config.paths,
         "particles": config.particles,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import interval_avoid
+from interval_avoid import suites
 from interval_avoid.cli import main
 from interval_avoid.suites import dumps_17g
 
@@ -288,6 +289,28 @@ def test_verify_report_deterministic_apart_from_runtime(tmp_path, capsys):
         texts.append(re.sub(r'"runtime_seconds": [^,\n]+', '"runtime_seconds": 0',
                             out.read_text()))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-6])
+def test_root_product_reads_the_root_error(tmp_path, capsys, monkeypatch, lam):
+    """At small lambda the roots sit next to the pole at eta, where the
+    residual -psi(rho1) - q over q is amplified far past rho1's own error:
+    the exact roots pass closedform, and a rho1 planted 1e-11 off fails
+    root_product."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"lambda": lam}}))
+    code, stdout, _ = run_cli(["verify", "--suite", "closedform",
+                               "--config", str(cfg)], capsys)
+    assert code == 0, [c for c in json.loads(stdout)["checks"] if not c["passed"]]
+
+    exact = suites.wiener_hopf_roots
+    monkeypatch.setattr(suites, "wiener_hopf_roots",
+                        lambda model, q: (exact(model, q)[0] * (1.0 + 1e-11),
+                                          exact(model, q)[1]))
+    code, stdout, _ = run_cli(["verify", "--suite", "closedform",
+                               "--config", str(cfg)], capsys)
+    checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+    assert code == 1 and not checks["root_product"]["passed"]
 
 
 def test_verify_failing_suite_exits_1(tmp_path, capsys):

@@ -18,9 +18,10 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             terminal_sample)
 from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
-from interval_avoid.engine import (PathBlock, _avoidance_horizon,
+from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
                                    _avoidance_walk, _bridge_exponent, _bridge_kill,
-                                   _crossing_walk, _jump_sizes, adjustment_coefficient,
+                                   _crossing_block, _crossing_walk, _jump_sizes,
+                                   adjustment_coefficient,
                                    _wiener_hopf_scales, advance, ks_critical_value,
                                    ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
@@ -441,10 +442,9 @@ def _crossing_outcomes(case, route, seed, n_segments, k, n_blocks=5):
         if route == "walk":
             pos, live, _x = _crossing_walk(model, interval, np.full(n, start), rng,
                                            n_segments, k)
-            alive = np.isin(np.arange(n), live)
             # a path with k landings is frozen unless its k-th landed inside
             frozen = ~np.isnan(pos[:, k - 1]) & ~interval.contains(pos[:, k - 1])
-            alive |= frozen
+            alive = np.isin(np.arange(n), live) | frozen
         else:
             pb = PathBlock.start(model, interval, start, n, rng, max_crossings=k)
             for _ in range(n_segments):
@@ -522,12 +522,21 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, cap, k, seed
     path has made fewer than k crossings and lies outside [a, b] on the side
     its crossing count gives; and the walk draws only (4, m, K) standard
     exponentials, m falling, and resolves no more segments than its cap, nor
-    fewer while a path is live."""
+    fewer while a path is live.  The block makes the walk's draws and no
+    other, and reduces its landings and live paths."""
     a, b = interval.a, interval.b
     model = ModelParams(sigma=sigma, lam=lam, eta=eta)
     n = 96
     rng = _DrawLog(block_stream(seed, 0))
     pos, live, x = _crossing_walk(model, interval, np.full(n, start), rng, cap, k)
+    block_rng = _DrawLog(block_stream(seed, 0))
+    positions, censored, _bias = _crossing_block(model, interval, start, n, block_rng,
+                                                 k, cap)
+    assert block_rng.shapes == rng.shapes
+    assert censored == live.size
+    for j in range(k):
+        kept = pos[:, j][~np.isnan(pos[:, j]) & ~interval.contains(pos[:, j])]
+        assert np.array_equal(positions[j], kept)
     assert all(len(s) == 3 and s[0] == 4 for s in rng.shapes)
     widths = [s[1] for s in rng.shapes]
     assert widths == sorted(widths, reverse=True) and all(m <= n for m in widths)
@@ -737,7 +746,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "f010f8725c77c489335def3977b8e0c0b580dccac8a8ec30ffbe090294c7337f")
+        "add6b5f99240e20f0a7c2233ab2c42b0c4be1c7dcbd12883697bbaf3e42ebe16")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -854,7 +863,9 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     """An escaped path has landed at or above the exit level and is not
     live, a live path lies outside [a, b], the walk draws only (4, m)
     standard exponentials, m falling, one draw per segment while a path is
-    live, and the same stream gives the same result."""
+    live, and the same stream gives the same result.  The block makes the
+    walk's draws and no other, counts its escaped and live paths and sums
+    the escaped paths' bounds."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
     n = 96
     exit_level = interval.b + exit_gap
@@ -882,6 +893,13 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     (exits2, live2, x2), shapes2 = walk()
     assert np.array_equal(exits, exits2, equal_nan=True)
     assert np.array_equal(live, live2) and np.array_equal(x, x2) and shapes == shapes2
+
+    block_rng = _DrawLog(block_stream(seed, 0))
+    avoided, unresolved, bound = _avoidance_block(model, interval, start, n, block_rng,
+                                                  n_segments, exit_level, 0.5)
+    assert block_rng.shapes == shapes
+    assert (avoided, unresolved) == (np.count_nonzero(escaped), live.size)
+    assert bound == float(np.exp(-0.5 * (exits[escaped] - interval.b)).sum())
 
 
 def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
