@@ -3,9 +3,11 @@
 For each suite, runs ``interval_avoid.cli verify --suite SUITE`` at the
 default configuration from a base tree and a head tree in turn (the first
 of each pair alternates), and reads the suite's own ``runtime_seconds``
-from the report, so interpreter start-up is left out.  Prints one JSON
-line per suite and worker count: the medians, the quartiles, how many
-pairs the head won and whether the two trees' reports, less their
+from the report, so interpreter start-up is left out.  Each run's peak RSS
+comes from the rusage that ``os.wait4`` returns when the run is reaped,
+which covers the pool workers it reaped.  Prints one JSON line per suite
+and worker count: the quartiles and medians of both, how many pairs the
+head won on time and whether the two trees' reports, less their
 ``runtime_seconds`` line, were byte-identical in every pair.
 
     python3 scripts/pair_timing.py --base ../parent --head . \\
@@ -23,17 +25,27 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_suite(tree: Path, suite: str, threads: int) -> tuple[float, str]:
-    """The suite's ``runtime_seconds`` and its report without that line."""
+def run_suite(tree: Path, suite: str, threads: int) -> tuple[float, float, str]:
+    """The suite's ``runtime_seconds``, the run's peak RSS in MiB and its
+    report without the ``runtime_seconds`` line."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads))
-    out = subprocess.run([sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite],
-                         env=env, capture_output=True, text=True, check=True).stdout
+    cmd = [sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite]
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=err, text=True)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, cmd, out, err.read())
     rest = "".join(line for line in out.splitlines(keepends=True)
                    if not line.lstrip().startswith('"runtime_seconds":'))
-    return json.loads(out)["runtime_seconds"], rest
+    return json.loads(out)["runtime_seconds"], usage.ru_maxrss / 1024.0, rest     # KiB on Linux
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -51,19 +63,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for suite in args.suites:
         for threads in args.threads:
-            base, head, identical = [], [], True
+            base, head, identical = ([], []), ([], []), True
             for i in range(args.pairs):
                 order = [(args.base, base), (args.head, head)]
                 reports = []
-                for tree, times in order if i % 2 == 0 else order[::-1]:
-                    seconds, report = run_suite(tree, suite, threads)
+                for tree, (times, rss) in order if i % 2 == 0 else order[::-1]:
+                    seconds, mib, report = run_suite(tree, suite, threads)
                     times.append(seconds)
+                    rss.append(mib)
                     reports.append(report)
                 identical &= reports[0] == reports[1]
             print(json.dumps({
                 "suite": suite, "threads": threads, "pairs": args.pairs,
-                "base_q1_median_q3": quartiles(base), "head_q1_median_q3": quartiles(head),
-                "head_wins": sum(h < b for b, h in zip(base, head)),
+                "base_q1_median_q3": quartiles(base[0]), "head_q1_median_q3": quartiles(head[0]),
+                "head_wins": sum(h < b for b, h in zip(base[0], head[0])),
+                "base_rss_mib_q1_median_q3": quartiles(base[1]),
+                "head_rss_mib_q1_median_q3": quartiles(head[1]),
                 "reports_identical": identical,
             }), flush=True)
     return 0

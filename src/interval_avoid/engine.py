@@ -48,6 +48,13 @@ exit, at well under half the cost of an ``advance`` event.
 segments left in place of the expected jumps.  Each walk's time cap is a
 cap of ceil(lam * horizon) jump segments.  The walks take start positions
 and a stream, not a ``PathBlock``, and return per-path arrays.
+
+Blocks return counts or sums wherever those suffice, and a finish adds
+them up in block order: the survival and clock blocks return the numbers
+of paths alive in total, above and below the interval, and the avoidance
+blocks their escaped and unresolved counts and summed return bounds.
+Per-path arrays come back only where the finish needs the sample: the
+crossing landings (for the KS test) and ``terminal_sample``.
 """
 
 from __future__ import annotations
@@ -482,6 +489,11 @@ def _concat_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(alive)
 
 
+def _add_blocks(parts) -> tuple:
+    """Field-wise sums of the blocks' result tuples, added in block order."""
+    return tuple(sum(field) for field in zip(*parts))
+
+
 @dataclass(frozen=True)
 class SurvivalEstimate:
     total: EstimatorResult
@@ -489,34 +501,44 @@ class SurvivalEstimate:
     below: EstimatorResult
 
 
-def _side_split(interval: Interval, xs: np.ndarray, alive: np.ndarray) -> SurvivalEstimate:
-    """Fractions of paths alive in total, above and below the interval."""
-    n = xs.size
-    return SurvivalEstimate(
-        total=_binomial_result(int(alive.sum()), n),
-        above=_binomial_result(int((alive & (xs > interval.b)).sum()), n),
-        below=_binomial_result(int((alive & (xs < interval.a)).sum()), n),
-    )
+def _side_counts(interval: Interval, xs: np.ndarray, alive: np.ndarray) -> tuple[int, int, int]:
+    """Numbers of paths alive in total, above and below the interval."""
+    return (int(np.count_nonzero(alive)), int(np.count_nonzero(alive & (xs > interval.b))),
+            int(np.count_nonzero(alive & (xs < interval.a))))
+
+
+def _side_split(n: int, counts) -> SurvivalEstimate:
+    """Fractions of n paths alive in total, above and below the interval,
+    from the summed ``_side_counts`` of their blocks."""
+    total, above, below = counts
+    return SurvivalEstimate(total=_binomial_result(total, n),
+                            above=_binomial_result(above, n),
+                            below=_binomial_result(below, n))
+
+
+def _survival_block(model, interval, start, n, rng, times, bridge):
+    return _side_counts(interval, *_terminal_block(model, interval, start, n, rng, times, bridge))
 
 
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
                       t: float, config: PathConfig, *, bridge: bool = True) -> SurvivalEstimate:
     """P(t < T), split by the side occupied at time t; ``bridge`` as in ``terminal_sample``."""
-    return _side_split(interval, *terminal_sample(model, interval, start, t, config,
-                                                  bridge=bridge))
+    job = _terminal_job(model, interval, start, t, config, bridge)._replace(
+        block=_survival_block, finish=lambda parts: _side_split(config.n_paths, _add_blocks(parts)))
+    return _map_jobs([job])[0]
 
 
 def _clock_block(model, interval, start, n, rng, q):
     pb = PathBlock.start(model, interval, start, n, rng)
     advance(pb, rng.exponential(1.0 / q, n))
-    return pb.x, pb.alive
+    return _side_counts(interval, pb.x, pb.alive)
 
 
 def _clock_job(model, interval, start, q, config):
     interval.require_outside(start, "starting point")
     require_number(q, "q", low=0.0, strict=True)
     return _Job(_clock_block, model, interval, start, config, (q,),
-                lambda parts: _side_split(interval, *_concat_blocks(parts)))
+                lambda parts: _side_split(config.n_paths, _add_blocks(parts)))
 
 
 def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
@@ -712,12 +734,28 @@ def adjustment_coefficient(model: ModelParams) -> float:
     are -r2 < -eta < -g < 0 < eta < rho (Kou & Wang 2003).  Its two outer
     roots, polished by one Newton step, give g through the product of the
     roots, r2 g rho = 2 drift eta^2 / sigma^2, which keeps a tiny g accurate.
+
+    The roots need no eigenvalue solver: -r2 is the smallest root of the
+    trigonometric form of the monic cubic x^3 + B x^2 + C x + D, and -g and
+    rho are the roots of the deflated quadratic x^2 + p x + q with
+    q = -D/(-r2) and p = (q - C)/(-r2) (equal to B - r2, which cancels when
+    r2 is large), taken by the quadratic formula without cancellation.
     """
     if not model.drift > 0.0:
         raise ValueError("adjustment coefficient requires positive drift")
     s2 = 0.5 * model.sigma**2
     cubic = [-s2, -model.drift, s2 * model.eta**2 + model.lam, model.drift * model.eta**2]
-    roots = np.sort(np.roots(cubic).real)
+    B, C, D = (c / cubic[0] for c in cubic[1:])
+    # depressed cubic t^3 + P t + Q in t = x + B/3; P < 0 with three real roots
+    P = C - B * B / 3.0
+    Q = (2.0 * B * B - 9.0 * C) * B / 27.0 + D
+    r = math.sqrt(-P / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 1.5 * Q / (P * r))))
+    x1 = 2.0 * r * math.cos((phi + 2.0 * math.pi) / 3.0) - B / 3.0
+    q = -D / x1
+    p = (q - C) / x1
+    t = -0.5 * (p + math.copysign(math.sqrt(p * p - 4.0 * q), p))
+    roots = np.array(sorted([x1, t, q / t]))
     roots -= np.polyval(cubic, roots) / np.polyval(np.polyder(cubic), roots)
     return float(model.drift * model.eta**2 / (s2 * -roots[0] * roots[2]))
 
@@ -796,13 +834,12 @@ def _avoidance_job(model, interval, start, config, bound_target=1e-7):
 
     def finish(parts):
         n = config.n_paths
-        avoided = sum(p[0] for p in parts)
-        unresolved = sum(p[1] for p in parts)
+        avoided, unresolved, bound = _add_blocks(parts)
         return AvoidanceEstimate(
             result=_binomial_result(float(avoided), n),
             horizon=horizon,
             exit_level=exit_level,
-            return_prob_bound=(sum(p[2] for p in parts) + unresolved) / n,
+            return_prob_bound=(bound + unresolved) / n,
             unresolved=unresolved,
         )
 

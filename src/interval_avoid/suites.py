@@ -12,6 +12,13 @@ They were fixed ahead of the implementation by independent high-precision
 evaluation of the closed forms (mpmath, 40 digits; see tests/oracles.py for
 the derivation route) and are deliberately not computed by the library code
 they are used to check.
+
+Each Monte Carlo suite sends all of its estimates to ``engine._map_jobs`` as
+one job list.  transient5's outer sample is a job of this module: its blocks
+reduce the paths alive at the observation time to the hat-function moments
+of the interpolation grid (``_hat_moments``), so only grid-sized arrays
+reach the parent, which forms the interpolated mean and its standard error
+from them and the grid estimates.
 """
 
 from __future__ import annotations
@@ -471,35 +478,40 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
 # transient5 suite: positive drift, avoidance probability is harmonic (9)
 # --------------------------------------------------------------------------- #
 
-def _interp_grid(xs_below, vals_below, xs_above, vals_above, iv: Interval):
-    """Per-side linear interpolators with boundary anchors pinned to zero."""
-    xb = np.concatenate([xs_below, [iv.a]])
-    vb = np.concatenate([vals_below, [0.0]])
-    xa = np.concatenate([[iv.b], xs_above])
-    va = np.concatenate([[0.0], vals_above])
+def _hat_moments(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Moments of the hat functions phi_i of ``grid`` over the positions x.
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        below = x < iv.a
-        out = np.where(below,
-                       np.interp(np.clip(x, xb[0], xb[-1]), xb, vb),
-                       np.interp(np.clip(x, xa[0], xa[-1]), xa, va))
-        return out
+    Linear interpolation of node values v on ``grid`` is w(x) = sum_i
+    phi_i(x) v_i, with x clipped to the grid ends.  Row 0 holds sum phi_i
+    (the node weights), row 1 sum phi_i^2 and row 2, for each cell i, sum
+    phi_i phi_{i+1} (its last entry is 0), so that sum w = row0 . v and
+    sum w^2 = row1 . v^2 + 2 row2 . (v_i v_{i+1}) for any v.
+    """
+    x = np.clip(x, grid[0], grid[-1])
+    j = np.clip(np.searchsorted(grid, x) - 1, 0, grid.size - 2)
+    hi = (x - grid[j]) / (grid[j + 1] - grid[j])
+    lo = 1.0 - hi
+    out = np.zeros((3, grid.size))
+    for row, left, right in ((0, lo, hi), (1, lo * lo, hi * hi)):
+        out[row, :-1] = np.bincount(j, left, minlength=grid.size - 1)
+        out[row, 1:] += np.bincount(j, right, minlength=grid.size - 1)
+    out[2, :-1] = np.bincount(j, lo * hi, minlength=grid.size - 1)
+    return out
 
-    def node_weights(x, alive):
-        """Accumulated linear-interpolation weight per grid node (alive paths)."""
-        wb = np.zeros(xb.size)
-        wa = np.zeros(xa.size)
-        x = np.asarray(x, dtype=float)[alive]
-        for grid, acc, mask in ((xb, wb, x < iv.a), (xa, wa, x >= iv.a)):
-            xi = np.clip(x[mask], grid[0], grid[-1])
-            j = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
-            frac = (xi - grid[j]) / (grid[j + 1] - grid[j])
-            np.add.at(acc, j, 1.0 - frac)
-            np.add.at(acc, j + 1, frac)
-        return wb[:-1], wa[1:]   # drop the pinned anchors
 
-    return evaluate, node_weights
+def _hat_sums(moments: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """sum w and sum w^2 of the interpolant w = sum_i phi_i v_i."""
+    return (float(moments[0] @ v),
+            float(moments[1] @ (v * v) + 2.0 * moments[2, :-1] @ (v[:-1] * v[1:])))
+
+
+def _outer_block(model, interval, start, n, rng, t, grid_below, grid_above):
+    """Hat moments of the paths alive at time t, per side of the interval;
+    the paths and their draws are those of ``engine._terminal_block``."""
+    xs, alive = eng._terminal_block(model, interval, start, n, rng, [t], True)
+    xs = xs[alive]
+    below = xs < interval.a
+    return _hat_moments(xs[below], grid_below), _hat_moments(xs[~below], grid_above)
 
 
 def _suite_transient5(config: SuiteConfig) -> list[Check]:
@@ -526,6 +538,11 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     n_outer = config.paths or 200_000
     above = [(float(x), path_config(n_grid, 12, 1000 + i)) for i, x in enumerate(xs_above)]
     below = [(float(x), path_config(n_grid, 12, i)) for i, x in enumerate(xs_below)]
+    # the outer sample at t_obs reduces in its blocks to the hat moments of
+    # the grids, with the pinned anchors a and b
+    grid_below = np.append(xs_below, iv.a)
+    grid_above = np.insert(xs_above, 0, iv.b)
+
     # one task list, costliest first (Graham's LPT rule, so that no worker is
     # left alone with a long task at the end): the far start, the starts above
     # the interval from the highest down, the reference, the starts below and
@@ -533,11 +550,12 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # that list.  The far start's one block costs less than a block of the
     # highest grid starts, but what the rule needs holds: the cheapest
     # blocks, starts just below a and the outer sample's, come last
-    *estimates, (xs, alive) = eng._map_jobs([
+    *estimates, (mom_below, mom_above) = eng._map_jobs([
         eng._avoidance_job(model, iv, x, cfg)
         for x, cfg in [(far, path_config(8192, 11)), *above[::-1],
                        (start, path_config(n_ref, 13)), *below]]
-        + [eng._terminal_job(model, iv, start, t_obs, path_config(n_outer, 14))])
+        + [eng._Job(_outer_block, model, iv, start, path_config(n_outer, 14),
+                    (t_obs, grid_below, grid_above), eng._add_blocks)])
     est_far, ref = estimates[0], estimates[len(above) + 1]
     est_above = estimates[len(above):0:-1]
     est_below = estimates[len(above) + 2:]
@@ -551,14 +569,14 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
 
     vals_b, ses_b = zip(*[(e.result.mean, e.result.stderr) for e in est_below])
     vals_a, ses_a = zip(*[(e.result.mean, e.result.stderr) for e in est_above])
-    evaluate, node_weights = _interp_grid(xs_below, np.array(vals_b),
-                                          xs_above, np.array(vals_a), iv)
+    # the anchors a and b hold 0, and dead paths add 0 to both sums
+    sum_b, sq_b = _hat_sums(mom_below, np.append(vals_b, 0.0))
+    sum_a, sq_a = _hat_sums(mom_above, np.insert(vals_a, 0, 0.0))
+    total = sum_b + sum_a
+    outer_mean = total / n_outer
+    outer_se = math.sqrt(max((sq_b + sq_a - total * outer_mean) / (n_outer - 1), 0.0) / n_outer)
 
-    w = np.where(alive, evaluate(xs), 0.0)
-    outer_mean = float(w.mean())
-    outer_se = _stderr(w)
-
-    wb, wa = node_weights(xs, alive)
+    wb, wa = mom_below[0, :-1], mom_above[0, 1:]   # node weights, less the anchors
     se_nodes = math.sqrt(float(np.sum((wb / n_outer) ** 2 * np.array(ses_b) ** 2)
                                + np.sum((wa / n_outer) ** 2 * np.array(ses_a) ** 2)))
     combined = math.sqrt(outer_se**2 + ref.result.stderr**2 + se_nodes**2)
