@@ -20,6 +20,10 @@ Everything here follows from two ingredients:
 
   h_minus the mirror image, and h = h_plus + C h_minus with C = 1 by the
   up/down symmetry of the jump law.
+
+Shared formulas are written once: ``_exp_tail`` (the Exp(eta) shape past a
+boundary), ``_side_distance`` (the distance to [a, b]) and ``_plus_series``
+(the partial sums of both h_plus series).
 """
 
 from __future__ import annotations
@@ -83,6 +87,15 @@ def default_series_depth(params: ModelParams, interval: Interval, tol: float = 1
 # Overshoot laws
 # --------------------------------------------------------------------------- #
 
+def _exp_tail(y, boundary: float, upward: bool, scale: float, eta: float, short=0.0):
+    """The Exp(eta) overshoot shape: scale * e^{-eta d} where y lies a distance
+    d > 0 past ``boundary``, upward or downward, and ``short`` elsewhere."""
+    y = np.asarray(y, dtype=float)
+    d = y - boundary if upward else boundary - y
+    out = np.where(d > 0.0, scale * np.exp(-eta * np.maximum(d, 0.0)), short)
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class OvershootLaw:
     """Law of the position at first one-sided passage over a boundary.
@@ -109,10 +122,7 @@ class OvershootLaw:
         return self.eta * self.jump_mass
 
     def density(self, y):
-        y = np.asarray(y, dtype=float)
-        d = y - self.boundary if self.direction == "up" else self.boundary - y
-        out = np.where(d > 0.0, self.density_scale * np.exp(-self.eta * np.maximum(d, 0.0)), 0.0)
-        return out if out.ndim else float(out)
+        return _exp_tail(y, self.boundary, self.direction == "up", self.density_scale, self.eta)
 
     def mass_beyond(self, level: float) -> float:
         """P(passage position strictly beyond ``level``), level past the boundary."""
@@ -177,10 +187,7 @@ class CrossingMeasure:
     def density(self, y):
         if self.is_point_mass:
             raise ValueError("k = 0 is a point mass; it has no density")
-        y = np.asarray(y, dtype=float)
-        d = y - self.boundary if self.side == "above" else self.boundary - y
-        out = np.where(d > 0.0, self.amplitude * np.exp(-self.eta * np.maximum(d, 0.0)), 0.0)
-        return out if out.ndim else float(out)
+        return _exp_tail(y, self.boundary, self.side == "above", self.amplitude, self.eta)
 
     def conditional_cdf(self, y):
         """CDF P(Y <= y) of the law normalised to a probability on its support.
@@ -191,13 +198,10 @@ class CrossingMeasure:
         """
         if self.is_point_mass:
             raise ValueError("k = 0 is a point mass")
-        y = np.asarray(y, dtype=float)
-        if self.side == "above":
-            d = y - self.boundary
-            out = np.where(d > 0.0, -np.expm1(-self.eta * np.maximum(d, 0.0)), 0.0)
-        else:
-            d = self.boundary - y
-            out = np.where(d > 0.0, np.exp(-self.eta * np.maximum(d, 0.0)), 1.0)
+        if self.side == "below":
+            return _exp_tail(y, self.boundary, False, 1.0, self.eta, short=1.0)
+        d = np.asarray(y, dtype=float) - self.boundary
+        out = np.where(d > 0.0, -np.expm1(-self.eta * np.maximum(d, 0.0)), 0.0)
         return out if out.ndim else float(out)
 
 
@@ -219,10 +223,8 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
         side = "below" if starts_below else "above"
         return CrossingMeasure(k=0, side=side, mass=1.0, amplitude=math.nan,
                                boundary=math.nan, eta=params.eta, start=start)
-    if starts_below:
-        m1 = overshoot_law(params, interval, start, "up").mass_beyond(interval.b)
-    else:
-        m1 = overshoot_law(params, interval, start, "down").mass_beyond(interval.a)
+    direction, far = ("up", interval.b) if starts_below else ("down", interval.a)
+    m1 = overshoot_law(params, interval, start, direction).mass_beyond(far)
     c = crossing_factor(params, interval)
     mass = c ** (k - 1) * m1
     # odd crossings land on the opposite side of the start, even ones back home
@@ -236,6 +238,14 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
 # --------------------------------------------------------------------------- #
 # Harmonic functions
 # --------------------------------------------------------------------------- #
+
+def _side_distance(interval: Interval, x, what: str = "evaluation point"):
+    """(x > b, distance from x to [a, b]) for x outside the interval."""
+    interval.require_outside(x, what)
+    x = np.asarray(x, dtype=float)
+    above = x > interval.b
+    return above, np.where(above, x - interval.b, interval.a - x)
+
 
 @dataclass(frozen=True)
 class Harmonics:
@@ -254,41 +264,32 @@ class Harmonics:
     coef_far: float
     coef_near: float
 
-    def _sides(self, x):
-        self.interval.require_outside(x)
-        x = np.asarray(x, dtype=float)
-        above = x > self.interval.b
-        s = np.where(above, x - self.interval.b, self.interval.a - x)
-        return x, above, s
+    def _halves(self, x):
+        """(x > b, growing half, flat half) at the distance s from x to [a, b]."""
+        above, s = _side_distance(self.interval, x)
+        e = -np.expm1(-self.params.beta * s)
+        return above, self.slope * s + self.coef_far * e, self.coef_near * e
 
     def plus(self, x):
-        x, above, s = self._sides(x)
-        grow = self.slope * s + self.coef_far * (-np.expm1(-self.params.beta * s))
-        flat = self.coef_near * (-np.expm1(-self.params.beta * s))
+        above, grow, flat = self._halves(x)
         out = np.where(above, grow, flat)
         return out if out.ndim else float(out)
 
     def minus(self, x):
-        x, above, s = self._sides(x)
-        grow = self.slope * s + self.coef_far * (-np.expm1(-self.params.beta * s))
-        flat = self.coef_near * (-np.expm1(-self.params.beta * s))
+        above, grow, flat = self._halves(x)
         out = np.where(above, flat, grow)
         return out if out.ndim else float(out)
 
     def combined(self, x):
-        x, above, s = self._sides(x)
+        _, s = _side_distance(self.interval, x)
         out = (self.slope * s
                + (self.coef_far + self.C * self.coef_near) * (-np.expm1(-self.params.beta * s)))
         return out if out.ndim else float(out)
 
     def value(self, kind: Kind, x):
-        if kind == "plus":
-            return self.plus(x)
-        if kind == "minus":
-            return self.minus(x)
-        if kind == "combined":
-            return self.combined(x)
-        raise ValueError(f"kind must be 'plus', 'minus' or 'combined', got {kind!r}")
+        if kind not in ("plus", "minus", "combined"):
+            raise ValueError(f"kind must be 'plus', 'minus' or 'combined', got {kind!r}")
+        return getattr(self, kind)(x)
 
 
 def harmonics(params: ModelParams, interval: Interval) -> Harmonics:
@@ -306,16 +307,19 @@ def harmonics(params: ModelParams, interval: Interval) -> Harmonics:
     )
 
 
-def _series_masses(params: ModelParams, interval: Interval, x: float, K: int):
-    """Masses of the crossing measures entering the h_plus series at x.
-
-    For x > b the series runs over even crossings (k = 0, 2, 4, ...); for
-    x < a over odd ones (k = 1, 3, ...).  Term index j <= K uses nu_{2j} or
-    nu_{2j+1} respectively; all of these land above b.
-    """
+def _plus_series(params: ModelParams, interval: Interval, x: float, K: int,
+                 point, unit: float) -> float:
+    """Partial sum through index K of an h_plus series at x: ``point(x - b)``
+    for the point mass nu_0 and mass * ``unit`` for every other nu_k.  Term j
+    uses nu_{2j} for x > b and nu_{2j+1} for x < a; all of these land above b."""
+    require_number(K, "K", integer=True, low=0)
     interval.require_outside(x, "series evaluation point")
     first = 0 if x > interval.b else 1
-    return [nu(params, interval, x, 2 * j + first) for j in range(K + 1)]
+    total = 0.0
+    for j in range(K + 1):
+        m = nu(params, interval, x, 2 * j + first)
+        total += point(x - interval.b) if m.is_point_mass else m.mass * unit
+    return total
 
 
 def harmonic_plus_partial_sum(params: ModelParams, interval: Interval, x: float, K: int) -> float:
@@ -326,16 +330,8 @@ def harmonic_plus_partial_sum(params: ModelParams, interval: Interval, x: float,
     k = 0 term for x > b is the point-mass evaluation U(x-b).
     """
     params.require_centred("h_plus series")
-    require_number(K, "K", integer=True, low=0)
-    measures = _series_masses(params, interval, x, K)
-    unit = 2.0 / (params.beta + params.eta)   # integral of U against Exp(eta)
-    total = 0.0
-    for m in measures:
-        if m.is_point_mass:
-            total += potential(params, x - interval.b)
-        else:
-            total += m.mass * unit
-    return total
+    return _plus_series(params, interval, x, K, lambda d: potential(params, d),
+                        2.0 / (params.beta + params.eta))
 
 
 def harmonic_plus_q_partial_sum(params: ModelParams, interval: Interval, x: float,
@@ -346,19 +342,10 @@ def harmonic_plus_q_partial_sum(params: ModelParams, interval: Interval, x: floa
     A/(eta+rho1) + B/(eta+rho2); monotone decreasing in q and bounded above
     by the plain partial sum at equal K.
     """
-    require_number(q, "q", low=0.0, strict=True)
     params.require_centred("q-relaxed h_plus series")
-    require_number(K, "K", integer=True, low=0)
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
-    unit = aa / (params.eta + rho1) + bb / (params.eta + rho2)
-    measures = _series_masses(params, interval, x, K)
-    total = 0.0
-    for m in measures:
-        if m.is_point_mass:
-            total += potential_q(params, x - interval.b, q)
-        else:
-            total += m.mass * unit
-    return total
+    return _plus_series(params, interval, x, K, lambda d: potential_q(params, d, q),
+                        aa / (params.eta + rho1) + bb / (params.eta + rho2))
 
 
 def harmonic_minus_q_partial_sum(params: ModelParams, interval: Interval, x: float,

@@ -64,15 +64,17 @@ def require_number(value, what: str, *, integer: bool = False, low: float = -mat
     raise ValueError(f"{what} must be {rule} (got {value!r})")
 
 
-def _require_real_array(x, what: str) -> np.ndarray:
+def _require_real_array(x, what: str, low: float | None = None) -> np.ndarray:
     """The array form of the rule: integer or float values (no booleans,
-    strings or objects), every one finite.  Returns ``x`` as a float array;
-    anything else is a ValueError naming ``what``."""
+    strings or objects), every one finite (and >= ``low`` if given).  Returns
+    ``x`` as a float array; anything else is a ValueError naming ``what``."""
     if np.asarray(x).dtype.kind not in "iuf":
         raise ValueError(f"{what} must be a real number (got {x!r})")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} must be finite")
+    if low is not None and np.any(x < low):
+        raise ValueError(f"{what} must be >= {low:g}")
     return x
 
 
@@ -196,15 +198,14 @@ def kappa(params: ModelParams, q: float) -> float:
 def potential(params: ModelParams, x):
     """Shared ladder potential U(x) = (eta/beta) x + (beta-eta)/beta^2 (1-e^{-beta x})."""
     params.require_centred("ladder potential")
-    x = _require_real_array(x, "x")
-    if np.any(x < 0.0):
-        raise ValueError("potential is defined for x >= 0")
+    x = _require_real_array(x, "x", low=0.0)
     beta = params.beta
     out = params.eta / beta * x + (beta - params.eta) / beta**2 * (-np.expm1(-beta * x))
     return out if out.ndim else float(out)
 
 
 def _potential_q_coeffs(params: ModelParams, q: float) -> tuple[float, float, float, float]:
+    require_number(q, "q", low=0.0, strict=True)
     rho1, rho2 = wiener_hopf_roots(params, q)
     aa = (params.eta - rho1) / (rho2 - rho1)
     bb = (rho2 - params.eta) / (rho2 - rho1)
@@ -217,11 +218,8 @@ def potential_q(params: ModelParams, x, q: float):
     Cumulative of the density A e^{-rho1 x} + B e^{-rho2 x}; increases to
     1/kappa(q) and grows to U(x) pointwise as q -> 0.
     """
-    require_number(q, "q", low=0.0, strict=True)
     params.require_centred("q-potential")
-    x = _require_real_array(x, "x")
-    if np.any(x < 0.0):
-        raise ValueError("q-potential is defined for x >= 0")
+    x = _require_real_array(x, "x", low=0.0)
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
     out = aa * (-np.expm1(-rho1 * x)) / rho1 + bb * (-np.expm1(-rho2 * x)) / rho2
     return out if out.ndim else float(out)
@@ -229,6 +227,5 @@ def potential_q(params: ModelParams, x, q: float):
 
 def potential_q_total(params: ModelParams, q: float) -> float:
     """Total mass U_q(infinity) = A/rho1 + B/rho2 = 1/kappa(q), q > 0."""
-    require_number(q, "q", low=0.0, strict=True)
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
     return aa / rho1 + bb / rho2

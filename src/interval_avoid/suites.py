@@ -659,8 +659,7 @@ def emit_table(kind: str, grid: Iterable[float], output_path: str,
         gam = cf.gamma_bound(model, interval)
         header = ["x", "h_plus", "h_minus", "h", "U_minus", "nu1_mass", "gamma"]
         for x in grid:
-            interval.require_outside(x, "grid point")
-            dist = x - interval.b if x > interval.b else interval.a - x
+            _, dist = cf._side_distance(interval, x, "grid point")
             rows.append([x, float(h.plus(x)), float(h.minus(x)), float(h.combined(x)),
                          potential(model, dist), cf.nu(model, interval, x, 1).mass, gam])
     elif kind == "potentials":
@@ -679,8 +678,6 @@ def emit_table(kind: str, grid: Iterable[float], output_path: str,
         raise ValueError(f"unknown table kind {kind!r}")
 
     with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        for row in [header, *rows]:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
