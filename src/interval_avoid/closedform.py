@@ -54,6 +54,7 @@ __all__ = [
 
 Kind = Literal["plus", "minus", "combined"]
 Direction = Literal["up", "down"]
+_SERIES_TOL = 1e-12    # relative tail c^(2K) that ``default_series_depth`` leaves
 
 
 def crossing_factor(params: ModelParams, interval: Interval) -> float:
@@ -76,11 +77,10 @@ def gamma_bound(params: ModelParams, interval: Interval) -> float:
     return (beta - params.eta) / beta * math.exp(-params.eta * interval.width)
 
 
-def default_series_depth(params: ModelParams, interval: Interval, tol: float = 1e-12) -> int:
-    """Truncation K with c^(2K) below ``tol``."""
-    require_number(tol, "tol", low=0.0, strict=True)
+def default_series_depth(params: ModelParams, interval: Interval) -> int:
+    """Truncation K with c^(2K) below ``_SERIES_TOL`` = 1e-12."""
     c = crossing_factor(params, interval)
-    return max(1, math.ceil(0.5 * math.log(tol) / math.log(c)))
+    return max(1, math.ceil(0.5 * math.log(_SERIES_TOL) / math.log(c)))
 
 
 # --------------------------------------------------------------------------- #

@@ -823,13 +823,15 @@ def _avoidance_block(model, interval, start, n, rng, n_segments, exit_level, g):
     return escaped.size, live.size, bound
 
 
-def _avoidance_job(model, interval, start, config, bound_target=1e-7):
+_BOUND_TARGET = 1e-7    # certified return probability at the avoidance exit level
+
+
+def _avoidance_job(model, interval, start, config):
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
-    require_number(bound_target, "bound_target", low=0.0, strict=True, high=1.0)
     interval.require_outside(start, "starting point")
     g = adjustment_coefficient(model)
-    exit_level = interval.b + math.log(1.0 / bound_target) / g
+    exit_level = interval.b + math.log(1.0 / _BOUND_TARGET) / g
     horizon = _avoidance_horizon(model, interval, start)
 
     def finish(parts):
@@ -848,17 +850,17 @@ def _avoidance_job(model, interval, start, config, bound_target=1e-7):
 
 
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
-                       config: PathConfig, *, bound_target: float = 1e-7) -> AvoidanceEstimate:
+                       config: PathConfig) -> AvoidanceEstimate:
     """P(T = infinity) for a transient (drift > 0) model.
 
     A path counts as avoiding once a jump lands it at or above
     ``exit_level``, where the certified return probability exp(-g *
-    distance) is below ``bound_target``; the summed per-path bounds are
-    reported.  Paths are walked from jump to jump without event times
+    distance) is below ``_BOUND_TARGET`` = 1e-7; the summed per-path bounds
+    are reported.  Paths are walked from jump to jump without event times
     (``_avoidance_walk``), for at most ceil(lam * horizon) jump segments,
     with the horizon sized so that drift dominates a 30-sigma fluctuation.
     """
-    return _map_jobs([_avoidance_job(model, interval, start, config, bound_target)])[0]
+    return _map_jobs([_avoidance_job(model, interval, start, config)])[0]
 
 
 def _terminal_block(model, interval, start, n, rng, times, bridge):

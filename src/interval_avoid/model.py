@@ -20,6 +20,7 @@ available in closed form:
   the default sigma = sqrt(2)).  The q-potential of the descending ladder
   height has density A exp(-rho1 x) + B exp(-rho2 x) with
   A = (eta-rho1)/(rho2-rho1), B = (rho2-eta)/(rho2-rho1), total mass 1/kappa(q).
+* The killed Green measure is (2/sigma^2) U * U_hat (``_green_factor``).
 """
 
 from __future__ import annotations
@@ -202,6 +203,12 @@ def potential(params: ModelParams, x):
     beta = params.beta
     out = params.eta / beta * x + (beta - params.eta) / beta**2 * (-np.expm1(-beta * x))
     return out if out.ndim else float(out)
+
+
+def _green_factor(params: ModelParams) -> float:
+    """2/sigma^2, as the killed Green measure is (2/sigma^2) U * U_hat: U's
+    Laplace-Stieltjes transform is sigma/sqrt(2) over upsilon(theta)."""
+    return 2.0 / params.sigma**2
 
 
 def _potential_q_coeffs(params: ModelParams, q: float) -> tuple[float, float, float, float]:

@@ -37,9 +37,9 @@ from . import engine as eng
 from . import particles as pt
 from ._rng import worker_count
 from .config import SuiteConfig
-from .model import (Interval, ModelParams, kappa, ladder_exponent, laplace_exponent,
-                    potential, potential_q, potential_q_total, require_number,
-                    wiener_hopf_roots)
+from .model import (Interval, ModelParams, _green_factor, kappa, ladder_exponent,
+                    laplace_exponent, potential, potential_q, potential_q_total,
+                    require_number, wiener_hopf_roots)
 
 __all__ = ["Check", "SuiteReport", "run_suite", "emit_table", "SUITES",
            "REFERENCE", "dumps_17g", "derive_seed"]
@@ -339,7 +339,8 @@ def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
     model, iv = config.model, config.interval
     n = config.paths or 400_000
     checks: list[Check] = []
-    starts = (-2.0, -1.2, 1.5, 3.0)
+    w = iv.width
+    starts = (iv.a - 2.0 * w, iv.a - 1.2 * w, iv.b + 0.5 * w, iv.b + 2.0 * w)
     times = (0.25, 1.0, 4.0)
     # one task list, the longest times first; sorting restores the check order
     cases = [(i, x, j, t) for j, t in reversed(list(enumerate(times)))
@@ -418,6 +419,16 @@ def _suite_conditioning(config: SuiteConfig) -> list[Check]:
 # longtime suite: escape dichotomy and transience (criteria 7, 8)
 # --------------------------------------------------------------------------- #
 
+def _occupation_bound(model, iv, h, start, window) -> float:
+    """sup_h G(x, window)/h(x) bounds the h-transform's time in the window (d, c):
+    the killed Green measure G of (b, c] and [d, a) is at most
+    (2/sigma^2)(U(c-b) h_plus(x) + U(a-d) h_minus(x))."""
+    d, c = window
+    green = _green_factor(model) * (potential(model, c - iv.b) * float(h.plus(start))
+                                    + potential(model, iv.a - d) * float(h.minus(start)))
+    return max(float(h.combined(d)), float(h.combined(c))) * green / float(h.combined(start))
+
+
 def _suite_longtime(config: SuiteConfig) -> list[Check]:
     model, iv = config.model, config.interval
     n = config.particles
@@ -463,14 +474,11 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
         "occupation gained as the horizon doubles from 100 to 200 is no more than "
         "from 50 to 100 (transience)",
         growth.mean(), 0.0, 3.0 * _stderr(growth), criterion=8))
-    d, c_hi = window
-    sup_h = max(float(h.combined(d)), float(h.combined(c_hi)))
-    bound = sup_h * (potential(model, c_hi - iv.b) * float(h.plus(start))
-                     + potential(model, iv.a - d) * float(h.minus(start))) / float(h.combined(start))
     checks.append(check_le(
         "occupation_bound",
-        "occupation bounded by sup_h * (U(c-b) h_plus + U(a-d) h_minus)/h",
-        occ[:, 2].mean(), bound, 3.0 * _stderr(occ[:, 2]), criterion=8))
+        "occupation bounded by sup_h * (2/sigma^2)(U(c-b) h_plus + U(a-d) h_minus)/h",
+        occ[:, 2].mean(), _occupation_bound(model, iv, h, start, window),
+        3.0 * _stderr(occ[:, 2]), criterion=8))
     return checks
 
 
@@ -533,7 +541,7 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     n_grid = (config.paths or 200_000) // 12
     xs_below = iv.a - np.arange(0.25, 6.01, 0.25)[::-1]
     xs_above = iv.b + np.arange(0.25, 10.01, 0.25)
-    start, t_obs = 2.0, 1.0
+    start, t_obs = iv.b + iv.width, 1.0
     n_ref = 4 * n_grid
     n_outer = config.paths or 200_000
     above = [(float(x), path_config(n_grid, 12, 1000 + i)) for i, x in enumerate(xs_above)]

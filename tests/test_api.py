@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 import interval_avoid
-from interval_avoid import (Interval, ModelParams, PathConfig, default_series_depth,
-                            empirical_crossing_law, estimate_avoidance, estimate_clock_event,
-                            estimate_survival, harmonics, nu, potential, potential_q,
-                            potential_q_total, terminal_sample, wiener_hopf_roots)
+from interval_avoid import (Interval, ModelParams, PathConfig, empirical_crossing_law,
+                            estimate_clock_event, estimate_survival, harmonics, nu, potential,
+                            potential_q, potential_q_total, terminal_sample, wiener_hopf_roots)
 from interval_avoid.closedform import (harmonic_plus_partial_sum,
                                        harmonic_plus_q_partial_sum, overshoot_law)
 from interval_avoid.particles import (drift_probability, harmonicity_residual, occupation_time,
@@ -102,9 +101,6 @@ SCALARS = [
      0, True),
     ("estimate_clock_event.q", lambda v: estimate_clock_event(_M, _IV, 2.0, v, _CFG),
      0.0, False),
-    ("estimate_avoidance.bound_target",
-     lambda v: estimate_avoidance(ModelParams(drift=0.5), _IV, 2.0, _CFG, bound_target=v),
-     1.0, False),
     ("empirical_crossing_law.k", lambda v: empirical_crossing_law(_M, _IV, 2.0, v, _CFG),
      0, True),
     ("terminal_sample.t", lambda v: terminal_sample(_M, _IV, 2.0, v, _CFG), -1.0, False),
@@ -124,7 +120,6 @@ SCALARS = [
      -math.inf, False),
     ("OvershootLaw.mass_beyond.level",
      lambda v: overshoot_law(_M, Interval(5.0, 6.0), 2.0, "up").mass_beyond(v), 4.0, False),
-    ("default_series_depth.tol", lambda v: default_series_depth(_M, _IV, tol=v), 0.0, False),
     ("harmonic_plus_partial_sum.K", lambda v: harmonic_plus_partial_sum(_M, _IV, 2.0, v),
      -1, True),
     ("harmonic_plus_q_partial_sum.q",

@@ -808,7 +808,7 @@ def _walk_and_advance_tables(model, interval, start, n, seeds):
     log(2)/eta, frozen with a larger one) for the walk and for ``advance``
     run from jump to jump and stopped at the exit level, n paths a side,
     each side one block."""
-    # estimate_avoidance's exit level at its default bound_target 1e-7
+    # estimate_avoidance's exit level at its bound target 1e-7
     exit_level = interval.b + math.log(1e7) / adjustment_coefficient(model)
     horizon = _avoidance_horizon(model, interval, start)
     cut = math.log(2.0) / model.eta
@@ -905,7 +905,7 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
 def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
     """With a cap of ceil(lam * 2.5) = 3 jump segments from b + 2, paths still
     live count as unresolved, and each adds 1 to the return bound on top of
-    the frozen paths' bounds exp(-g (x - b)) <= bound_target."""
+    the frozen paths' bounds exp(-g (x - b)) <= 1e-7."""
     model = ModelParams(drift=0.5)
     cfg = PathConfig(dt=1.0, horizon=1.0, seed=87, n_paths=4000)
     full = estimate_avoidance(model, interval, interval.b + 2.0, cfg)

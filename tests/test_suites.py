@@ -1,14 +1,17 @@
-"""The transient5 suite's in-block reduction of its outer sample."""
+"""The suites away from the default model, the occupation bound, and the
+transient5 suite's in-block reduction of its outer sample."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interval_avoid import Interval, ModelParams
+from interval_avoid import Interval, ModelParams, harmonics
 from interval_avoid import engine
 from interval_avoid._rng import block_stream
-from interval_avoid.suites import _hat_moments, _hat_sums, _outer_block
+from interval_avoid.config import parse_config
+from interval_avoid.suites import (SUITES, SuiteReport, _hat_moments, _hat_sums,
+                                   _occupation_bound, _outer_block, run_suite)
 
 IV = Interval(0.0, 1.0)
 # transient5's grids at the default interval, with the pinned anchors a and b
@@ -54,3 +57,34 @@ def test_outer_block_returns_grid_sized_moments(n):
     assert below.shape == (3, GRID_BELOW.size) and above.shape == (3, GRID_ABOVE.size)
     _xs, alive = engine._terminal_block(model, IV, 2.0, n, block_stream(14, 0), [1.0], True)
     assert below[0].sum() + above[0].sum() == pytest.approx(np.count_nonzero(alive), rel=1e-12)
+
+
+# small budgets: pass/fail at these sizes says nothing, only that a report comes back
+_TINY = {"closedform": {}, "overshoot": {"paths": 8192}, "harmonicity": {"paths": 4096},
+         "clocklimit": {"paths": 4096}, "conditioning": {"paths": 4096},
+         "longtime": {"particles": 1024}, "transient5": {"paths": 2400}}
+_SETTINGS = {"M1": {"model": {"sigma": 0.7, "lambda": 3.0, "eta": 2.5}},
+             "M3": {"model": {"sigma": 0.5, "lambda": 0.2, "eta": 4.0}},
+             "wide": {"interval": {"a": -1.0, "b": 2.0}}}
+
+
+@pytest.mark.parametrize("setting", sorted(_SETTINGS))
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_reports_off_the_default_model(suite, setting):
+    """Every suite runs to a report away from the default model and on a
+    wider interval: no start it places may fall inside [a, b]."""
+    report = run_suite(parse_config({**_SETTINGS[setting], **_TINY[suite]}, suite=suite))
+    assert isinstance(report, SuiteReport) and report.checks
+
+
+def test_occupation_bound_brownian_limit():
+    """As lam -> 0 the model is Brownian motion with volatility sigma killed at
+    b, and h(y) = y - b above the interval.  From x = b + 1 its Green density
+    is (2/sigma^2) min(1, y - b), so at sigma = 0.5 the expected time in
+    (b, b + 2] is 12, and (8/h(x)) int_0^2 min(1, u) u du = 44/3 under the
+    h-transform.  Without the factor 2/sigma^2 the bound would read 4."""
+    model = ModelParams(sigma=0.5, lam=1e-12)
+    x, window = IV.b + 1.0, (IV.a - 2.0, IV.b + 2.0)
+    bound = _occupation_bound(model, IV, harmonics(model, IV), x, window)
+    assert bound == pytest.approx(32.0, rel=1e-9)    # sup_h 2 * Green bound 16 / h(x) 1
+    assert bound >= 44.0 / 3.0
