@@ -799,7 +799,9 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         up *= rise
         down *= fall
         lo = x - down
-        dead = np.where(x > b, lo <= b, x + up >= a)
+        # a live x lies outside [a, b]: above b, x + up >= a holds; below a,
+        # lo <= b holds; so each side's test reduces to one of the two
+        dead = (lo <= b) & (x + up >= a)
         post -= e2
         post /= model.eta
         post += lo + up
