@@ -32,7 +32,7 @@ CRITERIA = {
     2: ("closedform", ("wiener_hopf_factorisation", "root_product", "root_sum",
                        "kappa_is_sqrt_q", "q_potential_total_mass")),
     3: ("overshoot", ("nu1_mass", "nu1_shape_ks", "nu1_enough_samples")),
-    4: ("overshoot", ("nu3_over_nu1",)),
+    4: ("overshoot", ("nu3_over_nu1", "nu3_enough_samples")),
     5: ("harmonicity", None),
     6: ("clocklimit", None),
     7: ("longtime", ("updown_p_up", "p_up_plus_p_down", "plus_transform_drifts_up")),

@@ -1,6 +1,8 @@
 """The suites away from the default model, the occupation bound, and the
 transient5 suite's in-block reduction of its outer sample."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,9 +74,18 @@ _SETTINGS = {"M1": {"model": {"sigma": 0.7, "lambda": 3.0, "eta": 2.5}},
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_reports_off_the_default_model(suite, setting):
     """Every suite runs to a report away from the default model and on a
-    wider interval: no start it places may fall inside [a, b]."""
+    wider interval: no start it places may fall inside [a, b], and no check
+    reports a NaN or infinite value.  overshoot's nu3_enough_samples fails
+    exactly when no third crossing was recorded (at M3 and on [-1, 2] at
+    this budget), which is when the ratio reads 0."""
     report = run_suite(parse_config({**_SETTINGS[setting], **_TINY[suite]}, suite=suite))
     assert isinstance(report, SuiteReport) and report.checks
+    assert all(math.isfinite(v) for c in report.checks
+               for v in (c.observed, c.expected, c.tolerance))
+    if suite == "overshoot":
+        checks = {c.name: c for c in report.checks}
+        enough = checks["nu3_enough_samples"]
+        assert enough.passed == (enough.observed >= 1) == (checks["nu3_over_nu1"].observed > 0)
 
 
 def test_occupation_bound_brownian_limit():
