@@ -1,8 +1,9 @@
 """Paired timing of verification suites on two source trees.
 
 For each suite, runs ``interval_avoid.cli verify --suite SUITE`` at the
-default configuration from a base tree and a head tree in turn (the first
-of each pair alternates), and reads the suite's own ``runtime_seconds``
+default configuration, or with ``--config FILE`` passed on to ``verify``,
+from a base tree and a head tree in turn (the first of each pair
+alternates), and reads the suite's own ``runtime_seconds``
 from the report, so interpreter start-up is left out.  Each run's peak RSS
 comes from the rusage that ``os.wait4`` returns when the run is reaped,
 which covers the pool workers it reaped.  Prints one JSON line per suite
@@ -12,6 +13,10 @@ head won on time and whether the two trees' reports, less their
 
     python3 scripts/pair_timing.py --base ../parent --head . \\
         --suites harmonicity clocklimit --threads 1 2 --pairs 10
+    python3 scripts/pair_timing.py --base ../parent --head . \\
+        --suites transient5 --threads 2 --config budget.json
+
+``budget.json`` holds a ``verify`` config such as ``{"paths": 196608}``.
 
 Each tree is a checkout of this repository; its ``src/`` is put first on
 PYTHONPATH.
@@ -27,13 +32,17 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 
-def run_suite(tree: Path, suite: str, threads: int) -> tuple[float, float, str]:
+def run_suite(tree: Path, suite: str, threads: int,
+              config: Optional[Path] = None) -> tuple[float, float, str]:
     """The suite's ``runtime_seconds``, the run's peak RSS in MiB and its
     report without the ``runtime_seconds`` line."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads))
     cmd = [sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite]
+    if config is not None:
+        cmd += ["--config", str(config.resolve())]
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=err, text=True)
         out = proc.stdout.read()
@@ -60,6 +69,7 @@ def main(argv=None) -> int:
     parser.add_argument("--suites", nargs="+", required=True)
     parser.add_argument("--threads", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--config", type=Path, help="config file passed to verify")
     args = parser.parse_args(argv)
     for suite in args.suites:
         for threads in args.threads:
@@ -68,13 +78,14 @@ def main(argv=None) -> int:
                 order = [(args.base, base), (args.head, head)]
                 reports = []
                 for tree, (times, rss) in order if i % 2 == 0 else order[::-1]:
-                    seconds, mib, report = run_suite(tree, suite, threads)
+                    seconds, mib, report = run_suite(tree, suite, threads, args.config)
                     times.append(seconds)
                     rss.append(mib)
                     reports.append(report)
                 identical &= reports[0] == reports[1]
             print(json.dumps({
                 "suite": suite, "threads": threads, "pairs": args.pairs,
+                "config": None if args.config is None else str(args.config),
                 "base_q1_median_q3": quartiles(base[0]), "head_q1_median_q3": quartiles(head[0]),
                 "head_wins": sum(h < b for b, h in zip(base[0], head[0])),
                 "base_rss_mib_q1_median_q3": quartiles(base[1]),
