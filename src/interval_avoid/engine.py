@@ -52,7 +52,8 @@ and a stream, not a ``PathBlock``, and return per-path arrays.
 Blocks return counts or sums wherever those suffice, and a finish adds
 them up in block order: the survival and clock blocks return the numbers
 of paths alive in total, above and below the interval, and the avoidance
-blocks their escaped and unresolved counts and summed return bounds.
+blocks the counts of their paths' values (reached the roulette level,
+killed after it, unresolved in each stage) and summed return bounds.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test) and ``terminal_sample``.
 """
@@ -117,10 +118,16 @@ class EstimatorResult:
     n: int
 
 
+def _mean_result(total: float, total_sq: float, n: int) -> EstimatorResult:
+    """Mean of n per-path values and its standard error, from their sum and
+    sum of squares (the sample variance with divisor n - 1)."""
+    mean = total / n
+    var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
+    return EstimatorResult(mean=mean, stderr=math.sqrt(max(var, 0.0) / n), n=n)
+
+
 def _binomial_result(successes: float, n: int) -> EstimatorResult:
-    p = successes / n
-    var = (successes - n * p * p) / (n - 1) if n > 1 else 0.0  # sum x^2 = sum x for 0/1
-    return EstimatorResult(mean=p, stderr=math.sqrt(max(var, 0.0) / n), n=n)
+    return _mean_result(successes, successes, n)   # sum x^2 = sum x for 0/1
 
 
 def _observation_grid(dt: float, horizon: float) -> list[float]:
@@ -711,10 +718,15 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
 class AvoidanceEstimate:
     """P(T = infinity) and its certificate.
 
-    ``horizon`` is the time cap H; the walk stops after ceil(lam * H) jump
-    segments, and paths still live then are ``unresolved``.  Each of them
-    adds 1, and each escaped path, with exit landing x, adds its bound
-    exp(-g (x - b)), to ``return_prob_bound`` (divided by the path count).
+    ``result`` is the mean of the per-path values Y of ``estimate_avoidance``
+    over ``result.n`` paths, with the standard error of that mean.
+    ``horizon`` is the time cap H; each of the walk's two stages stops after
+    ceil(lam * H) jump segments, and paths still live then are
+    ``unresolved`` (both stages counted).  ``return_prob_bound`` bounds the
+    bias of the mean: divided by the path count, it sums 1 for each path
+    unresolved in stage 1, R for each path unresolved in stage 2 and
+    R exp(-g (x - b)) for each path that escaped in stage 2 with exit
+    landing x, R = 8 being the weight of a path kept by the roulette.
     """
 
     result: EstimatorResult
@@ -817,15 +829,31 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     return exits, idx, x
 
 
-def _avoidance_block(model, interval, start, n, rng, n_segments, exit_level, g):
+_BOUND_TARGET = 1e-7      # certified return probability at the avoidance exit level
+_ROULETTE_TARGET = 1e-3   # certified return probability at the roulette level
+_ROULETTE_WEIGHT = 8      # a path at the roulette level goes on with probability 1/8
+
+
+def _avoidance_block(model, interval, start, n, rng, n_segments, roulette_level,
+                     exit_level, g):
+    """Counts of the per-path values Y of ``estimate_avoidance`` for n paths:
+    paths that reached the roulette level, paths kept there and killed later,
+    unresolved paths of stage 1 and of stage 2, and the summed return bounds
+    of the paths kept there that escaped, times R.  With the roulette level
+    at or above the exit level, stage 1 walks to the exit level, nothing is
+    kept and each escaped path's bound is summed with weight 1."""
+    level = min(roulette_level, exit_level)
     exits, live, _x = _avoidance_walk(model, interval, np.full(n, float(start)), rng,
-                                      n_segments, exit_level)
+                                      n_segments, level)
+    reached = exits[~np.isnan(exits)]
+    if level == exit_level:
+        return reached.size, 0, live.size, 0, float(np.exp(-g * (reached - interval.b)).sum())
+    kept = reached[rng.random(reached.size) < 1.0 / _ROULETTE_WEIGHT]
+    exits, live_kept, _x = _avoidance_walk(model, interval, kept, rng, n_segments, exit_level)
     escaped = exits[~np.isnan(exits)]
-    bound = float(np.exp(-g * (escaped - interval.b)).sum())
-    return escaped.size, live.size, bound
-
-
-_BOUND_TARGET = 1e-7    # certified return probability at the avoidance exit level
+    bound = _ROULETTE_WEIGHT * float(np.exp(-g * (escaped - interval.b)).sum())
+    return (reached.size, kept.size - escaped.size - live_kept.size, live.size,
+            live_kept.size, bound)
 
 
 def _avoidance_job(model, interval, start, config):
@@ -833,22 +861,27 @@ def _avoidance_job(model, interval, start, config):
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
     g = adjustment_coefficient(model)
+    roulette_level = interval.b + math.log(1.0 / _ROULETTE_TARGET) / g
     exit_level = interval.b + math.log(1.0 / _BOUND_TARGET) / g
     horizon = _avoidance_horizon(model, interval, start)
 
     def finish(parts):
-        n = config.n_paths
-        avoided, unresolved, bound = _add_blocks(parts)
+        n, w = config.n_paths, _ROULETTE_WEIGHT
+        reached, killed, unresolved, unresolved_kept, bound = _add_blocks(parts)
+        # Y = 1 for each path that reached the roulette level, less w for
+        # each one kept there and killed (Y = 1 - w) and 1 for each one kept
+        # there and unresolved (Y = 0)
         return AvoidanceEstimate(
-            result=_binomial_result(float(avoided), n),
+            result=_mean_result(reached - w * killed - unresolved_kept,
+                                reached - unresolved_kept + (w * w - 2 * w) * killed, n),
             horizon=horizon,
             exit_level=exit_level,
-            return_prob_bound=(bound + unresolved) / n,
-            unresolved=unresolved,
+            return_prob_bound=(bound + unresolved + w * unresolved_kept) / n,
+            unresolved=unresolved + unresolved_kept,
         )
 
     return _Job(_avoidance_block, model, interval, start, config,
-                (math.ceil(model.lam * horizon), exit_level, g), finish)
+                (math.ceil(model.lam * horizon), roulette_level, exit_level, g), finish)
 
 
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
@@ -857,10 +890,22 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
 
     A path counts as avoiding once a jump lands it at or above
     ``exit_level``, where the certified return probability exp(-g *
-    distance) is below ``_BOUND_TARGET`` = 1e-7; the summed per-path bounds
-    are reported.  Paths are walked from jump to jump without event times
-    (``_avoidance_walk``), for at most ceil(lam * horizon) jump segments,
-    with the horizon sized so that drift dominates a 30-sigma fluctuation.
+    distance) is below ``_BOUND_TARGET`` = 1e-7.  Paths are walked from jump
+    to jump without event times (``_avoidance_walk``) in two stages, with
+    Russian roulette between them.  Stage 1 walks every path to its first
+    landing at or above the roulette level b + ln(1/beta)/g, beta =
+    ``_ROULETTE_TARGET`` = 1e-3, where the certified return probability is
+    below beta.  Each path that reached it is kept with probability 1/R,
+    R = ``_ROULETTE_WEIGHT`` = 8, from the block's stream; stage 2 walks the
+    kept paths on from their landings to the exit level.  A path's value Y
+    is 1 if it reached the roulette level and was not kept, 1 if it was
+    kept and escaped, 1 - R if it was kept and killed, and 0 otherwise
+    (killed or unresolved before the roulette level, or kept and
+    unresolved), so E[Y] = P(T = infinity) up to the bias that
+    ``return_prob_bound`` bounds; the mean and standard error come from the
+    sums of Y and Y^2.  Each stage walks at most ceil(lam * horizon) jump
+    segments, with the horizon sized so that drift dominates a 30-sigma
+    fluctuation, so a kept path walks at most twice that.
     """
     return _map_jobs([_avoidance_job(model, interval, start, config)])[0]
 

@@ -725,7 +725,8 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks
+# crossing budgets span two blocks.  Last re-pinned for the avoidance
+# roulette, with every other part's bytes unchanged
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -746,7 +747,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "add6b5f99240e20f0a7c2233ab2c42b0c4be1c7dcbd12883697bbaf3e42ebe16")
+        "8d8ad249f997e1f396bfc6151b8a4490cefb4ecd43a8c087f9bfc7542c7d89c3")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -863,9 +864,12 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     """An escaped path has landed at or above the exit level and is not
     live, a live path lies outside [a, b], the walk draws only (4, m)
     standard exponentials, m falling, one draw per segment while a path is
-    live, and the same stream gives the same result.  The block makes the
-    walk's draws and no other, counts its escaped and live paths and sums
-    the escaped paths' bounds."""
+    live, and the same stream gives the same result.  With its roulette
+    level at the exit level, the block makes the walk's draws and no other,
+    counts its escaped and live paths and sums the escaped paths' bounds.
+    With a lower roulette level, no more paths are killed or left
+    unresolved after it than reached it, and the bound sums at most
+    R exp(-g (exit level - b)) per path that reached it."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
     n = 96
     exit_level = interval.b + exit_gap
@@ -895,17 +899,26 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     assert np.array_equal(live, live2) and np.array_equal(x, x2) and shapes == shapes2
 
     block_rng = _DrawLog(block_stream(seed, 0))
-    avoided, unresolved, bound = _avoidance_block(model, interval, start, n, block_rng,
-                                                  n_segments, exit_level, 0.5)
+    reached, killed, unresolved, unresolved_kept, bound = _avoidance_block(
+        model, interval, start, n, block_rng, n_segments, exit_level, exit_level, 0.5)
     assert block_rng.shapes == shapes
-    assert (avoided, unresolved) == (np.count_nonzero(escaped), live.size)
+    assert (reached, killed, unresolved, unresolved_kept) == (
+        np.count_nonzero(escaped), 0, live.size, 0)
     assert bound == float(np.exp(-0.5 * (exits[escaped] - interval.b)).sum())
+
+    reached, killed, unresolved, unresolved_kept, bound = _avoidance_block(
+        model, interval, start, n, block_stream(seed, 0), n_segments,
+        interval.b + 0.5 * exit_gap, exit_level, 0.5)
+    assert min(killed, unresolved_kept) >= 0
+    assert killed + unresolved_kept <= reached <= n - unresolved
+    assert bound <= engine._ROULETTE_WEIGHT * reached * math.exp(-0.5 * exit_gap) * (1 + 1e-12)
 
 
 def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
-    """With a cap of ceil(lam * 2.5) = 3 jump segments from b + 2, paths still
-    live count as unresolved, and each adds 1 to the return bound on top of
-    the frozen paths' bounds exp(-g (x - b)) <= 1e-7."""
+    """With a cap of ceil(lam * 2.5) = 3 jump segments per stage from b + 2,
+    paths still live count as unresolved.  Each adds 1 to the return bound
+    if stage 1 left it live and R if stage 2 did, on top of the kept escaped
+    paths' bounds R exp(-g (x - b)) <= R 1e-7."""
     model = ModelParams(drift=0.5)
     cfg = PathConfig(dt=1.0, horizon=1.0, seed=87, n_paths=4000)
     full = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
@@ -914,6 +927,66 @@ def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
     est = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
     assert est.horizon == 2.5
     assert est.unresolved > 100
-    avoided = round(est.result.mean * cfg.n_paths)
-    assert est.unresolved / cfg.n_paths <= est.return_prob_bound
-    assert est.return_prob_bound <= (est.unresolved + avoided * 1e-7) / cfg.n_paths * (1 + 1e-12)
+    job = engine._avoidance_job(model, interval, interval.b + 2.0, cfg)
+    reached, _killed, unresolved, unresolved_kept, _bound = engine._map_jobs(
+        [job._replace(finish=engine._add_blocks)])[0]
+    assert est.unresolved == unresolved + unresolved_kept
+    w = engine._ROULETTE_WEIGHT
+    assert (unresolved + w * unresolved_kept) / cfg.n_paths <= est.return_prob_bound
+    assert est.return_prob_bound <= ((unresolved + w * unresolved_kept + w * reached * 1e-7)
+                                     / cfg.n_paths * (1 + 1e-12))
+
+
+def test_avoidance_finish_is_the_mean_of_the_path_values(interval):
+    """The finish's mean and standard error from the blocks' counts equal
+    np.mean and np.std(ddof=1)/sqrt(n) over the per-path values Y: 1 for a
+    path that reached the roulette level and was not kept or was kept and
+    escaped, 1 - R for one kept and killed, 0 for every other path."""
+    n = 500
+    cfg = PathConfig(dt=1.0, horizon=1.0, seed=1, n_paths=n)
+    finish = engine._avoidance_job(ModelParams(drift=0.5), interval, 2.0, cfg).finish
+    w = engine._ROULETTE_WEIGHT
+    # (reached, killed after it, unresolved in stage 1, unresolved in stage 2, bound)
+    parts = [(180, 7, 3, 2, 1e-6), (150, 4, 0, 5, 0.0), (0, 0, 1, 0, 0.0)]
+    ones = sum(p[0] - p[1] - p[3] for p in parts)
+    killed = sum(p[1] for p in parts)
+    y = np.concatenate([np.ones(ones), np.full(killed, 1.0 - w), np.zeros(n - ones - killed)])
+    est = finish(parts)
+    assert est.result.n == n
+    assert est.result.mean == pytest.approx(np.mean(y), rel=1e-13)
+    assert est.result.stderr == pytest.approx(np.std(y, ddof=1) / math.sqrt(n), rel=1e-12)
+    assert est.unresolved == 4 + 7
+    assert est.return_prob_bound == pytest.approx((1e-6 + 4 + w * 7) / n, rel=1e-13)
+
+
+def test_avoidance_roulette_matches_plain_walk(monkeypatch, interval):
+    """With the roulette level at a certified return probability of 0.5, so
+    that roulette acts on most paths, ``estimate_avoidance`` agrees with the
+    escaped fraction of one plain walk to the exit level at three starts,
+    65 536 paths a side: one pooled chi-square at alpha = 0.0027.  From
+    b + 40, with every path kept there left unresolved by a 20-segment cap,
+    the return bound still covers the gap to l(b + 40) >= 1 - exp(-40 g)."""
+    monkeypatch.setattr(engine, "_ROULETTE_TARGET", 0.5)
+    model = ModelParams(drift=0.5)
+    g = adjustment_coefficient(model)
+    exit_level = interval.b + math.log(1e7) / g
+    n = 65_536
+    stat = 0.0
+    for i, start in enumerate([interval.a - 3.0, interval.b + 0.25, interval.b + 2.0]):
+        est = estimate_avoidance(model, interval, start,
+                                 PathConfig(dt=1.0, horizon=1.0, seed=500 + i, n_paths=n))
+        exits, live, _x = _avoidance_walk(
+            model, interval, np.full(n, start), block_stream(600 + i, 0),
+            math.ceil(model.lam * _avoidance_horizon(model, interval, start)), exit_level)
+        assert est.unresolved == live.size == 0
+        p = np.count_nonzero(~np.isnan(exits)) / n
+        stat += (est.result.mean - p) ** 2 / (est.result.stderr**2 + p * (1 - p) / n)
+    assert stats.chi2.sf(stat, 3) >= 0.0027
+
+    monkeypatch.setattr(engine, "_avoidance_horizon", lambda *args: 20.0)
+    far = estimate_avoidance(model, interval, interval.b + 40.0,
+                             PathConfig(dt=1.0, horizon=1.0, seed=503, n_paths=8192))
+    assert far.unresolved > 500
+    slack = 3.0 * far.result.stderr + far.return_prob_bound
+    assert 1.0 - math.exp(-40.0 * g) <= far.result.mean + slack
+    assert far.result.mean - slack <= 1.0
