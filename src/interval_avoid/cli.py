@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--estimator", choices=("survival", "clock", "avoidance"),
                    default="survival",
                    help="avoidance ignores --dt and --horizon: it walks each path for "
-                        "at most ceil(lambda * horizon_used) jump segments, with "
+                        "at most ceil(lambda * horizon_used) jump segments per stage, with "
                         "horizon_used sized from the start")
     s.add_argument("--start", type=float, required=True)
     s.add_argument("--paths", type=int, default=100_000)
@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
     else:
         est = estimate_avoidance(model, interval, args.start, config)
         result = est.result
-        # horizon_used is the time cap H: the walk's cap is ceil(lambda * H) jump segments
+        # horizon_used is the time cap H: each walk stage's cap is ceil(lambda * H) jump segments
         extra = {"horizon_used": est.horizon, "exit_level": est.exit_level,
                  "return_prob_bound": est.return_prob_bound,
                  "unresolved": est.unresolved}

@@ -870,7 +870,7 @@ def _avoidance_job(model, interval, start, config):
         reached, killed, unresolved, unresolved_kept, bound = _add_blocks(parts)
         # Y = 1 for each path that reached the roulette level, less w for
         # each one kept there and killed (Y = 1 - w) and 1 for each one kept
-        # there and unresolved (Y = 0)
+        # there and unresolved (Y = 0); Y^2 = 1 + w^2 - 2w for a killed one
         return AvoidanceEstimate(
             result=_mean_result(reached - w * killed - unresolved_kept,
                                 reached - unresolved_kept + (w * w - 2 * w) * killed, n),

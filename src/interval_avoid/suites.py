@@ -315,17 +315,14 @@ def _suite_overshoot(config: SuiteConfig) -> list[Check]:
         float(law.insufficient[0]), 0.0, criterion=3))
 
     m1, m3 = law.mass[0].mean, law.mass[2].mean
-    b1, b3 = law.censor_bias_bound[0], law.censor_bias_bound[2]
+    ratio = var_r = 0.0     # their limits when no third crossing was recorded
     if m3 > 0.0:
         ratio = m3 / m1
         # same-path delta method; crossing 3 implies crossing 1
         var_r = ratio**2 * ((1.0 - m3) / (n * m3) - (1.0 - m1) / (n * m1))
-        bias_r = (b3 + ratio * b1) / m1
-    else:
-        # no third crossing: the ratio and its variance at their limits 0
-        ratio = var_r = 0.0
-        bias_r = b3 / m1 if m1 > 0.0 else 0.0
     se_r = math.sqrt(max(var_r, 0.0))
+    b1, b3 = law.censor_bias_bound[0], law.censor_bias_bound[2]
+    bias_r = (b3 + ratio * b1) / m1 if m1 > 0.0 else 0.0
     c2 = cf.crossing_factor(model, iv) ** 2
     checks.append(check_close(
         "nu3_over_nu1",
