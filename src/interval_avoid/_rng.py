@@ -25,14 +25,9 @@ def block_stream(seed: int, block_index: int) -> np.random.Generator:
 
 
 def iter_blocks(n: int, block_size: int = BLOCK_SIZE):
-    """Yield (block_index, offset, count) covering ``n`` paths."""
-    index = 0
-    offset = 0
-    while offset < n:
-        count = min(block_size, n - offset)
-        yield index, offset, count
-        index += 1
-        offset += count
+    """Yield (block_index, count) covering ``n`` paths."""
+    for index, offset in enumerate(range(0, n, block_size)):
+        yield index, min(block_size, n - offset)
 
 
 def worker_count() -> int:

@@ -23,14 +23,15 @@ live path: K is one plus the expected number of jumps left before the latest
 target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
 horizon.  A path stops at death, at its target or at a crossing cap.  Every
-estimator is a job (``_Job``); ``_map_jobs`` runs the blocks of a list of
-jobs as one task list, block bi of a job on the PCG64DXSM stream seeded by
-SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng), as
-block(model, interval, start, n, rng, *args); a block that calls ``advance``
-starts its own ``PathBlock``.  K depends only on the block's state, so
-estimator outputs are bit-identical for a fixed seed regardless of the
-worker count and of the order in which blocks run; the order in which one
-block's draws are consumed does depend on K.
+estimator is a job (``_Job``): a block function, a start, a seed, a path
+count, the block's args and a finish; ``_map_jobs`` runs the blocks of a
+list of jobs as one task list, block bi of a job on the PCG64DXSM stream
+seeded by SeedSequence(the job's seed, spawn_key=(bi,)) (see _rng), as
+block(model, interval, start, count, rng, *args); a block that calls
+``advance`` starts its own ``PathBlock``.  K depends only on the block's
+state, so estimator outputs are bit-identical for a fixed seed regardless
+of the worker count and of the order in which blocks run; the order in
+which one block's draws are consumed does depend on K.
 
 Two estimators do not use ``advance``, because their observables have no
 time in it: avoidance (the first post-jump value at or above an exit level
@@ -455,17 +456,18 @@ def _run_block(task):
     return fn(model, interval, start, count, block_stream(seed, bi), *args)
 
 
-# One estimate: block(model, interval, start, n, rng, *args) runs on each
-# block of n paths started at start, with the block's stream rng, and finish
-# turns the list of block results, in block order, into the estimate.
-_Job = namedtuple("_Job", "block model interval start config args finish")
+# One estimate of n paths started at start: block(model, interval, start,
+# count, rng, *args) runs on each block of count paths, with the stream rng
+# keyed by (seed, block index), and finish turns the list of block results,
+# in block order, into the estimate.
+_Job = namedtuple("_Job", "block model interval start seed n args finish")
 
 
 def _map_jobs(jobs: list[_Job]) -> list:
     """The finished estimate of each job, in job order.
 
-    Block bi of a job holds up to BLOCK_SIZE paths started at its ``start``
-    on the stream keyed by (config.seed, bi), so the results depend neither
+    Block bi of a job holds up to BLOCK_SIZE of its ``n`` paths started at
+    its ``start`` on the stream keyed by (seed, bi), so the results depend neither
     on how many workers run the blocks nor on the order of the jobs.  With
     more than one worker and more than one block, every block of every job
     goes to one process pool, shut down before the call returns, as one task
@@ -474,9 +476,9 @@ def _map_jobs(jobs: list[_Job]) -> list:
     """
     tasks, ends = [], []
     for job in jobs:
-        tasks += [(job.block, job.model, job.interval, job.start, job.config.seed, bi,
-                   count, job.args)
-                  for bi, _offset, count in iter_blocks(job.config.n_paths, BLOCK_SIZE)]
+        require_number(job.n, "n_paths", integer=True, low=1)
+        tasks += [(job.block, job.model, job.interval, job.start, job.seed, bi, count, job.args)
+                  for bi, count in iter_blocks(job.n, BLOCK_SIZE)]
         ends.append(len(tasks))
     workers = worker_count()
     if workers <= 1 or len(tasks) <= 1:
@@ -530,8 +532,10 @@ def _survival_block(model, interval, start, n, rng, times, bridge):
 def estimate_survival(model: ModelParams, interval: Interval, start: float,
                       t: float, config: PathConfig, *, bridge: bool = True) -> SurvivalEstimate:
     """P(t < T), split by the side occupied at time t; ``bridge`` as in ``terminal_sample``."""
-    job = _terminal_job(model, interval, start, t, config, bridge)._replace(
-        block=_survival_block, finish=lambda parts: _side_split(config.n_paths, _add_blocks(parts)))
+    n = config.n_paths
+    job = _terminal_job(model, interval, start, t, config.seed, n,
+                        None if bridge else config.dt)._replace(
+        block=_survival_block, finish=lambda parts: _side_split(n, _add_blocks(parts)))
     return _map_jobs([job])[0]
 
 
@@ -541,17 +545,17 @@ def _clock_block(model, interval, start, n, rng, q):
     return _side_counts(interval, pb.x, pb.alive)
 
 
-def _clock_job(model, interval, start, q, config):
+def _clock_job(model, interval, start, q, seed, n):
     interval.require_outside(start, "starting point")
     require_number(q, "q", low=0.0, strict=True)
-    return _Job(_clock_block, model, interval, start, config, (q,),
-                lambda parts: _side_split(config.n_paths, _add_blocks(parts)))
+    return _Job(_clock_block, model, interval, start, seed, n, (q,),
+                lambda parts: _side_split(n, _add_blocks(parts)))
 
 
 def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
-    return _map_jobs([_clock_job(model, interval, start, q, config)])[0]
+    return _map_jobs([_clock_job(model, interval, start, q, config.seed, config.n_paths)])[0]
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -695,9 +699,9 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
     laws = [nu(model, interval, start, j) for j in range(1, k + 1)]
-    parts = _map_jobs([_Job(_crossing_block, model, interval, start, config,
-                            (k, math.ceil(model.lam * config.horizon)), list)])[0]
     n = config.n_paths
+    parts = _map_jobs([_Job(_crossing_block, model, interval, start, config.seed, n,
+                            (k, math.ceil(model.lam * config.horizon)), list)])[0]
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
     sizes = [pos.size for pos in positions]
@@ -856,7 +860,7 @@ def _avoidance_block(model, interval, start, n, rng, n_segments, roulette_level,
             live_kept.size, bound)
 
 
-def _avoidance_job(model, interval, start, config):
+def _avoidance_job(model, interval, start, seed, n):
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
@@ -866,7 +870,7 @@ def _avoidance_job(model, interval, start, config):
     horizon = _avoidance_horizon(model, interval, start)
 
     def finish(parts):
-        n, w = config.n_paths, _ROULETTE_WEIGHT
+        w = _ROULETTE_WEIGHT
         reached, killed, unresolved, unresolved_kept, bound = _add_blocks(parts)
         # Y = 1 for each path that reached the roulette level, less w for
         # each one kept there and killed (Y = 1 - w) and 1 for each one kept
@@ -880,7 +884,7 @@ def _avoidance_job(model, interval, start, config):
             unresolved=unresolved + unresolved_kept,
         )
 
-    return _Job(_avoidance_block, model, interval, start, config,
+    return _Job(_avoidance_block, model, interval, start, seed, n,
                 (math.ceil(model.lam * horizon), roulette_level, exit_level, g), finish)
 
 
@@ -907,7 +911,7 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     segments, with the horizon sized so that drift dominates a 30-sigma
     fluctuation, so a kept path walks at most twice that.
     """
-    return _map_jobs([_avoidance_job(model, interval, start, config)])[0]
+    return _map_jobs([_avoidance_job(model, interval, start, config.seed, config.n_paths)])[0]
 
 
 def _terminal_block(model, interval, start, n, rng, times, bridge):
@@ -917,11 +921,13 @@ def _terminal_block(model, interval, start, n, rng, times, bridge):
     return pb.x, pb.alive
 
 
-def _terminal_job(model, interval, start, t, config, bridge=True):
+def _terminal_job(model, interval, start, t, seed, n, dt=None):
+    """With a grid step ``dt``, the grid-only mode of ``terminal_sample``;
+    with None, exact bridge killing."""
     require_number(t, "t", low=0.0)
     interval.require_outside(start, "starting point")
-    times = [t] if bridge else _observation_grid(config.dt, t)
-    return _Job(_terminal_block, model, interval, start, config, (times, bridge),
+    times = [t] if dt is None else _observation_grid(dt, t)
+    return _Job(_terminal_block, model, interval, start, seed, n, (times, dt is None),
                 _concat_blocks)
 
 
@@ -934,4 +940,5 @@ def terminal_sample(model: ModelParams, interval: Interval, start: float,
     (``config.dt`` grid point or jump time) lies inside the interval: the
     grid-only validation mode.
     """
-    return _map_jobs([_terminal_job(model, interval, start, t, config, bridge)])[0]
+    return _map_jobs([_terminal_job(model, interval, start, t, config.seed, config.n_paths,
+                                    None if bridge else config.dt)])[0]

@@ -25,7 +25,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .closedform import harmonics
-from .engine import (EstimatorResult, PathBlock, PathConfig, _Job, _map_jobs,
+from .engine import (EstimatorResult, PathBlock, PathConfig, _Job, _map_jobs, _mean_result,
                      _observation_grid, _terminal_job, advance)
 from .model import Interval, ModelParams, require_number
 
@@ -147,8 +147,8 @@ def propagate_ensemble(model: ModelParams, interval: Interval, transform: Transf
         require_number(t, "record times", low=0.0)
     record = sorted({float(t) for t in record_times})
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
-    parts = _map_jobs([_Job(_ensemble_block, model, interval, start, config,
-                            (kind, times, record), list)])[0]
+    parts = _map_jobs([_Job(_ensemble_block, model, interval, start, config.seed,
+                            config.n_paths, (kind, times, record), list)])[0]
     if not any(alive for _, alive in parts):
         raise EnsembleExtinctionError(transform, start, times[-1], config.n_paths)
     sums = sum(block for block, _ in parts)
@@ -171,13 +171,13 @@ class DriftProbability:
     per_replicate: np.ndarray
 
 
-def _drift_job(model, interval, start, horizon, config, transform, replicates=8):
+def _drift_job(model, interval, start, horizon, seed, n, transform, replicates=8):
     kind = _kind(transform)
     require_number(replicates, "replicates", integer=True, low=1)
-    per_rep = max(1, config.n_paths // replicates)
-    cfg = PathConfig(dt=horizon, horizon=horizon, seed=config.seed,
-                     n_paths=replicates * per_rep)
-    job = _terminal_job(model, interval, start, horizon, cfg)
+    require_number(horizon, "horizon", low=0.0, strict=True)
+    per_rep = max(1, n // replicates)
+    n = replicates * per_rep
+    job = _terminal_job(model, interval, start, horizon, seed, n)
     weigh = _weigher(model, interval, kind, start)
 
     def finish(parts):
@@ -191,7 +191,6 @@ def _drift_job(model, interval, start, horizon, config, transform, replicates=8)
         total = w.sum()
         p = float(w @ up / total)
         se = float(math.sqrt(np.sum((w * (up - p)) ** 2)) / total)
-        n = cfg.n_paths
         return DriftProbability(
             p_up=EstimatorResult(p, se, n),
             p_down=EstimatorResult(1.0 - p, se, n),
@@ -222,8 +221,8 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
     zero raises ``EnsembleExtinctionError``.  The sample is block-parallel,
     so the result is bit-identical for any worker count.
     """
-    return _map_jobs([_drift_job(model, interval, start, horizon, config, transform,
-                                 replicates)])[0]
+    return _map_jobs([_drift_job(model, interval, start, horizon, config.seed, config.n_paths,
+                                 transform, replicates)])[0]
 
 
 def _occupation_block(model, interval, start, n, rng, kind, window, horizons, times):
@@ -243,7 +242,7 @@ def _occupation_block(model, interval, start, n, rng, kind, window, horizons, ti
     return np.column_stack([at[hz] for hz in horizons])
 
 
-def _occupation_job(model, interval, start, window, horizons, config, transform):
+def _occupation_job(model, interval, start, window, horizons, seed, n, dt, transform):
     kind = _kind(transform)
     interval.require_outside(start, "starting point")
     d, c = window
@@ -254,8 +253,8 @@ def _occupation_job(model, interval, start, window, horizons, config, transform)
     horizons = tuple(float(hz) for hz in horizons)
     if not horizons:
         raise ValueError("horizons must not be empty")
-    times = sorted(set(_observation_grid(config.dt, max(horizons))) | set(horizons))
-    return _Job(_occupation_block, model, interval, start, config,
+    times = sorted(set(_observation_grid(dt, max(horizons))) | set(horizons))
+    return _Job(_occupation_block, model, interval, start, seed, n,
                 (kind, window, horizons, times), np.concatenate)
 
 
@@ -273,23 +272,20 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
     transient conditioned process.  The grid ends at the last horizon;
     ``config.horizon`` is not used.
     """
-    return _map_jobs([_occupation_job(model, interval, start, window, horizons, config,
-                                      transform)])[0]
+    return _map_jobs([_occupation_job(model, interval, start, window, horizons, config.seed,
+                                      config.n_paths, config.dt, transform)])[0]
 
 
-def _harmonicity_job(model, interval, kind, start, t, config):
+def _harmonicity_job(model, interval, kind, start, t, seed, n):
     _weigher(model, interval, kind, start)     # rejects a drifted model or an unknown kind
     interval.require_outside(start, "starting point")
-    n = config.n_paths
 
     def finish(parts):
-        total, total_sq = sum(block for block, _alive in parts)[:2, 0].tolist()
-        mean = total / n
-        var = (total_sq - total * mean) / (n - 1) if n > 1 else math.nan
-        return EstimatorResult(mean - 1.0, math.sqrt(max(var, 0.0) / n), n)
+        res = _mean_result(*sum(block for block, _alive in parts)[:2, 0].tolist(), n)
+        return EstimatorResult(res.mean - 1.0, res.stderr, n)
 
     # t as the one grid and record time: one advance call per block
-    return _Job(_ensemble_block, model, interval, start, config, (kind, [t], [t]), finish)
+    return _Job(_ensemble_block, model, interval, start, seed, n, (kind, [t], [t]), finish)
 
 
 def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
@@ -303,4 +299,5 @@ def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
     require_number(t, "t", low=0.0)
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
-    return _map_jobs([_harmonicity_job(model, interval, kind, start, t, config)])[0]
+    return _map_jobs([_harmonicity_job(model, interval, kind, start, t, config.seed,
+                                       config.n_paths)])[0]

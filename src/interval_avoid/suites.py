@@ -348,9 +348,7 @@ def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
     # one task list, the longest times first; sorting restores the check order
     cases = [(i, x, j, t) for j, t in reversed(list(enumerate(times)))
              for i, x in enumerate(starts)]
-    jobs = [pt._harmonicity_job(model, iv, "combined", x, t,
-                                eng.PathConfig(dt=1.0, horizon=max(t, 1.0), n_paths=n,
-                                               seed=derive_seed(config.seed, 5, i, j)))
+    jobs = [pt._harmonicity_job(model, iv, "combined", x, t, derive_seed(config.seed, 5, i, j), n)
             for i, x, j, t in cases]
     for (_i, x, _j, t), res in sorted(zip(cases, eng._map_jobs(jobs))):
         checks.append(check_close(
@@ -376,8 +374,7 @@ def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
     qs = (0.1, 0.03, 0.01)
     # one task list, the slowest clock (smallest q) first
     estimates = eng._map_jobs([
-        eng._clock_job(model, iv, start, q, eng.PathConfig(
-            dt=1.0, horizon=1.0, n_paths=n, seed=derive_seed(config.seed, 6 + int(above_only), i)))
+        eng._clock_job(model, iv, start, q, derive_seed(config.seed, 6 + int(above_only), i), n)
         for i, q in reversed(list(enumerate(qs)))])
     rows = []
     for q, est in zip(qs, reversed(estimates)):
@@ -439,19 +436,13 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
     h = cf.harmonics(model, iv)
     checks: list[Check] = []
 
-    horizon = 60.0
-    cfg = eng.PathConfig(dt=0.1, horizon=horizon, n_paths=n,
-                         seed=derive_seed(config.seed, 8))
-    cfg_plus = eng.PathConfig(dt=0.1, horizon=40.0, n_paths=n,
-                              seed=derive_seed(config.seed, 9))
     window = (iv.a - 2.0, iv.b + 2.0)
-    cfg_o = eng.PathConfig(dt=0.1, horizon=200.0, n_paths=max(1024, n // 4),
-                           seed=derive_seed(config.seed, 10, 0))
     # one task list, costliest first: the occupation pass has 2000 grid times
     occ, dp, dp_plus = eng._map_jobs([
-        pt._occupation_job(model, iv, start, window, (50.0, 100.0, 200.0), cfg_o, "updown"),
-        pt._drift_job(model, iv, start, horizon, cfg, "updown"),
-        pt._drift_job(model, iv, start, 40.0, cfg_plus, "plus")])
+        pt._occupation_job(model, iv, start, window, (50.0, 100.0, 200.0),
+                           derive_seed(config.seed, 10, 0), max(1024, n // 4), 0.1, "updown"),
+        pt._drift_job(model, iv, start, 60.0, derive_seed(config.seed, 8), n, "updown"),
+        pt._drift_job(model, iv, start, 40.0, derive_seed(config.seed, 9), n, "plus")])
     target = float(h.plus(start) / h.combined(start))
     checks.append(check_close(
         "updown_p_up",
@@ -533,10 +524,6 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
         raise ValueError("transient suite requires positive drift")
     checks: list[Check] = []
 
-    def path_config(n, *tags):
-        return eng.PathConfig(dt=1.0, horizon=1.0, n_paths=n,
-                              seed=derive_seed(config.seed, *tags))
-
     # avoidance estimates far above the interval (where the process drifts
     # away without returning), on a grid for the nested harmonicity identity
     # and at the start (the reference)
@@ -547,8 +534,9 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     start, t_obs = iv.b + iv.width, 1.0
     n_ref = 4 * n_grid
     n_outer = config.paths or 200_000
-    above = [(float(x), path_config(n_grid, 12, 1000 + i)) for i, x in enumerate(xs_above)]
-    below = [(float(x), path_config(n_grid, 12, i)) for i, x in enumerate(xs_below)]
+    above = [(float(x), derive_seed(config.seed, 12, 1000 + i), n_grid)
+             for i, x in enumerate(xs_above)]
+    below = [(float(x), derive_seed(config.seed, 12, i), n_grid) for i, x in enumerate(xs_below)]
     # the outer sample at t_obs reduces in its blocks to the hat moments of
     # the grids, with the pinned anchors a and b
     grid_below = np.append(xs_below, iv.a)
@@ -562,10 +550,10 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # highest grid starts, but what the rule needs holds: the cheapest
     # blocks, starts just below a and the outer sample's, come last
     *estimates, (mom_below, mom_above) = eng._map_jobs([
-        eng._avoidance_job(model, iv, x, cfg)
-        for x, cfg in [(far, path_config(8192, 11)), *above[::-1],
-                       (start, path_config(n_ref, 13)), *below]]
-        + [eng._Job(_outer_block, model, iv, start, path_config(n_outer, 14),
+        eng._avoidance_job(model, iv, x, seed, n)
+        for x, seed, n in [(far, derive_seed(config.seed, 11), 8192), *above[::-1],
+                           (start, derive_seed(config.seed, 13), n_ref), *below]]
+        + [eng._Job(_outer_block, model, iv, start, derive_seed(config.seed, 14), n_outer,
                     (t_obs, grid_below, grid_above), eng._add_blocks)])
     est_far, ref = estimates[0], estimates[len(above) + 1]
     est_above = estimates[len(above):0:-1]
@@ -583,18 +571,16 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # the anchors a and b hold 0, and dead paths add 0 to both sums
     sum_b, sq_b = _hat_sums(mom_below, np.append(vals_b, 0.0))
     sum_a, sq_a = _hat_sums(mom_above, np.insert(vals_a, 0, 0.0))
-    total = sum_b + sum_a
-    outer_mean = total / n_outer
-    outer_se = math.sqrt(max((sq_b + sq_a - total * outer_mean) / (n_outer - 1), 0.0) / n_outer)
+    outer = eng._mean_result(sum_b + sum_a, sq_b + sq_a, n_outer)
 
     wb, wa = mom_below[0, :-1], mom_above[0, 1:]   # node weights, less the anchors
     se_nodes = math.sqrt(float(np.sum((wb / n_outer) ** 2 * np.array(ses_b) ** 2)
                                + np.sum((wa / n_outer) ** 2 * np.array(ses_a) ** 2)))
-    combined = math.sqrt(outer_se**2 + ref.result.stderr**2 + se_nodes**2)
+    combined = math.sqrt(outer.stderr**2 + ref.result.stderr**2 + se_nodes**2)
     checks.append(check_close(
         "avoidance_harmonicity",
         "E[1(t<T) l(xi_t)] = l(x) for l(x) = P(T = infinity) (nested MC)",
-        outer_mean, ref.result.mean, 4.0 * combined, criterion=9))
+        outer.mean, ref.result.mean, 4.0 * combined, criterion=9))
 
     # stochastic monotonicity above the interval, as a weak trend
     i1 = int(np.argmin(np.abs(xs_above - (iv.b + 1.0))))

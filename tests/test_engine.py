@@ -701,11 +701,12 @@ def test_mixed_job_list_matches_public_calls(model, interval):
     drifted = ModelParams(drift=0.5)
     cfg = PathConfig(dt=1.0, horizon=1.0, seed=95, n_paths=9000)
     small = PathConfig(dt=1.0, horizon=1.0, seed=96, n_paths=300)
-    jobs = [engine._avoidance_job(drifted, interval, interval.b + 3.0, cfg),
-            engine._avoidance_job(drifted, interval, interval.a - 1.0, small),
-            engine._terminal_job(model, interval, 1.3, 0.7, cfg),
-            engine._clock_job(model, interval, 2.0, 0.5, cfg),
-            particles._harmonicity_job(model, interval, "combined", -1.2, 1.0, cfg)]
+    seed, n = cfg.seed, cfg.n_paths
+    jobs = [engine._avoidance_job(drifted, interval, interval.b + 3.0, seed, n),
+            engine._avoidance_job(drifted, interval, interval.a - 1.0, small.seed, small.n_paths),
+            engine._terminal_job(model, interval, 1.3, 0.7, seed, n),
+            engine._clock_job(model, interval, 2.0, 0.5, seed, n),
+            particles._harmonicity_job(model, interval, "combined", -1.2, 1.0, seed, n)]
     far, near, (xs, alive), clock, harm = engine._map_jobs(jobs)
     assert far == estimate_avoidance(drifted, interval, interval.b + 3.0, cfg)
     assert near == estimate_avoidance(drifted, interval, interval.a - 1.0, small)
@@ -927,7 +928,7 @@ def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
     est = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
     assert est.horizon == 2.5
     assert est.unresolved > 100
-    job = engine._avoidance_job(model, interval, interval.b + 2.0, cfg)
+    job = engine._avoidance_job(model, interval, interval.b + 2.0, cfg.seed, cfg.n_paths)
     reached, _killed, unresolved, unresolved_kept, _bound = engine._map_jobs(
         [job._replace(finish=engine._add_blocks)])[0]
     assert est.unresolved == unresolved + unresolved_kept
@@ -943,8 +944,7 @@ def test_avoidance_finish_is_the_mean_of_the_path_values(interval):
     path that reached the roulette level and was not kept or was kept and
     escaped, 1 - R for one kept and killed, 0 for every other path."""
     n = 500
-    cfg = PathConfig(dt=1.0, horizon=1.0, seed=1, n_paths=n)
-    finish = engine._avoidance_job(ModelParams(drift=0.5), interval, 2.0, cfg).finish
+    finish = engine._avoidance_job(ModelParams(drift=0.5), interval, 2.0, 1, n).finish
     w = engine._ROULETTE_WEIGHT
     # (reached, killed after it, unresolved in stage 1, unresolved in stage 2, bound)
     parts = [(180, 7, 3, 2, 1e-6), (150, 4, 0, 5, 0.0), (0, 0, 1, 0, 0.0)]

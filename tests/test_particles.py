@@ -26,7 +26,7 @@ def own_block_sums(model, interval, h_of, start, config, record):
     of positions and weights 1{alive} h(x) / h(start)."""
     times = sorted(set(_observation_grid(config.dt, config.horizon)) | set(record))
     blocks = []
-    for bi, _offset, count in iter_blocks(config.n_paths):
+    for bi, count in iter_blocks(config.n_paths):
         pb = PathBlock.start(model, interval, start, count, block_stream(config.seed, bi))
         rows = []
         for t in times:
