@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--config", type=Path, help="config file passed to verify")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 for the quartiles (got {args.pairs})")
     for suite in args.suites:
         for threads in args.threads:
             base, head, identical = ([], []), ([], []), True

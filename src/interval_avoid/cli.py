@@ -208,10 +208,8 @@ def _cmd_condition(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config, suite=args.suite)
-    replacements = {"suite": args.suite}
     if args.out:
-        replacements["output_path"] = args.out
-    config = dataclasses.replace(config, **replacements)
+        config = dataclasses.replace(config, output_path=args.out)
     report = run_suite(config)
     print(dumps_17g(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_FAIL

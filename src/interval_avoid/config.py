@@ -90,6 +90,8 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
         require_number(seed, "seed", integer=True, low=0, high=2**64)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if suite is not None and doc.get("suite", suite) != suite:
+        raise ConfigError(f"config names suite {doc['suite']!r}, but the run is for {suite!r}")
     output_path = doc.get("output_path", DEFAULTS["output_path"])
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path must be a string or null")

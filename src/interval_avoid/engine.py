@@ -423,9 +423,11 @@ def simulate_path(model: ModelParams, interval: Interval, start: float,
 
     Each kernel call stops at the next jump or grid time, so every event is
     read back from a one-path block.  Deterministic in (config.seed,
-    path_index, start): each path owns the stream keyed by (seed, path_index).
-    ``bridge=False`` kills only at segment endpoints inside the interval.
+    path_index, start): each path owns the stream keyed by (seed, path_index),
+    an integer >= 0.  ``bridge=False`` kills only at segment endpoints inside
+    the interval.
     """
+    require_number(path_index, "path_index", integer=True, low=0)
     pb = PathBlock.start(model, interval, start, 1, block_stream(config.seed, path_index))
     times, values, jumps, crossings = [0.0], [float(start)], [False], []
     for grid_t in _observation_grid(config.dt, config.horizon):

@@ -246,6 +246,8 @@ def _occupation_job(model, interval, start, window, horizons, seed, n, dt, trans
     kind = _kind(transform)
     interval.require_outside(start, "starting point")
     d, c = window
+    require_number(d, "window start d")
+    require_number(c, "window end c")
     if not (d < interval.a and c > interval.b):
         raise ValueError(f"window must satisfy d < a and c > b, got {window}")
     for hz in horizons:
@@ -297,7 +299,7 @@ def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
     order; zero in expectation for a harmonic h.
     """
     require_number(t, "t", low=0.0)
+    job = _harmonicity_job(model, interval, kind, start, t, config.seed, config.n_paths)
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
-    return _map_jobs([_harmonicity_job(model, interval, kind, start, t, config.seed,
-                                       config.n_paths)])[0]
+    return _map_jobs([job])[0]

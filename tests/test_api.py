@@ -12,7 +12,8 @@ import pytest
 import interval_avoid
 from interval_avoid import (Interval, ModelParams, PathConfig, empirical_crossing_law,
                             estimate_clock_event, estimate_survival, harmonics, nu, potential,
-                            potential_q, potential_q_total, terminal_sample, wiener_hopf_roots)
+                            potential_q, potential_q_total, simulate_path, terminal_sample,
+                            wiener_hopf_roots)
 from interval_avoid.closedform import (harmonic_plus_partial_sum,
                                        harmonic_plus_q_partial_sum, overshoot_law)
 from interval_avoid.particles import (drift_probability, harmonicity_residual, occupation_time,
@@ -113,6 +114,12 @@ SCALARS = [
      -1.0, False),
     ("occupation_time.horizons",
      lambda v: occupation_time(_M, _IV, 2.0, (-2.0, 3.0), [1.0, v], _CFG), 0.0, False),
+    ("occupation_time.window.d",
+     lambda v: occupation_time(_M, _IV, 2.0, (v, 3.0), [1.0], _CFG), 0.5, False),
+    ("occupation_time.window.c",
+     lambda v: occupation_time(_M, _IV, 2.0, (-2.0, v), [1.0], _CFG), 0.5, False),
+    ("simulate_path.path_index", lambda v: simulate_path(_M, _IV, 2.0, _CFG, path_index=v),
+     -1, True),
     ("drift_probability.replicates",
      lambda v: drift_probability(_M, _IV, 2.0, 1.0, _CFG, replicates=v), 0, True),
     ("nu.k", lambda v: nu(_M, _IV, 2.0, v), -1, True),

@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +382,32 @@ print("RESULT", code, "scipy" in sys.modules)
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
+
+
+def test_verify_config_suite_must_match(tmp_path, capsys):
+    """A config naming another suite than --suite is an error naming both;
+    one naming the same suite runs it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "overshoot"}))
+    code, out, err = run_cli(["verify", "--suite", "closedform", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "overshoot" in err and "closedform" in err
+    cfg.write_text(json.dumps({"suite": "closedform"}))
+    code, out, _ = run_cli(["verify", "--suite", "closedform", "--config", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["suite"] == "closedform"
+
+
+def test_pair_timing_rejects_fewer_than_two_pairs(tmp_path, capsys):
+    """The quartiles need two pairs: --pairs 1 is a usage error before any run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "pair_timing.py"
+    spec = importlib.util.spec_from_file_location("pair_timing", path)
+    pair_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair_timing)
+    with pytest.raises(SystemExit) as exc:
+        pair_timing.main(["--base", str(tmp_path), "--head", str(tmp_path),
+                          "--suites", "closedform", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

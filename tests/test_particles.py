@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from interval_avoid import (EnsembleExtinctionError, PathConfig,
+from interval_avoid import (EnsembleExtinctionError, ModelParams, PathConfig,
                             drift_probability, harmonicity_residual, harmonics,
                             occupation_time, propagate_ensemble)
 from interval_avoid._rng import BLOCK_SIZE, block_stream, iter_blocks
@@ -99,6 +99,17 @@ def test_harmonicity_residual_all_kinds(model, interval):
         assert abs(res.mean) <= 3 * res.stderr, (kind, res)
     assert harmonicity_residual(model, interval, "plus", 2.0, 0.0,
                                 cfg(4, 10, 1.0)).mean == 0.0
+
+
+@pytest.mark.parametrize("drift,kind,start", [(0.0, "combined", 0.5), (0.0, "bogus", 2.0),
+                                              (1.0, "combined", 2.0)])
+def test_harmonicity_residual_validates_at_time_zero(interval, drift, kind, start):
+    """t = 0 rejects what t = 1 rejects: a start inside the interval, an
+    unknown kind and a drifted model."""
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            harmonicity_residual(ModelParams(drift=drift), interval, kind, start, t,
+                                 cfg(4, 10, 1.0))
 
 
 def test_martingale_grid_every_kind(model, interval):
