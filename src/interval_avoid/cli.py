@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(s)
     s.add_argument("--estimator", choices=("survival", "clock", "avoidance"),
                    default="survival",
-                   help="avoidance ignores --dt and --horizon: it walks each path for "
-                        "at most ceil(lambda * horizon_used) jump segments per stage, with "
-                        "horizon_used sized from the start")
+                   help="clock and avoidance ignore --dt and --horizon; avoidance walks "
+                        "each path for at most ceil(lambda * horizon_used) jump segments "
+                        "per stage, with horizon_used sized from the start")
     s.add_argument("--start", type=float, required=True)
     s.add_argument("--paths", type=int, default=100_000)
     s.add_argument("--dt", type=float, default=0.05)
@@ -114,7 +114,12 @@ def _cmd_tables(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model, interval = _model_interval(args)
-    config = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed, n_paths=args.paths)
+    require_number(args.dt, "dt", low=0.0, strict=True)
+    # only survival and --dump-paths step through a grid of --dt up to
+    # --horizon; the clock and avoidance estimators read neither
+    grid = args.estimator == "survival" or args.dump_paths > 0
+    config = PathConfig(dt=args.dt if grid else args.horizon, horizon=args.horizon,
+                        seed=args.seed, n_paths=args.paths)
     if args.no_bridge and args.estimator != "survival":
         raise ConfigError(f"--no-bridge is for survival only (got --estimator {args.estimator})")
     if args.estimator == "survival":

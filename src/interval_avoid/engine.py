@@ -44,9 +44,10 @@ sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf factorisation), so four
 standard exponentials per path and segment (rise, fall and the two halves
 of the Laplace jump) decide the kill, the landing, the crossing and the
 exit, at well under half the cost of an ``advance`` event.
-``_avoidance_walk`` resolves one segment per live path and iteration;
-``_crossing_walk`` resolves up to K, by ``advance``'s rule with the
-segments left in place of the expected jumps.  Each walk's time cap is a
+Both walks take their segments from one sampler, ``_walk_segments``,
+which resolves up to K per live path and iteration, by ``advance``'s rule
+with the segments left in place of the expected jumps; each walk adds only
+its own stop and record logic.  Each walk's time cap is a
 cap of ceil(lam * horizon) jump segments.  The walks take start positions
 and a stream, not a ``PathBlock``, and return per-path arrays.
 
@@ -610,20 +611,49 @@ def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
     return model.sigma**2 / (root - model.drift), (root - model.drift) / (2.0 * model.lam)
 
 
+def _walk_segments(model: ModelParams, interval: Interval, x: np.ndarray,
+                   rng: np.random.Generator, left: int) -> tuple:
+    """The next K jump segments of the m = x.size live paths at ``x``, with
+    K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left)), so K = 1 while
+    m > BLOCK_SIZE // 2.
+
+    From a start x a segment falls D/phi- to its infimum, rises U/phi+ above
+    that and jumps (E1 - E2)/eta, for one (4, m, K) draw of standard
+    exponentials U, D, E1, E2; positions are cumulative sums along each
+    row.  A segment starting above b kills if its infimum is at or below b,
+    one starting below a if its supremum is at or above a (and one starting
+    inside [a, b] always).  Returns K and the (m, K) arrays of landings,
+    of whether each segment starts above b, and of its kills.
+    """
+    a, b = interval.a, interval.b
+    rise, fall = _wiener_hopf_scales(model)
+    m = x.size
+    K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
+    up, down, post, e2 = rng.standard_exponential((4, m, K))
+    up *= rise
+    down *= fall
+    post -= e2
+    post /= model.eta
+    post += up - down
+    # K = 1 skips the cumulative sum and the shifted copy: one segment per
+    # iteration is the common case while a block is full
+    if K > 1:
+        np.cumsum(post, axis=1, out=post)
+    post += x[:, None]
+    seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
+    above = seg0 > b
+    killed = np.where(above, seg0 - down <= b, seg0 + up >= a)
+    return K, post, above, killed
+
+
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
                    rng: np.random.Generator, n_segments: int, k: int) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
-    A segment is sampled as in ``_avoidance_walk``: from a start x the path
-    falls to x - D/phi-, rises U/phi+ above that and jumps (E1 - E2)/eta.
-    Each iteration resolves up to K segments per live path, with K =
-    max(1, min(MAX_EVENTS, BLOCK_SIZE // m, segments left)) for its m live
-    paths (all of them have used the same number of segments), from one
-    (4, m, K) draw of standard exponentials U, D, E1, E2.  Positions are
-    cumulative sums along the row.  A segment starting above b kills if its
-    infimum is at or below b, one starting below a if its supremum is at or
-    above a.  As in ``advance``, a landing at or beyond the near boundary
+    Each iteration resolves up to K segments per live path
+    (``_walk_segments``; all live paths have used the same number of
+    segments).  As in ``advance``, a landing at or beyond the near boundary
     is a crossing, and a landing inside [a, b] kills as well; a kill
     preempts its own segment's crossing.  Each row stops at its first kill,
     landing inside or k-th crossing, and the draws past it are discarded.
@@ -632,26 +662,14 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     each path still live.
     """
     a, b = interval.a, interval.b
-    rise, fall = _wiener_hopf_scales(model)
     landings = np.full((x.size, k), np.nan)
     idx = np.arange(x.size)
     n_cross = np.zeros(x.size, dtype=np.int64)
     left = n_segments
     while idx.size and left > 0:
         m = idx.size
-        K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
+        K, post, above, killed = _walk_segments(model, interval, x, rng, left)
         left -= K
-        up, down, post, e2 = rng.standard_exponential((4, m, K))
-        up *= rise
-        down *= fall
-        post -= e2
-        post /= model.eta
-        post += up - down
-        np.cumsum(post, axis=1, out=post)
-        post += x[:, None]
-        seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1)
-        above = seg0 > b
-        killed = np.where(above, seg0 - down <= b, seg0 + up >= a)
         crossed = np.where(above, post <= b, post >= a)
         count = n_cross[:, None] + np.cumsum(crossed, axis=1)
         stop = killed | interval.contains(post) | (count >= k)
@@ -796,35 +814,31 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     rise after the infimum are independent, Exp(phi-) and Exp(phi+) below
     and above the start, with phi+- = (sqrt(drift^2 + 2 lam sigma^2) -+
     drift) / sigma^2 (Wiener-Hopf factorisation; Kyprianou, Fluctuations of
-    Levy Processes, 2nd ed., section 6.5).  So each iteration draws one
-    (4, m) array of standard exponentials U, D, E1, E2 for its m live
-    paths.  With lo = x - D/phi-, a path above b dies if lo <= b, and a path
-    below a dies if x + U/phi+ >= a (its supremum).  Otherwise it moves to
-    post = lo + U/phi+ + (E1 - E2)/eta, dies if post lies in [a, b] and
-    escapes if post >= ``exit_level``.  The live paths are compacted after
-    every iteration.  Returns each path's exit landing, its first post-jump
-    value at or above the exit level (NaN if it did not escape), and the
-    index and position of each path still live after ``n_segments``.
+    Levy Processes, 2nd ed., section 6.5).  Each iteration resolves up to K
+    segments per live path (``_walk_segments``, by the crossing walk's
+    rule).  A path dies at a kill or a landing inside [a, b] and escapes at
+    a landing at or above ``exit_level``; each row stops at the first of
+    these, and the draws past it are discarded.  The live paths are
+    compacted after every iteration.  Returns each path's exit landing, its
+    first post-jump value at or above the exit level (NaN if it did not
+    escape), and the index and position of each path still live after
+    ``n_segments``.
     """
-    a, b = interval.a, interval.b
-    rise, fall = _wiener_hopf_scales(model)
     exits = np.full(x.size, np.nan)
     idx = np.arange(x.size)
-    for _ in range(n_segments):
-        if not idx.size:
-            break
-        up, down, post, e2 = rng.standard_exponential((4, idx.size))
-        up *= rise
-        down *= fall
-        lo = x - down
-        # a live x lies outside [a, b]: above b, x + up >= a holds; below a,
-        # lo <= b holds; so each side's test reduces to one of the two
-        dead = (lo <= b) & (x + up >= a)
-        post -= e2
-        post /= model.eta
-        post += lo + up
-        dead |= (post >= a) & (post <= b)
+    left = n_segments
+    while idx.size and left > 0:
+        K, post, _above, dead = _walk_segments(model, interval, x, rng, left)
+        left -= K
+        dead |= interval.contains(post)
         out = post >= exit_level
+        if K > 1:
+            stop = dead | out
+            stop[:, -1] = True
+            rows, col = np.arange(idx.size), stop.argmax(axis=1)
+            dead, out, post = dead[rows, col], out[rows, col], post[rows, col]
+        else:
+            dead, out, post = dead[:, 0], out[:, 0], post[:, 0]
         stop = dead | out
         if stop.any():
             out &= ~dead

@@ -36,7 +36,7 @@ from . import closedform as cf
 from . import engine as eng
 from . import particles as pt
 from ._rng import worker_count
-from .config import SuiteConfig
+from .config import ConfigError, SuiteConfig
 from .model import (Interval, ModelParams, _green_factor, kappa, ladder_exponent,
                     laplace_exponent, potential, potential_q, potential_q_total,
                     require_number, wiener_hopf_roots)
@@ -529,6 +529,9 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # and at the start (the reference)
     far = iv.b + 50.0 / model.eta
     n_grid = (config.paths or 200_000) // 12
+    if n_grid < 1:
+        raise ConfigError(f"transient5 needs paths >= 12, one path per grid start at "
+                          f"paths // 12 (got paths = {config.paths})")
     xs_below = iv.a - np.arange(0.25, 6.01, 0.25)[::-1]
     xs_above = iv.b + np.arange(0.25, 10.01, 0.25)
     start, t_obs = iv.b + iv.width, 1.0

@@ -14,6 +14,7 @@ import pytest
 import interval_avoid
 from interval_avoid import suites
 from interval_avoid.cli import main
+from interval_avoid.config import parse_config
 from interval_avoid.suites import dumps_17g
 
 
@@ -193,6 +194,29 @@ def test_simulate_avoidance(capsys):
     doc = json.loads(out)
     assert 0.0 < doc["mean"] < 1.0
     assert doc["variants"]["return_prob_bound"] < 1e-5
+
+
+@pytest.mark.parametrize("estimator", ["avoidance", "clock"])
+def test_simulate_dt_gates_only_the_path_grid(capsys, tmp_path, estimator):
+    # avoidance and clock read neither --dt nor --horizon: a horizon below
+    # --dt changes nothing but the echo; survival and --dump-paths step
+    # through the grid and reject it
+    base = ["simulate", "--estimator", estimator, "--drift", "0.5", "--start", "2",
+            "--paths", "1000", "--q", "1"]
+    code, out, _ = run_cli(base, capsys)
+    assert code == 0
+    code, short, _ = run_cli(base + ["--horizon", "0.01"], capsys)
+    assert code == 0
+    ref, doc = json.loads(out), json.loads(short)
+    assert doc["config_echo"].pop("horizon") == 0.01
+    del ref["config_echo"]["horizon"]
+    assert doc == ref
+    for extra in (["--dump-paths", "1", "--dump-file", str(tmp_path / "p.csv")],
+                  ["--estimator", "survival"]):
+        code, out, err = run_cli(base + ["--horizon", "0.01"] + extra, capsys)
+        assert code == 2 and out == "" and "exceeds horizon" in err
+    code, out, err = run_cli(base + ["--dt", "nan"], capsys)
+    assert code == 2 and out == "" and "dt must be positive and finite" in err
 
 
 # ---------------------------------------------------------------- condition
@@ -397,17 +421,47 @@ def test_verify_config_suite_must_match(tmp_path, capsys):
     assert code == 0 and json.loads(out)["suite"] == "closedform"
 
 
+def _load_script(folder, name):
+    path = Path(__file__).resolve().parents[1] / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_pair_timing_rejects_fewer_than_two_pairs(tmp_path, capsys):
     """The quartiles need two pairs: --pairs 1 is a usage error before any run."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "pair_timing.py"
-    spec = importlib.util.spec_from_file_location("pair_timing", path)
-    pair_timing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pair_timing)
+    pair_timing = _load_script("scripts", "pair_timing")
     with pytest.raises(SystemExit) as exc:
         pair_timing.main(["--base", str(tmp_path), "--head", str(tmp_path),
                           "--suites", "closedform", "--pairs", "1"])
     assert exc.value.code == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+def test_calibrate_counts_failures_per_check(tmp_path, capsys):
+    """Two seeds of closedform: one line per check in report order, none
+    failed, with the exact interval [0, 1 - 0.025^(1/2)]; a bad config is a
+    usage error."""
+    calibrate = _load_script("tools", "calibrate")
+    assert calibrate.main(["--suite", "closedform", "--seeds", "2"]) == 0
+    *lines, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    report = suites.run_suite(parse_config({}, suite="closedform"))
+    assert [line["check"] for line in lines] == [c.name for c in report.checks]
+    for line in lines:
+        assert (line["failures"], line["seeds"], line["failed_seeds"]) == (0, 2, [])
+        assert line["ci95"][0] == 0.0
+        assert line["ci95"][1] == pytest.approx(1.0 - 0.025 ** 0.5, rel=1e-12)
+    assert summary == {"suite": "closedform", "config": None, "seeds": 2, "runs_failed": 0}
+    # k of n and n - k of n mirror each other
+    lo, hi = calibrate.clopper_pearson(3, 60)
+    assert calibrate.clopper_pearson(57, 60) == pytest.approx((1.0 - hi, 1.0 - lo), rel=1e-12)
+    assert calibrate.clopper_pearson(60, 60) == pytest.approx((0.025 ** (1 / 60), 1.0))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"paths": 0}')
+    with pytest.raises(SystemExit) as exc:
+        calibrate.main(["--suite", "closedform", "--seeds", "2", "--config", str(bad)])
+    assert exc.value.code == 2 and "paths" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

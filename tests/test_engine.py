@@ -27,7 +27,7 @@ from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horiz
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
-from interval_avoid._rng import block_stream, worker_count
+from interval_avoid._rng import BLOCK_SIZE, block_stream, worker_count
 from laws import chi2_pvalue, pooled_counts
 from test_kernel_law import MAKER
 
@@ -726,8 +726,8 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned for the avoidance
-# roulette, with every other part's bytes unchanged
+# crossing budgets span two blocks.  Last re-pinned for K segments per
+# iteration in the avoidance walk, with every other part's bytes unchanged
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -748,7 +748,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "8d8ad249f997e1f396bfc6151b8a4490cefb4ecd43a8c087f9bfc7542c7d89c3")
+        "97e01e5ef52f822a2a37d406cc90441b7dc69b0e868b500f4148480f37f56036")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -860,16 +860,20 @@ def test_avoidance_walk_matches_advance(interval):
        seed=st.integers(0, 2**32))
 @example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, exit_gap=6.0,
          n_segments=60, seed=1)
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, exit_gap=40.0,
+         n_segments=100, seed=1)      # two iterations, the second short, paths left live
 def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit_gap,
                                    n_segments, seed):
     """An escaped path has landed at or above the exit level and is not
-    live, a live path lies outside [a, b], the walk draws only (4, m)
-    standard exponentials, m falling, one draw per segment while a path is
-    live, and the same stream gives the same result.  With its roulette
-    level at the exit level, the block makes the walk's draws and no other,
-    counts its escaped and live paths and sums the escaped paths' bounds.
-    With a lower roulette level, no more paths are killed or left
-    unresolved after it than reached it, and the bound sums at most
+    live, a live path lies outside [a, b], the walk draws only (4, m, K)
+    standard exponentials, m falling, with K = max(1, min(MAX_EVENTS,
+    BLOCK_SIZE // m, segments left)), so m K <= BLOCK_SIZE, and resolves no
+    more segments than its cap, nor fewer while a path is live, and the
+    same stream gives the same result.  With its roulette level at the exit
+    level, the block makes the walk's draws and no other, counts its
+    escaped and live paths and sums the escaped paths' bounds.  With a
+    lower roulette level, no more paths are killed or left unresolved
+    after it than reached it, and the bound sums at most
     R exp(-g (exit level - b)) per path that reached it."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
     n = 96
@@ -886,12 +890,18 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     assert not escaped[live].any()
     assert np.all(np.diff(live) > 0)
     assert not interval.contains(x).any()
-    assert all(len(s) == 2 and s[0] == 4 for s in shapes)
+    assert all(len(s) == 3 and s[0] == 4 for s in shapes)
     widths = [s[1] for s in shapes]
     assert widths == sorted(widths, reverse=True) and all(m <= n for m in widths)
-    assert len(shapes) <= n_segments
+    left = n_segments
+    for _four, m, K in shapes:
+        assert K == max(1, min(engine.MAX_EVENTS, BLOCK_SIZE // m, left))
+        assert m * K <= BLOCK_SIZE
+        left -= K
+    segments = sum(s[2] for s in shapes)
+    assert segments <= n_segments
     if live.size:
-        assert len(shapes) == n_segments
+        assert segments == n_segments
     if shapes:
         assert np.all(x < exit_level)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from interval_avoid import Interval, ModelParams, harmonics
 from interval_avoid import engine
 from interval_avoid._rng import block_stream
-from interval_avoid.config import parse_config
+from interval_avoid.config import ConfigError, parse_config
 from interval_avoid.suites import (SUITES, SuiteReport, _hat_moments, _hat_sums,
                                    _occupation_bound, _outer_block, run_suite)
 
@@ -86,6 +86,15 @@ def test_suite_reports_off_the_default_model(suite, setting):
         checks = {c.name: c for c in report.checks}
         enough = checks["nu3_enough_samples"]
         assert enough.passed == (enough.observed >= 1) == (checks["nu3_over_nu1"].observed > 0)
+
+
+def test_transient5_paths_below_twelve_is_a_config_error():
+    """transient5 gives each of its grid starts paths // 12 paths, so fewer
+    than 12 is a ConfigError that names the key and the minimum; 12 runs."""
+    for paths in (1, 5, 11):
+        with pytest.raises(ConfigError, match=r"paths >= 12.*got paths = %d\)" % paths):
+            run_suite(parse_config({"paths": paths}, suite="transient5"))
+    assert run_suite(parse_config({"paths": 12}, suite="transient5")).passed
 
 
 def test_occupation_bound_brownian_limit():
