@@ -53,9 +53,9 @@ def main(argv=None) -> int:
         report = run_suite(dataclasses.replace(base, seed=seed, output_path=None))
         runs_failed += not report.passed
         for check in report.checks:
-            failed.setdefault(check.name, [])
+            seeds = failed.setdefault(check.name, [])
             if not check.passed:
-                failed[check.name].append(seed)
+                seeds.append(seed)
     for name, seeds in failed.items():
         lo, hi = clopper_pearson(len(seeds), args.seeds)
         print(json.dumps({"check": name, "failures": len(seeds), "seeds": args.seeds,
