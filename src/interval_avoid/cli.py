@@ -70,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(s)
     s.add_argument("--estimator", choices=("survival", "clock", "avoidance"),
                    default="survival",
-                   help="clock and avoidance ignore --dt and --horizon; avoidance walks "
-                        "each path for at most ceil(lambda * horizon_used) jump segments "
-                        "per stage, with horizon_used sized from the start")
+                   help="clock and avoidance ignore --dt and --horizon")
     s.add_argument("--start", type=float, required=True)
     s.add_argument("--paths", type=int, default=100_000)
     s.add_argument("--dt", type=float, default=0.05)
@@ -135,11 +133,7 @@ def _cmd_simulate(args) -> int:
                                     "q": args.q}
     else:
         est = estimate_avoidance(model, interval, args.start, config)
-        result = est.result
-        # horizon_used is the time cap H: each walk stage's cap is ceil(lambda * H) jump segments
-        extra = {"horizon_used": est.horizon, "exit_level": est.exit_level,
-                 "return_prob_bound": est.return_prob_bound,
-                 "unresolved": est.unresolved}
+        result, extra = est.result, {"unresolved": est.unresolved}
 
     payload = {
         "estimator": args.estimator,

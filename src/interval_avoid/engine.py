@@ -34,28 +34,31 @@ of the worker count and of the order in which blocks run; the order in
 which one block's draws are consumed does depend on K.
 
 Two estimators do not use ``advance``, because their observables have no
-time in it: avoidance (the first post-jump value at or above an exit level
-before any entry into [a, b]) and the crossing laws (the landings of the
-first k jumps over the interval).  Their walks sample each inter-jump
-segment without its duration.  At an Exp(lam) time the infimum of a
-Brownian motion with drift and its rise after the infimum are independent
-exponentials with rates phi- and phi+, phi+- = (sqrt(drift^2 + 2 lam
-sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf factorisation), so four
-standard exponentials per path and segment (rise, fall and the two halves
-of the Laplace jump) decide the kill, the landing, the crossing and the
-exit, at well under half the cost of an ``advance`` event.
+time in it: avoidance (whether a path is ever killed) and the crossing
+laws (the landings of the first k jumps over the interval).  Their walks
+sample each inter-jump segment without its duration.  At an Exp(lam) time
+the infimum of a Brownian motion with drift and its rise after the infimum
+are independent exponentials with rates phi- and phi+, phi+- =
+(sqrt(drift^2 + 2 lam sigma^2) -+ drift) / sigma^2 (the Wiener-Hopf
+factorisation), so four standard exponentials per path and segment (rise,
+fall and the two halves of the Laplace jump) decide the kill, the landing
+and the crossing, at well under half the cost of an ``advance`` event.
 Both walks take their segments from one sampler, ``_walk_segments``,
 which resolves up to K per live path and iteration, by ``advance``'s rule
-with the segments left in place of the expected jumps; each walk adds only
-its own stop and record logic.  Each walk's time cap is a
-cap of ceil(lam * horizon) jump segments.  The walks take start positions
-and a stream, not a ``PathBlock``, and return per-path arrays.
+with the segments left in place of the expected jumps, under a segment law
+given per row; each walk adds only its own stop and record logic.  The
+avoidance walk runs the segments that start above b under the
+exponentially tilted law (Siegmund's change of measure), so that every path
+is killed and scores its likelihood ratio.  The crossing walk's time cap is
+a cap of ceil(lam * horizon) jump segments, the avoidance walk's a fixed
+segment cap.  The walks take start positions and a stream, not a
+``PathBlock``, and return per-path arrays.
 
 Blocks return counts or sums wherever those suffice, and a finish adds
 them up in block order: the survival and clock blocks return the numbers
 of paths alive in total, above and below the interval, and the avoidance
-blocks the counts of their paths' values (reached the roulette level,
-killed after it, unresolved in each stage) and summed return bounds.
+blocks the sums of their paths' scores and squared scores and the count of
+unresolved paths.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test) and ``terminal_sample``.
 """
@@ -611,29 +614,34 @@ def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
     return model.sigma**2 / (root - model.drift), (root - model.drift) / (2.0 * model.lam)
 
 
-def _walk_segments(model: ModelParams, interval: Interval, x: np.ndarray,
-                   rng: np.random.Generator, left: int) -> tuple:
+def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, left: int,
+                   eta: float, rise, fall, c_up, c_down) -> tuple:
     """The next K jump segments of the m = x.size live paths at ``x``, with
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left)), so K = 1 while
     m > BLOCK_SIZE // 2.
 
-    From a start x a segment falls D/phi- to its infimum, rises U/phi+ above
-    that and jumps (E1 - E2)/eta, for one (4, m, K) draw of standard
-    exponentials U, D, E1, E2; positions are cumulative sums along each
-    row.  A segment starting above b kills if its infimum is at or below b,
-    one starting below a if its supremum is at or above a (and one starting
-    inside [a, b] always).  Returns K and the (m, K) arrays of landings,
-    of whether each segment starts above b, and of its kills.
+    From a start x a segment falls D * fall to its infimum, rises U * rise
+    above that and jumps (c_up E1 - c_down E2)/eta, for one (4, m, K) draw of
+    standard exponentials U, D, E1, E2; positions are cumulative sums along
+    each row.  ``rise`` and ``fall`` are the scales 1/phi+ and 1/phi- of
+    ``_wiener_hopf_scales``, ``c_up`` and ``c_down`` the jump factors, 1 for
+    the model's own symmetric jumps; each is a scalar or an (m, 1) column
+    with one value per row.  A segment starting
+    above b kills if its infimum is at or below b, one starting below a if
+    its supremum is at or above a (and one starting inside [a, b] always).
+    Returns K and the (m, K) arrays of landings, of whether each segment
+    starts above b, and of its kills.
     """
     a, b = interval.a, interval.b
-    rise, fall = _wiener_hopf_scales(model)
     m = x.size
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
     up, down, post, e2 = rng.standard_exponential((4, m, K))
     up *= rise
     down *= fall
+    post *= c_up
+    e2 *= c_down
     post -= e2
-    post /= model.eta
+    post /= eta
     post += up - down
     # K = 1 skips the cumulative sum and the shifted copy: one segment per
     # iteration is the common case while a block is full
@@ -662,13 +670,15 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     each path still live.
     """
     a, b = interval.a, interval.b
+    rise, fall = _wiener_hopf_scales(model)
     landings = np.full((x.size, k), np.nan)
     idx = np.arange(x.size)
     n_cross = np.zeros(x.size, dtype=np.int64)
     left = n_segments
     while idx.size and left > 0:
         m = idx.size
-        K, post, above, killed = _walk_segments(model, interval, x, rng, left)
+        K, post, above, killed = _walk_segments(interval, x, rng, left, model.eta,
+                                                rise, fall, 1.0, 1.0)
         left -= K
         crossed = np.where(above, post <= b, post >= a)
         count = n_cross[:, None] + np.cumsum(crossed, axis=1)
@@ -740,23 +750,16 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
 
 @dataclass(frozen=True)
 class AvoidanceEstimate:
-    """P(T = infinity) and its certificate.
+    """P(T = infinity) for a transient model.
 
-    ``result`` is the mean of the per-path values Y of ``estimate_avoidance``
-    over ``result.n`` paths, with the standard error of that mean.
-    ``horizon`` is the time cap H; each of the walk's two stages stops after
-    ceil(lam * H) jump segments, and paths still live then are
-    ``unresolved`` (both stages counted).  ``return_prob_bound`` bounds the
-    bias of the mean: divided by the path count, it sums 1 for each path
-    unresolved in stage 1, R for each path unresolved in stage 2 and
-    R exp(-g (x - b)) for each path that escaped in stage 2 with exit
-    landing x, R = 8 being the weight of a path kept by the roulette.
+    ``result`` is the mean of the per-path values Y = 1 - Z of
+    ``estimate_avoidance`` over ``result.n`` paths, with the standard error
+    of that mean.  ``unresolved`` counts the paths still live after the
+    walk's segment cap; each scores Z = 0, so they bias the mean up by at
+    most their share of the paths.
     """
 
     result: EstimatorResult
-    horizon: float
-    exit_level: float
-    return_prob_bound: float
     unresolved: int
 
 
@@ -796,136 +799,122 @@ def adjustment_coefficient(model: ModelParams) -> float:
     return float(model.drift * model.eta**2 / (s2 * -roots[0] * roots[2]))
 
 
-def _avoidance_horizon(model: ModelParams, interval: Interval, start: float) -> float:
-    # drift * H >= distance + 30 sqrt(variance_rate * H), solved for H
-    dist = max(interval.a - start, start - interval.b, interval.width)
-    v = model.variance_rate
-    s = (30.0 * math.sqrt(v) + math.sqrt(900.0 * v + 4.0 * model.drift * dist)) / (2.0 * model.drift)
-    return s * s
+def _tilted_model(model: ModelParams, g: float) -> tuple[ModelParams, float, float]:
+    """The model under dQ/dP = exp(-g (xi_t - x)), g = ``adjustment_coefficient``.
+
+    Q keeps the model's type: the Brownian drift becomes drift - sigma^2 g,
+    the jump rate lam eta^2 / (eta^2 - g^2), and the jump size
+    E1/(eta + g) - E2/(eta - g) for standard exponentials E1, E2, so that
+    psi_Q(theta) = psi(theta - g).  Returns the model with Q's drift and jump
+    rate (and the old eta, which it does not describe) and the jump factors
+    eta/(eta + g) and eta/(eta - g) of ``_walk_segments``.
+    """
+    eta = model.eta
+    # eta^2 - g^2: where the jumps carry at least half the drift, g can lie
+    # within rounding of eta, and the drift equation's jump share
+    # lam g / (eta^2 - g^2) gives it without cancellation
+    jumps = model.drift - 0.5 * model.sigma**2 * g
+    gap = model.lam * g / jumps if 2.0 * jumps >= model.drift else (eta - g) * (eta + g)
+    tilted = ModelParams(model.sigma, model.lam * eta**2 / gap, eta,
+                         model.drift - model.sigma**2 * g)
+    return tilted, eta / (eta + g), eta * (eta + g) / gap
 
 
 def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
-                    rng: np.random.Generator, n_segments: int, exit_level: float) -> tuple:
-    """Walk paths started at ``x`` from jump to jump, without event times,
-    until death, the exit level or ``n_segments`` segments.
+                    rng: np.random.Generator, n_segments: int) -> tuple:
+    """Walk paths started at ``x`` from jump to jump under the tilted law,
+    without event times, until death or ``n_segments`` segments.
 
-    A segment is the Brownian motion with drift run for an Exp(lam) time,
-    then a jump.  At an exponential time the infimum of that motion and its
-    rise after the infimum are independent, Exp(phi-) and Exp(phi+) below
-    and above the start, with phi+- = (sqrt(drift^2 + 2 lam sigma^2) -+
-    drift) / sigma^2 (Wiener-Hopf factorisation; Kyprianou, Fluctuations of
-    Levy Processes, 2nd ed., section 6.5).  Each iteration resolves up to K
-    segments per live path (``_walk_segments``, by the crossing walk's
-    rule).  A path dies at a kill or a landing inside [a, b] and escapes at
-    a landing at or above ``exit_level``; each row stops at the first of
-    these, and the draws past it are discarded.  The live paths are
-    compacted after every iteration.  Returns each path's exit landing, its
-    first post-jump value at or above the exit level (NaN if it did not
-    escape), and the index and position of each path still live after
-    ``n_segments``.
+    A segment that starts above b runs under Q (``_tilted_model``), which
+    drifts down, and one that starts below a under P, which drifts up, so
+    every path is killed.  Each iteration resolves up to K segments per live
+    path (``_walk_segments``, by the crossing walk's rule), and each row
+    stops at its first kill, landing inside [a, b] or landing on the other
+    side, where the measure switches; the draws past it are discarded.  A Q
+    phase that began at s scores exp(g (end - s)), with end = b at a kill
+    (the path enters continuously), the landing inside [a, b] or the landing
+    below a.  Returns each path's score Z, the product of its Q phases'
+    scores (0 for a path still live after ``n_segments``), and the index of
+    each path still live.  E[Z] = 1 - P(T = infinity), and
+    0 <= Z <= exp(-g (x - b)) from x > b.
     """
-    exits = np.full(x.size, np.nan)
+    a, b = interval.a, interval.b
+    g = adjustment_coefficient(model)
+    tilted_model, c_up, c_down = _tilted_model(model, g)
+    # rise, fall, c_up, c_down: row 0 for P, row 1 for Q
+    laws = np.array([[*_wiener_hopf_scales(model), 1.0, 1.0],
+                     [*_wiener_hopf_scales(tilted_model), c_up, c_down]])
+    log_z = np.zeros(x.size)        # each path's log Z, written at its death
     idx = np.arange(x.size)
+    lz = np.zeros(x.size)           # the live paths' log Z so far
+    s = x                           # where each Q phase began; read on Q rows only
     left = n_segments
     while idx.size and left > 0:
-        K, post, _above, dead = _walk_segments(model, interval, x, rng, left)
+        tilted = x > b
+        law = np.take(laws, tilted.view(np.uint8), axis=0)
+        K, post, above, killed = _walk_segments(interval, x, rng, left, model.eta,
+                                                *law.T[:, :, None])
         left -= K
-        dead |= interval.contains(post)
-        out = post >= exit_level
+        # K = 1 skips the first-stop search: its one column is the stop
         if K > 1:
-            stop = dead | out
+            stop = killed | np.where(above, post <= b, post >= a)
             stop[:, -1] = True
             rows, col = np.arange(idx.size), stop.argmax(axis=1)
-            dead, out, post = dead[rows, col], out[rows, col], post[rows, col]
+            kill_c, x = killed[rows, col], post[rows, col]
         else:
-            dead, out, post = dead[:, 0], out[:, 0], post[:, 0]
-        stop = dead | out
-        if stop.any():
-            out &= ~dead
-            exits[idx[out]] = post[out]
-            keep = ~stop
-            idx, post = idx[keep], post[keep]
-        x = post
-    return exits, idx, x
+            kill_c, x = killed[:, 0], post[:, 0]
+        dead = kill_c | interval.contains(x)
+        ends = tilted & (dead | (x < a))
+        lz += np.where(ends, g * (np.where(kill_c, b, x) - s), 0.0)
+        s = np.where(tilted, s, x)      # a landing above b begins a Q phase
+        if dead.any():
+            log_z[idx[dead]] = lz[dead]
+            keep = np.flatnonzero(~dead)
+            idx, x, s, lz = idx[keep], x[keep], s[keep], lz[keep]
+    z = np.exp(log_z)
+    z[idx] = 0.0
+    return z, idx
 
 
-_BOUND_TARGET = 1e-7      # certified return probability at the avoidance exit level
-_ROULETTE_TARGET = 1e-3   # certified return probability at the roulette level
-_ROULETTE_WEIGHT = 8      # a path at the roulette level goes on with probability 1/8
+_AVOIDANCE_SEGMENTS = 100_000    # segment cap per path of the avoidance walk
 
 
-def _avoidance_block(model, interval, start, n, rng, n_segments, roulette_level,
-                     exit_level, g):
-    """Counts of the per-path values Y of ``estimate_avoidance`` for n paths:
-    paths that reached the roulette level, paths kept there and killed later,
-    unresolved paths of stage 1 and of stage 2, and the summed return bounds
-    of the paths kept there that escaped, times R.  With the roulette level
-    at or above the exit level, stage 1 walks to the exit level, nothing is
-    kept and each escaped path's bound is summed with weight 1."""
-    level = min(roulette_level, exit_level)
-    exits, live, _x = _avoidance_walk(model, interval, np.full(n, float(start)), rng,
-                                      n_segments, level)
-    reached = exits[~np.isnan(exits)]
-    if level == exit_level:
-        return reached.size, 0, live.size, 0, float(np.exp(-g * (reached - interval.b)).sum())
-    kept = reached[rng.random(reached.size) < 1.0 / _ROULETTE_WEIGHT]
-    exits, live_kept, _x = _avoidance_walk(model, interval, kept, rng, n_segments, exit_level)
-    escaped = exits[~np.isnan(exits)]
-    bound = _ROULETTE_WEIGHT * float(np.exp(-g * (escaped - interval.b)).sum())
-    return (reached.size, kept.size - escaped.size - live_kept.size, live.size,
-            live_kept.size, bound)
+def _avoidance_block(model, interval, start, n, rng, n_segments):
+    """Sum Z, sum Z^2 and the unresolved count of ``_avoidance_walk`` for n paths."""
+    z, live = _avoidance_walk(model, interval, np.full(n, float(start)), rng, n_segments)
+    return float(z.sum()), float(z @ z), live.size
 
 
 def _avoidance_job(model, interval, start, seed, n):
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
-    g = adjustment_coefficient(model)
-    roulette_level = interval.b + math.log(1.0 / _ROULETTE_TARGET) / g
-    exit_level = interval.b + math.log(1.0 / _BOUND_TARGET) / g
-    horizon = _avoidance_horizon(model, interval, start)
 
     def finish(parts):
-        w = _ROULETTE_WEIGHT
-        reached, killed, unresolved, unresolved_kept, bound = _add_blocks(parts)
-        # Y = 1 for each path that reached the roulette level, less w for
-        # each one kept there and killed (Y = 1 - w) and 1 for each one kept
-        # there and unresolved (Y = 0); Y^2 = 1 + w^2 - 2w for a killed one
-        return AvoidanceEstimate(
-            result=_mean_result(reached - w * killed - unresolved_kept,
-                                reached - unresolved_kept + (w * w - 2 * w) * killed, n),
-            horizon=horizon,
-            exit_level=exit_level,
-            return_prob_bound=(bound + unresolved + w * unresolved_kept) / n,
-            unresolved=unresolved + unresolved_kept,
-        )
+        total, total_sq, unresolved = _add_blocks(parts)
+        # Y = 1 - Z, so sum Y = n - sum Z and sum Y^2 = n - 2 sum Z + sum Z^2
+        return AvoidanceEstimate(result=_mean_result(n - total, n - 2.0 * total + total_sq, n),
+                                 unresolved=unresolved)
 
-    return _Job(_avoidance_block, model, interval, start, seed, n,
-                (math.ceil(model.lam * horizon), roulette_level, exit_level, g), finish)
+    return _Job(_avoidance_block, model, interval, start, seed, n, (_AVOIDANCE_SEGMENTS,),
+                finish)
 
 
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
                        config: PathConfig) -> AvoidanceEstimate:
     """P(T = infinity) for a transient (drift > 0) model.
 
-    A path counts as avoiding once a jump lands it at or above
-    ``exit_level``, where the certified return probability exp(-g *
-    distance) is below ``_BOUND_TARGET`` = 1e-7.  Paths are walked from jump
-    to jump without event times (``_avoidance_walk``) in two stages, with
-    Russian roulette between them.  Stage 1 walks every path to its first
-    landing at or above the roulette level b + ln(1/beta)/g, beta =
-    ``_ROULETTE_TARGET`` = 1e-3, where the certified return probability is
-    below beta.  Each path that reached it is kept with probability 1/R,
-    R = ``_ROULETTE_WEIGHT`` = 8, from the block's stream; stage 2 walks the
-    kept paths on from their landings to the exit level.  A path's value Y
-    is 1 if it reached the roulette level and was not kept, 1 if it was
-    kept and escaped, 1 - R if it was kept and killed, and 0 otherwise
-    (killed or unresolved before the roulette level, or kept and
-    unresolved), so E[Y] = P(T = infinity) up to the bias that
-    ``return_prob_bound`` bounds; the mean and standard error come from the
-    sums of Y and Y^2.  Each stage walks at most ceil(lam * horizon) jump
-    segments, with the horizon sized so that drift dominates a 30-sigma
-    fluctuation, so a kept path walks at most twice that.
+    Siegmund's change of measure (Siegmund 1976; Asmussen & Albrecher, Ruin
+    Probabilities, ch. XV): each path is walked from jump to jump
+    (``_avoidance_walk``) under Q above b and under P below a, until it is
+    killed, and scores Z, the product over its Q phases of the likelihood
+    ratio exp(g (end - start)).  So 1 - P(T = infinity) = E[Z], and the
+    estimate is the mean of Y = 1 - Z with the standard error from the
+    blocks' sums of Z and Z^2.  Z <= exp(-g (x - b)) from x > b, so the
+    relative error of 1 - P(T = infinity) stays bounded far above the
+    interval.  A path still live after ``_AVOIDANCE_SEGMENTS`` segments scores
+    Z = 0 and counts as unresolved.  ``config`` gives the seed and the path
+    count; its dt and horizon are not read.
     """
     return _map_jobs([_avoidance_job(model, interval, start, config.seed, config.n_paths)])[0]
 

@@ -562,12 +562,13 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     est_above = estimates[len(above):0:-1]
     est_below = estimates[len(above) + 2:]
 
+    # Lundberg's inequality 1 - l(x) <= exp(-g (x - b)) is the finite-x margin
+    lundberg = math.exp(-eng.adjustment_coefficient(model) * (far - iv.b))
     checks.append(check_ge(
         "far_start_avoids",
-        "avoidance probability tends to 1 far above the interval",
-        est_far.result.mean, 1.0,
-        3.0 * est_far.result.stderr + est_far.return_prob_bound + 1e-9,
-        criterion=9))
+        "avoidance probability tends to 1 far above the interval: "
+        "1 - l(x) <= exp(-g (x - b))",
+        est_far.result.mean, 1.0, lundberg + 3.0 * est_far.result.stderr, criterion=9))
 
     vals_b, ses_b = zip(*[(e.result.mean, e.result.stderr) for e in est_below])
     vals_a, ses_a = zip(*[(e.result.mean, e.result.stderr) for e in est_above])

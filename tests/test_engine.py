@@ -18,12 +18,11 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             terminal_sample)
 from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
-from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_horizon,
-                                   _avoidance_walk, _bridge_exponent, _bridge_kill,
-                                   _crossing_block, _crossing_walk, _jump_sizes,
-                                   adjustment_coefficient,
-                                   _wiener_hopf_scales, advance, ks_critical_value,
-                                   ks_distance)
+from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_walk,
+                                   _bridge_exponent, _bridge_kill, _crossing_block,
+                                   _crossing_walk, _jump_sizes, _tilted_model,
+                                   adjustment_coefficient, _wiener_hopf_scales, advance,
+                                   ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
@@ -726,8 +725,8 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned for K segments per
-# iteration in the avoidance walk, with every other part's bytes unchanged
+# crossing budgets span two blocks.  Last re-pinned for the tilted avoidance
+# walk, with every other part's bytes unchanged
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -740,7 +739,7 @@ def test_estimators_pinned(model, interval):
     add(clock.total, clock.above, clock.below)
     avoid = estimate_avoidance(ModelParams(drift=0.5), interval, 2.0,
                                PathConfig(dt=1.0, horizon=1.0, seed=92, n_paths=2000))
-    add(avoid.result, avoid.return_prob_bound, avoid.unresolved)
+    add(avoid.result, avoid.unresolved)
     law = empirical_crossing_law(model, interval, -1.0, 2,
                                  PathConfig(dt=1.0, horizon=50.0, seed=93, n_paths=9000))
     add(*law.positions, law.mass, law.censor_bias_bound)
@@ -748,7 +747,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "97e01e5ef52f822a2a37d406cc90441b7dc69b0e868b500f4148480f37f56036")
+        "0e2a736958935da5315ad99e491b523bcb3556342b4fe69c303bb8da28801ab6")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -789,8 +788,9 @@ def test_avoidance_far_start(interval):
     cfg = PathConfig(dt=1.0, horizon=1.0, seed=83, n_paths=8192)
     est = estimate_avoidance(m, interval, interval.b + 50.0, cfg)
     assert est.unresolved == 0
-    assert est.result.mean >= 1.0 - 3 * est.result.stderr - est.return_prob_bound - 1e-9
-    assert est.return_prob_bound < 1e-4
+    # Lundberg's inequality: 1 - l(x) <= exp(-g (x - b))
+    lundberg = math.exp(-50.0 * adjustment_coefficient(m))
+    assert 1.0 - est.result.mean <= lundberg + 3 * est.result.stderr
 
 
 def test_avoidance_monotone_in_start(interval):
@@ -805,91 +805,104 @@ def test_avoidance_monotone_in_start(interval):
 
 # ------------------------------------------------------------ avoidance walk
 
-def _walk_and_advance_tables(model, interval, start, n, seeds):
-    """2 x 3 table of (dead, frozen with overshoot of the exit level below
-    log(2)/eta, frozen with a larger one) for the walk and for ``advance``
-    run from jump to jump and stopped at the exit level, n paths a side,
-    each side one block."""
-    # estimate_avoidance's exit level at its bound target 1e-7
-    exit_level = interval.b + math.log(1e7) / adjustment_coefficient(model)
-    horizon = _avoidance_horizon(model, interval, start)
-    cut = math.log(2.0) / model.eta
-    rows = []
-    for route, seed in zip(("walk", "advance"), seeds):
-        rng = block_stream(seed, 0)
-        if route == "walk":
-            exits, live, _x = _avoidance_walk(model, interval, np.full(n, start), rng,
-                                              math.ceil(model.lam * horizon), exit_level)
-            assert not live.size                     # nothing unresolved
-            exits = exits[~np.isnan(exits)]
-        else:
-            # one event (the next jump) per call; a path is frozen at its
-            # first landing at or above the exit level
-            pb = PathBlock.start(model, interval, start, n, rng)
-            while (pb.alive & ~pb.frozen & (pb.t < horizon)).any():
-                advance(pb, pb.next_jump.copy())
-                pb.frozen |= pb.alive & (pb.x >= exit_level)
-            assert not (pb.alive & ~pb.frozen).any()
-            exits = pb.x[pb.frozen]
-        over = exits - exit_level
-        rows.append([n - exits.size, np.count_nonzero(over < cut),
-                     np.count_nonzero(over >= cut)])
-    return np.array(rows)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.05, 20.0), lam=st.floats(0.01, 50.0), eta=st.floats(0.01, 50.0),
+       drift=st.floats(1e-3, 50.0))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5)    # transient5's default model
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=1e-13)
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=1e13)
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=1e16)    # g rounds to eta
+def test_tilted_model_shifts_the_laplace_exponent(sigma, lam, eta, drift):
+    """The walk's Q law is the model under dQ/dP = exp(-g (xi_t - x)): with
+    J = (c_up E1 - c_down E2)/eta, psi_Q(theta) = drift_Q theta + sigma^2
+    theta^2/2 + lam_Q (E exp(theta J) - 1) equals psi(theta - g) at 40
+    digits to 1e-12 of its terms' size, at six theta in (g - eta, g + eta),
+    and psi_Q'(0) < 0, so Q drifts down.  At drift 1e13 and 1e16, g lies
+    within rounding of eta, and only the drift equation's eta^2 - g^2 gives
+    Q's jump rate."""
+    model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
+    g = adjustment_coefficient(model)
+    tilted, c_up, c_down = _tilted_model(model, g)
+    assert tilted.sigma == sigma
+    with mpmath.workdps(40):
+        mp = mpmath.mpf
+        s2, eta_, g_ = mp(sigma)**2, mp(eta), mp(g)
+        drift_q, lam_q, up, down = (mp(v) for v in (tilted.drift, tilted.lam, c_up, c_down))
+
+        def psi(theta):
+            return mp(drift) * theta + s2 * theta**2 / 2 + mp(lam) * (
+                eta_**2 / (eta_**2 - theta**2) - 1)
+
+        for f in (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75):
+            theta = g_ + f * eta_
+            mgf = 1 / ((1 - theta * up / eta_) * (1 + theta * down / eta_))
+            terms = (drift_q * theta, s2 * theta**2 / 2, lam_q * mgf, -lam_q)
+            assert abs(sum(terms) - psi(theta - g_)) <= 1e-12 * sum(abs(t) for t in terms)
+        assert drift_q + lam_q * (up - down) / eta_ < 0
+
+
+def _escaped_fraction(model, interval, start, n, seed):
+    """Fraction of n paths of ``advance``, in one block run from jump to jump,
+    whose post-jump value reaches the level L = b + ln(1e7)/g before death:
+    P_x(T = infinity) up to the return probability from L, at most
+    exp(-g (L - b)) = 1e-7 (Lundberg)."""
+    level = interval.b + math.log(1e7) / adjustment_coefficient(model)
+    pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0))
+    while (pb.alive & ~pb.frozen).any():
+        advance(pb, pb.next_jump.copy())
+        pb.frozen |= pb.alive & (pb.x >= level)
+    return np.count_nonzero(pb.frozen) / n
 
 
 def test_avoidance_walk_matches_advance(interval):
-    """The walk and ``advance`` stopped at the exit level sample one law of
-    (death, overshoot of the exit level) at four starts, 65 536 paths a side: one
-    pooled chi-square over the four 2 x 3 tables at alpha = 0.0027."""
+    """The tilted estimate and the escaped fraction of ``advance`` agree at
+    four starts, 65 536 paths a side: one pooled chi-square at alpha =
+    0.0027."""
     model = ModelParams(drift=0.5)
+    n = 65_536
     starts = [interval.a - 3.0, interval.b + 0.25, interval.b + 2.0, interval.b + 10.0]
-    stat = dof = 0
+    stat = 0.0
     for i, start in enumerate(starts):
-        table = _walk_and_advance_tables(model, interval, start, 65_536, (300 + i, 400 + i))
-        result = stats.chi2_contingency(table, correction=False)
-        stat, dof = stat + result.statistic, dof + result.dof
-    assert dof == 8
-    assert stats.chi2.sf(stat, dof) >= 0.0027
+        est = estimate_avoidance(model, interval, start,
+                                 PathConfig(dt=1.0, horizon=1.0, seed=300 + i, n_paths=n))
+        assert est.unresolved == 0
+        p = _escaped_fraction(model, interval, start, n, 400 + i)
+        stat += (est.result.mean - p) ** 2 / (est.result.stderr**2 + p * (1 - p) / n)
+    assert stats.chi2.sf(stat, len(starts)) >= 0.0027
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
        drift=st.floats(0.05, 2.0),
        start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 12.0)),
-       exit_gap=st.floats(0.01, 8.0), n_segments=st.integers(0, 60),
-       seed=st.integers(0, 2**32))
-@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, exit_gap=6.0,
-         n_segments=60, seed=1)
-@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, exit_gap=40.0,
-         n_segments=100, seed=1)      # two iterations, the second short, paths left live
-def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit_gap,
-                                   n_segments, seed):
-    """An escaped path has landed at or above the exit level and is not
-    live, a live path lies outside [a, b], the walk draws only (4, m, K)
-    standard exponentials, m falling, with K = max(1, min(MAX_EVENTS,
-    BLOCK_SIZE // m, segments left)), so m K <= BLOCK_SIZE, and resolves no
-    more segments than its cap, nor fewer while a path is live, and the
-    same stream gives the same result.  With its roulette level at the exit
-    level, the block makes the walk's draws and no other, counts its
-    escaped and live paths and sums the escaped paths' bounds.  With a
-    lower roulette level, no more paths are killed or left unresolved
-    after it than reached it, and the bound sums at most
-    R exp(-g (exit level - b)) per path that reached it."""
+       n_segments=st.integers(0, 60), seed=st.integers(0, 2**32))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.5, start=2.0, n_segments=60, seed=1)
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.05, start=12.0, n_segments=100,
+         seed=1)      # two iterations, the second short, paths left live
+def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, n_segments,
+                                   seed):
+    """Every score lies in [0, 1], an unresolved path scores 0 and from a
+    start x above b no score exceeds exp(-g (x - b)); the walk draws only
+    (4, m, K) standard exponentials, m falling, with K = max(1,
+    min(MAX_EVENTS, BLOCK_SIZE // m, segments left)), so m K <= BLOCK_SIZE,
+    and resolves no more segments than its cap, nor fewer while a path is
+    live; the same stream gives the same result.  The block makes the
+    walk's draws and no other and returns sum Z, sum Z^2 and the
+    unresolved count."""
     model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift)
     n = 96
-    exit_level = interval.b + exit_gap
 
     def walk():
         rng = _DrawLog(block_stream(seed, 0))
-        return _avoidance_walk(model, interval, np.full(n, start), rng, n_segments,
-                               exit_level), rng.shapes
+        return _avoidance_walk(model, interval, np.full(n, start), rng, n_segments), rng.shapes
 
-    (exits, live, x), shapes = walk()
-    escaped = ~np.isnan(exits)
-    assert np.all(exits[escaped] >= exit_level)
-    assert not escaped[live].any()
+    (z, live), shapes = walk()
+    assert np.all((z >= 0.0) & (z <= 1.0))
+    assert np.all(z[live] == 0.0)
     assert np.all(np.diff(live) > 0)
-    assert not interval.contains(x).any()
+    if start > interval.b:
+        g = adjustment_coefficient(model)
+        assert np.all(z <= math.exp(-g * (start - interval.b)) * (1 + 1e-12))
     assert all(len(s) == 3 and s[0] == 4 for s in shapes)
     widths = [s[1] for s in shapes]
     assert widths == sorted(widths, reverse=True) and all(m <= n for m in widths)
@@ -902,101 +915,46 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, exit
     assert segments <= n_segments
     if live.size:
         assert segments == n_segments
-    if shapes:
-        assert np.all(x < exit_level)
 
-    (exits2, live2, x2), shapes2 = walk()
-    assert np.array_equal(exits, exits2, equal_nan=True)
-    assert np.array_equal(live, live2) and np.array_equal(x, x2) and shapes == shapes2
+    (z2, live2), shapes2 = walk()
+    assert np.array_equal(z, z2) and np.array_equal(live, live2) and shapes == shapes2
 
     block_rng = _DrawLog(block_stream(seed, 0))
-    reached, killed, unresolved, unresolved_kept, bound = _avoidance_block(
-        model, interval, start, n, block_rng, n_segments, exit_level, exit_level, 0.5)
+    sums = _avoidance_block(model, interval, start, n, block_rng, n_segments)
     assert block_rng.shapes == shapes
-    assert (reached, killed, unresolved, unresolved_kept) == (
-        np.count_nonzero(escaped), 0, live.size, 0)
-    assert bound == float(np.exp(-0.5 * (exits[escaped] - interval.b)).sum())
-
-    reached, killed, unresolved, unresolved_kept, bound = _avoidance_block(
-        model, interval, start, n, block_stream(seed, 0), n_segments,
-        interval.b + 0.5 * exit_gap, exit_level, 0.5)
-    assert min(killed, unresolved_kept) >= 0
-    assert killed + unresolved_kept <= reached <= n - unresolved
-    assert bound <= engine._ROULETTE_WEIGHT * reached * math.exp(-0.5 * exit_gap) * (1 + 1e-12)
+    assert sums == (float(z.sum()), float(z @ z), live.size)
 
 
-def test_avoidance_cap_leaves_unresolved_in_the_bound(monkeypatch, interval):
-    """With a cap of ceil(lam * 2.5) = 3 jump segments per stage from b + 2,
-    paths still live count as unresolved.  Each adds 1 to the return bound
-    if stage 1 left it live and R if stage 2 did, on top of the kept escaped
-    paths' bounds R exp(-g (x - b)) <= R 1e-7."""
+def test_avoidance_cap_leaves_paths_unresolved(monkeypatch, interval):
+    """No path from b + 2 reaches the segment cap; with a cap of 3 segments
+    hundreds do, and each counts as unresolved and scores Z = 0, as in the
+    walk on the same stream."""
     model = ModelParams(drift=0.5)
-    cfg = PathConfig(dt=1.0, horizon=1.0, seed=87, n_paths=4000)
-    full = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
-    assert full.unresolved == 0
-    monkeypatch.setattr(engine, "_avoidance_horizon", lambda *args: 2.5)
-    est = estimate_avoidance(model, interval, interval.b + 2.0, cfg)
-    assert est.horizon == 2.5
+    start, n = interval.b + 2.0, 4000
+    cfg = PathConfig(dt=1.0, horizon=1.0, seed=87, n_paths=n)
+    assert estimate_avoidance(model, interval, start, cfg).unresolved == 0
+    monkeypatch.setattr(engine, "_AVOIDANCE_SEGMENTS", 3)
+    est = estimate_avoidance(model, interval, start, cfg)
     assert est.unresolved > 100
-    job = engine._avoidance_job(model, interval, interval.b + 2.0, cfg.seed, cfg.n_paths)
-    reached, _killed, unresolved, unresolved_kept, _bound = engine._map_jobs(
-        [job._replace(finish=engine._add_blocks)])[0]
-    assert est.unresolved == unresolved + unresolved_kept
-    w = engine._ROULETTE_WEIGHT
-    assert (unresolved + w * unresolved_kept) / cfg.n_paths <= est.return_prob_bound
-    assert est.return_prob_bound <= ((unresolved + w * unresolved_kept + w * reached * 1e-7)
-                                     / cfg.n_paths * (1 + 1e-12))
+    z, live = _avoidance_walk(model, interval, np.full(n, start), block_stream(cfg.seed, 0), 3)
+    assert est.unresolved == live.size
+    assert est.result.mean == pytest.approx(1.0 - z.mean(), rel=1e-13)
 
 
 def test_avoidance_finish_is_the_mean_of_the_path_values(interval):
-    """The finish's mean and standard error from the blocks' counts equal
-    np.mean and np.std(ddof=1)/sqrt(n) over the per-path values Y: 1 for a
-    path that reached the roulette level and was not kept or was kept and
-    escaped, 1 - R for one kept and killed, 0 for every other path."""
+    """The finish's mean and standard error from the blocks' sums of Z and
+    Z^2 equal np.mean and np.std(ddof=1)/sqrt(n) over the per-path values
+    Y = 1 - Z, with Z = 0 for an unresolved path; also at scores of the
+    size of 1 - l far above the interval."""
     n = 500
     finish = engine._avoidance_job(ModelParams(drift=0.5), interval, 2.0, 1, n).finish
-    w = engine._ROULETTE_WEIGHT
-    # (reached, killed after it, unresolved in stage 1, unresolved in stage 2, bound)
-    parts = [(180, 7, 3, 2, 1e-6), (150, 4, 0, 5, 0.0), (0, 0, 1, 0, 0.0)]
-    ones = sum(p[0] - p[1] - p[3] for p in parts)
-    killed = sum(p[1] for p in parts)
-    y = np.concatenate([np.ones(ones), np.full(killed, 1.0 - w), np.zeros(n - ones - killed)])
-    est = finish(parts)
-    assert est.result.n == n
-    assert est.result.mean == pytest.approx(np.mean(y), rel=1e-13)
-    assert est.result.stderr == pytest.approx(np.std(y, ddof=1) / math.sqrt(n), rel=1e-12)
-    assert est.unresolved == 4 + 7
-    assert est.return_prob_bound == pytest.approx((1e-6 + 4 + w * 7) / n, rel=1e-13)
-
-
-def test_avoidance_roulette_matches_plain_walk(monkeypatch, interval):
-    """With the roulette level at a certified return probability of 0.5, so
-    that roulette acts on most paths, ``estimate_avoidance`` agrees with the
-    escaped fraction of one plain walk to the exit level at three starts,
-    65 536 paths a side: one pooled chi-square at alpha = 0.0027.  From
-    b + 40, with every path kept there left unresolved by a 20-segment cap,
-    the return bound still covers the gap to l(b + 40) >= 1 - exp(-40 g)."""
-    monkeypatch.setattr(engine, "_ROULETTE_TARGET", 0.5)
-    model = ModelParams(drift=0.5)
-    g = adjustment_coefficient(model)
-    exit_level = interval.b + math.log(1e7) / g
-    n = 65_536
-    stat = 0.0
-    for i, start in enumerate([interval.a - 3.0, interval.b + 0.25, interval.b + 2.0]):
-        est = estimate_avoidance(model, interval, start,
-                                 PathConfig(dt=1.0, horizon=1.0, seed=500 + i, n_paths=n))
-        exits, live, _x = _avoidance_walk(
-            model, interval, np.full(n, start), block_stream(600 + i, 0),
-            math.ceil(model.lam * _avoidance_horizon(model, interval, start)), exit_level)
-        assert est.unresolved == live.size == 0
-        p = np.count_nonzero(~np.isnan(exits)) / n
-        stat += (est.result.mean - p) ** 2 / (est.result.stderr**2 + p * (1 - p) / n)
-    assert stats.chi2.sf(stat, 3) >= 0.0027
-
-    monkeypatch.setattr(engine, "_avoidance_horizon", lambda *args: 20.0)
-    far = estimate_avoidance(model, interval, interval.b + 40.0,
-                             PathConfig(dt=1.0, horizon=1.0, seed=503, n_paths=8192))
-    assert far.unresolved > 500
-    slack = 3.0 * far.result.stderr + far.return_prob_bound
-    assert 1.0 - math.exp(-40.0 * g) <= far.result.mean + slack
-    assert far.result.mean - slack <= 1.0
+    for scale in (1.0, 5e-6):
+        z = scale * np.random.default_rng(5).random(n) ** 3
+        z[[3, 70, 499]] = 0.0
+        parts = [(float(b.sum()), float(b @ b), 1) for b in (z[:200], z[200:450], z[450:])]
+        est = finish(parts)
+        y = 1.0 - z
+        assert est.result.n == n
+        assert est.result.mean == pytest.approx(np.mean(y), rel=1e-13)
+        assert est.result.stderr == pytest.approx(np.std(y, ddof=1) / math.sqrt(n), rel=1e-6)
+        assert est.unresolved == 3
