@@ -614,6 +614,16 @@ def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
     return model.sigma**2 / (root - model.drift), (root - model.drift) / (2.0 * model.lam)
 
 
+def _either(cond: np.ndarray, yes: np.ndarray, no: np.ndarray) -> np.ndarray:
+    """``np.where(cond, yes, no)`` for boolean arrays, overwriting ``yes`` and
+    ``no``; three in-place logical ops run several times faster than
+    ``np.where`` does on booleans."""
+    yes &= cond
+    no &= ~cond
+    yes |= no
+    return yes
+
+
 def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, left: int,
                    eta: float, rise, fall, c_up, c_down) -> tuple:
     """The next K jump segments of the m = x.size live paths at ``x``, with
@@ -650,7 +660,7 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     post += x[:, None]
     seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
     above = seg0 > b
-    killed = np.where(above, seg0 - down <= b, seg0 + up >= a)
+    killed = _either(above, seg0 - down <= b, seg0 + up >= a)
     return K, post, above, killed
 
 
@@ -680,22 +690,33 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         K, post, above, killed = _walk_segments(interval, x, rng, left, model.eta,
                                                 rise, fall, 1.0, 1.0)
         left -= K
-        crossed = np.where(above, post <= b, post >= a)
-        count = n_cross[:, None] + np.cumsum(crossed, axis=1)
-        stop = killed | interval.contains(post) | (count >= k)
-        stop[:, -1] = True
-        col = stop.argmax(axis=1)
-        rows = np.arange(m)
-        kill_c = killed[rows, col]
-        n_c = count[rows, col] - (kill_c & crossed[rows, col])
+        crossed = _either(above, post <= b, post >= a)
+        # crossings are rare, so only the rows that crossed are counted and
+        # searched for a landing inside or a k-th crossing
+        rows = np.unique(np.flatnonzero(crossed) // K)
+        sub = crossed[rows]
+        count = n_cross[rows, None] + np.cumsum(sub, axis=1)
+        # K = 1 skips the first-stop search: its one column is the stop
+        if K > 1:
+            stop = killed.copy()
+            stop[rows] |= interval.contains(post[rows]) | (count >= k)
+            stop[:, -1] = True
+            col = stop.argmax(axis=1)
+            flat = np.arange(m) * K + col
+            kill_c, x_c = killed.ravel()[flat], post.ravel()[flat]
+        else:
+            col = np.zeros(m, dtype=np.intp)
+            kill_c, x_c = killed[:, 0], post[:, 0]
+        n_c = n_cross.copy()
+        if rows.size:
+            at, rc = np.arange(rows.size), col[rows]
+            n_c[rows] = count[at, rc] - (kill_c[rows] & sub[at, rc])
+            # crossings up to the stopping column, unless a kill preempts it
+            at, c = np.nonzero(sub)
+            keep = (c < rc[at]) | ((c == rc[at]) & ~kill_c[rows[at]])
+            at, c = at[keep], c[keep]
+            landings[idx[rows[at]], count[at, c] - 1] = post[rows[at], c]
 
-        # crossings up to the stopping column, unless a kill preempts it
-        r, c = np.nonzero(crossed)
-        keep = (c < col[r]) | ((c == col[r]) & ~kill_c[r])
-        r, c = r[keep], c[keep]
-        landings[idx[r], count[r, c] - 1] = post[r, c]
-
-        x_c = post[rows, col]
         go = ~(kill_c | interval.contains(x_c)) & (n_c < k)
         idx, x, n_cross = idx[go], x_c[go], n_c[go]
     return landings, idx, x
