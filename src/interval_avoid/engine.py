@@ -56,9 +56,10 @@ segment cap.  The walks take start positions and a stream, not a
 
 Blocks return counts or sums wherever those suffice, and a finish adds
 them up in block order: the survival and clock blocks return the numbers
-of paths alive in total, above and below the interval, and the avoidance
+of paths alive in total, above and below the interval, the avoidance
 blocks the sums of their paths' scores and squared scores and the count of
-unresolved paths.
+unresolved paths, and the crossing blocks the sums of their paths' crossing
+scores and of their products.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test) and ``terminal_sample``.
 """
@@ -590,13 +591,18 @@ class CrossingLawEstimate:
     The pass censors each path after ceil(lam * horizon) jump segments;
     ``censored_fraction`` is the share of paths still live and short of
     crossing k then.  Every per-crossing field is a length-k tuple indexed
-    j - 1.
+    j - 1.  ``positions`` holds the landings past the far boundary, for the
+    shape tests.  ``mass`` is the mean of the paths' scores S_j (see
+    ``empirical_crossing_law``) with its standard error, and ``mass_cov``
+    the (k, k) sample covariance of the scores, whose diagonal over n_paths
+    is the squared standard error.
     """
 
     n_paths: int
     censored_fraction: float
     positions: tuple[np.ndarray, ...]
     mass: tuple[EstimatorResult, ...]
+    mass_cov: np.ndarray
     ks_distance: tuple[float, ...]
     ks_critical: tuple[float, ...]
     insufficient: tuple[bool, ...]
@@ -640,7 +646,8 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     above b kills if its infimum is at or below b, one starting below a if
     its supremum is at or above a (and one starting inside [a, b] always).
     Returns K and the (m, K) arrays of landings, of whether each segment
-    starts above b, and of its kills.
+    starts above b, of its kills and of its pre-jump values (the landing
+    less the jump).
     """
     a, b = interval.a, interval.b
     m = x.size
@@ -661,11 +668,15 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
     above = seg0 > b
     killed = _either(above, seg0 - down <= b, seg0 + up >= a)
-    return K, post, above, killed
+    pre = up        # the draws' buffer: U and D are not read again
+    pre -= down
+    pre += seg0
+    return K, post, above, killed, pre
 
 
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
-                   rng: np.random.Generator, n_segments: int, k: int) -> tuple:
+                   rng: np.random.Generator, n_segments: int, k: int,
+                   scores: Optional[np.ndarray] = None) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
@@ -678,22 +689,42 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     Returns the (n, k) landings of crossings 1..k (NaN past a path's last;
     one inside [a, b] is a dead path's last) and the index and position of
     each path still live.
+
+    Each jump that a path makes after j - 1 crossings adds to its score S_j
+    the chance pi(p) = exp(-eta d)/2 that a jump from its pre-jump value p
+    lands past the far boundary, at distance d from p (b from below a, a
+    from above b); a segment whose Brownian part kills makes no jump and
+    adds nothing.  pi is the conditional expectation of the indicator that
+    the jump is a crossing past the far boundary, so E[S_j] equals the mass
+    of the recorded crossings j on the same censored paths, with a smaller
+    variance.  ``scores``, if given, is an (n, k) array of zeros that
+    receives S_1..S_k.
     """
     a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
+    # d = |p - mid| + half, with mid and half the interval's centre and
+    # half-width; the factor exp(-eta half)/2 is applied once, at the end
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    if scores is None:
+        scores = np.zeros((x.size, k))
     landings = np.full((x.size, k), np.nan)
     idx = np.arange(x.size)
     n_cross = np.zeros(x.size, dtype=np.int64)
     left = n_segments
     while idx.size and left > 0:
         m = idx.size
-        K, post, above, killed = _walk_segments(interval, x, rng, left, model.eta,
-                                                rise, fall, 1.0, 1.0)
+        K, post, above, killed, pi = _walk_segments(interval, x, rng, left, model.eta,
+                                                    rise, fall, 1.0, 1.0)
         left -= K
+        pi -= mid
+        np.abs(pi, out=pi)
+        pi *= -model.eta
+        np.exp(pi, out=pi)
         crossed = _either(above, post <= b, post >= a)
         # crossings are rare, so only the rows that crossed are counted and
         # searched for a landing inside or a k-th crossing
-        rows = np.unique(np.flatnonzero(crossed) // K)
+        hit = np.flatnonzero(crossed) // K          # sorted; np.unique would hash
+        rows = np.concatenate((hit[:1], hit[1:][hit[1:] != hit[:-1]]))
         sub = crossed[rows]
         count = n_cross[rows, None] + np.cumsum(sub, axis=1)
         # K = 1 skips the first-stop search: its one column is the stop
@@ -707,30 +738,45 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         else:
             col = np.zeros(m, dtype=np.intp)
             kill_c, x_c = killed[:, 0], post[:, 0]
+        # jumps up to the stopping column, unless a kill preempts it
+        pi *= np.arange(K) < (col + ~kill_c)[:, None]
         n_c = n_cross.copy()
         if rows.size:
             at, rc = np.arange(rows.size), col[rows]
             n_c[rows] = count[at, rc] - (kill_c[rows] & sub[at, rc])
+            # a crossing row's jumps score for the crossing after those
+            # before them; the cells past a k-th crossing hold 0
+            np.add.at(scores, (idx[rows, None], np.minimum(count - sub, k - 1)), pi[rows])
+            pi[rows] = 0.0
             # crossings up to the stopping column, unless a kill preempts it
             at, c = np.nonzero(sub)
             keep = (c < rc[at]) | ((c == rc[at]) & ~kill_c[rows[at]])
             at, c = at[keep], c[keep]
             landings[idx[rows[at]], count[at, c] - 1] = post[rows[at], c]
+        # the other rows' jumps score for the crossing after those recorded
+        scores[idx, n_cross] += np.einsum("ij->i", pi)
 
         go = ~(kill_c | interval.contains(x_c)) & (n_c < k)
         idx, x, n_cross = idx[go], x_c[go], n_c[go]
+    scores *= 0.5 * math.exp(-model.eta * half)
     return landings, idx, x
 
 
 def _crossing_block(model, interval, start, n, rng, k, n_segments):
-    p, live, _x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k)
+    """The landings past the far boundary of crossings 1..k, the number of
+    censored paths and the sums that the finish adds up over blocks: the
+    censor bias sums, sum S_j and the (k, k) matrix sum S_i S_j of the
+    paths' scores."""
+    scores = np.zeros((n, k))
+    p, live, _x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k,
+                                 scores)
     positions = [p[(p[:, j] < interval.a) | (p[:, j] > interval.b), j] for j in range(k)]
     # residual potential of the live (censored) paths short of crossing j:
     # gamma^(j - crossings so far) each
     gam = gamma_bound(model, interval)
     done = np.count_nonzero(~np.isnan(p[live]), axis=1)
-    bias = [float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)]
-    return positions, live.size, bias
+    bias = np.array([float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)])
+    return positions, live.size, (bias, scores.sum(axis=0), np.einsum("ij,ik->jk", scores, scores))
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
@@ -740,12 +786,18 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     One pass walks each path from jump to jump (``_crossing_walk``), stops
     it at its k-th crossing and censors it after ceil(lam *
     ``config.horizon``) jump segments (hitting times have infinite mean, so
-    some cap is unavoidable).  Crossing j's mass therefore undershoots by at
-    most
+    some cap is unavoidable).  The mass of crossing j is estimated by
+    conditional Monte Carlo: each path scores S_j, the sum over the jumps it
+    makes after j - 1 crossings of the chance exp(-eta d)/2 that the jump
+    lands past the far boundary, d being the distance to it from the
+    pre-jump value.  S_j has the mean of the indicator that crossing j is
+    recorded past the far boundary, on the same censored paths, and a
+    smaller variance.  Crossing j's mass therefore undershoots by at most
     ``censor_bias_bound[j - 1]``: every censored path short of crossing j
     adds gamma^(j - crossings so far), divided by the path count.  A path
     stopped at crossing k, or already past crossing j, adds nothing.  The
-    conditional shape past the far boundary is unaffected by censoring.
+    conditional shape past the far boundary (the KS test of ``positions``)
+    is unaffected by censoring.
     """
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
@@ -755,17 +807,20 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                             (k, math.ceil(model.lam * config.horizon)), list)])[0]
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
+    bias, total, total_sq = _add_blocks(p[2] for p in parts)
+    mean = total / n
     sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
         n_paths=n,
         censored_fraction=censored / n,
         positions=positions,
-        mass=tuple(_binomial_result(float(m), n) for m in sizes),
+        mass=tuple(_mean_result(float(total[j]), float(total_sq[j, j]), n) for j in range(k)),
+        mass_cov=(total_sq - n * np.outer(mean, mean)) / max(n - 1, 1),
         ks_distance=tuple(ks_distance(pos, law.conditional_cdf) if pos.size else math.nan
                           for pos, law in zip(positions, laws)),
         ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
         insufficient=tuple(m < MIN_LAW_SAMPLES for m in sizes),
-        censor_bias_bound=tuple(sum(p[2][j] for p in parts) / n for j in range(k)),
+        censor_bias_bound=tuple(float(bj) / n for bj in bias),
     )
 
 
@@ -873,8 +928,8 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     while idx.size and left > 0:
         tilted = x > b
         law = np.take(laws, tilted.view(np.uint8), axis=0)
-        K, post, above, killed = _walk_segments(interval, x, rng, left, model.eta,
-                                                *law.T[:, :, None])
+        K, post, above, killed, _pre = _walk_segments(interval, x, rng, left, model.eta,
+                                                      *law.T[:, :, None])
         left -= K
         # K = 1 skips the first-stop search: its one column is the stop
         if K > 1:

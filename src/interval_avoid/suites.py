@@ -316,10 +316,11 @@ def _suite_overshoot(config: SuiteConfig) -> list[Check]:
 
     m1, m3 = law.mass[0].mean, law.mass[2].mean
     ratio = var_r = 0.0     # their limits when no third crossing was recorded
-    if m3 > 0.0:
+    if law.positions[2].size:
         ratio = m3 / m1
-        # same-path delta method; crossing 3 implies crossing 1
-        var_r = ratio**2 * ((1.0 - m3) / (n * m3) - (1.0 - m1) / (n * m1))
+        # same-path delta method on the paths' scores S_1 and S_3
+        cov = law.mass_cov
+        var_r = (cov[2, 2] - 2.0 * ratio * cov[0, 2] + ratio**2 * cov[0, 0]) / (n * m1**2)
     se_r = math.sqrt(max(var_r, 0.0))
     b1, b3 = law.censor_bias_bound[0], law.censor_bias_bound[2]
     bias_r = (b3 + ratio * b1) / m1 if m1 > 0.0 else 0.0

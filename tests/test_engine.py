@@ -27,7 +27,7 @@ from interval_avoid.particles import (drift_probability, harmonicity_residual,
                                       occupation_time, propagate_ensemble)
 from interval_avoid.suites import dumps_17g
 from interval_avoid._rng import BLOCK_SIZE, block_stream, worker_count
-from laws import chi2_pvalue, pooled_counts
+from laws import MIN_BIN, chi2_pvalue, pooled_counts
 from test_kernel_law import MAKER
 
 
@@ -561,6 +561,44 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, cap, k, seed
     assert np.array_equal(x > b, (start > b) ^ (n_cross[live] % 2 == 1))
 
 
+def test_crossing_scores_match_recorded_crossings():
+    """On the walk's own censored paths, the score S_j and the indicator I_j
+    that crossing j was recorded past the far boundary have one mean: S_j -
+    I_j sums pi - 1{the jump lands past it}, one term per jump, whose
+    conditional mean is 0 at every segment cap.  For the default model, M1
+    and [-1, 2], 65 536 paths each under a cap of 200 segments, adjacent j
+    are pooled until each bin expects at least MIN_BIN crossings; the bins'
+    sums of S_j - I_j are uncorrelated (they sum over disjoint jumps), so
+    their squared z-scores pool into one chi-square at alpha = 0.0027."""
+    settings = [(ModelParams(), Interval(0.0, 1.0)),
+                (ModelParams(sigma=0.7, lam=3.0, eta=2.5), Interval(0.0, 1.0)),
+                (ModelParams(), Interval(-1.0, 2.0))]
+    n, k = 65_536, 3
+    stat = dof = 0
+    for case, (model, interval) in enumerate(settings):
+        scores = np.zeros((n, k))
+        pos = np.concatenate([
+            _crossing_walk(model, interval, np.full(BLOCK_SIZE, interval.a - 1.0),
+                           block_stream(70 + case, bi), 200, k, part)[0]
+            for bi, part in enumerate(np.split(scores, n // BLOCK_SIZE))])
+        diff = scores - ((pos < interval.a) | (pos > interval.b))
+        bins, d, expected = [], np.zeros(n), 0.0
+        for j in range(k):
+            d, expected = d + diff[:, j], expected + scores[:, j].sum()
+            if expected >= MIN_BIN:
+                bins.append(d)
+                d, expected = np.zeros(n), 0.0
+        if bins:
+            bins[-1] = bins[-1] + d     # the short tail joins the last bin
+        else:
+            bins.append(d)
+        for d in bins:
+            stat += d.sum() ** 2 / (n * d.var(ddof=1))
+            dof += 1
+    assert dof >= 4
+    assert stats.chi2.sf(stat, dof) >= 0.0027, (stat, dof)
+
+
 def test_ks_helpers():
     rng = np.random.default_rng(1)
     u = rng.random(50_000)
@@ -725,8 +763,9 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned for the tilted avoidance
-# walk, with every other part's bytes unchanged
+# crossing budgets span two blocks.  Last re-pinned for the crossing masses
+# from conditional expectations; with the indicator masses, the mean and
+# standard error of each recorded count, the digest is the previous pin's
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -747,7 +786,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "0e2a736958935da5315ad99e491b523bcb3556342b4fe69c303bb8da28801ab6")
+        "2efe484db00ea8ac2b29ca0cd91747dbd6e68acc51ccfa82df4b906d0c85b6dc")
 
 
 # ----------------------------------------------------------------- avoidance
