@@ -723,7 +723,9 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         crossed = _either(above, post <= b, post >= a)
         # crossings are rare, so only the rows that crossed are counted and
         # searched for a landing inside or a k-th crossing
-        hit = np.flatnonzero(crossed) // K          # sorted; np.unique would hash
+        # the hits' rows come sorted, so repeats are neighbours (np.unique
+        # would hash them, and its table raised the peak memory)
+        hit = np.flatnonzero(crossed) // K
         rows = np.concatenate((hit[:1], hit[1:][hit[1:] != hit[:-1]]))
         sub = crossed[rows]
         count = n_cross[rows, None] + np.cumsum(sub, axis=1)

@@ -441,17 +441,25 @@ def test_pair_timing_rejects_fewer_than_two_pairs(tmp_path, capsys):
 
 def test_calibrate_counts_failures_per_check(tmp_path, capsys):
     """Two seeds of closedform: one line per check in report order, none
-    failed, with the exact interval [0, 1 - 0.025^(1/2)]; a bad config is a
-    usage error."""
+    failed, with the exact interval [0, 1 - 0.025^(1/2)] and, for a check
+    with a positive tolerance, the median and maximum over seeds 1 and 2 of
+    the share of its band used; a bad config is a usage error."""
     calibrate = _load_script("tools", "calibrate")
     assert calibrate.main(["--suite", "closedform", "--seeds", "2"]) == 0
     *lines, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
-    report = suites.run_suite(parse_config({}, suite="closedform"))
-    assert [line["check"] for line in lines] == [c.name for c in report.checks]
-    for line in lines:
+    reports = [suites.run_suite(parse_config({"seed": seed}, suite="closedform"))
+               for seed in (1, 2)]
+    assert [line["check"] for line in lines] == [c.name for c in reports[0].checks]
+    for line, checks in zip(lines, zip(*(r.checks for r in reports))):
         assert (line["failures"], line["seeds"], line["failed_seeds"]) == (0, 2, [])
         assert line["ci95"][0] == 0.0
         assert line["ci95"][1] == pytest.approx(1.0 - 0.025 ** 0.5, rel=1e-12)
+        if all(c.tolerance > 0.0 for c in checks):
+            use = [abs(c.observed - c.expected) / c.tolerance for c in checks]
+            assert line["band_use"] == {"median": (use[0] + use[1]) / 2, "max": max(use)}
+        else:
+            assert line["band_use"] is None
+    assert sum(line["band_use"] is not None for line in lines) >= 10
     assert summary == {"suite": "closedform", "config": None, "seeds": 2, "runs_failed": 0}
     # k of n and n - k of n mirror each other
     lo, hi = calibrate.clopper_pearson(3, 60)

@@ -3,9 +3,11 @@
 Runs one verification suite through ``run_suite`` on seeds 1..N, at its
 default configuration or with ``--config FILE`` (whose seed is replaced),
 and prints one JSON line per check, in report order: how many seeds failed
-it, which ones, and the Clopper-Pearson 95% interval of its failure
-probability.  A last line gives the number of seeds on which the report
-failed.  Workers come from INTERVAL_AVOID_THREADS, as for ``verify``; the
+it, which ones, the Clopper-Pearson 95% interval of its failure
+probability and, for a check with a positive tolerance, the median and
+maximum over the seeds of |observed - expected| / tolerance, the share of
+its band that the seeds use (null where a seed's tolerance is 0).  A last
+line gives the number of seeds on which the report failed.  Workers come from INTERVAL_AVOID_THREADS, as for ``verify``; the
 package is imported from the path, so the same script sweeps any checkout:
 
     PYTHONPATH=src python3 tools/calibrate.py --suite transient5 --seeds 60 \\
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 
 from scipy.stats import beta
@@ -48,6 +51,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     failed: dict[str, list[int]] = {}
+    band_use: dict[str, list[float]] = {}
     runs_failed = 0
     for seed in range(1, args.seeds + 1):
         report = run_suite(dataclasses.replace(base, seed=seed, output_path=None))
@@ -56,10 +60,16 @@ def main(argv=None) -> int:
             seeds = failed.setdefault(check.name, [])
             if not check.passed:
                 seeds.append(seed)
+            use = band_use.setdefault(check.name, [])
+            if check.tolerance > 0.0:
+                use.append(abs(check.observed - check.expected) / check.tolerance)
     for name, seeds in failed.items():
         lo, hi = clopper_pearson(len(seeds), args.seeds)
+        use = band_use[name]
         print(json.dumps({"check": name, "failures": len(seeds), "seeds": args.seeds,
-                          "ci95": [lo, hi], "failed_seeds": seeds}))
+                          "ci95": [lo, hi], "failed_seeds": seeds,
+                          "band_use": ({"median": statistics.median(use), "max": max(use)}
+                                       if len(use) == args.seeds else None)}))
     print(json.dumps({"suite": args.suite, "config": args.config, "seeds": args.seeds,
                       "runs_failed": runs_failed}))
     return 0
