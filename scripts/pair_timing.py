@@ -4,11 +4,13 @@ For each suite, runs ``interval_avoid.cli verify --suite SUITE`` at the
 default configuration, or with ``--config FILE`` passed on to ``verify``,
 from a base tree and a head tree in turn (the first of each pair
 alternates), and reads the suite's own ``runtime_seconds``
-from the report, so interpreter start-up is left out.  Each run's peak RSS
-comes from the rusage that ``os.wait4`` returns when the run is reaped,
-which covers the pool workers it reaped.  Prints one JSON line per suite
-and worker count: the quartiles and medians of both, how many pairs the
-head won on time and whether the two trees' reports, less their
+from the report, so interpreter start-up is left out.  Each run's process
+wall (from its start to when ``os.wait4`` reaps it), CPU time (user +
+system) and peak RSS are read as well, the last two from the rusage that
+``os.wait4`` returns, which covers the pool workers it reaped; they show
+start-up and teardown.  Prints one JSON line per suite and worker count:
+the quartiles and medians of each, how many pairs the head won on each of
+the three times and whether the two trees' reports, less their
 ``runtime_seconds`` line, were byte-identical in every pair.
 
     python3 scripts/pair_timing.py --base ../parent --head . \\
@@ -31,35 +33,49 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Optional
 
 
+# one run's measures, in the order ``run_suite`` returns them
+MEASURES = ("runtime_s", "wall_s", "cpu_s", "rss_mib")
+
+
 def run_suite(tree: Path, suite: str, threads: int,
-              config: Optional[Path] = None) -> tuple[float, float, str]:
-    """The suite's ``runtime_seconds``, the run's peak RSS in MiB and its
-    report without the ``runtime_seconds`` line."""
+              config: Optional[Path] = None) -> tuple[tuple[float, ...], str]:
+    """The suite's ``runtime_seconds``, the run's process wall and CPU
+    seconds and peak RSS in MiB, and its report without the
+    ``runtime_seconds`` line."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads))
     cmd = [sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite]
     if config is not None:
         cmd += ["--config", str(config.resolve())]
     with tempfile.TemporaryFile() as err:
+        tic = time.perf_counter()
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=err, text=True)
         out = proc.stdout.read()
         proc.stdout.close()
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - tic
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
             err.seek(0)
             raise subprocess.CalledProcessError(proc.returncode, cmd, out, err.read())
     rest = "".join(line for line in out.splitlines(keepends=True)
                    if not line.lstrip().startswith('"runtime_seconds":'))
-    return json.loads(out)["runtime_seconds"], usage.ru_maxrss / 1024.0, rest     # KiB on Linux
+    return (json.loads(out)["runtime_seconds"], wall, usage.ru_utime + usage.ru_stime,
+            usage.ru_maxrss / 1024.0), rest     # ru_maxrss is in KiB on Linux
 
 
 def quartiles(values: list[float]) -> list[float]:
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return [round(q1, 3), round(q2, 3), round(q3, 3)]
+
+
+def wins(base: list[float], head: list[float]) -> int:
+    """Pairs in which the head took less than the base."""
+    return sum(h < b for b, h in zip(base, head))
 
 
 def main(argv=None) -> int:
@@ -75,25 +91,31 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 2 for the quartiles (got {args.pairs})")
     for suite in args.suites:
         for threads in args.threads:
-            base, head, identical = ([], []), ([], []), True
+            base = {name: [] for name in MEASURES}
+            head = {name: [] for name in MEASURES}
+            identical = True
             for i in range(args.pairs):
                 order = [(args.base, base), (args.head, head)]
                 reports = []
-                for tree, (times, rss) in order if i % 2 == 0 else order[::-1]:
-                    seconds, mib, report = run_suite(tree, suite, threads, args.config)
-                    times.append(seconds)
-                    rss.append(mib)
+                for tree, runs in order if i % 2 == 0 else order[::-1]:
+                    measures, report = run_suite(tree, suite, threads, args.config)
+                    for name, value in zip(MEASURES, measures):
+                        runs[name].append(value)
                     reports.append(report)
                 identical &= reports[0] == reports[1]
-            print(json.dumps({
-                "suite": suite, "threads": threads, "pairs": args.pairs,
-                "config": None if args.config is None else str(args.config),
-                "base_q1_median_q3": quartiles(base[0]), "head_q1_median_q3": quartiles(head[0]),
-                "head_wins": sum(h < b for b, h in zip(base[0], head[0])),
-                "base_rss_mib_q1_median_q3": quartiles(base[1]),
-                "head_rss_mib_q1_median_q3": quartiles(head[1]),
-                "reports_identical": identical,
-            }), flush=True)
+            line = {"suite": suite, "threads": threads, "pairs": args.pairs,
+                    "config": None if args.config is None else str(args.config),
+                    "base_q1_median_q3": quartiles(base["runtime_s"]),
+                    "head_q1_median_q3": quartiles(head["runtime_s"]),
+                    "head_wins": wins(base["runtime_s"], head["runtime_s"])}
+            for name in ("wall_s", "cpu_s"):
+                line[f"base_{name}_q1_median_q3"] = quartiles(base[name])
+                line[f"head_{name}_q1_median_q3"] = quartiles(head[name])
+                line[f"head_wins_{name}"] = wins(base[name], head[name])
+            line["base_rss_mib_q1_median_q3"] = quartiles(base["rss_mib"])
+            line["head_rss_mib_q1_median_q3"] = quartiles(head["rss_mib"])
+            line["reports_identical"] = identical
+            print(json.dumps(line), flush=True)
     return 0
 
 

@@ -8,6 +8,12 @@ realisation of the conditioned laws, and `suites`/`cli` the verification
 harness.
 """
 
+import os
+
+# The package's BLAS calls are short dot products, so an OpenBLAS thread pool
+# only costs start-up time and a spinning CPU; an explicit setting still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .closedform import (crossing_factor, default_series_depth, gamma_bound,
                          harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
                          harmonics, nu, overshoot_law)

@@ -267,8 +267,13 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
     stops at the first of: death (bridge touch or an endpoint inside the
     interval, or with ``bridge=False`` an endpoint inside only; a jump
     landing inside), its target and its ``stop_after``-th crossing (if > 0).
-    A stop at the crossing cap sets ``frozen``.  A dead path holds its hit
-    time and hit value in ``t`` and ``x``.
+    A stop at the crossing cap sets ``frozen``.  A dead path holds in ``t``
+    the end time of the event that killed it: the hit time of a jump landing
+    inside [a, b], but the segment's end after a Brownian kill, whose entry
+    time is never sampled.  Its ``x`` is the landing of such a jump; after a
+    Brownian kill it is the near boundary if the bridge ends outside
+    [a, b], else the bridge's end value, which lies inside [a, b] and is not
+    where the path entered.
 
     Each loop iteration draws K events for each of its m live paths, with
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
@@ -373,8 +378,8 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
             di = np.flatnonzero(dead)
             bridge_hit = kill_c[di]
             hv = np.where(bridge_hit, at_stop(pre)[di], x_c[di])
-            # continuous entry touches the near boundary first; only an
-            # endpoint landing inside keeps its own value
+            # a Brownian kill whose bridge ends outside [a, b] takes the
+            # near boundary; one that ends inside keeps that end value
             edge = bridge_hit & ~interval.contains(hv)
             hv[edge] = np.where(at_stop(seg0)[di][edge] > b, b, a)
             x_c[di] = hv
@@ -408,9 +413,12 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
 class Trajectory:
     """One recorded path: grid and jump times, values, crossings, hit data.
 
-    ``values`` holds right limits (post-jump at jump marks); a hit ends the
-    path at its hit time ``times[-1]`` with its hit value.  ``k_dagger`` is
-    set only when the hit happens at a jump crossing the interval.
+    ``values`` holds right limits (post-jump at jump marks).  A hit ends the
+    path with ``advance``'s dead-path values: after a Brownian kill
+    ``times[-1]`` is the end of the killing segment (the next jump or grid
+    time), not the hit time, and ``values[-1]`` is the near boundary or, if
+    the bridge ends inside [a, b], that end value.  ``k_dagger`` is set only
+    when the hit happens at a jump crossing the interval.
     """
 
     times: np.ndarray
@@ -929,13 +937,18 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = n_segments
     while idx.size and left > 0:
         tilted = x > b
-        law = np.take(laws, tilted.view(np.uint8), axis=0)
-        K, post, above, killed, _pre = _walk_segments(interval, x, rng, left, model.eta,
-                                                      *law.T[:, :, None])
+        # rows all on one side, as in the first iteration: that side's law as
+        # scalars, which give the same floats as per-row columns, ungathered
+        n_tilted = np.count_nonzero(tilted)
+        if n_tilted in (0, tilted.size):
+            law = laws[int(n_tilted > 0)]
+        else:
+            law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
+        K, post, above, killed, _pre = _walk_segments(interval, x, rng, left, model.eta, *law)
         left -= K
         # K = 1 skips the first-stop search: its one column is the stop
         if K > 1:
-            stop = killed | np.where(above, post <= b, post >= a)
+            stop = killed | _either(above, post <= b, post >= a)
             stop[:, -1] = True
             rows, col = np.arange(idx.size), stop.argmax(axis=1)
             kill_c, x = killed[rows, col], post[rows, col]

@@ -385,6 +385,19 @@ def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch):
     assert "INTERVAL_AVOID_THREADS" in err
 
 
+def _fresh_env(blas_threads=None):
+    """The environment of a fresh interpreter that imports this package, run
+    sequentially, with OPENBLAS_NUM_THREADS set to ``blas_threads`` or unset."""
+    src = os.path.dirname(os.path.dirname(interval_avoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("INTERVAL_AVOID_THREADS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
 def test_avoidance_route_imports_no_scipy(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"paths": 1200}))
@@ -398,14 +411,61 @@ code = main(["verify", "--suite", "transient5", "--config", {str(cfg)!r},
              "--out", {str(tmp_path / "report.json")!r}])
 print("RESULT", code, "scipy" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(interval_avoid.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    env.pop("INTERVAL_AVOID_THREADS", None)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
+
+
+_CALIBRATE = Path(__file__).resolve().parents[1] / "tools" / "calibrate.py"
+
+
+@pytest.mark.parametrize("preset,importing", [
+    (None, "import interval_avoid"),
+    ("2", "import interval_avoid"),
+    (None, f"import runpy; runpy.run_path({str(_CALIBRATE)!r})"),
+], ids=["package", "package-preset-2", "calibrate"])
+def test_package_runs_blas_on_one_thread(preset, importing):
+    """Importing the package before numpy, alone or as the seed-sweep tool
+    does, leaves OpenBLAS on one thread, so no idle pool starts; a value
+    already in the environment wins."""
+    script = f"""
+import os
+{importing}
+task = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(task)) if os.path.isdir(task) else "-")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(preset),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None and threads != "-":
+        assert threads == "1"
+
+
+def test_blas_threads_leave_output_unchanged():
+    """verify and condition print the same bytes, less runtime_seconds, on
+    one OpenBLAS thread and on two.  At 4096 particles every BLAS call is a
+    dot product of at most 10 000 elements, which OpenBLAS runs on one
+    thread whatever the setting; above that, drift_probability's dot
+    product is split over the threads and may round differently."""
+    commands = [["verify", "--suite", "closedform"],
+                ["condition", "--transform", "updown", "--start", "2", "--horizon", "5",
+                 "--particles", "4096", "--seed", "7"]]
+    outputs = {}
+    for preset in ("1", "2"):
+        outputs[preset] = []
+        for args in commands:
+            proc = subprocess.run([sys.executable, "-m", "interval_avoid.cli", *args],
+                                  env=_fresh_env(preset), capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[preset].append("".join(
+                line for line in proc.stdout.splitlines(keepends=True)
+                if not line.lstrip().startswith('"runtime_seconds":')))
+    assert outputs["1"] == outputs["2"]
+    assert '"suite": "closedform"' in outputs["1"][0] and '"p_up"' in outputs["1"][1]
 
 
 def test_verify_config_suite_must_match(tmp_path, capsys):
@@ -437,6 +497,24 @@ def test_pair_timing_rejects_fewer_than_two_pairs(tmp_path, capsys):
                           "--suites", "closedform", "--pairs", "1"])
     assert exc.value.code == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+def test_pair_timing_reports_process_times(capsys):
+    """Two pairs of one tree against itself: the suite's time, process wall,
+    CPU seconds and peak RSS each get quartiles, the times a win count."""
+    pair_timing = _load_script("scripts", "pair_timing")
+    tree = Path(__file__).resolve().parents[1]
+    assert pair_timing.main(["--base", str(tree), "--head", str(tree),
+                             "--suites", "closedform", "--pairs", "2"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["reports_identical"] is True
+    for side in ("base", "head"):
+        runtime = line[f"{side}_q1_median_q3"]
+        wall, cpu = line[f"{side}_wall_s_q1_median_q3"], line[f"{side}_cpu_s_q1_median_q3"]
+        assert runtime[0] <= runtime[1] <= runtime[2] < wall[0] <= wall[1] <= wall[2]
+        assert 0.0 < cpu[0] <= cpu[1] <= cpu[2]
+        assert line[f"{side}_rss_mib_q1_median_q3"][0] > 0.0
+    assert all(0 <= line[key] <= 2 for key in ("head_wins", "head_wins_wall_s", "head_wins_cpu_s"))
 
 
 def test_calibrate_counts_failures_per_check(tmp_path, capsys):

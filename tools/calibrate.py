@@ -24,14 +24,16 @@ import json
 import statistics
 import sys
 
-from scipy.stats import beta
-
 from interval_avoid.config import load_config
 from interval_avoid.suites import SUITES, run_suite
 
 
 def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Exact two-sided interval for a binomial probability from k of n."""
+    # imported here, after the package: scipy loads numpy, and the package
+    # must come first to set its one-thread OpenBLAS default
+    from scipy.stats import beta
+
     tail = (1.0 - level) / 2.0
     lo = float(beta.ppf(tail, k, n - k + 1)) if k > 0 else 0.0
     hi = float(beta.ppf(1.0 - tail, k + 1, n - k)) if k < n else 1.0
