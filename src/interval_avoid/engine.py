@@ -270,10 +270,9 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
     A stop at the crossing cap sets ``frozen``.  A dead path holds in ``t``
     the end time of the event that killed it: the hit time of a jump landing
     inside [a, b], but the segment's end after a Brownian kill, whose entry
-    time is never sampled.  Its ``x`` is the landing of such a jump; after a
-    Brownian kill it is the near boundary if the bridge ends outside
-    [a, b], else the bridge's end value, which lies inside [a, b] and is not
-    where the path entered.
+    time is never sampled.  Its ``x`` is its entry value xi_T: the landing of
+    such a jump, or after a Brownian kill the boundary it entered through (b
+    from above, a from below).
 
     Each loop iteration draws K events for each of its m live paths, with
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
@@ -377,12 +376,9 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
         if dead.any():
             di = np.flatnonzero(dead)
             bridge_hit = kill_c[di]
-            hv = np.where(bridge_hit, at_stop(pre)[di], x_c[di])
-            # a Brownian kill whose bridge ends outside [a, b] takes the
-            # near boundary; one that ends inside keeps that end value
-            edge = bridge_hit & ~interval.contains(hv)
-            hv[edge] = np.where(at_stop(seg0)[di][edge] > b, b, a)
-            x_c[di] = hv
+            # the entry value: a Brownian kill entered continuously, through
+            # b from above or a from below; a jump kill keeps its landing
+            x_c[di] = np.where(bridge_hit, np.where(at_stop(seg0)[di] > b, b, a), x_c[di])
             gone = idx[di]
             pb.alive[gone] = False
             pb.k_dagger[gone[~bridge_hit]] = n_c[di[~bridge_hit]]
@@ -414,11 +410,12 @@ class Trajectory:
     """One recorded path: grid and jump times, values, crossings, hit data.
 
     ``values`` holds right limits (post-jump at jump marks).  A hit ends the
-    path with ``advance``'s dead-path values: after a Brownian kill
-    ``times[-1]`` is the end of the killing segment (the next jump or grid
-    time), not the hit time, and ``values[-1]`` is the near boundary or, if
-    the bridge ends inside [a, b], that end value.  ``k_dagger`` is set only
-    when the hit happens at a jump crossing the interval.
+    path with ``advance``'s dead-path values: ``values[-1]`` is the entry
+    value (a jump's landing, or the boundary a Brownian kill entered
+    through), but after a Brownian kill ``times[-1]`` is the end of the
+    killing segment (the next jump or grid time), not the hit time.
+    ``k_dagger`` is set only when the hit is a jump landing inside the
+    interval.
     """
 
     times: np.ndarray

@@ -189,7 +189,8 @@ def _drift_job(model, interval, start, horizon, seed, n, transform, replicates=8
         if not np.all(batch_total > 0.0):
             raise EnsembleExtinctionError(transform, start, horizon, per_rep)
         total = w.sum()
-        p = float(w @ up / total)
+        # a BLAS dot product would split its sum by the OpenBLAS thread count
+        p = float(np.sum(w, where=up) / total)
         se = float(math.sqrt(np.sum((w * (up - p)) ** 2)) / total)
         return DriftProbability(
             p_up=EstimatorResult(p, se, n),

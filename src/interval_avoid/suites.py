@@ -16,9 +16,10 @@ they are used to check.
 Each Monte Carlo suite sends all of its estimates to ``engine._map_jobs`` as
 one job list.  transient5's outer sample is a job of this module: its blocks
 reduce the paths alive at the observation time to the hat-function moments
-of the interpolation grid (``_hat_moments``), so only grid-sized arrays
-reach the parent, which forms the interpolated mean and its standard error
-from them and the grid estimates.
+of the interpolation grid (``_hat_moments``), and all paths to the sums of
+an optional-stopping control, so only grid-sized arrays reach the parent,
+which forms the controlled mean and its standard error from them and the
+grid estimates.
 """
 
 from __future__ import annotations
@@ -481,21 +482,22 @@ def _suite_longtime(config: SuiteConfig) -> list[Check]:
 # transient5 suite: positive drift, avoidance probability is harmonic (9)
 # --------------------------------------------------------------------------- #
 
-def _hat_moments(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _hat_moments(x: np.ndarray, grid: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Moments of the hat functions phi_i of ``grid`` over the positions x.
 
     Linear interpolation of node values v on ``grid`` is w(x) = sum_i
     phi_i(x) v_i, with x clipped to the grid ends.  Row 0 holds sum phi_i
-    (the node weights), row 1 sum phi_i^2 and row 2, for each cell i, sum
-    phi_i phi_{i+1} (its last entry is 0), so that sum w = row0 . v and
-    sum w^2 = row1 . v^2 + 2 row2 . (v_i v_{i+1}) for any v.
+    (the node weights), row 1 sum phi_i^2, row 2, for each cell i, sum
+    phi_i phi_{i+1} (its last entry is 0) and row 3 sum phi_i c over the
+    paths' values c, so that sum w = row0 . v, sum w^2 = row1 . v^2 +
+    2 row2 . (v_i v_{i+1}) and sum w c = row3 . v for any v.
     """
     x = np.clip(x, grid[0], grid[-1])
     j = np.clip(np.searchsorted(grid, x) - 1, 0, grid.size - 2)
     hi = (x - grid[j]) / (grid[j + 1] - grid[j])
     lo = 1.0 - hi
-    out = np.zeros((3, grid.size))
-    for row, left, right in ((0, lo, hi), (1, lo * lo, hi * hi)):
+    out = np.zeros((4, grid.size))
+    for row, left, right in ((0, lo, hi), (1, lo * lo, hi * hi), (3, lo * c, hi * c)):
         out[row, :-1] = np.bincount(j, left, minlength=grid.size - 1)
         out[row, 1:] += np.bincount(j, right, minlength=grid.size - 1)
     out[2, :-1] = np.bincount(j, lo * hi, minlength=grid.size - 1)
@@ -508,13 +510,68 @@ def _hat_sums(moments: np.ndarray, v: np.ndarray) -> tuple[float, float]:
             float(moments[1] @ (v * v) + 2.0 * moments[2, :-1] @ (v[:-1] * v[1:])))
 
 
-def _outer_block(model, interval, start, n, rng, t, grid_below, grid_above):
-    """Hat moments of the paths alive at time t, per side of the interval;
-    the paths and their draws are those of ``engine._terminal_block``."""
+def _interpolation_bias(moments: np.ndarray, grid: np.ndarray, v: np.ndarray) -> float:
+    """sum (w - l) over the paths, for the interpolant w of a smooth l with
+    node values v on the evenly spaced ``grid``: w - l = l'' h^2 u (1 - u) / 2
+    on a cell of width h at the fraction u across it, and row 2 of the hat
+    moments holds sum u (1 - u) per cell.  l'' on a cell is the mean of the
+    node values' second differences at its two ends, or the one interior
+    end's on an end cell."""
+    h = grid[1] - grid[0]
+    d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    cell = np.concatenate([d2[:1], 0.5 * (d2[:-1] + d2[1:]), d2[-1:]])
+    return float(cell @ moments[2, :-1]) * h * h / 2.0
+
+
+def _outer_sums(xs, alive, c, a, grid_below, grid_above):
+    """The outer block's reduction: per side of the interval, the hat moments
+    of the alive paths with their controls c; then sum c and sum c^2 over
+    all paths, dead ones included."""
+    xl, cl = xs[alive], c[alive]
+    below = xl < a
+    return (_hat_moments(xl[below], grid_below, cl[below]),
+            _hat_moments(xl[~below], grid_above, cl[~below]),
+            float(c.sum()), float(np.sum(c * c)))
+
+
+def _outer_block(model, interval, start, n, rng, t, grid_below, grid_above, g):
+    """``_outer_sums`` of the paths of ``engine._terminal_block`` at time t,
+    with the optional-stopping control C = exp(-g (xi_{t ^ T} - x)) - 1: a dead
+    path holds its entry value xi_T."""
     xs, alive = eng._terminal_block(model, interval, start, n, rng, [t], True)
-    xs = xs[alive]
-    below = xs < interval.a
-    return _hat_moments(xs[below], grid_below), _hat_moments(xs[~below], grid_above)
+    return _outer_sums(xs, alive, np.expm1(-g * (xs - start)), interval.a,
+                       grid_below, grid_above)
+
+
+def _outer_estimate(mom_below, mom_above, sum_c, sq_c, v_below, v_above, n, controlled):
+    """The outer sample's mean of w = 1(t<T) l(xi_t), interpolated on the
+    node values v, and the node weights d that carry the nodes' errors into
+    it: the estimate is linear in v, equal to sum_i d_i v_i.
+
+    With ``controlled``, the mean is (sum w - beta sum C)/n, beta the pooled
+    regression slope of w on C, and its standard error that of the regression
+    residual (divisor n - 2).  sum w = W . v and sum w C = R . v, W and R the
+    hat moments' rows 0 and 3, so beta moves with v too, and
+    d = (W - k (R - W sum C / n))/n with k = sum C / S_CC, S_CC the centred sum
+    of C^2.  Otherwise beta = 0, the plain mean of w and d = W/n.  Returns
+    (result, d per side, beta).
+    """
+    sum_b, sq_b = _hat_sums(mom_below, v_below)
+    sum_a, sq_a = _hat_sums(mom_above, v_above)
+    sw, sww = sum_b + sum_a, sq_b + sq_a
+    if not controlled:
+        return (eng._mean_result(sw, sww, n),
+                [m[0] / n for m in (mom_below, mom_above)], 0.0)
+    swc = float(mom_below[3] @ v_below + mom_above[3] @ v_above)
+    s_cc = sq_c - sum_c * sum_c / n
+    s_wc = swc - sw * sum_c / n
+    beta = s_wc / s_cc
+    rss = sww - sw * sw / n - beta * s_wc
+    result = eng.EstimatorResult((sw - beta * sum_c) / n,
+                                 math.sqrt(max(rss, 0.0) / ((n - 2) * n)), n)
+    k = sum_c / s_cc
+    weights = [(m[0] - k * (m[3] - m[0] * (sum_c / n))) / n for m in (mom_below, mom_above)]
+    return result, weights, beta
 
 
 def _suite_transient5(config: SuiteConfig) -> list[Check]:
@@ -545,6 +602,7 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # the grids, with the pinned anchors a and b
     grid_below = np.append(xs_below, iv.a)
     grid_above = np.insert(xs_above, 0, iv.b)
+    g = eng.adjustment_coefficient(model)
 
     # one task list, costliest first (Graham's LPT rule, so that no worker is
     # left alone with a long task at the end): the far start, the starts above
@@ -553,18 +611,18 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
     # that list.  The far start's one block costs less than a block of the
     # highest grid starts, but what the rule needs holds: the cheapest
     # blocks, starts just below a and the outer sample's, come last
-    *estimates, (mom_below, mom_above) = eng._map_jobs([
+    *estimates, (mom_below, mom_above, sum_c, sq_c) = eng._map_jobs([
         eng._avoidance_job(model, iv, x, seed, n)
         for x, seed, n in [(far, derive_seed(config.seed, 11), 8192), *above[::-1],
                            (start, derive_seed(config.seed, 13), n_ref), *below]]
         + [eng._Job(_outer_block, model, iv, start, derive_seed(config.seed, 14), n_outer,
-                    (t_obs, grid_below, grid_above), eng._add_blocks)])
+                    (t_obs, grid_below, grid_above, g), eng._add_blocks)])
     est_far, ref = estimates[0], estimates[len(above) + 1]
     est_above = estimates[len(above):0:-1]
     est_below = estimates[len(above) + 2:]
 
     # Lundberg's inequality 1 - l(x) <= exp(-g (x - b)) is the finite-x margin
-    lundberg = math.exp(-eng.adjustment_coefficient(model) * (far - iv.b))
+    lundberg = math.exp(-g * (far - iv.b))
     checks.append(check_ge(
         "far_start_avoids",
         "avoidance probability tends to 1 far above the interval: "
@@ -573,19 +631,31 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
 
     vals_b, ses_b = zip(*[(e.result.mean, e.result.stderr) for e in est_below])
     vals_a, ses_a = zip(*[(e.result.mean, e.result.stderr) for e in est_above])
-    # the anchors a and b hold 0, and dead paths add 0 to both sums
-    sum_b, sq_b = _hat_sums(mom_below, np.append(vals_b, 0.0))
-    sum_a, sq_a = _hat_sums(mom_above, np.insert(vals_a, 0, 0.0))
-    outer = eng._mean_result(sum_b + sum_a, sq_b + sq_a, n_outer)
-
-    wb, wa = mom_below[0, :-1], mom_above[0, 1:]   # node weights, less the anchors
-    se_nodes = math.sqrt(float(np.sum((wb / n_outer) ** 2 * np.array(ses_b) ** 2)
-                               + np.sum((wa / n_outer) ** 2 * np.array(ses_a) ** 2)))
+    # the anchors a and b hold 0, and dead paths add 0 to both sums.  By
+    # Lundberg's equation exp(-g xi_t) is a martingale, so C has mean 0 by
+    # optional stopping at t ^ T; its square has a finite mean only if
+    # 2g < eta (the jumps' tails are Laplace), so otherwise beta = 0
+    v_below, v_above = np.append(vals_b, 0.0), np.insert(vals_a, 0, 0.0)
+    controlled = 2.0 * g < model.eta
+    outer, (wb, wa), _ = _outer_estimate(mom_below, mom_above, sum_c, sq_c,
+                                         v_below, v_above, n_outer, controlled)
+    wb, wa = wb[:-1], wa[1:]                       # less the anchors
+    se_nodes = math.sqrt(float(np.sum(wb ** 2 * np.array(ses_b) ** 2)
+                               + np.sum(wa ** 2 * np.array(ses_a) ** 2)))
     combined = math.sqrt(outer.stderr**2 + ref.result.stderr**2 + se_nodes**2)
+    bias = (_interpolation_bias(mom_below, grid_below, v_below)
+            + _interpolation_bias(mom_above, grid_above, v_above)) / n_outer
     checks.append(check_close(
         "avoidance_harmonicity",
         "E[1(t<T) l(xi_t)] = l(x) for l(x) = P(T = infinity) (nested MC)",
-        outer.mean, ref.result.mean, 4.0 * combined, criterion=9))
+        outer.mean, ref.result.mean, 4.0 * combined + abs(bias), criterion=9))
+    if controlled:
+        stop = eng._mean_result(sum_c, sq_c, n_outer)
+        checks.append(check_close(
+            "outer_optional_stopping",
+            "E[exp(-g (xi_{t ^ T} - x))] = 1 (optional stopping), which the "
+            "controlled harmonicity estimate relies on",
+            stop.mean, 0.0, 3.0 * stop.stderr, criterion=9))
 
     # stochastic monotonicity above the interval, as a weak trend
     i1 = int(np.argmin(np.abs(xs_above - (iv.b + 1.0))))

@@ -140,13 +140,13 @@ def test_simulate_dump_paths(tmp_path, capsys):
 # recorded event, value or random draw shows up
 @pytest.mark.parametrize("flags,digest", [
     (["--start", "2", "--t", "0.5", "--dump-paths", "3", "--horizon", "2"],
-     "5a884d02e3fb29edd9a47bcb9c768f1db76a483add7745a758d7b1d9b472e752"),
+     "8e8640ada5d20bd4d2638f750dc388d752a319e2ff8abb8adfdd79de4b98406f"),
     (["--start", "1.6", "--dt", "0.05", "--horizon", "8", "--seed", "7",
       "--dump-paths", "50"],
-     "376c8e93fb68f97c7c98b1e28bf05563d538d277b8cb09679b3fd7fbc987ede7"),
+     "4333c61085a69550d29f628a8e774bcea49aae919861247ca7b321fc186b55d4"),
     (["--start", "-1", "--dt", "0.05", "--horizon", "8", "--seed", "7", "--no-bridge",
       "--dump-paths", "50"],
-     "ff5ec2feeda122f37700c60aaecefb4b5b20e3b779f1d0d73fb9f0a5f8cab2c7"),
+     "5d8e65e2410c8eddaedaaab365677f4974d6937523f166b7efeef93419b6cbfb"),
 ])
 def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
     dump = tmp_path / "p.csv"
@@ -444,15 +444,9 @@ print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(task)) if os.path.isdir
         assert threads == "1"
 
 
-def test_blas_threads_leave_output_unchanged():
-    """verify and condition print the same bytes, less runtime_seconds, on
-    one OpenBLAS thread and on two.  At 4096 particles every BLAS call is a
-    dot product of at most 10 000 elements, which OpenBLAS runs on one
-    thread whatever the setting; above that, drift_probability's dot
-    product is split over the threads and may round differently."""
-    commands = [["verify", "--suite", "closedform"],
-                ["condition", "--transform", "updown", "--start", "2", "--horizon", "5",
-                 "--particles", "4096", "--seed", "7"]]
+def _outputs_by_blas_threads(commands):
+    """Each command's output, less runtime_seconds, in fresh interpreters with
+    OPENBLAS_NUM_THREADS set to 1 and to 2."""
     outputs = {}
     for preset in ("1", "2"):
         outputs[preset] = []
@@ -464,8 +458,30 @@ def test_blas_threads_leave_output_unchanged():
             outputs[preset].append("".join(
                 line for line in proc.stdout.splitlines(keepends=True)
                 if not line.lstrip().startswith('"runtime_seconds":')))
+    return outputs
+
+
+def test_blas_threads_leave_output_unchanged():
+    """verify and condition print the same bytes, less runtime_seconds, on
+    one OpenBLAS thread and on two."""
+    outputs = _outputs_by_blas_threads([
+        ["verify", "--suite", "closedform"],
+        ["condition", "--transform", "updown", "--start", "2", "--horizon", "5",
+         "--particles", "4096", "--seed", "7"]])
     assert outputs["1"] == outputs["2"]
     assert '"suite": "closedform"' in outputs["1"][0] and '"p_up"' in outputs["1"][1]
+
+
+def test_blas_threads_leave_large_condition_unchanged():
+    """OpenBLAS splits a dot product of more than 10 000 elements over its
+    threads, which would change the last bits of a sum; at 65 536 particles
+    condition's p_up must still print the same bytes on one thread and two,
+    so its weighted sum uses no BLAS."""
+    outputs = _outputs_by_blas_threads([
+        ["condition", "--transform", "updown", "--start", "2", "--horizon", "60",
+         "--particles", "65536", "--seed", "20260801"]])
+    assert outputs["1"] == outputs["2"]
+    assert '"p_up"' in outputs["1"][0]
 
 
 def test_verify_config_suite_must_match(tmp_path, capsys):

@@ -786,7 +786,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "2efe484db00ea8ac2b29ca0cd91747dbd6e68acc51ccfa82df4b906d0c85b6dc")
+        "90233cb7f8ea7582e02d8d96dbf7ca53b3dcbe08302697fbb84f5ddb6a09b09e")
 
 
 # ----------------------------------------------------------------- avoidance

@@ -12,8 +12,10 @@ from interval_avoid import Interval, ModelParams, harmonics
 from interval_avoid import engine
 from interval_avoid._rng import block_stream
 from interval_avoid.config import ConfigError, parse_config
+from interval_avoid import suites
 from interval_avoid.suites import (SUITES, SuiteReport, _hat_moments, _hat_sums,
-                                   _occupation_bound, _outer_block, run_suite)
+                                   _interpolation_bias, _occupation_bound, _outer_block,
+                                   _outer_estimate, _outer_sums, run_suite)
 
 IV = Interval(0.0, 1.0)
 # transient5's grids at the default interval, with the pinned anchors a and b
@@ -42,8 +44,10 @@ def test_hat_moments_match_direct_interpolation(vals_below, vals_above, paths):
     w = np.where(alive, w, 0.0)
 
     live = xs[alive]
-    sum_b, sq_b = _hat_sums(_hat_moments(live[live < IV.a], GRID_BELOW), vb)
-    sum_a, sq_a = _hat_sums(_hat_moments(live[live >= IV.a], GRID_ABOVE), va)
+    sum_b, sq_b = _hat_sums(_hat_moments(live[live < IV.a], GRID_BELOW,
+                                         np.zeros(np.count_nonzero(live < IV.a))), vb)
+    sum_a, sq_a = _hat_sums(_hat_moments(live[live >= IV.a], GRID_ABOVE,
+                                         np.zeros(np.count_nonzero(live >= IV.a))), va)
     assert sum_b + sum_a == pytest.approx(w.sum(), rel=1e-12, abs=1e-300)
     assert sq_b + sq_a == pytest.approx(np.sum(w * w), rel=1e-12, abs=1e-300)
 
@@ -51,14 +55,128 @@ def test_hat_moments_match_direct_interpolation(vals_below, vals_above, paths):
 @pytest.mark.parametrize("n", [1000, 8192])
 def test_outer_block_returns_grid_sized_moments(n):
     """The outer sample's block result is sized by the grids, not by the
-    block, and its node weights add up to the block's alive count, on the
-    draws of the terminal sample's block."""
-    model = ModelParams(drift=0.5)
-    below, above = _outer_block(model, IV, 2.0, n, block_stream(14, 0), 1.0,
-                                GRID_BELOW, GRID_ABOVE)
-    assert below.shape == (3, GRID_BELOW.size) and above.shape == (3, GRID_ABOVE.size)
-    _xs, alive = engine._terminal_block(model, IV, 2.0, n, block_stream(14, 0), [1.0], True)
+    block: its node weights add up to the block's alive count, and its sums
+    of C = exp(-g (xi_{t ^ T} - x)) - 1 run over all paths, dead ones at their
+    entry values included, on the draws of the terminal sample's block."""
+    model, g = ModelParams(drift=0.5), 0.25
+    below, above, sum_c, sq_c = _outer_block(model, IV, 2.0, n, block_stream(14, 0), 1.0,
+                                             GRID_BELOW, GRID_ABOVE, g)
+    assert below.shape == (4, GRID_BELOW.size) and above.shape == (4, GRID_ABOVE.size)
+    xs, alive = engine._terminal_block(model, IV, 2.0, n, block_stream(14, 0), [1.0], True)
     assert below[0].sum() + above[0].sum() == pytest.approx(np.count_nonzero(alive), rel=1e-12)
+    c = np.expm1(-g * (xs - 2.0))
+    assert sum_c == pytest.approx(c.sum(), rel=1e-12)
+    assert sq_c == pytest.approx(np.sum(c * c), rel=1e-12)
+    assert below[3].sum() + above[3].sum() == pytest.approx(c[alive].sum(), rel=1e-12)
+
+
+def _interpolated(xs, alive, vb, va):
+    """w = 1(alive) times the linear interpolant of the node values, per path."""
+    w = np.where(xs < IV.a,
+                 np.interp(np.clip(xs, GRID_BELOW[0], GRID_BELOW[-1]), GRID_BELOW, vb),
+                 np.interp(np.clip(xs, GRID_ABOVE[0], GRID_ABOVE[-1]), GRID_ABOVE, va))
+    return np.where(alive, w, 0.0)
+
+
+def _synthetic_outer(seed, n=20_000):
+    """Per-path (xi, alive, C) over both grids and beyond their ends, C
+    correlated with the interpolant, and node values with anchors at 0."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(IV.a - 7.0, IV.b + 11.0, n)
+    alive = rng.random(n) < 0.8
+    vb = np.append(rng.uniform(0.0, 1.0, GRID_BELOW.size - 1), 0.0)
+    va = np.insert(rng.uniform(0.0, 1.0, GRID_ABOVE.size - 1), 0, 0.0)
+    c = np.expm1(-0.3 * (xs - 2.0) + rng.normal(0.0, 0.2, n))
+    return xs, alive, c, vb, va
+
+
+def _reduced(xs, alive, c, blocks=3):
+    """The block results of ``_outer_sums`` on consecutive chunks, added up as
+    the outer job's finish adds them."""
+    parts = [_outer_sums(*chunk, IV.a, GRID_BELOW, GRID_ABOVE)
+             for chunk in zip(*(np.array_split(v, blocks) for v in (xs, alive, c)))]
+    return engine._add_blocks(parts)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_controlled_outer_estimate_matches_direct_regression(seed):
+    """The block reduction and the controlled finish give the intercept of
+    the least-squares fit of w on (1, C), its slope beta and the standard
+    error from the fit's residual (divisor n - 2), as a direct numpy
+    regression on the same paths does.  The estimate is linear in the node
+    values, and the node weights are its coefficients."""
+    xs, alive, c, vb, va = _synthetic_outer(seed)
+    n = xs.size
+    mom_b, mom_a, sum_c, sq_c = _reduced(xs, alive, c)
+    result, (wb, wa), beta = _outer_estimate(mom_b, mom_a, sum_c, sq_c, vb, va, n, True)
+
+    w = _interpolated(xs, alive, vb, va)
+    design = np.column_stack([np.ones(n), c])
+    (intercept, slope), *_ = np.linalg.lstsq(design, w, rcond=None)
+    resid = w - design @ np.array([intercept, slope])
+    se = math.sqrt(np.sum(resid**2) / (n - 2) / n)
+    assert beta == pytest.approx(slope, rel=1e-12)
+    assert result.mean == pytest.approx(intercept, rel=1e-12)
+    assert result.stderr == pytest.approx(se, rel=1e-12)
+    assert wb @ vb + wa @ va == pytest.approx(result.mean, rel=1e-12)
+    for i in (3, GRID_BELOW.size + 5):
+        bumped = np.concatenate([vb, va])
+        bumped[i] += 0.01
+        moved, *_ = _outer_estimate(mom_b, mom_a, sum_c, sq_c, bumped[:vb.size],
+                                    bumped[vb.size:], n, True)
+        weight = np.concatenate([wb, wa])[i]
+        assert (moved.mean - result.mean) / 0.01 == pytest.approx(weight, rel=1e-8)
+
+
+def test_plain_outer_estimate_is_the_mean_of_w():
+    """Without the control, beta = 0, the estimate is the plain mean of w
+    bit for bit and the node weights are W/n."""
+    xs, alive, c, vb, va = _synthetic_outer(3)
+    n = xs.size
+    mom_b, mom_a, sum_c, sq_c = _reduced(xs, alive, c)
+    result, (wb, wa), beta = _outer_estimate(mom_b, mom_a, sum_c, sq_c, vb, va, n, False)
+    (sb, qb), (sa, qa) = _hat_sums(mom_b, vb), _hat_sums(mom_a, va)
+    assert beta == 0.0 and result == engine._mean_result(sb + sa, qb + qa, n)
+    assert np.array_equal(wb, mom_b[0] / n) and np.array_equal(wa, mom_a[0] / n)
+    assert result.mean == pytest.approx(_interpolated(xs, alive, vb, va).mean(), rel=1e-12)
+
+
+def test_interpolation_bias_is_exact_for_a_quadratic():
+    """For l quadratic on each side the second differences are exact, so
+    the bias estimate equals sum (w - l) over the alive paths inside the
+    grids, where the interpolant lies above a convex l and below a concave
+    one."""
+    rng = np.random.default_rng(4)
+    sides = [(GRID_BELOW, lambda x: 0.02 * (x - IV.a) ** 2 - 0.1 * (x - IV.a), 1.0),
+             (GRID_ABOVE, lambda x: -0.01 * (x - IV.b) ** 2 + 0.2 * (x - IV.b), -1.0)]
+    for grid, l, sign in sides:
+        xs = rng.uniform(grid[0], grid[-1], 5000)
+        v = l(grid)
+        bias = _interpolation_bias(_hat_moments(xs, grid, np.zeros(xs.size)), grid, v)
+        assert bias == pytest.approx(np.sum(np.interp(xs, grid, v) - l(xs)), rel=1e-9)
+        assert sign * bias > 0.0
+
+
+def test_transient5_without_the_control_reports_the_plain_mean(monkeypatch):
+    """At M3, 2g >= eta and C has no finite variance: avoidance_harmonicity
+    observes the plain mean of w bit for bit, and no outer_optional_stopping
+    check is reported.  At the default drifted model, 2g < eta, the check
+    is reported."""
+    seen = []
+
+    def spy(mom_b, mom_a, sum_c, sq_c, vb, va, n, controlled):
+        (sb, qb), (sa, qa) = _hat_sums(mom_b, vb), _hat_sums(mom_a, va)
+        seen.append((controlled, engine._mean_result(sb + sa, qb + qa, n).mean))
+        return _outer_estimate(mom_b, mom_a, sum_c, sq_c, vb, va, n, controlled)
+
+    monkeypatch.setattr(suites, "_outer_estimate", spy)
+    report = run_suite(parse_config({**_SETTINGS["M3"], "paths": 2400}, suite="transient5"))
+    checks = {c.name: c for c in report.checks}
+    assert seen[-1][0] is False and "outer_optional_stopping" not in checks
+    assert checks["avoidance_harmonicity"].observed == seen[-1][1]
+    report = run_suite(parse_config({"paths": 2400}, suite="transient5"))
+    assert seen[-1][0] is True
+    assert "outer_optional_stopping" in {c.name for c in report.checks}
 
 
 # small budgets: pass/fail at these sizes says nothing, only that a report comes back
