@@ -24,6 +24,9 @@ Everything here follows from two ingredients:
 Shared formulas are written once: ``_exp_tail`` (the Exp(eta) shape past a
 boundary), ``_side_distance`` (the distance to [a, b]) and ``_plus_series``
 (the partial sums of both h_plus series).
+
+The same route gives the drifted model's avoidance probability
+l(x) = P_x(T = infinity), drift > 0 (``avoidance_probability``).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Literal
 
 import numpy as np
 
-from .model import (Interval, ModelParams, _potential_q_coeffs, potential, potential_q,
-                    require_number)
+from .model import (Interval, ModelParams, _drift_roots, _potential_q_coeffs, potential,
+                    potential_q, require_number)
 
 __all__ = [
     "OvershootLaw",
@@ -50,6 +53,7 @@ __all__ = [
     "harmonic_plus_q_partial_sum",
     "harmonic_minus_q_partial_sum",
     "default_series_depth",
+    "avoidance_probability",
 ]
 
 Kind = Literal["plus", "minus", "combined"]
@@ -353,3 +357,51 @@ def harmonic_minus_q_partial_sum(params: ModelParams, interval: Interval, x: flo
     """Mirror of the q-relaxed series: h_minus(x) = h_plus(a + b - x)."""
     return harmonic_plus_q_partial_sum(params, interval,
                                        interval.a + interval.b - x, q, K)
+
+
+# --------------------------------------------------------------------------- #
+# Avoidance probability of the drifted model
+# --------------------------------------------------------------------------- #
+
+def _avoidance_coefficients(params: ModelParams, interval: Interval) -> tuple:
+    """(g, r2, rho, A, B, K) with 1 - l(b + u) = A e^{-g u} + B e^{-r2 u} and
+    l(a - v) = K (1 - e^{-rho v}), l(x) = P_x(T = infinity), drift > 0.
+
+    From b + u a path falls below b with probability c1 e^{-g u} + c2 e^{-r2 u},
+    by a jump with d (e^{-g u} - e^{-r2 u}); from a - v it passes a by a jump
+    with (rho - eta)/rho (1 - e^{-rho v}) (Kou & Wang 2003).  Undershoots and
+    overshoots are Exp(eta), so a jump clears [a, b] with e = e^{-eta (b - a)}
+    and the return loop from b + Exp(eta) is geometric with factor e^2 F G;
+    l_b = E l(b + Exp(eta)).  No form cancels, small drift included.
+    """
+    if not params.drift > 0.0:
+        raise ValueError(f"avoidance probability requires drift > 0 (got drift = {params.drift})")
+    r2, g, rho = _drift_roots(params)
+    eta = params.eta
+    e = math.exp(-eta * interval.width)
+    den = eta * (r2 - g)
+    c1, c2, d = r2 * (eta - g) / den, g * (r2 - eta) / den, (eta - g) * (r2 - eta) / den
+    F = (eta - g) * (r2 - eta) / ((eta + g) * (eta + r2))
+    G = (rho - eta) / (rho + eta)
+    l_b = (c1 * g / (eta + g) + c2 * r2 / (eta + r2)) / (1.0 - e * e * F * G)
+    back = e * (e * G * l_b) * d
+    return g, r2, rho, c1 - back, c2 + back, e * l_b * (rho - eta) / rho
+
+
+def _avoidance_halves(params: ModelParams, interval: Interval, x):
+    """(x > b, 1 - l(x) above b and l(x) below a): the side of l that is
+    small, without cancellation, for ``_avoidance_coefficients``."""
+    g, r2, rho, A, B, K = _avoidance_coefficients(params, interval)
+    above, s = _side_distance(interval, x)
+    return above, np.where(above, A * np.exp(-g * s) + B * np.exp(-r2 * s),
+                           K * -np.expm1(-rho * s))
+
+
+def avoidance_probability(params: ModelParams, interval: Interval, x):
+    """l(x) = P_x(T = infinity), the probability of never entering [a, b],
+    for drift > 0 and x outside [a, b] (a ValueError otherwise); vectorised.
+    l vanishes at a and b and increases away from them: to 1 above b, with
+    1 - l(x) <= e^{-g (x - b)} (Lundberg), and to K below a."""
+    above, small = _avoidance_halves(params, interval, x)
+    out = np.where(above, 1.0 - small, small)
+    return out if out.ndim else float(out)

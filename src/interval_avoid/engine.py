@@ -76,7 +76,7 @@ import numpy as np
 
 from ._rng import BLOCK_SIZE, block_stream, iter_blocks, worker_count
 from .closedform import gamma_bound, nu
-from .model import Interval, ModelParams, require_number
+from .model import Interval, ModelParams, _drift_roots, require_number
 
 __all__ = [
     "PathConfig",
@@ -836,50 +836,25 @@ class AvoidanceEstimate:
     """P(T = infinity) for a transient model.
 
     ``result`` is the mean of the per-path values Y = 1 - Z of
-    ``estimate_avoidance`` over ``result.n`` paths, with the standard error
-    of that mean.  ``unresolved`` counts the paths still live after the
+    ``estimate_avoidance`` over ``result.n`` paths, and ``returns`` that of
+    the scores Z (1 - P(T = infinity), with Z's digits), each with the same
+    standard error.  ``unresolved`` counts the paths still live after the
     walk's segment cap; each scores Z = 0, so they bias the mean up by at
     most their share of the paths.
     """
 
     result: EstimatorResult
     unresolved: int
+    returns: EstimatorResult
 
 
 def adjustment_coefficient(model: ModelParams) -> float:
     """Root g in (0, eta) of psi(g) = 0, i.e. (sigma^2/2) g + lam g/(eta^2 - g^2) = drift.
 
     exp(-g xi_t) is then a unit-mean martingale, so the probability that an
-    upward-drifting path ever falls by D is at most exp(-g D).  Multiplying
-    -psi(-theta)/theta by eta^2 - theta^2 leaves the cubic
-    (drift + sigma^2 theta/2)(eta^2 - theta^2) + lam theta, whose real roots
-    are -r2 < -eta < -g < 0 < eta < rho (Kou & Wang 2003).  Its two outer
-    roots, polished by one Newton step, give g through the product of the
-    roots, r2 g rho = 2 drift eta^2 / sigma^2, which keeps a tiny g accurate.
-
-    The roots need no eigenvalue solver: -r2 is the smallest root of the
-    trigonometric form of the monic cubic x^3 + B x^2 + C x + D, and -g and
-    rho are the roots of the deflated quadratic x^2 + p x + q with
-    q = -D/(-r2) and p = (q - C)/(-r2) (equal to B - r2, which cancels when
-    r2 is large), taken by the quadratic formula without cancellation.
+    upward-drifting path ever falls by D is at most exp(-g D) (``_drift_roots``).
     """
-    if not model.drift > 0.0:
-        raise ValueError("adjustment coefficient requires positive drift")
-    s2 = 0.5 * model.sigma**2
-    cubic = [-s2, -model.drift, s2 * model.eta**2 + model.lam, model.drift * model.eta**2]
-    B, C, D = (c / cubic[0] for c in cubic[1:])
-    # depressed cubic t^3 + P t + Q in t = x + B/3; P < 0 with three real roots
-    P = C - B * B / 3.0
-    Q = (2.0 * B * B - 9.0 * C) * B / 27.0 + D
-    r = math.sqrt(-P / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, 1.5 * Q / (P * r))))
-    x1 = 2.0 * r * math.cos((phi + 2.0 * math.pi) / 3.0) - B / 3.0
-    q = -D / x1
-    p = (q - C) / x1
-    t = -0.5 * (p + math.copysign(math.sqrt(p * p - 4.0 * q), p))
-    roots = np.array(sorted([x1, t, q / t]))
-    roots -= np.polyval(cubic, roots) / np.polyval(np.polyder(cubic), roots)
-    return float(model.drift * model.eta**2 / (s2 * -roots[0] * roots[2]))
+    return _drift_roots(model)[1]
 
 
 def _tilted_model(model: ModelParams, g: float) -> tuple[ModelParams, float, float]:
@@ -980,9 +955,11 @@ def _avoidance_job(model, interval, start, seed, n):
 
     def finish(parts):
         total, total_sq, unresolved = _add_blocks(parts)
-        # Y = 1 - Z, so sum Y = n - sum Z and sum Y^2 = n - 2 sum Z + sum Z^2
-        return AvoidanceEstimate(result=_mean_result(n - total, n - 2.0 * total + total_sq, n),
-                                 unresolved=unresolved)
+        # Y = 1 - Z has Z's standard error, taken from sum Z and sum Z^2: from
+        # the sums of Y it would cancel to 0 where Z is tiny
+        returns = _mean_result(total, total_sq, n)
+        return AvoidanceEstimate(result=EstimatorResult((n - total) / n, returns.stderr, n),
+                                 unresolved=unresolved, returns=returns)
 
     return _Job(_avoidance_block, model, interval, start, seed, n, (_AVOIDANCE_SEGMENTS,),
                 finish)
@@ -997,10 +974,10 @@ def estimate_avoidance(model: ModelParams, interval: Interval, start: float,
     (``_avoidance_walk``) under Q above b and under P below a, until it is
     killed, and scores Z, the product over its Q phases of the likelihood
     ratio exp(g (end - start)).  So 1 - P(T = infinity) = E[Z], and the
-    estimate is the mean of Y = 1 - Z with the standard error from the
-    blocks' sums of Z and Z^2.  Z <= exp(-g (x - b)) from x > b, so the
-    relative error of 1 - P(T = infinity) stays bounded far above the
-    interval.  A path still live after ``_AVOIDANCE_SEGMENTS`` segments scores
+    estimate is the mean of Y = 1 - Z (and ``returns`` that of Z) with the
+    standard error from the blocks' sums of Z and Z^2.  Z <= exp(-g (x - b))
+    from x > b, so the relative error of 1 - P(T = infinity) stays bounded
+    far above the interval.  A path still live after ``_AVOIDANCE_SEGMENTS`` segments scores
     Z = 0 and counts as unresolved.  ``config`` gives the seed and the path
     count; its dt and horizon are not read.
     """

@@ -189,6 +189,37 @@ def wiener_hopf_roots(params: ModelParams, q: float) -> tuple[float, float]:
     return rho1, rho2
 
 
+def _drift_roots(params: ModelParams) -> tuple[float, float, float]:
+    """(r2, g, rho) for drift > 0: -r2 < -eta < -g < 0 < eta < rho are the
+    real roots of (drift + sigma^2 theta/2)(eta^2 - theta^2) + lam theta, that
+    is -psi(-theta)/theta cleared of its poles (Kou & Wang 2003); psi(g) = 0.
+
+    No eigenvalue solver: -r2 is the smallest root of the monic cubic's
+    trigonometric form, -g and rho those of the deflated quadratic (taken
+    without cancellation), and each is polished by one Newton step.  g comes
+    from the product of the roots, r2 g rho = 2 drift eta^2 / sigma^2, which
+    keeps a tiny g accurate.
+    """
+    if not params.drift > 0.0:
+        raise ValueError("adjustment coefficient requires positive drift")
+    s2 = 0.5 * params.sigma**2
+    cubic = [-s2, -params.drift, s2 * params.eta**2 + params.lam, params.drift * params.eta**2]
+    B, C, D = (c / cubic[0] for c in cubic[1:])
+    # depressed cubic t^3 + P t + Q in t = x + B/3; P < 0 with three real roots
+    P = C - B * B / 3.0
+    Q = (2.0 * B * B - 9.0 * C) * B / 27.0 + D
+    r = math.sqrt(-P / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 1.5 * Q / (P * r))))
+    x1 = 2.0 * r * math.cos((phi + 2.0 * math.pi) / 3.0) - B / 3.0
+    q = -D / x1
+    p = (q - C) / x1
+    t = -0.5 * (p + math.copysign(math.sqrt(p * p - 4.0 * q), p))
+    roots = np.array(sorted([x1, t, q / t]))
+    roots -= np.polyval(cubic, roots) / np.polyval(np.polyder(cubic), roots)
+    r2, rho = float(-roots[0]), float(roots[2])
+    return r2, float(params.drift * params.eta**2 / (s2 * r2 * rho)), rho
+
+
 def kappa(params: ModelParams, q: float) -> float:
     """kappa(q) = kappa_hat(q) = rho1(q) rho2(q) / eta = sqrt(2q)/sigma, the
     killed ladder exponent in the normalisation of U (U_q(infinity) = 1/kappa(q))."""

@@ -4,15 +4,26 @@ Everything here is computed with mpmath at 30+ digits and, where possible,
 by a structurally different method than the library uses: the Laplace
 exponent by quadrature of the jump density, the biquadratic roots with the
 generic polynomial solver, crossing-measure masses and series terms by
-numerical quadrature against the overshoot densities.  The frozen constants
-in the acceptance suite were produced by these routines.
+numerical quadrature against the overshoot densities, and the avoidance
+probability of the drifted model by collocation of its generator equation.
+The frozen constants in the acceptance suite and ``AVOIDANCE`` below were
+produced by these routines.
 """
 
 from __future__ import annotations
 
-from mpmath import exp, inf, mp, mpf, polyroots, quad, sqrt
+from mpmath import exp, inf, lu_solve, matrix, mp, mpf, polyroots, quad, sqrt, workdps
 
 mp.dps = 30
+
+# l(x) = P_x(T = infinity) at the default model with drift 1/2 and [a, b] =
+# [0, 1], to 40 digits: ``Oracle(sigma=sqrt(2)).avoidance(0.5, x)`` with the
+# oracle built and run at 40 digits
+AVOIDANCE = {
+    -3.0: "0.02055969715555881859966837439433785499188",
+    3.0: "0.4446707242314468900636331459678489922456",
+    11.0: "0.9208091039632250900319560615649187007641",
+}
 
 
 class Oracle:
@@ -138,3 +149,47 @@ class Oracle:
 
     def gamma_bound(self):
         return (self.beta - self.eta) / self.beta * exp(-self.eta * self.width)
+
+    # -- avoidance probability of the drifted model ---------------------------
+
+    def avoidance(self, drift, xs, dps=40):
+        """l(x) = P_x(T = infinity) at each x in xs for drift > 0.
+
+        Not the library's loop over the passage laws: l is taken in the form
+        1 + A e^{-g (x-b)} + B e^{-r2 (x-b)} above b and K (1 - e^{-rho (a-x)})
+        below a, with -r2 < -g < 0 < rho the real roots of the cubic
+        (drift + sigma^2 th/2)(eta^2 - th^2) + lam th from the generic
+        polynomial solver.  Each term's generator, its jump integral by
+        quadrature, leaves a multiple of e^{-eta |x - boundary|} on each
+        side, so L l = 0 at one point a side and l(b) = 0 (a diffusion
+        creeps onto b) fix A, B and K."""
+        with workdps(dps):
+            drift, s2, eta, a, b = mpf(drift), self.sigma**2 / 2, self.eta, self.a, self.b
+            rts = sorted(mp.re(r) for r in polyroots(
+                [-s2, -drift, s2 * eta**2 + self.lam, drift * eta**2],
+                maxsteps=200, extraprec=200))
+            rates = [mpf(0), -rts[1], -rts[0]]
+
+            def term(j, x, der=0):
+                """Term j (the constant, A's, B's, K's) of l, or its derivative."""
+                if j < 3:
+                    return ((-rates[j])**der * exp(-rates[j] * (x - b)) if x > b
+                            else mpf(0))
+                if x < a:
+                    return 1 - exp(-rts[2] * (a - x)) if der == 0 else (
+                        -rts[2]**der * exp(-rts[2] * (a - x)))
+                return mpf(0)
+
+            def generator(j, x):
+                density = lambda y: term(j, y) * eta / 2 * exp(-eta * abs(y - x))
+                jump = quad(density, [-inf, x, a] if x < a else [-inf, a])
+                jump += quad(density, [b, x, inf] if x > b else [b, inf])
+                return (s2 * term(j, x, 2) + drift * term(j, x, 1)
+                        + self.lam * (jump - term(j, x)))
+
+            points = [b + mpf(1) / 2, a - 1]
+            A, B, K = lu_solve(
+                matrix([[generator(j, x) for j in (1, 2, 3)] for x in points] + [[1, 1, 0]]),
+                matrix([-generator(0, x) for x in points] + [-1]))
+            return [sum(c * term(j, mpf(x)) for j, c in enumerate((1, A, B, K)))
+                    for x in xs]

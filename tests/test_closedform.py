@@ -6,14 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 
-from interval_avoid import (Interval, ModelParams, crossing_factor,
+from interval_avoid import (Interval, ModelParams, avoidance_probability, crossing_factor,
                             default_series_depth, gamma_bound,
                             harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
                             harmonics, nu, overshoot_law,
                             potential, potential_q)
+from interval_avoid import closedform as cf
 from interval_avoid.closedform import harmonic_minus_q_partial_sum
+from mpmath import mpf, workdps
+from mpmath import sqrt as mp_sqrt
 
-from oracles import Oracle
+from generator import generator
+from oracles import AVOIDANCE, Oracle
 
 ORC = Oracle()
 
@@ -383,3 +387,126 @@ def test_harmonic_bounded_by_potentials(model, interval):
         else:
             bound += c2 * potential(model, interval.a - x)
         assert float(h.plus(x)) <= bound + 1e-12
+
+
+# ------------------------------------------ avoidance probability (drift > 0)
+
+# random drifted models and intervals, with the default drifted model, a tiny
+# drift and a model of large jumps and drift as examples; quad's error on
+# L l was at most 5.1e-14 over 18 000 evaluations at the points SIDES on
+# models drawn from these ranges (drift log-uniform down to 1e-6)
+DRIFTED = dict(MODELS, drift=st.floats(1e-6, 3.0))
+DRIFTED_DEFAULT = dict(DEFAULT, drift=0.5)
+SIDES = (-3.0, -0.2, -1e-3, 1e-3, 0.5, 4.0)     # x - a below a, x - b above b
+
+
+def _drifted(sigma, lam, eta, a, width, drift):
+    return ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift), Interval(a, a + width)
+
+
+def _avoidance_function(model, interval):
+    """l and its derivatives outside [a, b], f(x, k) = the k-th, written out
+    from the closed form's coefficients."""
+    g, r2, rho, A, B, K = cf._avoidance_coefficients(model, interval)
+
+    def f(x, k=0):
+        if x > interval.b:
+            u = x - interval.b
+            return (float(k == 0) - A * (-g)**k * math.exp(-g * u)
+                    - B * (-r2)**k * math.exp(-r2 * u))
+        return K * (float(k == 0) - rho**k * math.exp(-rho * (interval.a - x)))
+    return f
+
+
+def _generator_residuals(model, interval):
+    f = _avoidance_function(model, interval)
+    xs = [interval.a + d if d < 0 else interval.b + d for d in SIDES]
+    return np.array([generator(model, interval, f, lambda y: f(y, 1), lambda y: f(y, 2), x)
+                     for x in xs])
+
+
+@PROPERTY
+@given(**DRIFTED)
+@example(**DRIFTED_DEFAULT)
+@example(**dict(DEFAULT, drift=1e-6))
+@example(sigma=3.0, lam=20.0, eta=0.3, a=0.0, width=1.0, drift=5.0)
+def test_avoidance_probability_is_harmonic(sigma, lam, eta, a, width, drift):
+    """L l = 0 off [a, b], near each end and far from it, to 1e-12, with the
+    generator by quadrature; the function written out from the coefficients
+    is ``avoidance_probability``."""
+    model, iv = _drifted(sigma, lam, eta, a, width, drift)
+    assert np.max(np.abs(_generator_residuals(model, iv))) <= 1e-12
+    f = _avoidance_function(model, iv)
+    for d in SIDES:
+        x = iv.a + d if d < 0 else iv.b + d
+        assert avoidance_probability(model, iv, x) == pytest.approx(f(x), rel=1e-14, abs=1e-15)
+
+
+@PROPERTY
+@given(**DRIFTED, dists=DISTANCES)
+@example(**DRIFTED_DEFAULT, dists=[0.001, 0.25, 1.0, 6.0])
+def test_avoidance_probability_shape(sigma, lam, eta, a, width, drift, dists):
+    """0 <= l <= 1; l vanishes at a and b; it increases away from the
+    interval on both sides, to 1 above b with 1 - l(x) <= e^{-g (x - b)}
+    (Lundberg) and to a finite positive limit below a."""
+    model, iv = _drifted(sigma, lam, eta, a, width, drift)
+    g, *_, limit = cf._avoidance_coefficients(model, iv)
+    s = np.array(sorted(dists))
+    up = avoidance_probability(model, iv, iv.b + s)
+    down = avoidance_probability(model, iv, iv.a - s)
+    for side in (up, down):
+        assert np.all((side >= 0.0) & (side <= 1.0))
+        assert np.all(np.diff(side) >= 0.0)
+    _, ret = cf._avoidance_halves(model, iv, iv.b + s)
+    assert np.all(ret <= np.exp(-g * s) * (1.0 + 1e-12))
+    assert avoidance_probability(model, iv, iv.b + 40.0 / g) >= 1.0 - 1e-15
+    for x in (iv.a - 1e-12, iv.b + 1e-12):
+        assert avoidance_probability(model, iv, x) <= 1e-9
+    assert 0.0 < limit <= 1.0 and np.all(down <= limit)
+
+
+def test_avoidance_probability_matches_oracle(interval):
+    """l and, above b, 1 - l in its own form match the 40-digit values of
+    the oracle's collocation route at the default drifted model."""
+    model = ModelParams(drift=0.5)
+    for x, value in AVOIDANCE.items():
+        assert avoidance_probability(model, interval, x) == pytest.approx(float(value),
+                                                                          rel=1e-14)
+        above, small = cf._avoidance_halves(model, interval, x)
+        if above:
+            assert small == pytest.approx(float(1 - mpf(value)), rel=1e-14)
+
+
+def test_avoidance_oracle_values():
+    """The frozen values are the oracle's at 40 digits."""
+    with workdps(40):
+        values = Oracle(sigma=mp_sqrt(2)).avoidance(0.5, list(AVOIDANCE))
+        for value, frozen in zip(values, AVOIDANCE.values()):
+            assert abs(value / mpf(frozen) - 1) <= mpf(10) ** -38
+
+
+@pytest.mark.parametrize("defect", ["coefficient", "rho"])
+def test_generator_residual_catches_planted_defects(monkeypatch, defect):
+    """The harmonic check fails on a planted defect at the default drifted
+    model, M1 and M3 (drift 1/2): the e^{-g u} coefficient A times 1.01, or
+    the centred root beta in place of rho."""
+    coefficients, roots = cf._avoidance_coefficients, cf._drift_roots
+    if defect == "coefficient":
+        def planted(model, interval):
+            g, r2, rho, A, B, K = coefficients(model, interval)
+            return g, r2, rho, 1.01 * A, B, K
+        monkeypatch.setattr(cf, "_avoidance_coefficients", planted)
+    else:
+        monkeypatch.setattr(cf, "_drift_roots", lambda model: (*roots(model)[:2], model.beta))
+    for sigma, lam, eta in ((math.sqrt(2.0), 1.0, 1.0), (0.7, 3.0, 2.5), (0.5, 0.2, 4.0)):
+        model = ModelParams(sigma=sigma, lam=lam, eta=eta, drift=0.5)
+        assert np.max(np.abs(_generator_residuals(model, Interval(0.0, 1.0)))) > 1e-9
+
+
+def test_avoidance_probability_rejects_bad_input(model, interval):
+    for bad in (model, ModelParams(drift=-0.5)):
+        with pytest.raises(ValueError, match="drift > 0"):
+            avoidance_probability(bad, interval, 2.0)
+    with pytest.raises(ValueError, match="outside"):
+        avoidance_probability(ModelParams(drift=0.5), interval, [2.0, 0.5])
+    assert isinstance(avoidance_probability(ModelParams(drift=0.5), interval, 2.0), float)

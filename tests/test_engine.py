@@ -16,6 +16,7 @@ from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob
                             estimate_clock_event, estimate_survival, gamma_bound,
                             kappa, nu, potential_q, run_suite, simulate_path,
                             terminal_sample)
+from interval_avoid.closedform import _avoidance_halves
 from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
 from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_walk,
@@ -763,9 +764,9 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned for the crossing masses
-# from conditional expectations; with the indicator masses, the mean and
-# standard error of each recorded count, the digest is the previous pin's
+# crossing budgets span two blocks.  Last re-pinned when the digest took in
+# the avoidance estimate's ``returns``; without it, the digest is the
+# previous pin's, 90233cb7...b09e
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -778,7 +779,7 @@ def test_estimators_pinned(model, interval):
     add(clock.total, clock.above, clock.below)
     avoid = estimate_avoidance(ModelParams(drift=0.5), interval, 2.0,
                                PathConfig(dt=1.0, horizon=1.0, seed=92, n_paths=2000))
-    add(avoid.result, avoid.unresolved)
+    add(avoid.result, avoid.unresolved, avoid.returns)
     law = empirical_crossing_law(model, interval, -1.0, 2,
                                  PathConfig(dt=1.0, horizon=50.0, seed=93, n_paths=9000))
     add(*law.positions, law.mass, law.censor_bias_bound)
@@ -786,7 +787,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "90233cb7f8ea7582e02d8d96dbf7ca53b3dcbe08302697fbb84f5ddb6a09b09e")
+        "8060c0e30ec878c29f1aca8ab46cbb204679d7d56784e191f212be7b1008e55d")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -880,34 +881,41 @@ def test_tilted_model_shifts_the_laplace_exponent(sigma, lam, eta, drift):
         assert drift_q + lam_q * (up - down) / eta_ < 0
 
 
-def _escaped_fraction(model, interval, start, n, seed):
-    """Fraction of n paths of ``advance``, in one block run from jump to jump,
-    whose post-jump value reaches the level L = b + ln(1e7)/g before death:
-    P_x(T = infinity) up to the return probability from L, at most
-    exp(-g (L - b)) = 1e-7 (Lundberg)."""
-    level = interval.b + math.log(1e7) / adjustment_coefficient(model)
-    pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0))
-    while (pb.alive & ~pb.frozen).any():
-        advance(pb, pb.next_jump.copy())
-        pb.frozen |= pb.alive & (pb.x >= level)
-    return np.count_nonzero(pb.frozen) / n
+AVOIDANCE_STARTS = (-3.0, 1.25, 3.0, 11.0)     # a - 3, b + 0.25, b + 2, b + 10
 
 
-def test_avoidance_walk_matches_advance(interval):
-    """The tilted estimate and the escaped fraction of ``advance`` agree at
-    four starts, 65 536 paths a side: one pooled chi-square at alpha =
-    0.0027."""
-    model = ModelParams(drift=0.5)
-    n = 65_536
-    starts = [interval.a - 3.0, interval.b + 0.25, interval.b + 2.0, interval.b + 10.0]
+def _closed_form_pvalue(model, interval, n):
+    """p-value of one pooled chi-square over ``AVOIDANCE_STARTS`` of the mean
+    scores Z of ``estimate_avoidance`` (n paths a start) against the exact
+    return probability 1 - l: above b in its own form, without cancellation."""
     stat = 0.0
-    for i, start in enumerate(starts):
+    for i, start in enumerate(AVOIDANCE_STARTS):
         est = estimate_avoidance(model, interval, start,
                                  PathConfig(dt=1.0, horizon=1.0, seed=300 + i, n_paths=n))
         assert est.unresolved == 0
-        p = _escaped_fraction(model, interval, start, n, 400 + i)
-        stat += (est.result.mean - p) ** 2 / (est.result.stderr**2 + p * (1 - p) / n)
-    assert stats.chi2.sf(stat, len(starts)) >= 0.0027
+        above, small = _avoidance_halves(model, interval, start)
+        ret = small if above else 1.0 - small
+        stat += ((est.returns.mean - ret) / est.returns.stderr) ** 2
+    return stats.chi2.sf(stat, len(AVOIDANCE_STARTS))
+
+
+def test_avoidance_walk_matches_closed_form(interval):
+    """The tilted walk's estimates agree with the closed form l at four
+    starts, 65 536 paths each: one pooled chi-square at alpha = 0.0027."""
+    assert _closed_form_pvalue(ModelParams(drift=0.5), interval, 65_536) >= 0.0027
+
+
+def test_avoidance_closed_form_test_catches_an_untilted_jump_rate(monkeypatch, interval):
+    """A planted defect, Q's jump rate left at lam, fails the chi-square."""
+    tilted_model = engine._tilted_model
+
+    def untilted_rate(model, g):
+        tilted, c_up, c_down = tilted_model(model, g)
+        return (ModelParams(tilted.sigma, model.lam, tilted.eta, tilted.drift),
+                c_up, c_down)
+
+    monkeypatch.setattr(engine, "_tilted_model", untilted_rate)
+    assert _closed_form_pvalue(ModelParams(drift=0.5), interval, 65_536) < 0.0027
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -981,13 +989,14 @@ def test_avoidance_cap_leaves_paths_unresolved(monkeypatch, interval):
 
 
 def test_avoidance_finish_is_the_mean_of_the_path_values(interval):
-    """The finish's mean and standard error from the blocks' sums of Z and
-    Z^2 equal np.mean and np.std(ddof=1)/sqrt(n) over the per-path values
-    Y = 1 - Z, with Z = 0 for an unresolved path; also at scores of the
-    size of 1 - l far above the interval."""
+    """The finish's means and standard error from the blocks' sums of Z and
+    Z^2 equal np.mean over the per-path values Y = 1 - Z and Z, and
+    np.std(ddof=1)/sqrt(n) over Z (which Y shares), with Z = 0 for an
+    unresolved path; also at scores of the size of 1 - l far above the
+    interval, where the sums of Y would cancel Z's spread."""
     n = 500
     finish = engine._avoidance_job(ModelParams(drift=0.5), interval, 2.0, 1, n).finish
-    for scale in (1.0, 5e-6):
+    for scale in (1.0, 5e-6, 1e-9):
         z = scale * np.random.default_rng(5).random(n) ** 3
         z[[3, 70, 499]] = 0.0
         parts = [(float(b.sum()), float(b @ b), 1) for b in (z[:200], z[200:450], z[450:])]
@@ -995,5 +1004,7 @@ def test_avoidance_finish_is_the_mean_of_the_path_values(interval):
         y = 1.0 - z
         assert est.result.n == n
         assert est.result.mean == pytest.approx(np.mean(y), rel=1e-13)
-        assert est.result.stderr == pytest.approx(np.std(y, ddof=1) / math.sqrt(n), rel=1e-6)
+        assert est.returns.mean == pytest.approx(np.mean(z), rel=1e-13)
+        se = np.std(z, ddof=1) / math.sqrt(n)
+        assert est.result.stderr == est.returns.stderr == pytest.approx(se, rel=1e-9)
         assert est.unresolved == 3
