@@ -209,15 +209,32 @@ class CrossingMeasure:
         return out if out.ndim else float(out)
 
 
+# math's expm1 element by element: numpy's SIMD expm1 differs from libm's in
+# the last bit on some inputs, and nu's scalar masses keep libm's digits
+_expm1 = np.vectorize(math.expm1, otypes=[float])
+
+
+def _jump_over_mass(params: ModelParams, interval: Interval, x):
+    """m1(x) = (beta-eta)/beta (1-e^{-beta d(x)}) e^{-eta w}, vectorised over
+    x outside [a, b]: the first-passage overshoot law's mass beyond the far
+    boundary, i.e. the mass of nu_1 from x, with d(x) the distance from x to
+    [a, b] and w = b - a.  Evaluated in ``overshoot_law``'s float order, so
+    that it equals ``nu(params, interval, x, 1).mass`` bit for bit."""
+    _, d = _side_distance(interval, x, "starting point")
+    beta = params.beta
+    out = (beta - params.eta) / beta * -_expm1(-beta * d) * math.exp(-params.eta * interval.width)
+    return out if out.ndim else float(out)
+
+
 def nu(params: ModelParams, interval: Interval, start: float, k: int) -> CrossingMeasure:
     """Parametric crossing measure nu_k from ``start``.
 
     Successive crossings alternate sides and scale geometrically: with
     m1 = (beta-eta)/beta (1-e^{-beta d0}) e^{-eta w} the mass of the first
-    jump over (d0 the distance from start to the near boundary, w = b - a),
-    the first-passage overshoot law's mass beyond the far boundary,
-    mass(nu_k) = c^(k-1) m1, and the shape past the far boundary is always
-    Exp(eta) by memorylessness.
+    jump over (d0 the distance from start to the near boundary, w = b - a;
+    ``_jump_over_mass``), the first-passage overshoot law's mass beyond the
+    far boundary, mass(nu_k) = c^(k-1) m1, and the shape past the far
+    boundary is always Exp(eta) by memorylessness.
     """
     params.require_centred("crossing measures")
     require_number(k, "k", integer=True, low=0)
@@ -227,8 +244,7 @@ def nu(params: ModelParams, interval: Interval, start: float, k: int) -> Crossin
         side = "below" if starts_below else "above"
         return CrossingMeasure(k=0, side=side, mass=1.0, amplitude=math.nan,
                                boundary=math.nan, eta=params.eta, start=start)
-    direction, far = ("up", interval.b) if starts_below else ("down", interval.a)
-    m1 = overshoot_law(params, interval, start, direction).mass_beyond(far)
+    m1 = _jump_over_mass(params, interval, start)
     c = crossing_factor(params, interval)
     mass = c ** (k - 1) * m1
     # odd crossings land on the opposite side of the start, even ones back home

@@ -51,15 +51,19 @@ avoidance walk runs the segments that start above b under the
 exponentially tilted law (Siegmund's change of measure), so that every path
 is killed and scores its likelihood ratio.  The crossing walk's time cap is
 a cap of ceil(lam * horizon) jump segments, the avoidance walk's a fixed
-segment cap.  The walks take start positions and a stream, not a
-``PathBlock``, and return per-path arrays.
+segment cap.  A crossing path censored at the cap scores its mean future
+from the closed form instead (the strong Markov property at its last
+jump), so the crossing masses carry no censoring bias.  The walks take
+start positions and a stream, not a ``PathBlock``, and return per-path
+arrays.
 
 Blocks return counts or sums wherever those suffice, and a finish adds
 them up in block order: the survival and clock blocks return the numbers
 of paths alive in total, above and below the interval, the avoidance
 blocks the sums of their paths' scores and squared scores and the count of
 unresolved paths, and the crossing blocks the sums of their paths' crossing
-scores and of their products.
+scores, censored paths' credit included, of their products and of the
+credit.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test) and ``terminal_sample``.
 """
@@ -75,7 +79,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import BLOCK_SIZE, block_stream, iter_blocks, worker_count
-from .closedform import gamma_bound, nu
+from .closedform import _jump_over_mass, crossing_factor, nu
 from .model import Interval, ModelParams, _drift_roots, require_number
 
 __all__ = [
@@ -598,9 +602,12 @@ class CrossingLawEstimate:
     crossing k then.  Every per-crossing field is a length-k tuple indexed
     j - 1.  ``positions`` holds the landings past the far boundary, for the
     shape tests.  ``mass`` is the mean of the paths' scores S_j (see
-    ``empirical_crossing_law``) with its standard error, and ``mass_cov``
-    the (k, k) sample covariance of the scores, whose diagonal over n_paths
-    is the squared standard error.
+    ``empirical_crossing_law``), censored paths' credit included, with its
+    standard error, and ``mass_cov`` the (k, k) sample covariance of the
+    scores, whose diagonal over n_paths is the squared standard error.
+    ``censor_credit`` is the mean credit per path that the censored paths
+    add to each S_j from the closed form: the part of ``mass`` that rests
+    on it rather than on simulated jumps.
     """
 
     n_paths: int
@@ -611,7 +618,7 @@ class CrossingLawEstimate:
     ks_distance: tuple[float, ...]
     ks_critical: tuple[float, ...]
     insufficient: tuple[bool, ...]
-    censor_bias_bound: tuple[float, ...]
+    censor_credit: tuple[float, ...]
 
 
 def _wiener_hopf_scales(model: ModelParams) -> tuple[float, float]:
@@ -772,18 +779,22 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
 def _crossing_block(model, interval, start, n, rng, k, n_segments):
     """The landings past the far boundary of crossings 1..k, the number of
     censored paths and the sums that the finish adds up over blocks: the
-    censor bias sums, sum S_j and the (k, k) matrix sum S_i S_j of the
-    paths' scores."""
+    censor credit sums, sum S_j and the (k, k) matrix sum S_i S_j of the
+    paths' scores, each censored path's credit included."""
     scores = np.zeros((n, k))
-    p, live, _x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k,
-                                 scores)
+    p, live, x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k,
+                                scores)
     positions = [p[(p[:, j] < interval.a) | (p[:, j] > interval.b), j] for j in range(k)]
-    # residual potential of the live (censored) paths short of crossing j:
-    # gamma^(j - crossings so far) each
-    gam = gamma_bound(model, interval)
+    # a censored path at x after ``done`` crossings still scores, in the mean,
+    # mass(nu_(j - done)) from x = c^(j - 1 - done) m1(x) for each j > done
+    # (strong Markov property at its last jump)
     done = np.count_nonzero(~np.isnan(p[live]), axis=1)
-    bias = np.array([float(np.sum(gam ** (j - done[done < j]))) for j in range(1, k + 1)])
-    return positions, live.size, (bias, scores.sum(axis=0), np.einsum("ij,ik->jk", scores, scores))
+    later = np.arange(k) - done[:, None]
+    credit = np.where(later >= 0, crossing_factor(model, interval) ** np.maximum(later, 0), 0.0)
+    credit *= _jump_over_mass(model, interval, x)[:, None]
+    scores[live] += credit
+    return positions, live.size, (credit.sum(axis=0), scores.sum(axis=0),
+                                  np.einsum("ij,ik->jk", scores, scores))
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
@@ -799,12 +810,13 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     lands past the far boundary, d being the distance to it from the
     pre-jump value.  S_j has the mean of the indicator that crossing j is
     recorded past the far boundary, on the same censored paths, and a
-    smaller variance.  Crossing j's mass therefore undershoots by at most
-    ``censor_bias_bound[j - 1]``: every censored path short of crossing j
-    adds gamma^(j - crossings so far), divided by the path count.  A path
-    stopped at crossing k, or already past crossing j, adds nothing.  The
-    conditional shape past the far boundary (the KS test of ``positions``)
-    is unaffected by censoring.
+    smaller variance.  A path censored at x after ``done`` crossings then
+    adds its mean future score, c^(j - 1 - done) m1(x) = mass(nu_(j - done))
+    from x, to S_j for each j > done (the strong Markov property at its
+    last jump; m1 as in ``closedform.nu``), so the mean of S_j is unbiased
+    for mass(nu_j) from ``start`` at any cap.  ``censor_credit[j - 1]`` is
+    that credit's mean per path.  The conditional shape past the far
+    boundary (the KS test of ``positions``) is unaffected by censoring.
     """
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
@@ -814,7 +826,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                             (k, math.ceil(model.lam * config.horizon)), list)])[0]
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
-    bias, total, total_sq = _add_blocks(p[2] for p in parts)
+    credit, total, total_sq = _add_blocks(p[2] for p in parts)
     mean = total / n
     sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
@@ -827,7 +839,7 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
                           for pos, law in zip(positions, laws)),
         ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
         insufficient=tuple(m < MIN_LAW_SAMPLES for m in sizes),
-        censor_bias_bound=tuple(float(bj) / n for bj in bias),
+        censor_credit=tuple(float(cj) / n for cj in credit),
     )
 
 

@@ -195,6 +195,24 @@ def test_nu_mass_gamma_bound(sigma, lam, eta, a, width, dists):
             assert nu(model, interval, start, k).mass <= gam**k
 
 
+def test_jump_over_mass_is_nu_one_bit_for_bit(model, interval):
+    """The vectorised m1(x) that credits censored crossing paths equals
+    nu_1's mass at every point on both sides, bit for bit, and so does the
+    first-passage law's mass beyond the far boundary, the route nu took
+    before m1 had its own helper."""
+    dist = np.concatenate([np.geomspace(1e-9, 60.0, 400), [0.3, 1.0, 2.5]])
+    for xs, direction, far in ((interval.a - dist, "up", interval.b),
+                               (interval.b + dist, "down", interval.a)):
+        m1 = cf._jump_over_mass(model, interval, xs)
+        assert m1.shape == xs.shape
+        for x, got in zip(xs, m1):
+            assert got == nu(model, interval, float(x), 1).mass, x
+            assert got == overshoot_law(model, interval, float(x), direction).mass_beyond(far), x
+    assert cf._jump_over_mass(model, interval, -1.0) == nu(model, interval, -1.0, 1).mass
+    with pytest.raises(ValueError):
+        cf._jump_over_mass(model, interval, np.array([-1.0, 0.5]))
+
+
 def test_nu_rejects_interior_start(model, interval):
     with pytest.raises(ValueError):
         nu(model, interval, 0.5, 1)

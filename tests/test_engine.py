@@ -393,9 +393,7 @@ def test_crossing_law_mass_and_shape(model, interval):
     assert law.insufficient[:2] == (False, False)
     for j in (1, 2, 3):
         m = law.mass[j - 1]
-        assert m.mean == pytest.approx(
-            nu(model, interval, -1.0, j).mass,
-            abs=3 * m.stderr + law.censor_bias_bound[j - 1]), j
+        assert m.mean == pytest.approx(nu(model, interval, -1.0, j).mass, abs=3 * m.stderr), j
     # odd crossings land above b, even ones below a
     assert np.all(law.positions[0] > interval.b)
     assert np.all(law.positions[1] < interval.a)
@@ -404,20 +402,24 @@ def test_crossing_law_mass_and_shape(model, interval):
         assert law.ks_distance[j - 1] <= law.ks_critical[j - 1], j
 
 
-def test_crossing_law_censor_bounds_cover_the_gap(model, interval):
-    """At horizon 50 some 7.5% of paths are censored; each crossing's own
-    bound covers the mass those paths would still add."""
+def test_crossing_law_censor_credit_closes_the_gap(model, interval):
+    """At horizon 50 some 7.5% of paths are censored.  Each censored path's
+    credit c^(j - 1 - done) m1(x), its mean future score, makes every mass
+    match nu_j within 3 se; without the credit the first mass undershoots
+    by more than 3 se, so the credit carries real weight here (a credit one
+    power of c off fails the first loop)."""
     cfg = PathConfig(dt=1.0, horizon=50.0, seed=53, n_paths=200_000)
     law = empirical_crossing_law(model, interval, -1.0, 3, cfg)
     assert 0.05 < law.censored_fraction < 0.1
     for j in (1, 2, 3):
-        m, bound = law.mass[j - 1], law.censor_bias_bound[j - 1]
-        gap = nu(model, interval, -1.0, j).mass - m.mean
-        assert -3 * m.stderr <= gap <= bound + 3 * m.stderr, j
-    # the undershoot is real, and a path already past crossing 1 adds nothing
-    # to law 1's bound
-    assert nu(model, interval, -1.0, 1).mass - law.mass[0].mean > 3 * law.mass[0].stderr
-    assert law.censor_bias_bound[0] < law.censored_fraction * gamma_bound(model, interval)
+        m, credit = law.mass[j - 1], law.censor_credit[j - 1]
+        assert m.mean == pytest.approx(nu(model, interval, -1.0, j).mass, abs=3 * m.stderr), j
+        assert 0.0 < credit < m.mean, j
+    m = law.mass[0]
+    assert nu(model, interval, -1.0, 1).mass - (m.mean - law.censor_credit[0]) > 3 * m.stderr
+    # a path already past crossing 1 adds nothing to law 1's credit, and
+    # m1(x) < gamma for the others
+    assert law.censor_credit[0] < law.censored_fraction * gamma_bound(model, interval)
 
 
 def test_crossing_law_insufficient_flag(model, interval):
@@ -665,7 +667,7 @@ def test_estimators_bit_identical_across_workers(monkeypatch, model, interval):
         return surv, clock, avoid, harm, (dp.p_up, dp.p_down, dp.ess_min, dp.resamples,
                                     dp.per_replicate.tobytes()), occ.tobytes(), (
             law.n_paths, law.censored_fraction, law.mass, law.ks_distance,
-            law.ks_critical, law.insufficient, law.censor_bias_bound,
+            law.ks_critical, law.insufficient, law.censor_credit,
             [p.tobytes() for p in law.positions]), (ens.times, ens.n, [
                 a.tobytes() for a in (ens.weight, ens.weight_sq, ens.weight_above,
                                       ens.weight_sq_above, ens.weight_below)])
@@ -758,15 +760,17 @@ def test_crossing_law_deterministic(model, interval):
     cfg = PathConfig(dt=1.0, horizon=200.0, seed=73, n_paths=30_000)
     a = empirical_crossing_law(model, interval, -1.0, 2, cfg)
     b = empirical_crossing_law(model, interval, -1.0, 2, cfg)
-    assert a.mass == b.mass and a.censor_bias_bound == b.censor_bias_bound
+    assert a.mass == b.mass and a.censor_credit == b.censor_credit
     assert all(np.array_equal(p, q) for p, q in zip(a.positions, b.positions))
 
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned when the digest took in
-# the avoidance estimate's ``returns``; without it, the digest is the
-# previous pin's, 90233cb7...b09e
+# crossing budgets span two blocks.  Last re-pinned when censored crossing
+# paths gained their closed-form credit, which moves ``mass`` and replaced
+# the censor bias bound by ``censor_credit``; with the crossing law's
+# ``mass`` and censor field left out of the digest, it reads ee87563a...eb6b
+# both before and after, so the draws and landings did not move
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -782,12 +786,12 @@ def test_estimators_pinned(model, interval):
     add(avoid.result, avoid.unresolved, avoid.returns)
     law = empirical_crossing_law(model, interval, -1.0, 2,
                                  PathConfig(dt=1.0, horizon=50.0, seed=93, n_paths=9000))
-    add(*law.positions, law.mass, law.censor_bias_bound)
+    add(*law.positions, law.mass, law.censor_credit)
     add(*terminal_sample(model, interval, 1.3, 0.7, cfg))
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "8060c0e30ec878c29f1aca8ab46cbb204679d7d56784e191f212be7b1008e55d")
+        "618440c3872cf156de8c6b3b3c69fe78141c494d2d860a759926ee1cf6bbbb1b")
 
 
 # ----------------------------------------------------------------- avoidance

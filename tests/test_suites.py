@@ -152,6 +152,17 @@ def test_transient5_reports_when_a_grid_start_has_equal_scores():
                for v in (c.observed, c.expected, c.tolerance))
 
 
+def test_far_start_avoids_keeps_its_digits_at_m3():
+    """At M3 the far start b + 12.5 returns with probability about 4e-18.
+    The check observes the mean return score itself, not 1 minus it, so its
+    observed value is a positive, finite probability that a faulty walk can
+    push past Lundberg's bound, not a 1.0 that every digit was rounded into."""
+    report = run_suite(parse_config({**_SETTINGS["M3"], "paths": 24}, suite="transient5"))
+    far = {c.name: c for c in report.checks}["far_start_avoids"]
+    assert math.isfinite(far.observed) and 0.0 < far.observed < 1e-12
+    assert 0.0 < far.tolerance < far.expected
+
+
 def test_occupation_bound_brownian_limit():
     """As lam -> 0 the model is Brownian motion with volatility sigma killed at
     b, and h(y) = y - b above the interval.  From x = b + 1 its Green density
