@@ -14,9 +14,8 @@ import os
 # only costs start-up time and a spinning CPU; an explicit setting still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .closedform import (avoidance_probability, crossing_factor, default_series_depth,
-                         gamma_bound, harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
-                         harmonics, nu, overshoot_law)
+from .closedform import (avoidance_probability, clock_probability, crossing_factor,
+                         gamma_bound, harmonic_plus_partial_sum, harmonics, nu, overshoot_law)
 from .engine import (PathConfig, bridge_cross_prob, empirical_crossing_law,
                      estimate_avoidance, estimate_clock_event, estimate_survival,
                      simulate_path, terminal_sample)

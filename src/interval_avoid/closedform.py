@@ -22,10 +22,10 @@ Everything here follows from two ingredients:
   up/down symmetry of the jump law.
 
 Shared formulas are written once: ``_exp_tail`` (the Exp(eta) shape past a
-boundary), ``_side_distance`` (the distance to [a, b]) and ``_plus_series``
-(the partial sums of both h_plus series).
+boundary) and ``_side_distance`` (the distance to [a, b]).
 
-The same route gives the drifted model's avoidance probability
+The same route gives the discounted clock probabilities P_x(e_q < T, side)
+(``clock_probability``) and the drifted model's avoidance probability
 l(x) = P_x(T = infinity), drift > 0 (``avoidance_probability``).
 """
 
@@ -50,15 +50,12 @@ __all__ = [
     "nu",
     "harmonics",
     "harmonic_plus_partial_sum",
-    "harmonic_plus_q_partial_sum",
-    "harmonic_minus_q_partial_sum",
-    "default_series_depth",
+    "clock_probability",
     "avoidance_probability",
 ]
 
 Kind = Literal["plus", "minus", "combined"]
 Direction = Literal["up", "down"]
-_SERIES_TOL = 1e-12    # relative tail c^(2K) that ``default_series_depth`` leaves
 
 
 def crossing_factor(params: ModelParams, interval: Interval) -> float:
@@ -79,12 +76,6 @@ def gamma_bound(params: ModelParams, interval: Interval) -> float:
     params.require_centred("gamma bound")
     beta = params.beta
     return (beta - params.eta) / beta * math.exp(-params.eta * interval.width)
-
-
-def default_series_depth(params: ModelParams, interval: Interval) -> int:
-    """Truncation K with c^(2K) below ``_SERIES_TOL`` = 1e-12."""
-    c = crossing_factor(params, interval)
-    return max(1, math.ceil(0.5 * math.log(_SERIES_TOL) / math.log(c)))
 
 
 # --------------------------------------------------------------------------- #
@@ -327,52 +318,59 @@ def harmonics(params: ModelParams, interval: Interval) -> Harmonics:
     )
 
 
-def _plus_series(params: ModelParams, interval: Interval, x: float, K: int,
-                 point, unit: float) -> float:
-    """Partial sum through index K of an h_plus series at x: ``point(x - b)``
-    for the point mass nu_0 and mass * ``unit`` for every other nu_k.  Term j
-    uses nu_{2j} for x > b and nu_{2j+1} for x < a; all of these land above b."""
-    require_number(K, "K", integer=True, low=0)
-    interval.require_outside(x, "series evaluation point")
-    first = 0 if x > interval.b else 1
-    total = 0.0
-    for j in range(K + 1):
-        m = nu(params, interval, x, 2 * j + first)
-        total += point(x - interval.b) if m.is_point_mass else m.mass * unit
-    return total
-
-
 def harmonic_plus_partial_sum(params: ModelParams, interval: Interval, x: float, K: int) -> float:
     """Partial sum through index K of the series defining h_plus.
 
     Each term integrates the ladder potential U against a crossing measure;
     against the Exp(eta) shape past b this is mass * 2/(beta+eta), and the
-    k = 0 term for x > b is the point-mass evaluation U(x-b).
+    k = 0 term for x > b is the point-mass evaluation U(x-b).  Term j uses
+    nu_{2j} for x > b and nu_{2j+1} for x < a; all of these land above b.
     """
     params.require_centred("h_plus series")
-    return _plus_series(params, interval, x, K, lambda d: potential(params, d),
-                        2.0 / (params.beta + params.eta))
+    require_number(K, "K", integer=True, low=0)
+    interval.require_outside(x, "series evaluation point")
+    first = 0 if x > interval.b else 1
+    unit = 2.0 / (params.beta + params.eta)
+    total = 0.0
+    for j in range(K + 1):
+        m = nu(params, interval, x, 2 * j + first)
+        total += potential(params, x - interval.b) if m.is_point_mass else m.mass * unit
+    return total
 
 
-def harmonic_plus_q_partial_sum(params: ModelParams, interval: Interval, x: float,
-                                q: float, K: int) -> float:
-    """Partial sum of the q-relaxed series: U replaced by the q-potential U_q.
-
-    Against the Exp(eta) shape the unit integral becomes
-    A/(eta+rho1) + B/(eta+rho2); monotone decreasing in q and bounded above
-    by the plain partial sum at equal K.
-    """
-    params.require_centred("q-relaxed h_plus series")
+def _clock_coefficients(params: ModelParams, interval: Interval, q: float) -> tuple:
+    """(rho1, rho2, A, B, m, c_q, u_q) of ``clock_probability``, q > 0: those
+    of ``model._potential_q_coeffs``, and with e = e^{-eta (b-a)}
+    m = e (eta-rho1)(rho2-eta)/(eta (rho2-rho1)), u_q = A/(eta+rho1) + B/(eta+rho2)
+    and c_q = e (eta-rho1)(rho2-eta)/((eta+rho1)(eta+rho2))."""
+    params.require_centred("clock probability")
     aa, bb, rho1, rho2 = _potential_q_coeffs(params, q)
-    return _plus_series(params, interval, x, K, lambda d: potential_q(params, d, q),
-                        aa / (params.eta + rho1) + bb / (params.eta + rho2))
+    eta = params.eta
+    e = math.exp(-eta * interval.width)
+    jump = (eta - rho1) * (rho2 - eta)
+    return (rho1, rho2, aa, bb, jump / (eta * (rho2 - rho1)) * e,
+            e * jump / ((eta + rho1) * (eta + rho2)), aa / (eta + rho1) + bb / (eta + rho2))
 
 
-def harmonic_minus_q_partial_sum(params: ModelParams, interval: Interval, x: float,
-                                 q: float, K: int) -> float:
-    """Mirror of the q-relaxed series: h_minus(x) = h_plus(a + b - x)."""
-    return harmonic_plus_q_partial_sum(params, interval,
-                                       interval.a + interval.b - x, q, K)
+def clock_probability(params: ModelParams, interval: Interval, x, q: float):
+    """(P_x(e_q < T, above b), P_x(e_q < T, below a)) for an independent
+    Exp(q) clock, q > 0, the centred model and x outside [a, b] (a
+    ValueError otherwise); vectorised.
+
+    With s the distance from x to [a, b] and m_q(s) = m (e^{-rho1 s} -
+    e^{-rho2 s}), the discounted mass of jumping over [a, b] (the undershoot
+    is Exp(eta), independent of the passage time; Kou & Wang 2003), the side
+    of x is kappa(q)(U_q(s) + m_q c_q u_q/(1 - c_q^2)) and the other side
+    kappa(q) m_q u_q/(1 - c_q^2).  At q = 0 the terms are U, mass(nu_1), c
+    and 2/(beta+eta), those of the h_plus series.
+    """
+    rho1, rho2, _, _, m, c_q, u_q = _clock_coefficients(params, interval, q)
+    above, s = _side_distance(interval, x)
+    far = m * np.exp(-rho1 * s) * -np.expm1(-(rho2 - rho1) * s) * u_q / (1.0 - c_q * c_q)
+    near = potential_q(params, s, q) + c_q * far
+    k = rho1 * rho2 / params.eta
+    up, down = k * np.where(above, near, far), k * np.where(above, far, near)
+    return (up, down) if up.ndim else (float(up), float(down))
 
 
 # --------------------------------------------------------------------------- #

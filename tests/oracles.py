@@ -4,10 +4,11 @@ Everything here is computed with mpmath at 30+ digits and, where possible,
 by a structurally different method than the library uses: the Laplace
 exponent by quadrature of the jump density, the biquadratic roots with the
 generic polynomial solver, crossing-measure masses and series terms by
-numerical quadrature against the overshoot densities, and the avoidance
-probability of the drifted model by collocation of its generator equation.
-The frozen constants in the acceptance suite and ``AVOIDANCE`` below were
-produced by these routines.
+numerical quadrature against the overshoot densities, and the discounted
+clock probabilities and the avoidance probability of the drifted model by
+collocation of their generator equations.  The frozen constants in the
+acceptance suite, ``AVOIDANCE`` and ``CLOCK`` below were produced by these
+routines.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ AVOIDANCE = {
     -3.0: "0.02055969715555881859966837439433785499188",
     3.0: "0.4446707242314468900636331459678489922456",
     11.0: "0.9208091039632250900319560615649187007641",
+}
+
+# (P_x(e_q < T, above b), P_x(e_q < T, below a)) at the default model,
+# [a, b] = [0, 1] and q = CLOCK_Q, keyed by x, to 40 digits:
+# ``Oracle(sigma=sqrt(2)).clock(CLOCK_Q, xs)`` with the oracle built and run at
+# 40 digits
+CLOCK_Q = 0.1
+CLOCK = {
+    2.0: ("0.2429916846997253839645786011649591517373",
+          "0.01228831793900785123223836443883555121582"),
+    1.001: ("0.0003172267460818793973288363888320023436117",
+            "0.00002641449227078606097405823590964595598773"),
+    -0.5: ("0.008878023999342392361173000051734295824008",
+           "0.1369412910419427691613509492818063411674"),
 }
 
 
@@ -133,22 +148,64 @@ class Oracle:
     def h(self, x, terms=14):
         return self.h_plus(x, terms) + self.h_minus(x, terms)
 
-    def h_q_term(self, x, j, q):
-        x = mpf(x)
-        first = 0 if x > self.b else 1
-        k = 2 * j + first
-        if k == 0:
-            return self.potential_q(x - self.b, q)
-        r1, r2 = (mpf(r) for r in self.roots(q))
-        A = (self.eta - r1) / (r2 - r1)
-        B = (r2 - self.eta) / (r2 - r1)
-        uq = lambda z: (A * (1 - exp(-r1 * z)) / r1 + B * (1 - exp(-r2 * z)) / r2)
-        mass = self.nu_mass(x, k)
-        integrand = lambda y: uq(y - self.b) * self.nu_conditional_density(x, k, y)
-        return mass * quad(integrand, [self.b, self.b + 80 / self.eta])
-
     def gamma_bound(self):
         return (self.beta - self.eta) / self.beta * exp(-self.eta * self.width)
+
+    # -- generator equations by collocation -----------------------------------
+
+    def _generator(self, f, x, drift=0):
+        """L f(x) for f(y, der), the der-th derivative of a function that
+        vanishes on [a, b]; the jump integral by quadrature."""
+        eta, a, b = self.eta, self.a, self.b
+        density = lambda y: f(y) * eta / 2 * exp(-eta * abs(y - x))
+        jump = quad(density, [-inf, x, a] if x < a else [-inf, a])
+        jump += quad(density, [b, x, inf] if x > b else [b, inf])
+        return self.sigma**2 / 2 * f(x, 2) + drift * f(x, 1) + self.lam * (jump - f(x))
+
+    def clock(self, q, xs, dps=40):
+        """(P_x(e_q < T, above b), P_x(e_q < T, below a)) at each x in xs.
+
+        Not the library's geometric loop over the jumps across [a, b]: each
+        side's probability is taken as 1{x above b} (or 1{x below a}) plus
+        A_i e^{-rho_i (x-b)} above b and B_i e^{-rho_i (a-x)} below a,
+        i = 1, 2, with rho1 < rho2 the positive roots of the quartic of
+        ``roots`` from the generic polynomial solver.  Each term's generator
+        leaves a multiple of e^{-eta |x - boundary|} on each side, so
+        (q - L) f = q 1{x on the side} at one point a side and f = 0 at a and
+        b (a diffusion creeps onto both) fix the four coefficients."""
+        with workdps(dps):
+            q, a, b = mpf(q), self.a, self.b
+            p = 2 * q / self.sigma**2
+            rho = sorted(mp.re(r) for r in polyroots(
+                [1, 0, -(self.beta**2 + p), 0, p * self.eta**2], maxsteps=200, extraprec=200)
+                if mp.re(r) > 0)
+
+            def term(j, x, der=0):
+                """Term j or its derivative: the constants above b and below
+                a (j = 0, 1), the A_i's exponentials (j = 2, 3), the B_i's
+                (j = 4, 5)."""
+                if j < 2:
+                    return mpf((x > b if j == 0 else x < a) and der == 0)
+                if (j < 4) != (x > b) or a <= x <= b:
+                    return mpf(0)
+                r, s, sign = (rho[j - 2], x - b, -1) if j < 4 else (rho[j - 4], a - x, 1)
+                return (sign * r)**der * exp(-r * s)
+
+            def resolvent(j, x):
+                return q * term(j, x) - self._generator(lambda y, der=0: term(j, y, der), x)
+
+            points = [b + mpf(1) / 2, a - 1]
+            system = matrix([[resolvent(j, x) for j in (2, 3, 4, 5)] for x in points]
+                            + [[1, 1, 0, 0], [0, 0, 1, 1]])
+            sides = []
+            for side in (0, 1):
+                coef = lu_solve(system, matrix(
+                    [q * term(side, x) - resolvent(side, x) for x in points]
+                    + [-int(side == 0), -int(side == 1)]))
+                sides.append([term(side, mpf(x)) + sum(c * term(j, mpf(x))
+                                                       for j, c in zip((2, 3, 4, 5), coef))
+                              for x in xs])
+            return list(zip(*sides))
 
     # -- avoidance probability of the drifted model ---------------------------
 
@@ -181,11 +238,7 @@ class Oracle:
                 return mpf(0)
 
             def generator(j, x):
-                density = lambda y: term(j, y) * eta / 2 * exp(-eta * abs(y - x))
-                jump = quad(density, [-inf, x, a] if x < a else [-inf, a])
-                jump += quad(density, [b, x, inf] if x > b else [b, inf])
-                return (s2 * term(j, x, 2) + drift * term(j, x, 1)
-                        + self.lam * (jump - term(j, x)))
+                return self._generator(lambda y, der=0: term(j, y, der), x, drift)
 
             points = [b + mpf(1) / 2, a - 1]
             A, B, K = lu_solve(

@@ -11,7 +11,8 @@ Criteria:
   3 overshoot law beyond the far boundary: mass and Exp(eta) shape (MC)
   4 geometric crossing scaling mass(nu_3)/mass(nu_1) = c^2 (MC)
   5 harmonicity of h on a (start, time) grid (MC)
-  6 exponential-clock limit toward h_plus with the series upper bound (MC)
+  6 exponential-clock probabilities P(e_q < T, above)/kappa(q) against their
+    closed form (MC), which increases to h_plus as q -> 0 (deterministic)
   7 escape dichotomy p_up = h_plus/h and upward drift under the plus
     transform (particle MC)
   8 occupation-time saturation and its closed-form bound (particle MC)

@@ -14,8 +14,8 @@ from interval_avoid import (Interval, ModelParams, PathConfig, empirical_crossin
                             estimate_clock_event, estimate_survival, harmonics, nu, potential,
                             potential_q, potential_q_total, simulate_path, terminal_sample,
                             wiener_hopf_roots)
-from interval_avoid.closedform import (harmonic_plus_partial_sum,
-                                       harmonic_plus_q_partial_sum, overshoot_law)
+from interval_avoid.closedform import (clock_probability, harmonic_plus_partial_sum,
+                                       overshoot_law)
 from interval_avoid.particles import (drift_probability, harmonicity_residual, occupation_time,
                                       propagate_ensemble)
 from interval_avoid.suites import emit_table
@@ -129,10 +129,8 @@ SCALARS = [
      lambda v: overshoot_law(_M, Interval(5.0, 6.0), 2.0, "up").mass_beyond(v), 4.0, False),
     ("harmonic_plus_partial_sum.K", lambda v: harmonic_plus_partial_sum(_M, _IV, 2.0, v),
      -1, True),
-    ("harmonic_plus_q_partial_sum.q",
-     lambda v: harmonic_plus_q_partial_sum(_M, _IV, 2.0, v, 2), 0.0, False),
-    ("harmonic_plus_q_partial_sum.K",
-     lambda v: harmonic_plus_q_partial_sum(_M, _IV, 2.0, 0.5, v), -1, True),
+    ("clock_probability.q", lambda v: clock_probability(_M, _IV, 2.0, v), 0.0, False),
+    ("clock_probability.x", lambda v: clock_probability(_M, _IV, v, 0.5), 0.5, False),
     ("emit_table.k_max",
      lambda v: emit_table("nu_masses", [2.0], os.devnull, _M, _IV, k_max=v), 0, True),
 ]

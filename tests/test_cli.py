@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -533,27 +534,42 @@ def test_pair_timing_reports_process_times(capsys):
     assert all(0 <= line[key] <= 2 for key in ("head_wins", "head_wins_wall_s", "head_wins_cpu_s"))
 
 
-def test_calibrate_counts_failures_per_check(tmp_path, capsys):
+def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):
     """Two seeds of closedform: one line per check in report order, none
-    failed, with the exact interval [0, 1 - 0.025^(1/2)] and, for a check
-    with a positive tolerance, the median and maximum over seeds 1 and 2 of
-    the share of its band used; a bad config is a usage error."""
+    failed, with the exact interval [0, 1 - 0.025^(1/2)] and the median and
+    maximum over the seeds with a positive tolerance of the share of the
+    band used, and their number: a check whose tolerance is 0 on one seed
+    keeps the other seed's share, and one whose tolerance is always 0 has
+    none.  A bad config is a usage error."""
     calibrate = _load_script("tools", "calibrate")
+    run_suite = calibrate.run_suite
+
+    def one_zero_tolerance(config):
+        """The report, with the first check's tolerance 0 on seed 2."""
+        report = run_suite(config)
+        if config.seed == 2:
+            report.checks[0] = dataclasses.replace(report.checks[0], tolerance=0.0)
+        return report
+
+    monkeypatch.setattr(calibrate, "run_suite", one_zero_tolerance)
     assert calibrate.main(["--suite", "closedform", "--seeds", "2"]) == 0
     *lines, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
-    reports = [suites.run_suite(parse_config({"seed": seed}, suite="closedform"))
+    reports = [one_zero_tolerance(parse_config({"seed": seed}, suite="closedform"))
                for seed in (1, 2)]
     assert [line["check"] for line in lines] == [c.name for c in reports[0].checks]
     for line, checks in zip(lines, zip(*(r.checks for r in reports))):
         assert (line["failures"], line["seeds"], line["failed_seeds"]) == (0, 2, [])
         assert line["ci95"][0] == 0.0
         assert line["ci95"][1] == pytest.approx(1.0 - 0.025 ** 0.5, rel=1e-12)
-        if all(c.tolerance > 0.0 for c in checks):
-            use = [abs(c.observed - c.expected) / c.tolerance for c in checks]
-            assert line["band_use"] == {"median": (use[0] + use[1]) / 2, "max": max(use)}
+        use = [abs(c.observed - c.expected) / c.tolerance for c in checks if c.tolerance > 0.0]
+        if use:
+            assert line["band_use"] == {"median": sum(use) / len(use), "max": max(use),
+                                        "seeds": len(use)}
         else:
             assert line["band_use"] is None
-    assert sum(line["band_use"] is not None for line in lines) >= 10
+    assert lines[0]["band_use"]["seeds"] == 1
+    assert sum(line["band_use"] is not None and line["band_use"]["seeds"] == 2
+               for line in lines) >= 10
     assert summary == {"suite": "closedform", "config": None, "seeds": 2, "runs_failed": 0}
     # k of n and n - k of n mirror each other
     lo, hi = calibrate.clopper_pearson(3, 60)

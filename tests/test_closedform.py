@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 
-from interval_avoid import (Interval, ModelParams, avoidance_probability, crossing_factor,
-                            default_series_depth, gamma_bound,
-                            harmonic_plus_partial_sum, harmonic_plus_q_partial_sum,
-                            harmonics, nu, overshoot_law,
-                            potential, potential_q)
+from interval_avoid import (Interval, ModelParams, avoidance_probability, clock_probability,
+                            crossing_factor, gamma_bound, harmonic_plus_partial_sum, harmonics,
+                            kappa, nu, overshoot_law, potential, potential_q)
 from interval_avoid import closedform as cf
-from interval_avoid.closedform import harmonic_minus_q_partial_sum
 from mpmath import mpf, workdps
 from mpmath import sqrt as mp_sqrt
 
 from generator import generator
-from oracles import AVOIDANCE, Oracle
+from oracles import AVOIDANCE, CLOCK, CLOCK_Q, Oracle
 
 ORC = Oracle()
 
@@ -326,47 +324,223 @@ def test_series_matches_closed_form_random_points(sigma, lam, eta, a, width, dis
             assert abs(part - closed) <= (h.c**20 + 1e-13) * closed, (x, part, closed)
 
 
-def test_default_series_depth(model, interval):
-    K = default_series_depth(model, interval)
-    c = crossing_factor(model, interval)
-    assert c ** (2 * K) < 1e-12
-    assert c ** (2 * (K - 1)) >= 1e-13
+# ------------------------------------------------ generator residuals of h
+
+SIDES = (-3.0, -0.2, -1e-3, 1e-3, 0.5, 4.0)     # x - a below a, x - b above b
 
 
-# ------------------------------------------------------------- the q-series
-
-def test_q_series_k0_equals_q_potential(model, interval):
-    got = harmonic_plus_q_partial_sum(model, interval, 2.0, 0.25, 0)
-    assert got == pytest.approx(potential_q(model, 1.0, 0.25), rel=1e-14)
-    assert got == pytest.approx(0.7145984811377730, rel=1e-12)
+def _side_points(interval):
+    return [interval.a + d if d < 0 else interval.b + d for d in SIDES]
 
 
-def test_q_series_terms_match_quadrature(model, interval):
-    for x in (-1.0, 2.0):
-        for j in (0, 1):
-            q = 0.3
-            direct = (harmonic_plus_q_partial_sum(model, interval, x, q, j)
-                      - (harmonic_plus_q_partial_sum(model, interval, x, q, j - 1) if j else 0.0))
-            assert direct == pytest.approx(float(ORC.h_q_term(x, j, q)), rel=1e-9), (x, j)
+def _harmonic_function(h, kind):
+    """h_plus (``kind`` "plus") or h_minus and its derivatives outside
+    [a, b], f(x, k) = the k-th, written out from the ``Harmonics`` fields."""
+    beta, iv = h.params.beta, h.interval
+
+    def f(x, k=0):
+        up = x > iv.b
+        s = x - iv.b if up else iv.a - x
+        slope, coef = (h.slope, h.coef_far) if up == (kind == "plus") else (0.0, h.coef_near)
+        e = math.exp(-beta * s)
+        value = (slope * s + coef * -math.expm1(-beta * s), slope + coef * beta * e,
+                 -coef * beta * beta * e)[k]
+        return value * (1.0 if up else -1.0) ** k
+    return f
 
 
-def test_q_series_limits_and_monotonicity(model, interval):
-    for x in (-1.0, 2.0):
-        for K in (0, 3):
-            plain = harmonic_plus_partial_sum(model, interval, x, K)
-            assert harmonic_plus_q_partial_sum(model, interval, x, 1e-13, K) == pytest.approx(
-                plain, rel=1e-6)
-            prev = plain
-            for q in (0.05, 0.3, 1.0, 4.0):
-                cur = harmonic_plus_q_partial_sum(model, interval, x, q, K)
-                assert cur <= prev + 1e-14
-                prev = cur
+def _harmonic_residuals(model, interval):
+    """L h(x) / (1 + lam h(x)) for h = h_plus and h_minus at the points
+    SIDES; each function written out is the library's to 1e-14."""
+    h = cf.harmonics(model, interval)
+    out = []
+    for kind in ("plus", "minus"):
+        f = _harmonic_function(h, kind)
+        for x in _side_points(interval):
+            assert f(x) == pytest.approx(h.value(kind, x), rel=1e-14)
+            out.append(generator(model, interval, f, lambda y: f(y, 1), lambda y: f(y, 2), x)
+                       / (1.0 + model.lam * f(x)))
+    return np.array(out)
 
 
-def test_q_series_minus_is_mirror(model, interval):
-    got = harmonic_minus_q_partial_sum(model, interval, 2.0, 0.25, 5)
-    want = harmonic_plus_q_partial_sum(model, interval, -1.0, 0.25, 5)
-    assert got == want
+@PROPERTY
+@given(**MODELS)
+@example(**DEFAULT)
+@example(**dict(DEFAULT, a=-1.0, width=3.0))
+def test_harmonics_are_harmonic(sigma, lam, eta, a, width):
+    """|L h(x)| <= 1e-12 (1 + lam h(x)) for h_plus and h_minus off [a, b],
+    near each end and far from it, with the generator by quadrature; over
+    400 random models quad left at most 7e-14."""
+    assert np.max(np.abs(_harmonic_residuals(*_pair(sigma, lam, eta, a, width)))) <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["coef_near", "c"])
+def test_harmonic_residual_catches_planted_defects(monkeypatch, defect):
+    """The residual fails on coef_near times 1.01 or on the crossing factor c
+    times 1.001 inside ``harmonics``, at the default model, M1, M3 and on
+    [-1, 2]."""
+    if defect == "coef_near":
+        build = cf.harmonics
+        monkeypatch.setattr(cf, "harmonics", lambda model, interval: dataclasses.replace(
+            build(model, interval), coef_near=1.01 * build(model, interval).coef_near))
+    else:
+        factor = cf.crossing_factor
+        monkeypatch.setattr(cf, "crossing_factor",
+                            lambda model, interval: 1.001 * factor(model, interval))
+    for (sigma, lam, eta), iv in (((math.sqrt(2.0), 1.0, 1.0), Interval(0.0, 1.0)),
+                                  ((0.7, 3.0, 2.5), Interval(0.0, 1.0)),
+                                  ((0.5, 0.2, 4.0), Interval(0.0, 1.0)),
+                                  ((math.sqrt(2.0), 1.0, 1.0), Interval(-1.0, 2.0))):
+        model = ModelParams(sigma=sigma, lam=lam, eta=eta)
+        assert np.max(np.abs(_harmonic_residuals(model, iv))) > 1e-9
+
+
+# ------------------------------------------------- clock probabilities
+
+QS = st.floats(1e-4, 10.0)
+
+
+def _clock_function(model, interval, q, side):
+    """P_x(e_q < T, side) and its derivatives outside [a, b], f(x, k) = the
+    k-th, written out from the closed form's coefficients."""
+    rho1, rho2, A, B, m, c_q, u_q = cf._clock_coefficients(model, interval, q)
+    kap, loop = rho1 * rho2 / model.eta, m * u_q / (1.0 - c_q * c_q)
+
+    def f(x, k=0):
+        up = x > interval.b
+        s = x - interval.b if up else interval.a - x
+        e1, e2 = ((-r) ** k * math.exp(-r * s) for r in (rho1, rho2))
+        out = loop * (e1 - e2 if k else e1 * -math.expm1(-(rho2 - rho1) * s))
+        if up == (side == "above"):      # plus U_q(s) or its k-th derivative
+            out = c_q * out + (-A / rho1 * math.expm1(-rho1 * s) - B / rho2 * math.expm1(-rho2 * s)
+                               if k == 0 else -A / rho1 * e1 - B / rho2 * e2)
+        return kap * out * (1.0 if up else -1.0) ** k
+    return f
+
+
+def _clock_residuals(model, interval, q):
+    """((q - L) f - q 1{x on the side}) / (q + lam) for both sides' f at the
+    points SIDES; each function written out is ``clock_probability``."""
+    out = []
+    for i, side in enumerate(("above", "below")):
+        f = _clock_function(model, interval, q, side)
+        for x in _side_points(interval):
+            assert clock_probability(model, interval, x, q)[i] == pytest.approx(f(x), rel=1e-13)
+            on = x > interval.b if side == "above" else x < interval.a
+            lf = generator(model, interval, f, lambda y: f(y, 1), lambda y: f(y, 2), x)
+            out.append((q * f(x) - lf - q * on) / (q + model.lam))
+    return np.array(out)
+
+
+@PROPERTY
+@given(**MODELS, q=QS)
+@example(**DEFAULT, q=0.1)
+@example(**dict(DEFAULT, a=-1.0, width=3.0), q=0.01)
+def test_clock_probability_is_resolvent(sigma, lam, eta, a, width, q):
+    """(q - L) f = q 1{side} off [a, b] for f = P_x(e_q < T, side), both
+    sides (Feynman-Kac), near each end and far from it, to 1e-12 relative to
+    the rate q + lam; over 400 random models and q in [1e-4, 10] quad left
+    at most 1.3e-15."""
+    model, interval = _pair(sigma, lam, eta, a, width)
+    assert np.max(np.abs(_clock_residuals(model, interval, q))) <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["c_q", "u_q"])
+def test_clock_residual_catches_planted_defects(monkeypatch, defect):
+    """The resolvent identity fails, by more than 10 times its bound, on c_q
+    times 1.001 or u_q times 1.01 at the default model, M1 and M3, at
+    q = 0.5, 0.1 and 0.01 (c_q's least residual, 1.7e-10, is at M3, where
+    c_q is 4e-4)."""
+    coefficients = cf._clock_coefficients
+
+    def planted(model, interval, q):
+        rho1, rho2, A, B, m, c_q, u_q = coefficients(model, interval, q)
+        if defect == "c_q":
+            return rho1, rho2, A, B, m, 1.001 * c_q, u_q
+        return rho1, rho2, A, B, m, c_q, 1.01 * u_q
+
+    monkeypatch.setattr(cf, "_clock_coefficients", planted)
+    for sigma, lam, eta in ((math.sqrt(2.0), 1.0, 1.0), (0.7, 3.0, 2.5), (0.5, 0.2, 4.0)):
+        for q in (0.5, 0.1, 0.01):
+            model = ModelParams(sigma=sigma, lam=lam, eta=eta)
+            assert np.max(np.abs(_clock_residuals(model, Interval(0.0, 1.0), q))) > 1e-11
+
+
+def test_clock_probability_wide_interval_is_q_potential(model):
+    """Across a wide interval no jump clears it, so from b + s the clock rings
+    above b with kappa(q) U_q(s), before the first passage below b, and
+    below a with probability 0 to e^{-60}."""
+    wide = Interval(-60.0, 0.0)
+    above, below = clock_probability(model, wide, 1.0, 0.25)
+    assert above == pytest.approx(kappa(model, 0.25) * potential_q(model, 1.0, 0.25), rel=1e-14)
+    assert above == pytest.approx(0.5 * 0.7145984811377730, rel=1e-12)
+    assert 0.0 < below < 1e-26
+
+
+def test_clock_probability_matches_oracle(model, interval):
+    """Both sides match the 40-digit values of the oracle's collocation
+    route: far from the interval, on both sides, and the far side's small
+    value 1e-3 above b, which the closed form takes without cancellation."""
+    for x, values in CLOCK.items():
+        for got, value in zip(clock_probability(model, interval, x, CLOCK_Q), values):
+            assert got == pytest.approx(float(value), rel=1e-14), x
+
+
+def test_clock_oracle_values():
+    """The frozen values are the oracle's at 40 digits."""
+    with workdps(40):
+        for x, pair, frozen in zip(CLOCK, Oracle(sigma=mp_sqrt(2)).clock(CLOCK_Q, list(CLOCK)),
+                                   CLOCK.values()):
+            for value, digits in zip(pair, frozen):
+                assert abs(value / mpf(digits) - 1) <= mpf(10) ** -38, x
+
+
+@PROPERTY
+@given(**MODELS, dists=DISTANCES)
+@example(**DEFAULT, dists=[0.001, 1.0, 6.0])
+def test_clock_probability_increases_to_harmonics(sigma, lam, eta, a, width, dists):
+    """Scaled by kappa(q), both sides increase strictly as q falls from 4 to
+    1e-8 and stay below their limits h_plus and h_minus, which the
+    two sides reach within 1% at q = 1e-8 (4.6e-3 at worst over 3000 random
+    models); the two sides' sum is at most 1."""
+    model, interval = _pair(sigma, lam, eta, a, width)
+    h = harmonics(model, interval)
+    s = np.asarray(dists)
+    xs = np.concatenate([interval.a - s, interval.b + s])
+    scaled = []
+    for q in (4.0, 1.0, 0.3, 0.05, 1e-4, 1e-8):
+        up, down = clock_probability(model, interval, xs, q)
+        assert np.all(up + down <= 1.0 + 1e-15)
+        scaled.append(np.concatenate([up, down]) / kappa(model, q))
+    limit = np.concatenate([h.plus(xs), h.minus(xs)])
+    assert np.all(np.diff(scaled, axis=0) > 0.0)
+    assert np.all(scaled[-1] < limit) and np.all(scaled[-1] > 0.99 * limit)
+
+
+@PROPERTY
+@given(**MODELS, dists=DISTANCES, q=QS)
+@example(**DEFAULT, dists=[2**-10, 1.0], q=0.1)
+def test_clock_probability_mirror(sigma, lam, eta, a, width, dists, q):
+    """By the symmetry of the jumps, the clock rings above b from x as often
+    as below a from a + b - x; the lattice makes the mirror points exact."""
+    model, interval = _pair(sigma, lam, eta, a, width)
+    s = np.asarray(dists)
+    xs = np.concatenate([interval.a - s, interval.b + s])
+    up, down = clock_probability(model, interval, xs, q)
+    mirror_up, mirror_down = clock_probability(model, interval, interval.a + interval.b - xs, q)
+    assert np.array_equal(up, mirror_down) and np.array_equal(down, mirror_up)
+
+
+def test_clock_probability_rejects_bad_input(model, interval):
+    for q in (0.0, -0.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="q"):
+            clock_probability(model, interval, 2.0, q)
+    with pytest.raises(ValueError, match="outside"):
+        clock_probability(model, interval, [2.0, 0.5], 0.1)
+    with pytest.raises(ValueError, match="centred"):
+        clock_probability(ModelParams(drift=0.5), interval, 2.0, 0.1)
+    up, down = clock_probability(model, interval, 2.0, 0.1)
+    assert isinstance(up, float) and isinstance(down, float)
 
 
 # ------------------------------------------------- finiteness bound (proof chain)
@@ -415,7 +589,6 @@ def test_harmonic_bounded_by_potentials(model, interval):
 # models drawn from these ranges (drift log-uniform down to 1e-6)
 DRIFTED = dict(MODELS, drift=st.floats(1e-6, 3.0))
 DRIFTED_DEFAULT = dict(DEFAULT, drift=0.5)
-SIDES = (-3.0, -0.2, -1e-3, 1e-3, 0.5, 4.0)     # x - a below a, x - b above b
 
 
 def _drifted(sigma, lam, eta, a, width, drift):
@@ -438,9 +611,8 @@ def _avoidance_function(model, interval):
 
 def _generator_residuals(model, interval):
     f = _avoidance_function(model, interval)
-    xs = [interval.a + d if d < 0 else interval.b + d for d in SIDES]
     return np.array([generator(model, interval, f, lambda y: f(y, 1), lambda y: f(y, 2), x)
-                     for x in xs])
+                     for x in _side_points(interval)])
 
 
 @PROPERTY
@@ -455,8 +627,7 @@ def test_avoidance_probability_is_harmonic(sigma, lam, eta, a, width, drift):
     model, iv = _drifted(sigma, lam, eta, a, width, drift)
     assert np.max(np.abs(_generator_residuals(model, iv))) <= 1e-12
     f = _avoidance_function(model, iv)
-    for d in SIDES:
-        x = iv.a + d if d < 0 else iv.b + d
+    for x in _side_points(iv):
         assert avoidance_probability(model, iv, x) == pytest.approx(f(x), rel=1e-14, abs=1e-15)
 
 

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from interval_avoid import (Interval, ModelParams, PathConfig, bridge_cross_prob,
-                            empirical_crossing_law, estimate_avoidance,
-                            estimate_clock_event, estimate_survival, gamma_bound,
-                            kappa, nu, potential_q, run_suite, simulate_path,
-                            terminal_sample)
+                            clock_probability, empirical_crossing_law, estimate_avoidance,
+                            estimate_clock_event, estimate_survival, gamma_bound, nu,
+                            run_suite, simulate_path, terminal_sample)
 from interval_avoid.closedform import _avoidance_halves
 from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
@@ -363,15 +362,16 @@ def test_clock_additivity_and_fast_clock(model, interval):
     assert est.above.mean > 0.97
 
 
-def test_clock_resolvent_identity(model):
-    """P^x(e_q < passage below 0) = kappa(q) U_q(x): the one-sided passage is
-    emulated with a deep interval [-60, 0] (jumping past it is ~e^{-60})."""
-    deep = Interval(-60.0, 0.0)
-    for i, (q, x) in enumerate([(0.5, 0.5), (0.5, 2.0), (1.0, 0.5), (1.0, 2.0)]):
+def test_clock_event_matches_closed_form(model, interval):
+    """P_x(e_q < T) on each side equals ``clock_probability`` within 3 se,
+    from a - 0.5 and b + 0.5 at q = 0.5 and 1: the suites start above b
+    only, so this is the kernel's one check of clock events from below a."""
+    cases = [(q, x) for q in (0.5, 1.0) for x in (interval.a - 0.5, interval.b + 0.5)]
+    for i, (q, x) in enumerate(cases):
         cfg = PathConfig(dt=0.1, horizon=1.0, seed=400 + i, n_paths=200_000)
-        est = estimate_clock_event(model, deep, x, q, cfg)
-        target = kappa(model, q) * potential_q(model, x, q)
-        assert est.total.mean == pytest.approx(target, abs=3 * est.total.stderr), (q, x)
+        est = estimate_clock_event(model, interval, x, q, cfg)
+        for res, target in zip((est.above, est.below), clock_probability(model, interval, x, q)):
+            assert res.mean == pytest.approx(target, abs=3 * res.stderr), (q, x)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

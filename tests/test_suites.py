@@ -1,6 +1,8 @@
-"""The suites away from the default model, the occupation bound, and the
-transient5 suite's outer-sample reduction and chi-square level."""
+"""The suites away from the default model, the occupation bound, the clock
+limit check, and the transient5 suite's outer-sample reduction and
+chi-square level."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy import stats
 
 from interval_avoid import Interval, ModelParams, avoidance_probability, harmonics
+from interval_avoid import closedform as cf
 from interval_avoid import engine
 from interval_avoid._rng import block_stream
 from interval_avoid.config import ConfigError, parse_config
@@ -174,3 +177,24 @@ def test_occupation_bound_brownian_limit():
     bound = _occupation_bound(model, IV, harmonics(model, IV), x, window)
     assert bound == pytest.approx(32.0, rel=1e-9)    # sup_h 2 * Green bound 16 / h(x) 1
     assert bound >= 44.0 / 3.0
+
+
+@pytest.mark.parametrize("suite", ["clocklimit", "conditioning"])
+def test_clock_limit_catches_a_limit_one_percent_off(monkeypatch, suite):
+    """The limit check reads the gap to h_plus (h) shrink by 0.1 from
+    q = 1e-10 to 1e-12 on the closed form, within 1e-3 relative; with the
+    harmonic functions 1% high the gap barely moves and the check fails, at
+    the default model and at M3, while the closed-form checks pass
+    unpatched."""
+    name = "clock_limit_h_plus" if suite == "clocklimit" else "clock_limit_h"
+    for setting in ({}, _SETTINGS["M3"]):
+        config = parse_config({**setting, "paths": 4096}, suite=suite)
+        checks = {c.name: c for c in run_suite(config).checks}
+        assert checks[name].passed and checks["scaled_clock_increasing"].passed
+    build = cf.harmonics
+    monkeypatch.setattr(cf, "harmonics", lambda model, interval: dataclasses.replace(
+        build(model, interval), **{f: 1.01 * getattr(build(model, interval), f)
+                                   for f in ("slope", "coef_far", "coef_near")}))
+    for setting in ({}, _SETTINGS["M3"]):
+        config = parse_config({**setting, "paths": 4096}, suite=suite)
+        assert not {c.name: c for c in run_suite(config).checks}[name].passed

@@ -4,11 +4,12 @@ Runs one verification suite through ``run_suite`` on seeds 1..N, at its
 default configuration or with ``--config FILE`` (whose seed is replaced),
 and prints one JSON line per check, in report order: how many seeds failed
 it, which ones, the Clopper-Pearson 95% interval of its failure
-probability and, for a check with a positive tolerance, the median and
-maximum over the seeds of |observed - expected| / tolerance, the share of
-its band that the seeds use (null where a seed's tolerance is 0).  A last
-line gives the number of seeds on which the report failed.  Workers come from INTERVAL_AVOID_THREADS, as for ``verify``; the
-package is imported from the path, so the same script sweeps any checkout:
+probability and the share of its band that the seeds use: the median and
+maximum of |observed - expected| / tolerance over the seeds on which the
+tolerance is positive, and how many those are (null where there are none).
+A last line gives the number of seeds on which the report failed.  Workers
+come from INTERVAL_AVOID_THREADS, as for ``verify``; the package is
+imported from the path, so the same script sweeps any checkout:
 
     PYTHONPATH=src python3 tools/calibrate.py --suite transient5 --seeds 60 \\
         --config budget.json
@@ -70,8 +71,8 @@ def main(argv=None) -> int:
         use = band_use[name]
         print(json.dumps({"check": name, "failures": len(seeds), "seeds": args.seeds,
                           "ci95": [lo, hi], "failed_seeds": seeds,
-                          "band_use": ({"median": statistics.median(use), "max": max(use)}
-                                       if len(use) == args.seeds else None)}))
+                          "band_use": ({"median": statistics.median(use), "max": max(use),
+                                        "seeds": len(use)} if use else None)}))
     print(json.dumps({"suite": args.suite, "config": args.config, "seeds": args.seeds,
                       "runs_failed": runs_failed}))
     return 0
