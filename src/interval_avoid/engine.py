@@ -555,23 +555,28 @@ def estimate_survival(model: ModelParams, interval: Interval, start: float,
     return _map_jobs([job])[0]
 
 
-def _clock_block(model, interval, start, n, rng, q):
+def _clock_block(model, interval, start, n, rng, qs):
     pb = PathBlock.start(model, interval, start, n, rng)
-    advance(pb, rng.exponential(1.0 / q, n))
-    return _side_counts(interval, pb.x, pb.alive)
+    e, counts = rng.standard_exponential(n), {}
+    for q in sorted(qs, reverse=True):          # the clocks E/q, earliest first
+        advance(pb, e * (1.0 / q))
+        counts[q] = _side_counts(interval, pb.x, pb.alive)
+    return [counts[q] for q in qs]
 
 
-def _clock_job(model, interval, start, q, seed, n):
+def _clock_job(model, interval, start, qs, seed, n):
     interval.require_outside(start, "starting point")
-    require_number(q, "q", low=0.0, strict=True)
-    return _Job(_clock_block, model, interval, start, seed, n, (q,),
-                lambda parts: _side_split(n, _add_blocks(parts)))
+    for q in qs:
+        require_number(q, "q", low=0.0, strict=True)
+    return _Job(_clock_block, model, interval, start, seed, n, (tuple(qs),),
+                lambda parts: [_side_split(n, _add_blocks(c)) for c in zip(*parts)])
 
 
 def estimate_clock_event(model: ModelParams, interval: Interval, start: float,
                          q: float, config: PathConfig) -> SurvivalEstimate:
     """P(e_q < T) for an independent Exp(q) clock, split by side at the clock."""
-    return _map_jobs([_clock_job(model, interval, start, q, config.seed, config.n_paths)])[0]
+    job = _clock_job(model, interval, start, (q,), config.seed, config.n_paths)
+    return _map_jobs([job])[0][0]
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

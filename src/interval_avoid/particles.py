@@ -279,16 +279,18 @@ def occupation_time(model: ModelParams, interval: Interval, start: float,
                                       config.n_paths, config.dt, transform)])[0]
 
 
-def _harmonicity_job(model, interval, kind, start, t, seed, n):
+def _harmonicity_job(model, interval, kind, start, times, seed, n):
     _weigher(model, interval, kind, start)     # rejects a drifted model or an unknown kind
     interval.require_outside(start, "starting point")
 
     def finish(parts):
-        res = _mean_result(*sum(block for block, _alive in parts)[:2, 0].tolist(), n)
-        return EstimatorResult(res.mean - 1.0, res.stderr, n)
+        sums = sum(block for block, _alive in parts)
+        return [EstimatorResult(r.mean - 1.0, r.stderr, n)
+                for r in (_mean_result(w, ww, n) for w, ww in sums[:2].T.tolist())]
 
-    # t as the one grid and record time: one advance call per block
-    return _Job(_ensemble_block, model, interval, start, seed, n, (kind, [t], [t]), finish)
+    # the increasing times as the only grid and record times: one advance call
+    # per time and block, and one result per time
+    return _Job(_ensemble_block, model, interval, start, seed, n, (kind, times, times), finish)
 
 
 def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
@@ -300,7 +302,7 @@ def harmonicity_residual(model: ModelParams, interval: Interval, kind: str,
     order; zero in expectation for a harmonic h.
     """
     require_number(t, "t", low=0.0)
-    job = _harmonicity_job(model, interval, kind, start, t, config.seed, config.n_paths)
+    job = _harmonicity_job(model, interval, kind, start, [t], config.seed, config.n_paths)
     if t == 0.0:
         return EstimatorResult(0.0, 0.0, config.n_paths)
-    return _map_jobs([job])[0]
+    return _map_jobs([job])[0][0]

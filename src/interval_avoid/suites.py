@@ -340,21 +340,15 @@ def _suite_overshoot(config: SuiteConfig) -> list[Check]:
 def _suite_harmonicity(config: SuiteConfig) -> list[Check]:
     model, iv = config.model, config.interval
     n = config.paths or 400_000
-    checks: list[Check] = []
     w = iv.width
     starts = (iv.a - 2.0 * w, iv.a - 1.2 * w, iv.b + 0.5 * w, iv.b + 2.0 * w)
     times = (0.25, 1.0, 4.0)
-    # one task list, the longest times first; sorting restores the check order
-    cases = [(i, x, j, t) for j, t in reversed(list(enumerate(times)))
-             for i, x in enumerate(starts)]
-    jobs = [pt._harmonicity_job(model, iv, "combined", x, t, derive_seed(config.seed, 5, i, j), n)
-            for i, x, j, t in cases]
-    for (_i, x, _j, t), res in sorted(zip(cases, eng._map_jobs(jobs))):
-        checks.append(check_close(
-            f"martingale_x{x:g}_t{t:g}",
-            "E[1(t<T) h(xi_t)] = h(x) (harmonicity of h)",
-            res.mean, 0.0, 3.0 * res.stderr, criterion=5))
-    return checks
+    # one job per start, recording every time on its paths
+    jobs = [pt._harmonicity_job(model, iv, "combined", x, times,
+                                derive_seed(config.seed, 5, i, 0), n) for i, x in enumerate(starts)]
+    return [check_close(f"martingale_x{x:g}_t{t:g}", "E[1(t<T) h(xi_t)] = h(x) (harmonicity of h)",
+                        res.mean, 0.0, 3.0 * res.stderr, criterion=5)
+            for x, per_time in zip(starts, eng._map_jobs(jobs)) for t, res in zip(times, per_time)]
 
 
 # --------------------------------------------------------------------------- #
@@ -373,10 +367,9 @@ def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
     n = config.paths or 200_000
     start = iv.b + iv.width
     qs = (0.1, 0.03, 0.01)
-    # one task list, the slowest clock (smallest q) first
-    estimates = eng._map_jobs([
-        eng._clock_job(model, iv, start, q, derive_seed(config.seed, 6 + int(above_only), i), n)
-        for i, q in reversed(list(enumerate(qs)))])
+    # one path set: each path's one Exp(1) time E read as the clock E/q
+    estimates = eng._map_jobs([eng._clock_job(
+        model, iv, start, qs, derive_seed(config.seed, 6 + int(above_only), 0), n)])[0]
     h = cf.harmonics(model, iv)
     target = float(h.plus(start) if above_only else h.combined(start))
     scaled = []
@@ -392,7 +385,7 @@ def _clock_suite(config: SuiteConfig, above_only: bool, limit_name: str,
     checks.append(check_close(
         limit_name, limit, (target - scaled[-1]) / (target - scaled[-2]), 0.1, 1e-4,
         criterion=criterion))
-    for q, est, expected in zip(qs, reversed(estimates), scaled):
+    for q, est, expected in zip(qs, estimates, scaled):
         res = est.above if above_only else est.total
         k = kappa(model, q)
         checks.append(check_close(f"clock_exact_q{q:g}", per_q, res.mean / k, expected,

@@ -690,7 +690,10 @@ SMALL = {"closedform": {}, "overshoot": {"paths": 32768}, "harmonicity": {"paths
 
 def test_each_suite_makes_one_map_jobs_call(monkeypatch):
     """Every Monte Carlo suite sends all of its blocks as one task list, so it
-    waits at one barrier; closedform simulates nothing."""
+    waits at one barrier; closedform simulates nothing.  Harmonicity sends
+    one job per start and each clock suite one job for its three clocks."""
+    jobs = {"overshoot": 1, "harmonicity": 4, "clocklimit": 1, "conditioning": 1,
+            "longtime": 3, "transient5": 66}
     calls = []
     run = engine._map_jobs
 
@@ -704,7 +707,7 @@ def test_each_suite_makes_one_map_jobs_call(monkeypatch):
     for suite, budget in SMALL.items():
         calls.clear()
         run_suite(parse_config(budget, suite=suite))
-        assert len(calls) == (0 if suite == "closedform" else 1), (suite, calls)
+        assert calls == ([] if suite == "closedform" else [jobs[suite]]), (suite, calls)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
@@ -737,7 +740,9 @@ def test_suite_holds_one_pool_and_shuts_it_down(monkeypatch):
 
 def test_mixed_job_list_matches_public_calls(model, interval):
     """One task list of different jobs gives each job the estimate of its
-    public call alone."""
+    public call alone; a clock job over several q and a harmonicity job over
+    several times give, at their first q and time, the public call's
+    estimate bit for bit."""
     drifted = ModelParams(drift=0.5)
     cfg = PathConfig(dt=1.0, horizon=1.0, seed=95, n_paths=9000)
     small = PathConfig(dt=1.0, horizon=1.0, seed=96, n_paths=300)
@@ -745,15 +750,16 @@ def test_mixed_job_list_matches_public_calls(model, interval):
     jobs = [engine._avoidance_job(drifted, interval, interval.b + 3.0, seed, n),
             engine._avoidance_job(drifted, interval, interval.a - 1.0, small.seed, small.n_paths),
             engine._terminal_job(model, interval, 1.3, 0.7, seed, n),
-            engine._clock_job(model, interval, 2.0, 0.5, seed, n),
-            particles._harmonicity_job(model, interval, "combined", -1.2, 1.0, seed, n)]
+            engine._clock_job(model, interval, 2.0, (0.5, 0.2, 0.05), seed, n),
+            particles._harmonicity_job(model, interval, "combined", -1.2, (1.0, 2.5), seed, n)]
     far, near, (xs, alive), clock, harm = engine._map_jobs(jobs)
     assert far == estimate_avoidance(drifted, interval, interval.b + 3.0, cfg)
     assert near == estimate_avoidance(drifted, interval, interval.a - 1.0, small)
     xs1, alive1 = terminal_sample(model, interval, 1.3, 0.7, cfg)
     assert np.array_equal(xs, xs1) and np.array_equal(alive, alive1)
-    assert clock == estimate_clock_event(model, interval, 2.0, 0.5, cfg)
-    assert harm == harmonicity_residual(model, interval, "combined", -1.2, 1.0, cfg)
+    assert len(clock) == 3 and len(harm) == 2
+    assert clock[0] == estimate_clock_event(model, interval, 2.0, 0.5, cfg)
+    assert harm[0] == harmonicity_residual(model, interval, "combined", -1.2, 1.0, cfg)
 
 
 def test_crossing_law_deterministic(model, interval):
