@@ -58,12 +58,15 @@ start positions and a stream, not a ``PathBlock``, and return per-path
 arrays.
 
 Blocks return counts or sums wherever those suffice, and a finish adds
-them up in block order: the survival and clock blocks return the numbers
-of paths alive in total, above and below the interval, the avoidance
-blocks the sums of their paths' scores and squared scores and the count of
-unresolved paths, and the crossing blocks the sums of their paths' crossing
-scores, censored paths' credit included, of their products and of the
-credit.
+them up in block order: the survival block returns the numbers of paths
+alive in total, above and below the interval, and the clock block those
+numbers at each of its clocks: one Exp(1) time E per path rings the clock
+at rate q at E/q, and the block advances to E/q in decreasing q, which is
+exact because a path stopped at a clock keeps its pending jump.  The
+avoidance blocks return the sums of their paths' scores and squared scores
+and the count of unresolved paths, and the crossing blocks the sums of
+their paths' crossing scores, censored paths' credit included, of their
+products and of the credit.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test) and ``terminal_sample``.
 """

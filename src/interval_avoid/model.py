@@ -173,19 +173,23 @@ def wiener_hopf_roots(params: ModelParams, q: float) -> tuple[float, float]:
     rho^4 - rho^2 (beta^2 + p) + p eta^2 = 0 with p = 2q/sigma^2.
 
     Solved as a quadratic in rho^2 with the conjugate trick for the small
-    root, so rho1 stays accurate as q -> 0.
+    root, so rho1 stays accurate as q -> 0.  The discriminant
+    s^2 - 4 p eta^2, s = beta^2 + p, is taken as the product
+    ((sqrt(p) - eta)^2 + 2 lam/sigma^2)(s + 2 eta sqrt(p)) (beta^2 - eta^2 =
+    2 lam/sigma^2), whose factors neither cancel nor overflow for finite p.
     """
     params.require_centred("Wiener-Hopf roots")
     require_number(q, "q", low=0.0)
-    beta2 = params.beta**2
     if q == 0.0:
         return 0.0, params.beta
-    p = 2.0 * q / params.sigma**2
-    s = beta2 + p
-    disc = math.sqrt(s * s - 4.0 * p * params.eta**2)
+    sigma2, eta = params.sigma**2, params.eta
+    p = 2.0 * q / sigma2
+    s, root_p = params.beta**2 + p, math.sqrt(p)
+    low = (root_p - eta)**2 + 2.0 * params.lam / sigma2     # s - 2 eta sqrt(p)
+    disc = math.sqrt(low) * math.sqrt(s + 2.0 * eta * root_p)
     s2 = 0.5 * (s + disc)          # larger root of the quadratic in rho^2
     rho2 = math.sqrt(s2)
-    rho1 = params.eta * math.sqrt(p) / rho2   # from rho1 * rho2 = eta sqrt(p)
+    rho1 = eta * root_p / rho2     # from rho1 * rho2 = eta sqrt(p)
     return rho1, rho2
 
 

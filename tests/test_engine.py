@@ -365,13 +365,22 @@ def test_clock_additivity_and_fast_clock(model, interval):
 def test_clock_event_matches_closed_form(model, interval):
     """P_x(e_q < T) on each side equals ``clock_probability`` within 3 se,
     from a - 0.5 and b + 0.5 at q = 0.5 and 1: the suites start above b
-    only, so this is the kernel's one check of clock events from below a."""
+    only, so this is the kernel's one check of clock events from below a.
+    The two-rung job reads q = 1 and then q = 0.5 from one path set, so its
+    second rung tests ``advance`` resumed after a clock."""
     cases = [(q, x) for q in (0.5, 1.0) for x in (interval.a - 0.5, interval.b + 0.5)]
     for i, (q, x) in enumerate(cases):
         cfg = PathConfig(dt=0.1, horizon=1.0, seed=400 + i, n_paths=200_000)
         est = estimate_clock_event(model, interval, x, q, cfg)
         for res, target in zip((est.above, est.below), clock_probability(model, interval, x, q)):
             assert res.mean == pytest.approx(target, abs=3 * res.stderr), (q, x)
+    for i, x in enumerate((interval.a - 0.5, interval.b + 0.5)):
+        rungs = engine._map_jobs([engine._clock_job(model, interval, x, (1.0, 0.5), 410 + i,
+                                                    200_000)])[0]
+        for q, est in zip((1.0, 0.5), rungs):
+            for res, target in zip((est.above, est.below),
+                                   clock_probability(model, interval, x, q)):
+                assert res.mean == pytest.approx(target, abs=3 * res.stderr), (q, x)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

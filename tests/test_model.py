@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from interval_avoid import (Interval, ModelParams, kappa, ladder_exponent,
+from interval_avoid import (Interval, ModelParams, clock_probability, kappa, ladder_exponent,
                             laplace_exponent, potential, potential_q,
                             potential_q_total, wiener_hopf_roots)
 
@@ -154,6 +155,27 @@ def test_root_identities_random_q(model):
         r1, r2 = wiener_hopf_roots(model, q)
         assert abs(r1 * r2 - math.sqrt(q)) <= 1e-12 * math.sqrt(q)
         assert abs(r1**2 + r2**2 - (model.beta**2 + q)) <= 1e-12 * (model.beta**2 + q)
+
+
+@pytest.mark.parametrize("params", [dict(), dict(sigma=0.7, lam=3.0, eta=2.5),
+                                    dict(sigma=0.5, lam=0.2, eta=4.0)])
+def test_roots_at_huge_q(params):
+    """Past q ~ 1e154 the square s^2 of the discriminant would overflow; the
+    roots still match 40-digit values, and the q-potential and the clock
+    probabilities stay finite."""
+    m = ModelParams(**params)
+    for q in (1e160, 1e200, 1e300):
+        with mpmath.workdps(40):
+            sigma, lam, eta = (mpmath.mpf(v) for v in (m.sigma, m.lam, m.eta))
+            p = 2 * mpmath.mpf(q) / sigma**2
+            s = eta**2 + 2 * lam / sigma**2 + p
+            ref2 = mpmath.sqrt((s + mpmath.sqrt(s * s - 4 * p * eta**2)) / 2)
+            ref = (eta * mpmath.sqrt(p) / ref2, ref2)
+            for got, want in zip(wiener_hopf_roots(m, q), ref):
+                assert abs(got - want) <= 1e-15 * want, q
+        assert math.isfinite(potential_q(m, 1.0, q)), q
+        assert all(math.isfinite(v) for x in (-1.0, 2.0)
+                   for v in clock_probability(m, Interval(0.0, 1.0), x, q)), q
 
 
 def test_kappa_values(model):
