@@ -1,13 +1,13 @@
 """Command-line front end: tables, simulate, condition, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on invalid
-configuration or arguments and when a particle ensemble dies out.
+configuration or arguments, on a file that cannot be read or written and
+when a particle ensemble dies out.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -113,6 +113,7 @@ def _cmd_tables(args) -> int:
 def _cmd_simulate(args) -> int:
     model, interval = _model_interval(args)
     require_number(args.dt, "dt", low=0.0, strict=True)
+    require_number(args.dump_paths, "dump-paths", integer=True, low=0)
     # only survival and --dump-paths step through a grid of --dt up to
     # --horizon; the clock and avoidance estimators read neither
     grid = args.estimator == "survival" or args.dump_paths > 0
@@ -206,11 +207,12 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = load_config(args.config, suite=args.suite)
+    report = run_suite(load_config(args.config, suite=args.suite))
+    text = dumps_17g(report.to_dict())
     if args.out:
-        config = dataclasses.replace(config, output_path=args.out)
-    report = run_suite(config)
-    print(dumps_17g(report.to_dict()))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -227,7 +229,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError, EnsembleExtinctionError) as exc:
+    except (ConfigError, ValueError, EnsembleExtinctionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

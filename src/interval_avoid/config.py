@@ -1,14 +1,14 @@
 """Strict JSON configuration for the verification harness.
 
-One document configures a run: model and interval blocks, seed, budgets and
-per-suite tolerance overrides.  Unknown keys are rejected so that a config
-file can only mean one thing.
+One document configures a run: model and interval blocks, seed and budgets.
+Unknown keys are rejected so that a config file can only mean one thing;
+tolerances are fixed by the suites, so no config can widen a gate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .model import Interval, ModelParams, require_number
@@ -26,15 +26,11 @@ DEFAULTS: dict[str, Any] = {
     "seed": 20260801,
     "paths": None,        # suite-specific default when None
     "particles": 65536,
-    "tolerances": {},
-    "output_path": None,
 }
 
 _MODEL_KEYS = {"sigma", "lambda", "eta", "drift"}
 _INTERVAL_KEYS = {"a", "b"}
-_TOP_KEYS = {"suite", "model", "interval", "seed", "paths", "particles",
-             "tolerances", "output_path"}
-_TOLERANCE_KEYS = {"deterministic", "roots"}     # the names the suites read
+_TOP_KEYS = {"suite", "model", "interval", "seed", "paths", "particles"}
 
 
 @dataclass(frozen=True)
@@ -45,11 +41,6 @@ class SuiteConfig:
     seed: int
     paths: Optional[int]
     particles: int
-    tolerances: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
 
 def _reject_unknown(block, allowed: set, where: str) -> None:
@@ -66,8 +57,6 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
     _reject_unknown(doc.get("interval", {}), _INTERVAL_KEYS, "interval block")
     model_block = {**DEFAULTS["model"], **doc.get("model", {})}
     interval_block = {**DEFAULTS["interval"], **doc.get("interval", {})}
-    tolerances = doc.get("tolerances", {})
-    _reject_unknown(tolerances, _TOLERANCE_KEYS, "tolerances block")
     paths = doc.get("paths", DEFAULTS["paths"])
     particles = doc.get("particles", DEFAULTS["particles"])
     seed = doc.get("seed", DEFAULTS["seed"])
@@ -82,8 +71,6 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
                             eta=float(model_block["eta"]),
                             drift=float(model_block["drift"]))
         interval = Interval(a=float(interval_block["a"]), b=float(interval_block["b"]))
-        for key, value in tolerances.items():
-            require_number(value, f"tolerance {key!r}", low=0.0, strict=True)
         if paths is not None:
             require_number(paths, "paths", integer=True, low=1)
         require_number(particles, "particles", integer=True, low=1)
@@ -92,9 +79,6 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
         raise ConfigError(str(exc)) from exc
     if suite is not None and doc.get("suite", suite) != suite:
         raise ConfigError(f"config names suite {doc['suite']!r}, but the run is for {suite!r}")
-    output_path = doc.get("output_path", DEFAULTS["output_path"])
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path must be a string or null")
 
     return SuiteConfig(
         suite=doc.get("suite", suite),
@@ -103,8 +87,6 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
         seed=seed,
         paths=paths,
         particles=particles,
-        tolerances=dict(tolerances),
-        output_path=output_path,
     )
 
 

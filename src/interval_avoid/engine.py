@@ -308,7 +308,8 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
         # The K > 1 branches below could serve K = 1 too with the same draws,
         # but the fork is kept: without it step_ms is 1.38-1.64x,
         # bulk_paths_per_s 0.61-0.84x and propagate_ms_per_step 1.22-1.48x
-        # (bench/micro.py medians, 2 CPUs, three paired runs).
+        # (bench/micro.py medians, 2 CPUs, three paired runs), and verify
+        # harmonicity and longtime take 1.21x and 1.27x (20 of 20 pairs slower).
         # jump clock: column c's next jump time, and the event time it ends at
         tj = pb.next_jump[idx][:, None]
         if K > 1:
@@ -321,6 +322,7 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
 
         steps = drift * dt + sigma * np.sqrt(dt) * rng.standard_normal((m, K))
         n_jumps = np.count_nonzero(jump)
+        # without this fork drift_probability (262144 particles) took 2.4% longer, 15 of 20 pairs
         if n_jumps == jump.size:                 # every column ends in a jump
             size = _jump_sizes(rng, (m, K), eta)
         else:
@@ -681,7 +683,8 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     post /= eta
     post += up - down
     # K = 1 skips the cumulative sum and the shifted copy: one segment per
-    # iteration is the common case while a block is full
+    # iteration is the common case while a block is full (without this fork
+    # transient5 took 2.9% longer at 1 worker, 17 of 20 pairs, 2 CPUs)
     if K > 1:
         np.cumsum(post, axis=1, out=post)
     post += x[:, None]
@@ -749,17 +752,12 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         rows = np.concatenate((hit[:1], hit[1:][hit[1:] != hit[:-1]]))
         sub = crossed[rows]
         count = n_cross[rows, None] + np.cumsum(sub, axis=1)
-        # K = 1 skips the first-stop search: its one column is the stop
-        if K > 1:
-            stop = killed.copy()
-            stop[rows] |= interval.contains(post[rows]) | (count >= k)
-            stop[:, -1] = True
-            col = stop.argmax(axis=1)
-            flat = np.arange(m) * K + col
-            kill_c, x_c = killed.ravel()[flat], post.ravel()[flat]
-        else:
-            col = np.zeros(m, dtype=np.intp)
-            kill_c, x_c = killed[:, 0], post[:, 0]
+        stop = killed.copy()
+        stop[rows] |= interval.contains(post[rows]) | (count >= k)
+        stop[:, -1] = True
+        col = stop.argmax(axis=1)
+        flat = np.arange(m) * K + col
+        kill_c, x_c = killed.ravel()[flat], post.ravel()[flat]
         # jumps up to the stopping column, unless a kill preempts it
         pi *= np.arange(K) < (col + ~kill_c)[:, None]
         n_c = n_cross.copy()
@@ -929,16 +927,11 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = n_segments
     while idx.size and left > 0:
         tilted = x > b
-        # rows all on one side, as in the first iteration: that side's law as
-        # scalars, which give the same floats as per-row columns, ungathered
-        n_tilted = np.count_nonzero(tilted)
-        if n_tilted in (0, tilted.size):
-            law = laws[int(n_tilted > 0)]
-        else:
-            law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
+        law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
         K, post, above, killed, _pre = _walk_segments(interval, x, rng, left, model.eta, *law)
         left -= K
-        # K = 1 skips the first-stop search: its one column is the stop
+        # K = 1 skips the first-stop search: its one column is the stop (without
+        # this fork transient5 took 11.9% longer at 1 and 2 workers, 39 of 40 pairs)
         if K > 1:
             stop = killed | _either(above, post <= b, post >= a)
             stop[:, -1] = True

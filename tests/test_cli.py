@@ -340,15 +340,29 @@ def test_root_product_reads_the_root_error(tmp_path, capsys, monkeypatch, lam):
     assert code == 1 and not checks["root_product"]["passed"]
 
 
-def test_verify_failing_suite_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    # impossible tolerance: the frozen reference differs from the library
-    # value by an ulp, which 1e-30 cannot absorb
-    cfg.write_text(json.dumps({"tolerances": {"deterministic": 1e-30}}))
-    code, stdout, _ = run_cli(["verify", "--suite", "closedform",
-                               "--config", str(cfg)], capsys)
-    assert code == 1
-    assert json.loads(stdout)["passed"] is False
+def test_verify_failing_suite_exits_1(capsys, monkeypatch):
+    """A crossing factor planted 1e-6 off, and so the harmonic functions
+    built on it, fail the suite: exit 1, with the report still printed."""
+    exact = suites.cf.crossing_factor
+    monkeypatch.setattr(suites.cf, "crossing_factor",
+                        lambda model, interval: exact(model, interval) * (1.0 + 1e-6))
+    code, stdout, _ = run_cli(["verify", "--suite", "closedform"], capsys)
+    report = json.loads(stdout)
+    assert code == 1 and report["passed"] is False
+    assert not {c["name"]: c for c in report["checks"]}["crossing_factor"]["passed"]
+
+
+def test_verify_out_writes_the_printed_report(tmp_path, capsys, monkeypatch):
+    """--out holds exactly the bytes that verify prints; run_suite itself
+    writes no file."""
+    monkeypatch.chdir(tmp_path)
+    suites.run_suite(parse_config({}, suite="closedform"))
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(["verify", "--suite", "closedform", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_verify_invalid_config_exits_2(tmp_path, capsys):
@@ -361,13 +375,11 @@ def test_verify_invalid_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     '{"model": {"sigma": Infinity}}',
-    '{"output_path": 5}',
     '{"seed": 1180591620717411303424}',
     '{"seed": -1}',
     '{"model": {"lambda": null}}',
     '{"interval": [0, 1]}',
     '{"model": {"sigma": true}}',
-    '{"tolerances": {"deterministic": Infinity}}',
 ])
 def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -377,6 +389,43 @@ def test_verify_out_of_range_config_exits_2(tmp_path, capsys, text):
     assert code == 2 and out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"output_path": 5}',
+    '{"tolerances": {"deterministic": Infinity}}',
+])
+def test_verify_removed_keys_are_unknown(tmp_path, capsys, text):
+    """The tolerances block and output_path are no longer config keys."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(["verify", "--suite", "closedform",
+                              "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown key" in err
+
+
+_MISSING = "/nonexistent/x"
+
+
+@pytest.mark.parametrize("args, named", [
+    (["verify", "--suite", "closedform", "--config", _MISSING], _MISSING),
+    (["verify", "--suite", "closedform", "--out", _MISSING], _MISSING),
+    (["tables", "--grid", "2:3:0.5", "--out", _MISSING], _MISSING),
+    (["simulate", "--start", "2", "--paths", "10", "--t", "0.1",
+      "--dump-paths", "1", "--dump-file", _MISSING], _MISSING),
+    (["condition", "--start", "2", "--particles", "64", "--horizon", "1",
+      "--timeseries", _MISSING], _MISSING),
+    (["simulate", "--start", "2", "--paths", "10", "--t", "0.1", "--dump-paths", "-3"],
+     "dump-paths"),
+], ids=["verify-config", "verify-out", "tables-out", "simulate-dump-file",
+        "condition-timeseries", "simulate-negative-dump-paths"])
+def test_bad_file_or_count_exits_2(capsys, args, named):
+    """An unreadable or unwritable file argument and a negative --dump-paths
+    are usage errors: exit 2 with one error line naming them, no traceback."""
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch):

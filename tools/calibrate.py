@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     band_use: dict[str, list[float]] = {}
     runs_failed = 0
     for seed in range(1, args.seeds + 1):
-        report = run_suite(dataclasses.replace(base, seed=seed, output_path=None))
+        report = run_suite(dataclasses.replace(base, seed=seed))
         runs_failed += not report.passed
         for check in report.checks:
             seeds = failed.setdefault(check.name, [])
