@@ -258,6 +258,28 @@ def _jump_sizes(rng: np.random.Generator, shape, eta: float) -> np.ndarray:
     return size
 
 
+_SHORT_ROWS = 16    # rows up to this long are summed column by column
+
+
+def _row_cumsum(v: np.ndarray) -> np.ndarray:
+    """Running sums along the rows of the (m, K) array ``v``: in place for a
+    float ``v``, into a new integer array for a boolean one, as
+    ``np.cumsum(v, axis=1)``.  Rows of up to _SHORT_ROWS cells are added
+    column by column, in cumsum's left-to-right order, so the sums are bit
+    for bit the same: at m K = 8192 cumsum took 43 us at K = 2 and 23 us at
+    K = 16, the column adds 2.5 us and 13 us; they break even near K = 16 for
+    booleans and K = 32 for floats (timeit, 2 CPUs).
+    """
+    K = v.shape[1]
+    if K > _SHORT_ROWS:
+        return np.cumsum(v, axis=1, out=None if v.dtype == bool else v)
+    if v.dtype == bool:
+        v = v.astype(np.int_)
+    for c in range(1, K):
+        v[:, c] += v[:, c - 1]
+    return v
+
+
 def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
     """K for the m = t0.size live paths at times t0 with targets tt: one event
     plus the expected jumps left to the latest target, capped at MAX_EVENTS
@@ -313,8 +335,8 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
         # jump clock: column c's next jump time, and the event time it ends at
         tj = pb.next_jump[idx][:, None]
         if K > 1:
-            tj = tj + np.cumsum(np.concatenate(
-                [np.zeros((m, 1)), rng.exponential(1.0 / lam, (m, K - 1))], axis=1), axis=1)
+            tj = tj + _row_cumsum(np.concatenate(
+                [np.zeros((m, 1)), rng.exponential(1.0 / lam, (m, K - 1))], axis=1))
         jump = tj <= tt
         t1 = np.minimum(tj, tt)
         dt = np.diff(t1, axis=1, prepend=t0[:, None]) if K > 1 else t1 - t0[:, None]
@@ -330,7 +352,7 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
             size[jump] = _jump_sizes(rng, n_jumps, eta)
         post = steps + size                      # value after each event
         if K > 1:
-            np.cumsum(post, axis=1, out=post)
+            _row_cumsum(post)
         post += x0[:, None]
         pre = post - size                        # value just before it
         seg0 = (np.concatenate([x0[:, None], post[:, :-1]], axis=1) if K > 1
@@ -344,7 +366,7 @@ def advance(pb: PathBlock, targets, *, bridge: bool = True, stop_after: int = 0)
         # post == pre and never crosses
         crossed = np.where(pre > b, post <= b, post >= a)
         landed = interval.contains(post)
-        n_cross = pb.n_cross[idx][:, None] + (np.cumsum(crossed, axis=1) if K > 1
+        n_cross = pb.n_cross[idx][:, None] + (_row_cumsum(crossed) if K > 1
                                               else crossed)
         capped = jump & (n_cross >= stop_after) if stop_after > 0 else None
 
@@ -668,8 +690,8 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     above b kills if its infimum is at or below b, one starting below a if
     its supremum is at or above a (and one starting inside [a, b] always).
     Returns K and the (m, K) arrays of landings, of whether each segment
-    starts above b, of its kills and of its pre-jump values (the landing
-    less the jump).
+    starts above b, of its kills and of its starts (a view of ``x`` when
+    K = 1).
     """
     a, b = interval.a, interval.b
     m = x.size
@@ -686,15 +708,69 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     # iteration is the common case while a block is full (without this fork
     # transient5 took 2.9% longer at 1 worker, 17 of 20 pairs, 2 CPUs)
     if K > 1:
-        np.cumsum(post, axis=1, out=post)
+        _row_cumsum(post)
     post += x[:, None]
     seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
     above = seg0 > b
     killed = _either(above, seg0 - down <= b, seg0 + up >= a)
-    pre = up        # the draws' buffer: U and D are not read again
-    pre -= down
-    pre += seg0
-    return K, post, above, killed, pre
+    return K, post, above, killed, seg0
+
+
+def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np.ndarray:
+    """The constants of ``_segment_scores`` for a model with exponent ``eta``
+    and Wiener-Hopf scales ``rise`` and ``fall`` (``_wiener_hopf_scales``)
+    around an interval of width w: a (3, 2) array with rows -kappa, -delta
+    and -C/delta, column 0 for a start below a and column 1 for one above b.
+
+    On each side s_t is the mean travel of a segment's Brownian part toward
+    the interval and s_a that away from it ((rise, fall) below a, (fall,
+    rise) above b); kappa = min(eta, 1/s_t), delta = |eta - 1/s_t| and
+    C = exp(-eta w)/2 / (s_t (1 + eta s_a)).  delta is raised to at least
+    sqrt(tiny) = 1.5e-154, tiny the smallest normal double, so that it can
+    divide: that moves f by a relative delta u/2, below 1e-16 for any u
+    under 1e138, and keeps delta u a normal double for u above 1.5e-154.
+    """
+    law = np.empty((3, 2))
+    for side, (toward, away) in enumerate(((rise, fall), (fall, rise))):
+        delta = max(abs(eta - 1.0 / toward), _DELTA_FLOOR)
+        law[:, side] = (-min(eta, 1.0 / toward), -delta,
+                        -0.5 * math.exp(-eta * width) / (toward * (1.0 + eta * away) * delta))
+    return law
+
+
+_DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
+                    law: np.ndarray) -> np.ndarray:
+    """f(y) = E[pi(pre) 1(no kill) | y] for segments that start live at y
+    outside [a, b] (above b where ``above``); ``law`` is
+    ``_segment_score_law``'s.
+
+    pi(p) = exp(-eta d)/2 is the chance that a jump from p lands past the far
+    boundary, at distance d from p.  Let u be the distance from y to the near
+    boundary and w = b - a.  The segment's Brownian part travels T toward the
+    interval to its extremum and then A back, independent exponentials with
+    means s_t and s_a; it kills if T >= u, and otherwise d = w + u - T + A.
+    So f(y) = exp(-eta (w + u))/2 E[exp(eta T); T < u] E[exp(-eta A)]
+            = exp(-eta (w + u))/2 (u/s_t) exprel((eta - 1/s_t) u) / (1 + eta s_a)
+            = (C/delta) exp(-kappa u) (1 - exp(-delta u)),
+    with exprel(z) = (e^z - 1)/z.  The last form, with 1 - exp(-delta u) from
+    ``expm1``, neither cancels (the form (exp(-u/s_t) - exp(-eta u))/(eta
+    s_t - 1) does where eta s_t is near 1, as at the default model) nor
+    overflows (both exponents are at most 0).
+    """
+    neg_kappa, neg_delta, f = (np.where(above, hi, lo) for lo, hi in law)
+    u = y - 0.5 * (interval.a + interval.b)     # the distance to the near boundary
+    np.abs(u, out=u)
+    u -= 0.5 * interval.width
+    neg_delta *= u
+    np.expm1(neg_delta, out=neg_delta)
+    neg_kappa *= u
+    np.exp(neg_kappa, out=neg_kappa)
+    f *= neg_kappa
+    f *= neg_delta
+    return f
 
 
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
@@ -713,21 +789,20 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     one inside [a, b] is a dead path's last) and the index and position of
     each path still live.
 
-    Each jump that a path makes after j - 1 crossings adds to its score S_j
-    the chance pi(p) = exp(-eta d)/2 that a jump from its pre-jump value p
-    lands past the far boundary, at distance d from p (b from below a, a
-    from above b); a segment whose Brownian part kills makes no jump and
-    adds nothing.  pi is the conditional expectation of the indicator that
-    the jump is a crossing past the far boundary, so E[S_j] equals the mass
-    of the recorded crossings j on the same censored paths, with a smaller
-    variance.  ``scores``, if given, is an (n, k) array of zeros that
-    receives S_1..S_k.
+    Each segment that a path starts live at y after j - 1 crossings adds to
+    its score S_j the chance f(y) (``_segment_scores``) that the segment's
+    jump is made and lands past the far boundary.  Every segment up to and
+    including the row's stop column counts, a killing one too, since f
+    carries the chance of the kill.  f is the conditional expectation, given
+    the segment's start, of the indicator that the segment makes crossing j
+    past the far boundary, so E[S_j] equals the mass of the recorded
+    crossings j on the same censored paths, with a smaller variance.
+    ``scores``, if given, is an (n, k) array of zeros that receives
+    S_1..S_k.
     """
     a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
-    # d = |p - mid| + half, with mid and half the interval's centre and
-    # half-width; the factor exp(-eta half)/2 is applied once, at the end
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    law = _segment_score_law(model.eta, rise, fall, interval.width)
     if scores is None:
         scores = np.zeros((x.size, k))
     landings = np.full((x.size, k), np.nan)
@@ -736,13 +811,10 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = n_segments
     while idx.size and left > 0:
         m = idx.size
-        K, post, above, killed, pi = _walk_segments(interval, x, rng, left, model.eta,
-                                                    rise, fall, 1.0, 1.0)
+        K, post, above, killed, seg0 = _walk_segments(interval, x, rng, left, model.eta,
+                                                      rise, fall, 1.0, 1.0)
         left -= K
-        pi -= mid
-        np.abs(pi, out=pi)
-        pi *= -model.eta
-        np.exp(pi, out=pi)
+        f = _segment_scores(interval, seg0, above, law)
         crossed = _either(above, post <= b, post >= a)
         # crossings are rare, so only the rows that crossed are counted and
         # searched for a landing inside or a k-th crossing
@@ -758,27 +830,26 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
         col = stop.argmax(axis=1)
         flat = np.arange(m) * K + col
         kill_c, x_c = killed.ravel()[flat], post.ravel()[flat]
-        # jumps up to the stopping column, unless a kill preempts it
-        pi *= np.arange(K) < (col + ~kill_c)[:, None]
+        # segments up to and including the stopping column
+        f *= np.arange(K) <= col[:, None]
         n_c = n_cross.copy()
         if rows.size:
             at, rc = np.arange(rows.size), col[rows]
             n_c[rows] = count[at, rc] - (kill_c[rows] & sub[at, rc])
-            # a crossing row's jumps score for the crossing after those
+            # a crossing row's segments score for the crossing after those
             # before them; the cells past a k-th crossing hold 0
-            np.add.at(scores, (idx[rows, None], np.minimum(count - sub, k - 1)), pi[rows])
-            pi[rows] = 0.0
+            np.add.at(scores, (idx[rows, None], np.minimum(count - sub, k - 1)), f[rows])
+            f[rows] = 0.0
             # crossings up to the stopping column, unless a kill preempts it
             at, c = np.nonzero(sub)
             keep = (c < rc[at]) | ((c == rc[at]) & ~kill_c[rows[at]])
             at, c = at[keep], c[keep]
             landings[idx[rows[at]], count[at, c] - 1] = post[rows[at], c]
-        # the other rows' jumps score for the crossing after those recorded
-        scores[idx, n_cross] += np.einsum("ij->i", pi)
+        # the other rows' segments score for the crossing after those recorded
+        scores[idx, n_cross] += np.einsum("ij->i", f)
 
         go = ~(kill_c | interval.contains(x_c)) & (n_c < k)
         idx, x, n_cross = idx[go], x_c[go], n_c[go]
-    scores *= 0.5 * math.exp(-model.eta * half)
     return landings, idx, x
 
 
@@ -928,7 +999,7 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     while idx.size and left > 0:
         tilted = x > b
         law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
-        K, post, above, killed, _pre = _walk_segments(interval, x, rng, left, model.eta, *law)
+        K, post, above, killed, _seg0 = _walk_segments(interval, x, rng, left, model.eta, *law)
         left -= K
         # K = 1 skips the first-stop search: its one column is the stop (without
         # this fork transient5 took 11.9% longer at 1 and 2 workers, 39 of 40 pairs)

@@ -781,11 +781,11 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned when censored crossing
-# paths gained their closed-form credit, which moves ``mass`` and replaced
-# the censor bias bound by ``censor_credit``; with the crossing law's
-# ``mass`` and censor field left out of the digest, it reads ee87563a...eb6b
-# both before and after, so the draws and landings did not move
+# crossing budgets span two blocks.  Last re-pinned when each crossing-walk
+# segment came to score f(y) at its start y in place of pi at its pre-jump
+# value, which moves ``mass`` only; with the crossing law's ``mass`` and
+# ``censor_credit`` left out of the digest, it reads ee87563a...eb6b both
+# before and after, so the draws and landings did not move
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -806,7 +806,7 @@ def test_estimators_pinned(model, interval):
     add(occupation_time(model, interval, 2.0, (-1.0, 2.0), (0.5, 1.0),
                         PathConfig(dt=0.1, horizon=1.0, seed=94, n_paths=500)))
     assert digest.hexdigest() == (
-        "618440c3872cf156de8c6b3b3c69fe78141c494d2d860a759926ee1cf6bbbb1b")
+        "6737ffd2345632440c084bc462fae08fca90e205ffdde9366248da75c285c5c3")
 
 
 # ----------------------------------------------------------------- avoidance
