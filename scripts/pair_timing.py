@@ -10,8 +10,9 @@ system) and peak RSS are read as well, the last two from the rusage that
 ``os.wait4`` returns, which covers the pool workers it reaped; they show
 start-up and teardown.  Prints one JSON line per suite and worker count:
 the quartiles and medians of each, how many pairs the head won on each of
-the three times and whether the two trees' reports, less their
-``runtime_seconds`` line, were byte-identical in every pair.
+the three times and, as ``reports_identical``, whether the two trees'
+reports held equal ``checks`` arrays in every pair (the rest of a report,
+such as its ``config_echo``, may differ between trees whose checks agree).
 
     python3 scripts/pair_timing.py --base ../parent --head . \\
         --suites harmonicity clocklimit --threads 1 2 --pairs 10
@@ -45,8 +46,8 @@ MEASURES = ("runtime_s", "wall_s", "cpu_s", "rss_mib")
 def run_suite(tree: Path, suite: str, threads: int,
               config: Optional[Path] = None) -> tuple[tuple[float, ...], str]:
     """The suite's ``runtime_seconds``, the run's process wall and CPU
-    seconds and peak RSS in MiB, and its report without the
-    ``runtime_seconds`` line."""
+    seconds and peak RSS in MiB, and its report's ``checks`` array as JSON
+    text (text, so that a NaN compares equal to itself)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads))
     cmd = [sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite]
     if config is not None:
@@ -62,10 +63,9 @@ def run_suite(tree: Path, suite: str, threads: int,
         if proc.returncode:
             err.seek(0)
             raise subprocess.CalledProcessError(proc.returncode, cmd, out, err.read())
-    rest = "".join(line for line in out.splitlines(keepends=True)
-                   if not line.lstrip().startswith('"runtime_seconds":'))
-    return (json.loads(out)["runtime_seconds"], wall, usage.ru_utime + usage.ru_stime,
-            usage.ru_maxrss / 1024.0), rest     # ru_maxrss is in KiB on Linux
+    report = json.loads(out)
+    return (report["runtime_seconds"], wall, usage.ru_utime + usage.ru_stime,
+            usage.ru_maxrss / 1024.0), json.dumps(report["checks"])     # ru_maxrss: KiB
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -96,13 +96,13 @@ def main(argv=None) -> int:
             identical = True
             for i in range(args.pairs):
                 order = [(args.base, base), (args.head, head)]
-                reports = []
+                checks = []
                 for tree, runs in order if i % 2 == 0 else order[::-1]:
-                    measures, report = run_suite(tree, suite, threads, args.config)
+                    measures, report_checks = run_suite(tree, suite, threads, args.config)
                     for name, value in zip(MEASURES, measures):
                         runs[name].append(value)
-                    reports.append(report)
-                identical &= reports[0] == reports[1]
+                    checks.append(report_checks)
+                identical &= checks[0] == checks[1]
             line = {"suite": suite, "threads": threads, "pairs": args.pairs,
                     "config": None if args.config is None else str(args.config),
                     "base_q1_median_q3": quartiles(base["runtime_s"]),

@@ -8,6 +8,7 @@ when a particle ensemble dies out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -103,6 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _open_output(path):
+    """``path`` opened for writing, or a null context for no path.  Each
+    command opens its output files before its run, so that a path that
+    cannot be written costs no run and leaves stdout empty."""
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _cmd_tables(args) -> int:
     model, interval = _model_interval(args)
     grid = _parse_grid(args.grid)
@@ -121,46 +131,46 @@ def _cmd_simulate(args) -> int:
                         seed=args.seed, n_paths=args.paths)
     if args.no_bridge and args.estimator != "survival":
         raise ConfigError(f"--no-bridge is for survival only (got --estimator {args.estimator})")
-    if args.estimator == "survival":
-        t = args.horizon if args.t is None else args.t
-        est = estimate_survival(model, interval, args.start, t, config,
-                                bridge=not args.no_bridge)
-        result, extra = est.total, {"above": est.above.mean, "below": est.below.mean, "t": t}
-    elif args.estimator == "clock":
-        if args.q is None:
-            raise ConfigError("the clock estimator requires --q")
-        est = estimate_clock_event(model, interval, args.start, args.q, config)
-        result, extra = est.total, {"above": est.above.mean, "below": est.below.mean,
-                                    "q": args.q}
-    else:
-        est = estimate_avoidance(model, interval, args.start, config)
-        result, extra = est.result, {"unresolved": est.unresolved}
+    if args.estimator == "clock" and args.q is None:
+        raise ConfigError("the clock estimator requires --q")
+    with _open_output(args.dump_file if args.dump_paths > 0 else None) as dump:
+        if args.estimator == "survival":
+            t = args.horizon if args.t is None else args.t
+            est = estimate_survival(model, interval, args.start, t, config,
+                                    bridge=not args.no_bridge)
+            result, extra = est.total, {"above": est.above.mean, "below": est.below.mean, "t": t}
+        elif args.estimator == "clock":
+            est = estimate_clock_event(model, interval, args.start, args.q, config)
+            result, extra = est.total, {"above": est.above.mean, "below": est.below.mean,
+                                        "q": args.q}
+        else:
+            est = estimate_avoidance(model, interval, args.start, config)
+            result, extra = est.result, {"unresolved": est.unresolved}
 
-    payload = {
-        "estimator": args.estimator,
-        "mean": result.mean,
-        "stderr": result.stderr,
-        "n": result.n,
-        "variants": extra,
-        "config_echo": {
-            "start": args.start, "paths": args.paths, "dt": args.dt,
-            "horizon": args.horizon, "seed": args.seed,
-            "bridge_correction": not args.no_bridge,
-            **_model_echo(model, interval),
-        },
-    }
-    print(dumps_17g(payload))
+        payload = {
+            "estimator": args.estimator,
+            "mean": result.mean,
+            "stderr": result.stderr,
+            "n": result.n,
+            "variants": extra,
+            "config_echo": {
+                "start": args.start, "paths": args.paths, "dt": args.dt,
+                "horizon": args.horizon, "seed": args.seed,
+                "bridge_correction": not args.no_bridge,
+                **_model_echo(model, interval),
+            },
+        }
+        print(dumps_17g(payload))
 
-    if args.dump_paths > 0:
-        with open(args.dump_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("path_id,t,value,is_jump,killed\n")
+        if dump is not None:
+            dump.write("path_id,t,value,is_jump,killed\n")
             for pid in range(args.dump_paths):
                 tr = simulate_path(model, interval, args.start, config, path_index=pid,
                                    bridge=not args.no_bridge)
                 for i in range(tr.times.size):
                     killed = tr.hit and i == tr.times.size - 1
-                    fh.write(f"{pid},{tr.times[i]:.17g},{tr.values[i]:.17g},"
-                             f"{int(tr.is_jump[i])},{int(killed)}\n")
+                    dump.write(f"{pid},{tr.times[i]:.17g},{tr.values[i]:.17g},"
+                               f"{int(tr.is_jump[i])},{int(killed)}\n")
     return EXIT_OK
 
 
@@ -174,44 +184,45 @@ def _cmd_condition(args) -> int:
     if args.timeseries:
         small = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
                            n_paths=min(args.particles, 8192))
-    dp = drift_probability(model, interval, args.start, args.horizon, config,
-                           transform=args.transform)
-    payload = {
-        "transform": args.transform,
-        "p_up": dp.p_up.mean,
-        "p_down": dp.p_down.mean,
-        "stderr_up": dp.p_up.stderr,
-        "stderr_down": dp.p_down.stderr,
-        "ess_min": dp.ess_min,
-        "resamples": dp.resamples,
-        "config_echo": {
-            "start": args.start, "particles": args.particles, "dt": args.dt,
-            "horizon": args.horizon, "seed": args.seed,
-            **_model_echo(model, interval),
-        },
-    }
-    print(dumps_17g(payload))
+    with _open_output(args.timeseries) as series:
+        dp = drift_probability(model, interval, args.start, args.horizon, config,
+                               transform=args.transform)
+        payload = {
+            "transform": args.transform,
+            "p_up": dp.p_up.mean,
+            "p_down": dp.p_down.mean,
+            "stderr_up": dp.p_up.stderr,
+            "stderr_down": dp.p_down.stderr,
+            "ess_min": dp.ess_min,
+            "resamples": dp.resamples,
+            "config_echo": {
+                "start": args.start, "particles": args.particles, "dt": args.dt,
+                "horizon": args.horizon, "seed": args.seed,
+                **_model_echo(model, interval),
+            },
+        }
+        print(dumps_17g(payload))
 
-    if args.timeseries:
-        times = [0.0] + _observation_grid(args.dt, args.horizon)
-        ens = propagate_ensemble(model, interval, args.transform, args.start,
-                                 small, record_times=times)
-        with open(args.timeseries, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,total_weight,ess,frac_above,frac_below\n")
+        if series is not None:
+            times = [0.0] + _observation_grid(args.dt, args.horizon)
+            ens = propagate_ensemble(model, interval, args.transform, args.start,
+                                     small, record_times=times)
+            series.write("time,total_weight,ess,frac_above,frac_below\n")
             for t, w, w2, w_up, w_dn in zip(ens.times, ens.weight, ens.weight_sq,
                                             ens.weight_above, ens.weight_below):
                 ess = w * w / w2 if w2 > 0.0 else 0.0
                 up, dn = (w_up / w, w_dn / w) if w > 0.0 else (math.nan, math.nan)
-                fh.write(f"{t:.17g},{w / ens.n:.17g},{ess:.17g},{up:.17g},{dn:.17g}\n")
+                series.write(f"{t:.17g},{w / ens.n:.17g},{ess:.17g},{up:.17g},{dn:.17g}\n")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(load_config(args.config, suite=args.suite))
-    text = dumps_17g(report.to_dict())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    config = load_config(args.config, suite=args.suite)
+    with _open_output(args.out) as out:
+        report = run_suite(config)
+        text = dumps_17g(report.to_dict())
+        if out is not None:
+            out.write(text + "\n")
     print(text)
     return EXIT_OK if report.passed else EXIT_FAIL
 

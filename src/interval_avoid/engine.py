@@ -51,7 +51,9 @@ avoidance walk runs the segments that start above b under the
 exponentially tilted law (Siegmund's change of measure), so that every path
 is killed and scores its likelihood ratio.  The crossing walk's time cap is
 a cap of ceil(lam * horizon) jump segments, the avoidance walk's a fixed
-segment cap.  A crossing path censored at the cap scores its mean future
+segment cap.  The crossing masses are scored, not counted: each segment
+adds the chance, given its start, that it makes the crossing past the far
+boundary.  A crossing path censored at the cap scores its mean future
 from the closed form instead (the strong Markov property at its last
 jump), so the crossing masses carry no censoring bias.  The walks take
 start positions and a stream, not a ``PathBlock``, and return per-path
@@ -634,9 +636,10 @@ class CrossingLawEstimate:
     crossing k then.  Every per-crossing field is a length-k tuple indexed
     j - 1.  ``positions`` holds the landings past the far boundary, for the
     shape tests.  ``mass`` is the mean of the paths' scores S_j (see
-    ``empirical_crossing_law``), censored paths' credit included, with its
-    standard error, and ``mass_cov`` the (k, k) sample covariance of the
-    scores, whose diagonal over n_paths is the squared standard error.
+    ``empirical_crossing_law``: each segment scores f at its start),
+    censored paths' credit included, with its standard error, and
+    ``mass_cov`` the (k, k) sample covariance of the scores, whose diagonal
+    over n_paths is the squared standard error.
     ``censor_credit`` is the mean credit per path that the censored paths
     add to each S_j from the closed form: the part of ``mass`` that rests
     on it rather than on simulated jumps.
@@ -761,9 +764,8 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
     overflows (both exponents are at most 0).
     """
     neg_kappa, neg_delta, f = (np.where(above, hi, lo) for lo, hi in law)
-    u = y - 0.5 * (interval.a + interval.b)     # the distance to the near boundary
-    np.abs(u, out=u)
-    u -= 0.5 * interval.width
+    u = y - interval.b      # the distance to the near boundary, rounded once
+    np.maximum(u, interval.a - y, out=u)
     neg_delta *= u
     np.expm1(neg_delta, out=neg_delta)
     neg_kappa *= u
@@ -882,10 +884,10 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     it at its k-th crossing and censors it after ceil(lam *
     ``config.horizon``) jump segments (hitting times have infinite mean, so
     some cap is unavoidable).  The mass of crossing j is estimated by
-    conditional Monte Carlo: each path scores S_j, the sum over the jumps it
-    makes after j - 1 crossings of the chance exp(-eta d)/2 that the jump
-    lands past the far boundary, d being the distance to it from the
-    pre-jump value.  S_j has the mean of the indicator that crossing j is
+    conditional Monte Carlo: each path scores S_j, the sum over the segments
+    it starts live after j - 1 crossings of f(y) (``_segment_scores``), the
+    chance given the segment's start y that its jump is made and lands past
+    the far boundary.  S_j has the mean of the indicator that crossing j is
     recorded past the far boundary, on the same censored paths, and a
     smaller variance.  A path censored at x after ``done`` crossings then
     adds its mean future score, c^(j - 1 - done) m1(x) = mass(nu_(j - done))

@@ -428,6 +428,26 @@ def test_bad_file_or_count_exits_2(capsys, args, named):
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("args, run", [
+    (["simulate", "--start", "2", "--paths", "10", "--t", "0.1",
+      "--dump-paths", "1", "--dump-file", _MISSING], "estimate_survival"),
+    (["condition", "--start", "2", "--particles", "64", "--horizon", "1",
+      "--timeseries", _MISSING], "drift_probability"),
+    (["verify", "--suite", "closedform", "--out", _MISSING], "run_suite"),
+], ids=["simulate", "condition", "verify"])
+def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, args, run):
+    """Each command opens its output file before its run: an unwritable path
+    exits 2 with one error line and nothing on stdout, and the run never
+    starts."""
+    def never(*_args, **_kwargs):
+        raise AssertionError(f"{run} ran before the output file was opened")
+
+    monkeypatch.setattr(f"interval_avoid.cli.{run}", never)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and _MISSING in err
+
+
 def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("INTERVAL_AVOID_THREADS", "two")
     code, out, err = run_cli(["verify", "--suite", "closedform"], capsys)

@@ -20,7 +20,8 @@ from interval_avoid.config import parse_config
 from interval_avoid import engine, particles
 from interval_avoid.engine import (PathBlock, _avoidance_block, _avoidance_walk,
                                    _bridge_exponent, _bridge_kill, _crossing_block,
-                                   _crossing_walk, _jump_sizes, _tilted_model,
+                                   _crossing_walk, _jump_sizes, _segment_score_law,
+                                   _segment_scores, _tilted_model, _walk_segments,
                                    adjustment_coefficient, _wiener_hopf_scales, advance,
                                    ks_critical_value, ks_distance)
 from interval_avoid.particles import (drift_probability, harmonicity_residual,
@@ -609,6 +610,102 @@ def test_crossing_scores_match_recorded_crossings():
             dof += 1
     assert dof >= 4
     assert stats.chi2.sf(stat, dof) >= 0.0027, (stat, dof)
+
+
+def _score_at(interval, eta, rise, fall, y):
+    """``_segment_scores`` at the one start y."""
+    law = _segment_score_law(eta, rise, fall, interval.width)
+    return float(_segment_scores(interval, np.array([y]), np.array([y > interval.b]), law)[0])
+
+
+def _score_reference(interval, eta, rise, fall, y):
+    """E[pi(pre) 1(no kill) | y] to 40 digits: the segment's Brownian part
+    travels T toward [a, b] and then A away (means rise and fall from below
+    a, fall and rise from above b, as ``_walk_segments`` draws them), kills
+    if T reaches the near boundary, and otherwise the jump from the pre-jump
+    value lands past the far boundary with chance exp(-eta d)/2, d = w + u -
+    T + A.  The T-integral is taken by quadrature, the A-integral in closed
+    form, E[exp(-eta A)] = 1/(1 + eta s_a)."""
+    below = y < interval.a
+    toward, away = (rise, fall) if below else (fall, rise)
+    with mpmath.workdps(40):
+        eta, toward, away = mpmath.mpf(eta), mpmath.mpf(toward), mpmath.mpf(away)
+        u = mpmath.mpf(interval.a) - y if below else y - mpmath.mpf(interval.b)
+        w = mpmath.mpf(interval.b) - mpmath.mpf(interval.a)
+        rate = eta - 1 / toward
+        t_part = mpmath.quad(lambda t: mpmath.exp(rate * (t - u)) / toward, [0, u])
+        return float(mpmath.exp(-eta * w) / 2 * mpmath.exp(-u / toward) * t_part
+                     / (1 + eta * away))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.2, 4.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.1, 5.0),
+       drift=st.floats(-2.0, 2.0), a=st.floats(-3.0, 3.0), width=st.floats(0.01, 4.0),
+       below=st.booleans(), u=st.floats(1e-9, 40.0))
+@example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.0, a=0.0, width=1.0, below=False, u=0.3)
+def test_segment_score_matches_quadrature(sigma, lam, eta, drift, a, width, below, u):
+    """f(y) against 40-digit quadrature of its defining expectation, over
+    random models (drifted ones included, where rise and fall differ) on
+    either side of [a, b]; f at b + 0.3 on the default model is 0.0204, the
+    value that the form (exp(-u/s_t) - exp(-eta u))/(eta s_t - 1) read as 0
+    there."""
+    interval = Interval(a, a + width)
+    rise, fall = _wiener_hopf_scales(ModelParams(sigma=sigma, lam=lam, eta=eta, drift=drift))
+    y = interval.a - u if below else interval.b + u
+    assert y != (interval.a if below else interval.b)
+    ref = _score_reference(interval, eta, rise, fall, y)
+    assert _score_at(interval, eta, rise, fall, y) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("eta, rise, fall", [
+    (1.0, 1.0, 1.0),                        # eta s_t = 1 exactly on both sides
+    (1.0, 1.0, 1.0000000000000002),         # the default model: one ulp off above b
+    (2.5, 0.2857738033247041, 0.2857738033247041),   # M1: eta s_t = 0.71
+    (4.0, 0.7905694150420948, 0.7905694150420948),   # M3: eta s_t = 3.2
+    (0.1, 3.0, 0.05),                       # far from 1, on each side differently
+], ids=["exact", "one-ulp", "M1", "M3", "asymmetric"])
+def test_segment_score_near_and_far_from_eta_s_one(eta, rise, fall):
+    """Where eta s_t is 1 exactly, one ulp off it and far from it, f is
+    finite and within 1e-12 of 40 digits from u = 1e-300 up to u = 700/eta
+    on both sides, where it has underflowed at most to a subnormal; no NaN
+    or inf appears."""
+    interval = Interval(0.0, 1.0)
+    law = _segment_score_law(eta, rise, fall, interval.width)
+    assert np.all(np.isfinite(law))
+    us = np.array([1e-300, 1e-12, 1e-3, 0.3, 1.0, 10.0, 100.0 / eta, 700.0 / eta])
+    for below in (True, False):
+        y = interval.a - us if below else interval.b + us
+        f = _segment_scores(interval, y, y > interval.b, law)
+        assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+        for yi, fi in zip(y, f):
+            ref = _score_reference(interval, eta, rise, fall, yi)
+            assert fi == pytest.approx(ref, rel=1e-12, abs=1e-300), (below, yi)
+
+
+def test_segment_score_matches_the_sampler():
+    """f(y) is the chance that a segment of ``_walk_segments`` from y is not
+    killed and jumps past the far boundary: from a - 0.4 and b + 0.4, at a
+    drifted model whose rise (1.37) and fall (0.37) differ, 16 blocks of
+    one-segment walks each; the z-scores of the four frequencies (two
+    starts, drift 1 and its mirror) pool into one chi-square at alpha =
+    0.0027.  With rise and fall swapped, f reads 24-29 se off at each."""
+    interval = Interval(0.0, 1.0)
+    stat = 0.0
+    for drift in (1.0, -1.0):
+        model = ModelParams(sigma=1.0, lam=1.0, eta=1.0, drift=drift)
+        rise, fall = _wiener_hopf_scales(model)
+        for y in (interval.a - 0.4, interval.b + 0.4):
+            hits = n = 0
+            for bi in range(16):
+                x = np.full(BLOCK_SIZE, y)
+                _, post, _, killed, _ = _walk_segments(interval, x, block_stream(90, bi), 1,
+                                                       model.eta, rise, fall, 1.0, 1.0)
+                past = post[:, 0] > interval.b if y < interval.a else post[:, 0] < interval.a
+                hits += np.count_nonzero(past & ~killed[:, 0])
+                n += BLOCK_SIZE
+            f = _score_at(interval, model.eta, rise, fall, y)
+            stat += (hits - n * f) ** 2 / (n * f * (1.0 - f))
+    assert stats.chi2.sf(stat, 4) >= 0.0027, stat
 
 
 def test_ks_helpers():
