@@ -766,6 +766,9 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
     neg_kappa, neg_delta, f = (np.where(above, hi, lo) for lo, hi in law)
     u = y - interval.b      # the distance to the near boundary, rounded once
     np.maximum(u, interval.a - y, out=u)
+    # 0 at a start inside [a, b], which only a cell past its row's stop can
+    # have: its f is masked out, but must not overflow on a wide interval
+    np.maximum(u, 0.0, out=u)
     neg_delta *= u
     np.expm1(neg_delta, out=neg_delta)
     neg_kappa *= u

@@ -612,6 +612,29 @@ def test_crossing_scores_match_recorded_crossings():
     assert stats.chi2.sf(stat, dof) >= 0.0027, (stat, dof)
 
 
+def test_crossing_scores_match_recorded_crossings_under_drift():
+    """E[S_1 - I_1] = 0 holds off the centred models too, where the closed
+    forms do not reach but rise and fall differ, so it fixes which scale the
+    walk's scores take for which side: drift 1 and its mirror, from a - 1
+    and b + 1, 32 768 paths each under a cap of 200 segments, four z-scores
+    pooled into one chi-square at alpha = 0.0027 (it reads 1.5).  With rise
+    and fall swapped in the walk's score law it reads 1606, and without the
+    killing stop column 1005."""
+    interval, n = Interval(0.0, 1.0), 32_768
+    stat = 0.0
+    for case, (drift, start) in enumerate([(1.0, -1.0), (1.0, 2.0), (-1.0, -1.0),
+                                           (-1.0, 2.0)]):
+        model = ModelParams(sigma=1.0, lam=1.0, eta=1.0, drift=drift)
+        scores = np.zeros((n, 1))
+        pos = np.concatenate([
+            _crossing_walk(model, interval, np.full(BLOCK_SIZE, start),
+                           block_stream(80 + case, bi), 200, 1, part)[0]
+            for bi, part in enumerate(np.split(scores, n // BLOCK_SIZE))])
+        d = scores[:, 0] - ((pos[:, 0] < interval.a) | (pos[:, 0] > interval.b))
+        stat += d.sum() ** 2 / (n * d.var(ddof=1))
+    assert stats.chi2.sf(stat, 4) >= 0.0027, stat
+
+
 def _score_at(interval, eta, rise, fall, y):
     """``_segment_scores`` at the one start y."""
     law = _segment_score_law(eta, rise, fall, interval.width)
@@ -680,6 +703,17 @@ def test_segment_score_near_and_far_from_eta_s_one(eta, rise, fall):
         for yi, fi in zip(y, f):
             ref = _score_reference(interval, eta, rise, fall, yi)
             assert fi == pytest.approx(ref, rel=1e-12, abs=1e-300), (below, yi)
+
+
+def test_crossing_scores_finite_after_a_deep_landing_inside():
+    """A row that lands deep inside a wide interval stops there, and the
+    cells past its stop start inside [a, b]; with a small Brownian scale
+    (sigma 0.01, lam 5: 1/s_t = 316) their f would overflow before it is
+    masked out, and 698 of 4096 scores read NaN."""
+    model, interval = ModelParams(sigma=0.01, lam=5.0, eta=1.0), Interval(0.0, 10.0)
+    scores = np.zeros((4096, 1))
+    _crossing_walk(model, interval, np.full(4096, -1.0), block_stream(1, 0), 300, 1, scores)
+    assert np.all(np.isfinite(scores)) and scores.sum() > 0.0
 
 
 def test_segment_score_matches_the_sampler():
