@@ -719,6 +719,9 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     return K, post, above, killed, seg0
 
 
+_DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)    # see _segment_score_law
+
+
 def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np.ndarray:
     """The constants of ``_segment_scores`` for a model with exponent ``eta``
     and Wiener-Hopf scales ``rise`` and ``fall`` (``_wiener_hopf_scales``)
@@ -739,9 +742,6 @@ def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np
         law[:, side] = (-min(eta, 1.0 / toward), -delta,
                         -0.5 * math.exp(-eta * width) / (toward * (1.0 + eta * away) * delta))
     return law
-
-
-_DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
