@@ -577,8 +577,9 @@ def test_crossing_walk_invariants(interval, sigma, lam, eta, start, cap, k, seed
 def test_crossing_scores_match_recorded_crossings():
     """On the walk's own censored paths, the score S_j and the indicator I_j
     that crossing j was recorded past the far boundary have one mean: S_j -
-    I_j sums pi - 1{the jump lands past it}, one term per jump, whose
-    conditional mean is 0 at every segment cap.  For the default model, M1
+    I_j sums f(y) - 1{the segment from y crosses past it}, one term per
+    segment started live, whose conditional mean given y is 0 at every
+    segment cap.  For the default model, M1
     and [-1, 2], 65 536 paths each under a cap of 200 segments, adjacent j
     are pooled until each bin expects at least MIN_BIN crossings; the bins'
     sums of S_j - I_j are uncorrelated (they sum over disjoint jumps), so
