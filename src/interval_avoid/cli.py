@@ -22,6 +22,8 @@ from .particles import EnsembleExtinctionError, drift_probability, propagate_ens
 from .suites import SUITES, _model_echo, dumps_17g, emit_table, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# the most steps a --grid may take: tables evaluates and holds one row per point
+_MAX_GRID_STEPS = 100_000
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -47,7 +49,10 @@ def _parse_grid(text: str) -> np.ndarray:
         require_number(v, "grid bounds and step")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step                    # inf where hi - lo overflows
+    if not steps <= _MAX_GRID_STEPS:
+        raise ConfigError(f"grid {text!r} takes more than {_MAX_GRID_STEPS} steps")
+    n = int(round(steps))
     return lo + step * np.arange(n + 1)
 
 
@@ -71,15 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(s)
     s.add_argument("--estimator", choices=("survival", "clock", "avoidance"),
                    default="survival",
-                   help="clock and avoidance ignore --dt and --horizon")
+                   help="--dt spaces only the --dump-paths rows; clock and "
+                        "avoidance ignore --horizon too")
     s.add_argument("--start", type=float, required=True)
     s.add_argument("--paths", type=int, default=100_000)
     s.add_argument("--dt", type=float, default=0.05)
     s.add_argument("--horizon", type=float, default=10.0)
     s.add_argument("--seed", type=int, default=20260801)
-    s.add_argument("--no-bridge", action="store_true",
-                   help="disable exact bridge killing (grid-only validation mode; "
-                        "survival only)")
     s.add_argument("--t", type=float, default=None, help="time for the survival estimator")
     s.add_argument("--q", type=float, default=None, help="clock rate for the clock estimator")
     s.add_argument("--dump-paths", type=int, default=0, metavar="K",
@@ -124,20 +127,16 @@ def _cmd_simulate(args) -> int:
     model, interval = _model_interval(args)
     require_number(args.dt, "dt", low=0.0, strict=True)
     require_number(args.dump_paths, "dump-paths", integer=True, low=0)
-    # only survival and --dump-paths step through a grid of --dt up to
-    # --horizon; the clock and avoidance estimators read neither
-    grid = args.estimator == "survival" or args.dump_paths > 0
-    config = PathConfig(dt=args.dt if grid else args.horizon, horizon=args.horizon,
-                        seed=args.seed, n_paths=args.paths)
-    if args.no_bridge and args.estimator != "survival":
-        raise ConfigError(f"--no-bridge is for survival only (got --estimator {args.estimator})")
+    # only --dump-paths steps through a grid of --dt up to --horizon; the
+    # estimators read neither
+    config = PathConfig(dt=args.dt if args.dump_paths > 0 else args.horizon,
+                        horizon=args.horizon, seed=args.seed, n_paths=args.paths)
     if args.estimator == "clock" and args.q is None:
         raise ConfigError("the clock estimator requires --q")
     with _open_output(args.dump_file if args.dump_paths > 0 else None) as dump:
         if args.estimator == "survival":
             t = args.horizon if args.t is None else args.t
-            est = estimate_survival(model, interval, args.start, t, config,
-                                    bridge=not args.no_bridge)
+            est = estimate_survival(model, interval, args.start, t, config)
             result, extra = est.total, {"above": est.above.mean, "below": est.below.mean, "t": t}
         elif args.estimator == "clock":
             est = estimate_clock_event(model, interval, args.start, args.q, config)
@@ -156,7 +155,6 @@ def _cmd_simulate(args) -> int:
             "config_echo": {
                 "start": args.start, "paths": args.paths, "dt": args.dt,
                 "horizon": args.horizon, "seed": args.seed,
-                "bridge_correction": not args.no_bridge,
                 **_model_echo(model, interval),
             },
         }
@@ -165,8 +163,7 @@ def _cmd_simulate(args) -> int:
         if dump is not None:
             dump.write("path_id,t,value,is_jump,killed\n")
             for pid in range(args.dump_paths):
-                tr = simulate_path(model, interval, args.start, config, path_index=pid,
-                                   bridge=not args.no_bridge)
+                tr = simulate_path(model, interval, args.start, config, path_index=pid)
                 for i in range(tr.times.size):
                     killed = tr.hit and i == tr.times.size - 1
                     dump.write(f"{pid},{tr.times[i]:.17g},{tr.values[i]:.17g},"

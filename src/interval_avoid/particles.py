@@ -211,8 +211,9 @@ def drift_probability(model: ModelParams, interval: Interval, start: float,
 
     Estimates the escape-direction probabilities of the conditioned process,
     P^h_x(xi_T > b) = E_x[1{T < T_[a,b]} h(xi_T) 1{xi_T > b}] / h(x), from
-    one exact ``terminal_sample`` of ``replicates * (n_paths // replicates)``
-    killed paths weighted by w = 1{alive} h(xi_T) / h(x).  ``p_up`` is the
+    one exact ``terminal_sample`` of ``replicates * max(1, n_paths //
+    replicates)`` killed paths, so never fewer than ``replicates``, weighted
+    by w = 1{alive} h(xi_T) / h(x).  ``p_up`` is the
     ratio of sums p = sum(w 1{xi_T > b}) / sum(w) over all paths, and its
     stderr is the delta-method iid one, sqrt(sum(w^2 (1{xi_T > b} - p)^2)) /
     sum(w).  p_up + p_down = 1 exactly since live paths are never inside

@@ -481,7 +481,7 @@ def _outer_block(model, interval, start, n, rng, t, g):
     w = 1(t<T) l(xi_t), l = ``closedform.avoidance_probability``, and of the
     optional-stopping control C = exp(-g (xi_{t ^ T} - x)) - 1, a dead path at
     its entry value xi_T: (sum w, sum w^2, sum C, sum C^2, sum w C)."""
-    xs, alive = eng._terminal_block(model, interval, start, n, rng, [t], True)
+    xs, alive = eng._terminal_block(model, interval, start, n, rng, t)
     c = np.expm1(-g * (xs - start))
     w = np.zeros(n)
     w[alive] = cf.avoidance_probability(model, interval, xs[alive])

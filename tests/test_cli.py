@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 import interval_avoid
 from interval_avoid import suites
-from interval_avoid.cli import main
+from interval_avoid.cli import build_parser, main
 from interval_avoid.config import parse_config
 from interval_avoid.suites import dumps_17g
 
@@ -23,6 +24,32 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# ------------------------------------------------------------------ README
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``interval-avoid ...`` line in README's fenced
+    blocks, continuation lines joined and ``# ...`` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("interval-avoid "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    # a flag removed from the parser cannot stay in the examples
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"tables", "simulate", "condition", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: interval-avoid {shlex.join(argv)}")
 
 
 # ------------------------------------------------------------------- tables
@@ -82,6 +109,16 @@ def test_tables_non_finite_grid_exits_2(tmp_path, capsys, grid):
                            capsys)
     assert code == 2
     assert "must be finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "1:5:1e-12", "-1e308:1e308:1"])
+def test_tables_oversized_grid_exits_2(tmp_path, capsys, grid):
+    # the step count is bounded before it is rounded or any array is made
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["tables", f"--grid={grid}", "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("error:") and "steps" in err
 
 
 def test_tables_potentials_zero_row(tmp_path, capsys):
@@ -145,9 +182,6 @@ def test_simulate_dump_paths(tmp_path, capsys):
     (["--start", "1.6", "--dt", "0.05", "--horizon", "8", "--seed", "7",
       "--dump-paths", "50"],
      "4333c61085a69550d29f628a8e774bcea49aae919861247ca7b321fc186b55d4"),
-    (["--start", "-1", "--dt", "0.05", "--horizon", "8", "--seed", "7", "--no-bridge",
-      "--dump-paths", "50"],
-     "5d8e65e2410c8eddaedaaab365677f4974d6937523f166b7efeef93419b6cbfb"),
 ])
 def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
     dump = tmp_path / "p.csv"
@@ -155,14 +189,6 @@ def test_simulate_dump_paths_pinned(tmp_path, capsys, flags, digest):
                           "--dump-file", str(dump), *flags], capsys)
     assert code == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
-
-
-def test_simulate_no_bridge_outside_survival_exits_2(capsys):
-    code, out, err = run_cli(["simulate", "--estimator", "clock", "--start", "1.3",
-                              "--q", "2", "--paths", "200", "--dt", "0.2", "--seed", "3",
-                              "--no-bridge"], capsys)
-    assert code == 2 and out == ""
-    assert "survival only" in err
 
 
 def test_simulate_interior_start_exits_2(capsys):
@@ -197,13 +223,13 @@ def test_simulate_avoidance(capsys):
     assert doc["variants"] == {"unresolved": 0}
 
 
-@pytest.mark.parametrize("estimator", ["avoidance", "clock"])
+@pytest.mark.parametrize("estimator", ["avoidance", "clock", "survival"])
 def test_simulate_dt_gates_only_the_path_grid(capsys, tmp_path, estimator):
-    # avoidance and clock read neither --dt nor --horizon: a horizon below
-    # --dt changes nothing but the echo; survival and --dump-paths step
-    # through the grid and reject it
+    # no estimator reads --dt, and with --t given none reads --horizon: a
+    # horizon below --dt changes nothing but the echo; only --dump-paths
+    # steps through the grid and rejects it
     base = ["simulate", "--estimator", estimator, "--drift", "0.5", "--start", "2",
-            "--paths", "1000", "--q", "1"]
+            "--paths", "1000", "--q", "1", "--t", "0.5"]
     code, out, _ = run_cli(base, capsys)
     assert code == 0
     code, short, _ = run_cli(base + ["--horizon", "0.01"], capsys)
@@ -212,10 +238,9 @@ def test_simulate_dt_gates_only_the_path_grid(capsys, tmp_path, estimator):
     assert doc["config_echo"].pop("horizon") == 0.01
     del ref["config_echo"]["horizon"]
     assert doc == ref
-    for extra in (["--dump-paths", "1", "--dump-file", str(tmp_path / "p.csv")],
-                  ["--estimator", "survival"]):
-        code, out, err = run_cli(base + ["--horizon", "0.01"] + extra, capsys)
-        assert code == 2 and out == "" and "exceeds horizon" in err
+    code, out, err = run_cli(base + ["--horizon", "0.01", "--dump-paths", "1",
+                                     "--dump-file", str(tmp_path / "p.csv")], capsys)
+    assert code == 2 and out == "" and "exceeds horizon" in err
     code, out, err = run_cli(base + ["--dt", "nan"], capsys)
     assert code == 2 and out == "" and "dt must be positive and finite" in err
 

@@ -166,12 +166,12 @@ def test_jump_sizes_are_laplace(eta):
 @given(sigma=st.floats(0.2, 3.0), lam=st.floats(0.05, 5.0), eta=st.floats(0.2, 5.0),
        drift=st.floats(-1.0, 1.0),
        start=st.one_of(st.floats(-6.0, -0.01), st.floats(1.01, 7.0)),
-       horizon=st.floats(0.01, 30.0), stop_after=st.integers(0, 3), bridge=st.booleans(),
+       horizon=st.floats(0.01, 30.0), stop_after=st.integers(0, 3),
        seed=st.integers(0, 2**32))
 @example(sigma=2**0.5, lam=1.0, eta=1.0, drift=0.0, start=2.0, horizon=20.0,
-         stop_after=1, bridge=True, seed=1)
+         stop_after=1, seed=1)
 def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
-                            stop_after, bridge, seed):
+                            stop_after, seed):
     """Over two calls with per-path targets: hit values lie in [a, b], live
     paths lie outside it, crossing counts never decrease, times never pass
     the target, a live unfrozen path ends on its target and a frozen one has
@@ -183,7 +183,7 @@ def test_advance_invariants(interval, sigma, lam, eta, drift, start, horizon,
     pb = PathBlock.start(model, interval, start, n, block_stream(seed, 0), max_crossings=3)
     for targets in (first, first + rng.uniform(0.0, horizon, n)):
         n_before = pb.n_cross.copy()
-        advance(pb, targets, bridge=bridge, stop_after=stop_after)
+        advance(pb, targets, stop_after=stop_after)
         live, dead, frozen = pb.alive, ~pb.alive, pb.frozen
         assert np.all(pb.n_cross >= n_before)
         assert np.all(pb.t <= targets)
@@ -239,13 +239,13 @@ def test_simulate_path_invariants(model, interval):
     assert hit_seen and cross_seen
 
 
-@pytest.mark.parametrize("params,start,bridge", [
-    (ModelParams(), 1.6, True),
-    (ModelParams(), -0.4, False),
-    (ModelParams(sigma=0.7, lam=3.0, eta=2.5), 2.2, True),
-    (ModelParams(drift=0.4), -1.5, True),
+@pytest.mark.parametrize("params,start", [
+    (ModelParams(), 1.6),
+    (ModelParams(), -0.4),
+    (ModelParams(sigma=0.7, lam=3.0, eta=2.5), 2.2),
+    (ModelParams(drift=0.4), -1.5),
 ])
-def test_simulate_path_matches_single_advance(interval, params, start, bridge):
+def test_simulate_path_matches_single_advance(interval, params, start):
     """With dt = horizon the recorder's event-by-event kernel calls and one
     advance call to the horizon draw the same law: hit fraction, crossing
     counts, hit times and terminal positions agree at level 0.001 (2000
@@ -254,7 +254,7 @@ def test_simulate_path_matches_single_advance(interval, params, start, bridge):
     cfg = PathConfig(dt=horizon, horizon=horizon, seed=17, n_paths=1)
     hit, n_cross, hit_t, end_x = [], [], [], []
     for pid in range(n):
-        tr = simulate_path(params, interval, start, cfg, path_index=pid, bridge=bridge)
+        tr = simulate_path(params, interval, start, cfg, path_index=pid)
         assert np.all(np.diff(tr.times) > 0) and len(tr.times) == len(tr.values)
         if tr.hit:
             assert tr.times[-1] <= horizon
@@ -269,7 +269,7 @@ def test_simulate_path_matches_single_advance(interval, params, start, bridge):
         hit.append(tr.hit)
         n_cross.append(len(tr.crossings))
     pb = PathBlock.start(params, interval, start, 2 * n, block_stream(18, 0))
-    advance(pb, horizon, bridge=bridge)
+    advance(pb, horizon)
     dead = ~pb.alive
     assert np.all(pb.t[pb.alive] == horizon)
     p_values = [
@@ -325,32 +325,6 @@ def test_survival_stderr_scaling(model, interval):
     e1 = estimate_survival(model, interval, 2.0, 0.5, cfg1)
     e2 = estimate_survival(model, interval, 2.0, 0.5, cfg2)
     assert e2.total.stderr == pytest.approx(e1.total.stderr / math.sqrt(2.0), rel=0.2)
-
-
-def test_no_bridge_survival_decreases_with_dt(model, interval):
-    """Without bridge killing the scheme misses interior touches; refining the
-    grid removes survivors monotonically toward the exact estimate."""
-    exact_cfg = PathConfig(dt=0.2, horizon=1.0, seed=21, n_paths=150_000)
-    exact = estimate_survival(model, interval, 1.3, 0.5, exact_cfg)
-    means = []
-    for i, dt in enumerate((0.2, 0.1, 0.05, 0.025)):
-        cfg = PathConfig(dt=dt, horizon=1.0, seed=22 + i, n_paths=150_000)
-        means.append(estimate_survival(model, interval, 1.3, 0.5, cfg,
-                                       bridge=False).total.mean)
-    se = exact.total.stderr
-    assert all(m1 > m2 - 3 * se for m1, m2 in zip(means, means[1:]))
-    assert means[0] > means[-1] > exact.total.mean - 3 * se
-    assert all(m > exact.total.mean - 3 * se for m in means)
-
-
-def test_no_bridge_terminal_sample_kills_on_grid_only(model, interval):
-    """Grid-only paths die only at segment endpoints inside [a, b], so more
-    of them survive than exact paths do."""
-    cfg = PathConfig(dt=0.25, horizon=1.0, seed=9, n_paths=4000)
-    _, alive_exact = terminal_sample(model, interval, 1.3, 1.0, cfg)
-    xs, alive_grid = terminal_sample(model, interval, 1.3, 1.0, cfg, bridge=False)
-    assert alive_grid.sum() > alive_exact.sum()
-    assert not interval.contains(xs[alive_grid]).any()
 
 
 # -------------------------------------------------------------- clock events

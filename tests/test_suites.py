@@ -29,7 +29,7 @@ def test_outer_block_returns_five_sums(n):
     values included, on the draws of the terminal sample's block."""
     model, g = ModelParams(drift=0.5), 0.25
     sw, sww, sum_c, sq_c, swc = _outer_block(model, IV, 2.0, n, block_stream(14, 0), 1.0, g)
-    xs, alive = engine._terminal_block(model, IV, 2.0, n, block_stream(14, 0), [1.0], True)
+    xs, alive = engine._terminal_block(model, IV, 2.0, n, block_stream(14, 0), 1.0)
     w = np.array([avoidance_probability(model, IV, x) if live else 0.0
                   for x, live in zip(xs, alive)])
     c = np.expm1(-g * (xs - 2.0))
