@@ -46,12 +46,13 @@ and the crossing, at well under half the cost of an ``advance`` event.
 Both walks take their segments from one sampler, ``_walk_segments``,
 which resolves up to K per live path and iteration, by ``advance``'s rule
 with the segments left in place of the expected jumps, under a segment law
-given per row; each walk adds only its own stop and record logic.  The
-avoidance walk runs the segments that start above b under the
-exponentially tilted law (Siegmund's change of measure), so that every path
-is killed and scores its likelihood ratio.  The crossing walk's time cap is
-a cap of ceil(lam * horizon) jump segments, the avoidance walk's a fixed
-segment cap.  The crossing masses are scored, not counted: each segment
+given per row, and stops each row at its first kill or crossing; each walk
+adds only its own record logic.  The avoidance walk runs the segments that
+start above b under the exponentially tilted law (Siegmund's change of
+measure), so that every path is killed and scores its likelihood ratio.
+The crossing walk's time cap is a cap of ceil(lam * horizon) jump segments
+per path, the avoidance walk's a fixed segment cap.  The crossing masses
+are scored, not counted: each segment
 adds the chance, given its start, that it makes the crossing past the far
 boundary.  A crossing path censored at the cap scores its mean future
 from the closed form instead (the strong Markov property at its last
@@ -70,7 +71,9 @@ and the count of unresolved paths, and the crossing blocks the sums of
 their paths' crossing scores, censored paths' credit included, of their
 products and of the credit.
 Per-path arrays come back only where the finish needs the sample: the
-crossing landings (for the KS test) and ``terminal_sample``.
+crossing landings (for the KS test), ``drift_probability``'s replicate
+batches, the occupation rows (both in ``particles``) and
+``terminal_sample``.
 """
 
 from __future__ import annotations
@@ -681,9 +684,9 @@ def _either(cond: np.ndarray, yes: np.ndarray, no: np.ndarray) -> np.ndarray:
 
 def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, left: int,
                    eta: float, rise, fall, c_up, c_down) -> tuple:
-    """The next K jump segments of the m = x.size live paths at ``x``, with
-    K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left)), so K = 1 while
-    m > BLOCK_SIZE // 2.
+    """The next K jump segments of the m = x.size live paths at ``x``, up to
+    each row's first stop, with K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m,
+    left)), so K = 1 while m > BLOCK_SIZE // 2.
 
     From a start x a segment falls D * fall to its infimum, rises U * rise
     above that and jumps (c_up E1 - c_down E2)/eta, for one (4, m, K) draw of
@@ -694,9 +697,13 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     with one value per row.  A segment starting
     above b kills if its infimum is at or below b, one starting below a if
     its supremum is at or above a (and one starting inside [a, b] always).
-    Returns K and the (m, K) arrays of landings, of whether each segment
-    starts above b, of its kills and of its starts (a view of ``x`` when
-    K = 1).
+    A landing at or past the near boundary, inside [a, b] included, is a
+    crossing.  Each row stops at its first kill or crossing (at its last
+    column if it has neither), and the draws past it are discarded, which
+    leaves the law exact (the strong Markov property at jump times).
+    Returns K, each row's stop column, the kill flag, landing and crossing
+    flag at it, and the (m, K) arrays of the segments' starts (a view of
+    ``x`` when K = 1) and of whether each starts above b.
     """
     a, b = interval.a, interval.b
     m = x.size
@@ -709,16 +716,26 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     post -= e2
     post /= eta
     post += up - down
-    # K = 1 skips the cumulative sum and the shifted copy: one segment per
-    # iteration is the common case while a block is full (without this fork
-    # transient5 took 2.9% longer at 1 worker, 17 of 20 pairs, 2 CPUs)
+    # K = 1 skips the cumulative sum, the shifted copy and the first-stop
+    # search: one segment per iteration is the common case while a block is
+    # full (without the first two transient5 took 2.9% longer at 1 worker,
+    # 17 of 20 pairs, and without the search 11.9% longer at 1 and 2
+    # workers, 39 of 40 pairs; 2 CPUs)
     if K > 1:
         _row_cumsum(post)
     post += x[:, None]
     seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
     above = seg0 > b
     killed = _either(above, seg0 - down <= b, seg0 + up >= a)
-    return K, post, above, killed, seg0
+    crossed = _either(above, post <= b, post >= a)
+    if K == 1:
+        return K, np.zeros(m, dtype=np.intp), killed[:, 0], post[:, 0], crossed[:, 0], seg0, above
+    stop = killed | crossed
+    stop[:, -1] = True
+    col = stop.argmax(axis=1)
+    flat = np.arange(m) * K + col
+    return (K, col, killed.ravel()[flat], post.ravel()[flat], crossed.ravel()[flat], seg0,
+            above)
 
 
 _DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)    # see _segment_score_law
@@ -786,15 +803,18 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
-    Each iteration resolves up to K segments per live path
-    (``_walk_segments``; all live paths have used the same number of
-    segments).  As in ``advance``, a landing at or beyond the near boundary
-    is a crossing, and a landing inside [a, b] kills as well; a kill
-    preempts its own segment's crossing.  Each row stops at its first kill,
-    landing inside or k-th crossing, and the draws past it are discarded.
-    Returns the (n, k) landings of crossings 1..k (NaN past a path's last;
-    one inside [a, b] is a dead path's last) and the index and position of
-    each path still live.
+    Each iteration resolves up to K segments per live path and stops each
+    row at its first kill or crossing (``_walk_segments``), with K at most
+    the fewest segments any live path has left; a row is charged the
+    segments up to and including its stop, so every path gets exactly
+    ``n_segments`` unless it stops first.  As in ``advance``, a landing at or
+    beyond the near boundary is a crossing, and a landing inside [a, b]
+    kills as well; a kill preempts its own segment's crossing.  A crossing
+    is recorded, and its row goes on in the next iteration unless it landed
+    inside or was the k-th.  Returns the (n, k) landings of crossings 1..k
+    (NaN past a path's last; one inside [a, b] is a dead path's last) and
+    the index and position of each path still live at its cap, in index
+    order; a cap of 0 censors every path at its start without a draw.
 
     Each segment that a path starts live at y after j - 1 crossings adds to
     its score S_j the chance f(y) (``_segment_scores``) that the segment's
@@ -807,57 +827,34 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     ``scores``, if given, is an (n, k) array of zeros that receives
     S_1..S_k.
     """
-    a, b = interval.a, interval.b
     rise, fall = _wiener_hopf_scales(model)
     law = _segment_score_law(model.eta, rise, fall, interval.width)
     if scores is None:
         scores = np.zeros((x.size, k))
     landings = np.full((x.size, k), np.nan)
-    idx = np.arange(x.size)
+    censored, end = np.full(x.size, n_segments == 0), x.copy()
+    idx = np.flatnonzero(~censored)
     n_cross = np.zeros(x.size, dtype=np.int64)
-    left = n_segments
-    while idx.size and left > 0:
-        m = idx.size
-        K, post, above, killed, seg0 = _walk_segments(interval, x, rng, left, model.eta,
-                                                      rise, fall, 1.0, 1.0)
-        left -= K
+    left = np.full(x.size, n_segments)          # segments left per live path
+    while idx.size:
+        K, col, kill_c, x_c, cross_c, seg0, above = _walk_segments(
+            interval, x, rng, int(left.min()), model.eta, rise, fall, 1.0, 1.0)
+        left -= col + 1
+        # segments up to and including the stop column, all after n_cross crossings
         f = _segment_scores(interval, seg0, above, law)
-        crossed = _either(above, post <= b, post >= a)
-        # crossings are rare, so only the rows that crossed are counted and
-        # searched for a landing inside or a k-th crossing
-        # the hits' rows come sorted, so repeats are neighbours (np.unique
-        # would hash them, and its table raised the peak memory)
-        hit = np.flatnonzero(crossed) // K
-        rows = np.concatenate((hit[:1], hit[1:][hit[1:] != hit[:-1]]))
-        sub = crossed[rows]
-        count = n_cross[rows, None] + np.cumsum(sub, axis=1)
-        stop = killed.copy()
-        stop[rows] |= interval.contains(post[rows]) | (count >= k)
-        stop[:, -1] = True
-        col = stop.argmax(axis=1)
-        flat = np.arange(m) * K + col
-        kill_c, x_c = killed.ravel()[flat], post.ravel()[flat]
-        # segments up to and including the stopping column
         f *= np.arange(K) <= col[:, None]
-        n_c = n_cross.copy()
-        if rows.size:
-            at, rc = np.arange(rows.size), col[rows]
-            n_c[rows] = count[at, rc] - (kill_c[rows] & sub[at, rc])
-            # a crossing row's segments score for the crossing after those
-            # before them; the cells past a k-th crossing hold 0
-            np.add.at(scores, (idx[rows, None], np.minimum(count - sub, k - 1)), f[rows])
-            f[rows] = 0.0
-            # crossings up to the stopping column, unless a kill preempts it
-            at, c = np.nonzero(sub)
-            keep = (c < rc[at]) | ((c == rc[at]) & ~kill_c[rows[at]])
-            at, c = at[keep], c[keep]
-            landings[idx[rows[at]], count[at, c] - 1] = post[rows[at], c]
-        # the other rows' segments score for the crossing after those recorded
         scores[idx, n_cross] += np.einsum("ij->i", f)
-
-        go = ~(kill_c | interval.contains(x_c)) & (n_c < k)
-        idx, x, n_cross = idx[go], x_c[go], n_c[go]
-    return landings, idx, x
+        crossed = cross_c & ~kill_c
+        landings[idx[crossed], n_cross[crossed]] = x_c[crossed]
+        n_cross += crossed
+        go = ~(kill_c | interval.contains(x_c)) & (n_cross < k)
+        # a live path out of segments is censored where it stands
+        out = go & (left == 0)
+        censored[idx[out]], end[idx[out]] = True, x_c[out]
+        go ^= out
+        idx, x, n_cross, left = idx[go], x_c[go], n_cross[go], left[go]
+    live = np.flatnonzero(censored)
+    return landings, live, end[live]
 
 
 def _crossing_block(model, interval, start, n, rng, k, n_segments):
@@ -982,17 +979,18 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     A segment that starts above b runs under Q (``_tilted_model``), which
     drifts down, and one that starts below a under P, which drifts up, so
     every path is killed.  Each iteration resolves up to K segments per live
-    path (``_walk_segments``, by the crossing walk's rule), and each row
-    stops at its first kill, landing inside [a, b] or landing on the other
-    side, where the measure switches; the draws past it are discarded.  A Q
-    phase that began at s scores exp(g (end - s)), with end = b at a kill
-    (the path enters continuously), the landing inside [a, b] or the landing
-    below a.  Returns each path's score Z, the product of its Q phases'
-    scores (0 for a path still live after ``n_segments``), and the index of
-    each path still live.  E[Z] = 1 - P(T = infinity), and
-    0 <= Z <= exp(-g (x - b)) from x > b.
+    path and stops each row at its first kill or crossing
+    (``_walk_segments``): a landing inside [a, b] or on the other side,
+    where the measure switches.  Every live row is charged the iteration's
+    K against ``n_segments``, whichever column it stops at, so the cap is a
+    bound on the segments a path uses.  A Q phase that began at s scores
+    exp(g (end - s)), with end = b at a kill (the path enters continuously),
+    the landing inside [a, b] or the landing below a.  Returns each path's
+    score Z, the product of its Q phases' scores (0 for a path still live
+    at the cap), and the index of each path still live.
+    E[Z] = 1 - P(T = infinity), and 0 <= Z <= exp(-g (x - b)) from x > b.
     """
-    a, b = interval.a, interval.b
+    b = interval.b
     g = adjustment_coefficient(model)
     tilted_model, c_up, c_down = _tilted_model(model, g)
     # rise, fall, c_up, c_down: row 0 for P, row 1 for Q
@@ -1006,19 +1004,11 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     while idx.size and left > 0:
         tilted = x > b
         law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
-        K, post, above, killed, _seg0 = _walk_segments(interval, x, rng, left, model.eta, *law)
+        K, _col, kill_c, x, cross_c, _seg0, _above = _walk_segments(
+            interval, x, rng, left, model.eta, *law)
         left -= K
-        # K = 1 skips the first-stop search: its one column is the stop (without
-        # this fork transient5 took 11.9% longer at 1 and 2 workers, 39 of 40 pairs)
-        if K > 1:
-            stop = killed | _either(above, post <= b, post >= a)
-            stop[:, -1] = True
-            rows, col = np.arange(idx.size), stop.argmax(axis=1)
-            kill_c, x = killed[rows, col], post[rows, col]
-        else:
-            kill_c, x = killed[:, 0], post[:, 0]
         dead = kill_c | interval.contains(x)
-        ends = tilted & (dead | (x < a))
+        ends = tilted & (kill_c | cross_c)
         lz += np.where(ends, g * (np.where(kill_c, b, x) - s), 0.0)
         s = np.where(tilted, s, x)      # a landing above b begins a Q phase
         if dead.any():

@@ -161,14 +161,25 @@ def _is_default(config: SuiteConfig) -> bool:
     return (m == _DEFAULT_MODEL and iv == _DEFAULT_INTERVAL)
 
 
+def _suite_model(config: SuiteConfig) -> ModelParams:
+    """The model that the suite's checks run on, as its report echoes it:
+    closedform takes the config's model at drift 0, where the closed forms
+    hold, and transient5 a centred model at drift 0.5, where the process is
+    transient; every other suite takes the config's model."""
+    model = config.model
+    if config.suite == "closedform" and model.drift != 0.0:
+        return ModelParams(model.sigma, model.lam, model.eta, 0.0)
+    if config.suite == "transient5" and model.drift == 0.0:
+        return ModelParams(model.sigma, model.lam, model.eta, 0.5)
+    return model
+
+
 # --------------------------------------------------------------------------- #
 # closedform suite: deterministic identities (criteria 1 and 2)
 # --------------------------------------------------------------------------- #
 
 def _suite_closedform(config: SuiteConfig) -> list[Check]:
-    model, iv = config.model, config.interval
-    if model.drift != 0.0:
-        model = ModelParams(model.sigma, model.lam, model.eta, 0.0)
+    model, iv = _suite_model(config), config.interval
     h = cf.harmonics(model, iv)
     rng = np.random.default_rng(derive_seed(config.seed, 1))
     checks: list[Check] = []
@@ -184,6 +195,13 @@ def _suite_closedform(config: SuiteConfig) -> list[Check]:
             ("h_plus_at_2", h.plus(x_probe), REFERENCE["h_plus_at_2"]),
             ("h_minus_at_2", h.minus(x_probe), REFERENCE["h_minus_at_2"]),
             ("h_at_2", h.combined(x_probe), REFERENCE["h_at_2"]),
+            ("p_up_at_2", h.plus(x_probe) / h.combined(x_probe), REFERENCE["p_up_at_2"]),
+            ("nu1_mass_from_-1", cf.nu(model, iv, -1.0, 1).mass,
+             REFERENCE["nu1_mass_from_-1"]),
+            ("crossing_factor_squared", cf.crossing_factor(model, iv) ** 2,
+             REFERENCE["nu3_over_nu1"]),
+            ("potential_q_total_at_0.25", potential_q_total(model, 0.25),
+             REFERENCE["potential_q_total_at_0.25"]),
         ]:
             checks.append(check_close(
                 name, "closed-form value equals frozen independent evaluation",
@@ -511,9 +529,7 @@ _CHI2_41 = 70.743
 
 
 def _suite_transient5(config: SuiteConfig) -> list[Check]:
-    model, iv = config.model, config.interval
-    if model.drift == 0.0:
-        model = ModelParams(model.sigma, model.lam, model.eta, 0.5)
+    model, iv = _suite_model(config), config.interval
     if not model.drift > 0.0:
         raise ValueError("transient suite requires positive drift")
     checks: list[Check] = []
@@ -625,7 +641,7 @@ def _model_echo(model: ModelParams, interval: Interval) -> dict:
 def _config_echo(config: SuiteConfig) -> dict:
     return {
         "suite": config.suite,
-        **_model_echo(config.model, config.interval),
+        **_model_echo(_suite_model(config), config.interval),
         "seed": config.seed,
         "paths": config.paths,
         "particles": config.particles,

@@ -28,6 +28,8 @@ from interval_avoid.suites import run_suite
 CRITERIA = {
     1: ("closedform", ("beta_value", "crossing_factor", "gamma_bound",
                        "potential_at_1", "h_plus_at_2", "h_minus_at_2", "h_at_2",
+                       "p_up_at_2", "nu1_mass_from_-1", "crossing_factor_squared",
+                       "potential_q_total_at_0.25",
                        "h_additivity", "reflection_symmetry",
                        "series_matches_closed_form", "nu_mass_bound")),
     2: ("closedform", ("wiener_hopf_factorisation", "root_product", "root_sum",

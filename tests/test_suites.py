@@ -145,6 +145,18 @@ def test_transient5_paths_below_twelve_is_a_config_error():
     assert run_suite(parse_config({"paths": 12}, suite="transient5")).passed
 
 
+def test_reports_echo_the_model_their_checks_ran_on():
+    """transient5 runs a config at drift 0 at drift 0.5 and any other at its
+    own drift, and closedform runs every config at drift 0, so their reports
+    echo those drifts."""
+    def drift(config, suite):
+        return run_suite(parse_config(config, suite=suite)).config_echo["model"]["drift"]
+
+    assert drift({"paths": 12}, "transient5") == 0.5
+    assert drift({"model": {"drift": 0.3}, "paths": 12}, "transient5") == 0.3
+    assert drift({"model": {"drift": 0.3}}, "closedform") == 0.0
+
+
 def test_transient5_reports_when_a_grid_start_has_equal_scores():
     """At M3 with 2 paths a grid start, no path from below a jumps over b
     (l is about 1e-4 there), so those starts' scores all equal 1 and their
