@@ -8,11 +8,14 @@ from the report, so interpreter start-up is left out.  Each run's process
 wall (from its start to when ``os.wait4`` reaps it), CPU time (user +
 system) and peak RSS are read as well, the last two from the rusage that
 ``os.wait4`` returns, which covers the pool workers it reaped; they show
-start-up and teardown.  Prints one JSON line per suite and worker count:
-the quartiles and medians of each, how many pairs the head won on each of
-the three times and, as ``reports_identical``, whether the two trees'
-reports held equal ``checks`` arrays in every pair (the rest of a report,
-such as its ``config_echo``, may differ between trees whose checks agree).
+start-up and teardown.  A run's start-up is its process wall less its
+``runtime_seconds``: interpreter start, imports, config parsing and report
+output, the quantity that ``bench/run.py``'s ``setup_s`` samples.  Prints
+one JSON line per suite and worker count: the quartiles and medians of
+each, how many pairs the head won on each of the four times and, as
+``reports_identical``, whether the two trees' reports held equal ``checks``
+arrays in every pair (the rest of a report, such as its ``config_echo``,
+may differ between trees whose checks agree).
 
     python3 scripts/pair_timing.py --base ../parent --head . \\
         --suites harmonicity clocklimit --threads 1 2 --pairs 10
@@ -103,12 +106,14 @@ def main(argv=None) -> int:
                         runs[name].append(value)
                     checks.append(report_checks)
                 identical &= checks[0] == checks[1]
+            for runs in (base, head):
+                runs["startup_s"] = [w - r for w, r in zip(runs["wall_s"], runs["runtime_s"])]
             line = {"suite": suite, "threads": threads, "pairs": args.pairs,
                     "config": None if args.config is None else str(args.config),
                     "base_q1_median_q3": quartiles(base["runtime_s"]),
                     "head_q1_median_q3": quartiles(head["runtime_s"]),
                     "head_wins": wins(base["runtime_s"], head["runtime_s"])}
-            for name in ("wall_s", "cpu_s"):
+            for name in ("wall_s", "cpu_s", "startup_s"):
                 line[f"base_{name}_q1_median_q3"] = quartiles(base[name])
                 line[f"head_{name}_q1_median_q3"] = quartiles(head[name])
                 line[f"head_wins_{name}"] = wins(base[name], head[name])

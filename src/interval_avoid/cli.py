@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import DEFAULTS, ConfigError, load_config
 from .engine import (PathConfig, _observation_grid, estimate_avoidance,
                      estimate_clock_event, estimate_survival, simulate_path)
 from .model import Interval, ModelParams, require_number
@@ -27,12 +27,13 @@ _MAX_GRID_STEPS = 100_000
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, default=2.0**0.5)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--drift", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    model, interval = DEFAULTS["model"], DEFAULTS["interval"]
+    p.add_argument("--sigma", type=float, default=model["sigma"])
+    p.add_argument("--lambda", dest="lam", type=float, default=model["lambda"])
+    p.add_argument("--eta", type=float, default=model["eta"])
+    p.add_argument("--drift", type=float, default=model["drift"])
+    p.add_argument("--a", type=float, default=interval["a"])
+    p.add_argument("--b", type=float, default=interval["b"])
 
 
 def _model_interval(args) -> tuple[ModelParams, Interval]:
@@ -71,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid as min:max:step (potentials use it as distances)")
     t.add_argument("--k-max", type=int, default=4)
     t.add_argument("--out", required=True)
+    t.set_defaults(run=_cmd_tables)
 
     s = sub.add_parser("simulate", help="raw Monte Carlo estimators")
     _add_model_flags(s)
@@ -82,28 +84,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--paths", type=int, default=100_000)
     s.add_argument("--dt", type=float, default=0.05)
     s.add_argument("--horizon", type=float, default=10.0)
-    s.add_argument("--seed", type=int, default=20260801)
+    s.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     s.add_argument("--t", type=float, default=None, help="time for the survival estimator")
     s.add_argument("--q", type=float, default=None, help="clock rate for the clock estimator")
     s.add_argument("--dump-paths", type=int, default=0, metavar="K",
                    help="also dump K recorded trajectories as CSV")
     s.add_argument("--dump-file", default="paths_dump.csv")
+    s.set_defaults(run=_cmd_simulate)
 
     c = sub.add_parser("condition", help="weighted-particle conditioned laws")
     _add_model_flags(c)
     c.add_argument("--transform", choices=("plus", "minus", "updown"), default="updown")
     c.add_argument("--start", type=float, required=True)
     c.add_argument("--horizon", type=float, default=60.0)
-    c.add_argument("--particles", type=int, default=65536)
+    c.add_argument("--particles", type=int, default=DEFAULTS["particles"])
     c.add_argument("--dt", type=float, default=0.1)
-    c.add_argument("--seed", type=int, default=20260801)
+    c.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     c.add_argument("--timeseries", default=None,
                    help="optional CSV of ensemble summaries over time")
+    c.set_defaults(run=_cmd_condition)
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--config", default=None, help="JSON configuration file")
     v.add_argument("--out", default=None, help="write the JSON report here")
+    v.set_defaults(run=_cmd_verify)
     return p
 
 
@@ -191,7 +196,6 @@ def _cmd_condition(args) -> int:
             "stderr_up": dp.p_up.stderr,
             "stderr_down": dp.p_down.stderr,
             "ess_min": dp.ess_min,
-            "resamples": dp.resamples,
             "config_echo": {
                 "start": args.start, "particles": args.particles, "dt": args.dt,
                 "horizon": args.horizon, "seed": args.seed,
@@ -228,15 +232,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "tables":
-            return _cmd_tables(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "condition":
-            return _cmd_condition(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, ValueError, EnsembleExtinctionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

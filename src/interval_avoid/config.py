@@ -2,7 +2,10 @@
 
 One document configures a run: model and interval blocks, seed and budgets.
 Unknown keys are rejected so that a config file can only mean one thing;
-tolerances are fixed by the suites, so no config can widen a gate.
+tolerances are fixed by the suites, so no config can widen a gate, and the
+suite is named by the caller, so one document serves every suite.
+``DEFAULTS`` is the one written default configuration; its model block is
+``ModelParams()``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ class ConfigError(ValueError):
     pass
 
 
+_MODEL = ModelParams()
 DEFAULTS: dict[str, Any] = {
-    "model": {"sigma": 2.0**0.5, "lambda": 1.0, "eta": 1.0, "drift": 0.0},
+    "model": {"sigma": _MODEL.sigma, "lambda": _MODEL.lam, "eta": _MODEL.eta,
+              "drift": _MODEL.drift},
     "interval": {"a": 0.0, "b": 1.0},
     "seed": 20260801,
     "paths": None,        # suite-specific default when None
@@ -30,7 +35,7 @@ DEFAULTS: dict[str, Any] = {
 
 _MODEL_KEYS = {"sigma", "lambda", "eta", "drift"}
 _INTERVAL_KEYS = {"a", "b"}
-_TOP_KEYS = {"suite", "model", "interval", "seed", "paths", "particles"}
+_TOP_KEYS = {"model", "interval", "seed", "paths", "particles"}
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,9 @@ def parse_config(doc: dict, suite: Optional[str] = None) -> SuiteConfig:
         require_number(seed, "seed", integer=True, low=0, high=2**64)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if suite is not None and doc.get("suite", suite) != suite:
-        raise ConfigError(f"config names suite {doc['suite']!r}, but the run is for {suite!r}")
 
     return SuiteConfig(
-        suite=doc.get("suite", suite),
+        suite=suite,
         model=model,
         interval=interval,
         seed=seed,

@@ -24,7 +24,7 @@ import json
 import math
 import re
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from . import closedform as cf
 from . import engine as eng
 from . import particles as pt
 from ._rng import worker_count
-from .config import ConfigError, SuiteConfig
+from .config import ConfigError, SuiteConfig, parse_config
 from .model import (Interval, ModelParams, _green_factor, kappa, ladder_exponent,
                     laplace_exponent, potential, potential_q, potential_q_total,
                     require_number, wiener_hopf_roots)
@@ -58,8 +58,7 @@ REFERENCE = {
     "potential_q_total_at_0.25": 2.0,
 }
 
-_DEFAULT_MODEL = ModelParams()
-_DEFAULT_INTERVAL = Interval(0.0, 1.0)
+_DEFAULT = parse_config({})
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -103,13 +102,7 @@ class SuiteReport:
     config_echo: dict
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-            "runtime_seconds": self.runtime_seconds,
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------- #
@@ -157,20 +150,20 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _is_default(config: SuiteConfig) -> bool:
-    m, iv = config.model, config.interval
-    return (m == _DEFAULT_MODEL and iv == _DEFAULT_INTERVAL)
+    return config.model == _DEFAULT.model and config.interval == _DEFAULT.interval
 
 
 def _suite_model(config: SuiteConfig) -> ModelParams:
-    """The model that the suite's checks run on, as its report echoes it:
-    closedform takes the config's model at drift 0, where the closed forms
-    hold, and transient5 a centred model at drift 0.5, where the process is
-    transient; every other suite takes the config's model."""
+    """The model that the suite's checks run on: closedform takes the
+    config's model at drift 0, where the closed forms hold, and transient5 a
+    centred model at drift 0.5, where the process is transient; every other
+    suite takes the config's model.  ``run_suite`` puts it in the config
+    before dispatch, so the checks, the reference gate and the echo read it."""
     model = config.model
     if config.suite == "closedform" and model.drift != 0.0:
-        return ModelParams(model.sigma, model.lam, model.eta, 0.0)
+        return replace(model, drift=0.0)
     if config.suite == "transient5" and model.drift == 0.0:
-        return ModelParams(model.sigma, model.lam, model.eta, 0.5)
+        return replace(model, drift=0.5)
     return model
 
 
@@ -179,7 +172,7 @@ def _suite_model(config: SuiteConfig) -> ModelParams:
 # --------------------------------------------------------------------------- #
 
 def _suite_closedform(config: SuiteConfig) -> list[Check]:
-    model, iv = _suite_model(config), config.interval
+    model, iv = config.model, config.interval
     h = cf.harmonics(model, iv)
     rng = np.random.default_rng(derive_seed(config.seed, 1))
     checks: list[Check] = []
@@ -207,13 +200,15 @@ def _suite_closedform(config: SuiteConfig) -> list[Check]:
                 name, "closed-form value equals frozen independent evaluation",
                 obs, ref, tol_det * max(1.0, abs(ref)), criterion=1))
 
-    # h = h_plus + h_minus with unit weight (symmetric ladder exponents)
+    # h = h_plus + h_minus with unit weight (symmetric ladder exponents), to
+    # 4 ulps of the largest |h| at the probe points: h's scale is the model's
     xs = np.concatenate([iv.a - rng.uniform(0.01, 5.0, 10),
                          iv.b + rng.uniform(0.01, 5.0, 10)])
-    add_err = np.max(np.abs(h.combined(xs) - (h.plus(xs) + h.minus(xs))))
+    hx = h.combined(xs)
+    add_err = np.max(np.abs(hx - (h.plus(xs) + h.minus(xs))))
     checks.append(check_close(
         "h_additivity", "h(x) = h_plus(x) + C h_minus(x) with C = 1",
-        add_err, 0.0, 1e-13, criterion=1))
+        add_err, 0.0, 4.0 * np.spacing(np.max(np.abs(hx))), criterion=1))
 
     sym_err = np.max(np.abs(h.plus(xs) - h.minus(iv.a + iv.b - xs))
                      / np.maximum(h.plus(xs), 1e-300))
@@ -529,7 +524,7 @@ _CHI2_41 = 70.743
 
 
 def _suite_transient5(config: SuiteConfig) -> list[Check]:
-    model, iv = _suite_model(config), config.interval
+    model, iv = config.model, config.interval
     if not model.drift > 0.0:
         raise ValueError("transient suite requires positive drift")
     checks: list[Check] = []
@@ -641,7 +636,7 @@ def _model_echo(model: ModelParams, interval: Interval) -> dict:
 def _config_echo(config: SuiteConfig) -> dict:
     return {
         "suite": config.suite,
-        **_model_echo(_suite_model(config), config.interval),
+        **_model_echo(config.model, config.interval),
         "seed": config.seed,
         "paths": config.paths,
         "particles": config.particles,
@@ -656,6 +651,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     worker_count()      # a malformed INTERVAL_AVOID_THREADS fails every suite
+    config = replace(config, model=_suite_model(config))
     tic = time.perf_counter()
     checks = SUITES[name](config)
     return SuiteReport(

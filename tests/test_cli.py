@@ -254,8 +254,8 @@ def test_condition_json(capsys, tmp_path):
                             "--seed", "9", "--timeseries", str(ts)], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) >= {"p_up", "p_down", "stderr_up", "stderr_down",
-                        "ess_min", "resamples"}
+    assert set(doc) == {"transform", "p_up", "p_down", "stderr_up", "stderr_down",
+                        "ess_min", "config_echo"}
     assert doc["p_up"] + doc["p_down"] == pytest.approx(1.0, abs=1e-12)
     lines = ts.read_text().splitlines()
     assert lines[0] == "time,total_weight,ess,frac_above,frac_below"
@@ -579,17 +579,17 @@ def test_blas_threads_leave_large_condition_unchanged():
     assert '"p_up"' in outputs["1"][0]
 
 
-def test_verify_config_suite_must_match(tmp_path, capsys):
-    """A config naming another suite than --suite is an error naming both;
-    one naming the same suite runs it."""
+def test_verify_config_suite_key_is_unknown(tmp_path, capsys):
+    """Only --suite names the suite: a config that holds a "suite" key, even
+    one naming the suite being run, is rejected as an unknown key."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suite": "overshoot"}))
-    code, out, err = run_cli(["verify", "--suite", "closedform", "--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert "overshoot" in err and "closedform" in err
-    cfg.write_text(json.dumps({"suite": "closedform"}))
-    code, out, _ = run_cli(["verify", "--suite", "closedform", "--config", str(cfg)], capsys)
-    assert code == 0 and json.loads(out)["suite"] == "closedform"
+    for suite in ("overshoot", "closedform"):
+        cfg.write_text(json.dumps({"suite": suite}))
+        code, out, err = run_cli(["verify", "--suite", "closedform", "--config", str(cfg)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown key") and len(err.splitlines()) == 1
+        assert "'suite'" in err
 
 
 def _load_script(folder, name):
@@ -626,6 +626,25 @@ def test_pair_timing_reports_process_times(capsys):
         assert 0.0 < cpu[0] <= cpu[1] <= cpu[2]
         assert line[f"{side}_rss_mib_q1_median_q3"][0] > 0.0
     assert all(0 <= line[key] <= 2 for key in ("head_wins", "head_wins_wall_s", "head_wins_cpu_s"))
+
+
+def test_pair_timing_reports_start_up(capsys, monkeypatch):
+    """Each run's start-up is its process wall less its runtime_seconds; the
+    line gives its quartiles per tree and the pairs the head won on it."""
+    pair_timing = _load_script("scripts", "pair_timing")
+    base, head = Path("base"), Path("head")
+    startup = {base: iter([0.30, 0.20, 0.40]), head: iter([0.25, 0.25, 0.25])}
+
+    def fake_run(tree, suite, threads, config=None):
+        return (1.0, 1.0 + next(startup[tree]), 1.0, 40.0), "[]"
+
+    monkeypatch.setattr(pair_timing, "run_suite", fake_run)
+    assert pair_timing.main(["--base", "base", "--head", "head",
+                             "--suites", "closedform", "--pairs", "3"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["base_startup_s_q1_median_q3"] == [0.2, 0.3, 0.4]
+    assert line["head_startup_s_q1_median_q3"] == [0.25, 0.25, 0.25]
+    assert line["head_wins_startup_s"] == 2
 
 
 def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):

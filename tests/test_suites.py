@@ -157,6 +157,34 @@ def test_reports_echo_the_model_their_checks_ran_on():
     assert drift({"model": {"drift": 0.3}}, "closedform") == 0.0
 
 
+def test_closedform_off_drift_checks_the_frozen_references():
+    """closedform runs a drifted config at drift 0, so at the default
+    sigma, lambda, eta and interval its checks, its reference gate and its
+    echo all read the default model: the 11 frozen-reference checks run."""
+    report = run_suite(parse_config({"model": {"drift": 0.3}}, suite="closedform"))
+    frozen = [c for c in report.checks
+              if c.claim == "closed-form value equals frozen independent evaluation"]
+    assert len(frozen) == 11 and all(c.passed for c in frozen)
+    assert report.passed and report.config_echo["model"]["drift"] == 0.0
+
+
+def test_h_additivity_is_scale_free():
+    """h_additivity bounds |h - (h_plus + h_minus)| by 4 ulps of the largest
+    |h| at its probe points.  Where eta is small h is near 761 and the
+    rounding error is one ulp of it, 1.1e-13, above an absolute 1e-13; at
+    the default model (h below 4) the bound is far below 1e-13."""
+    def additivity(doc):
+        report = run_suite(parse_config(doc, suite="closedform"))
+        return next(c for c in report.checks if c.name == "h_additivity")
+
+    check = additivity({"model": {"sigma": 0.0108, "lambda": 1.87, "eta": 0.00121},
+                        "interval": {"a": -3.883, "b": -3.882}})
+    assert check.passed and check.observed > 1e-13
+    assert check.tolerance == pytest.approx(4.547e-13, rel=1e-3)
+    default = additivity({})
+    assert default.passed and default.tolerance < 1e-13 / 50
+
+
 def test_transient5_reports_when_a_grid_start_has_equal_scores():
     """At M3 with 2 paths a grid start, no path from below a jumps over b
     (l is about 1e-4 there), so those starts' scores all equal 1 and their
