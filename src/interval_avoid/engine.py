@@ -56,7 +56,9 @@ are scored, not counted: each segment
 adds the chance, given its start, that it makes the crossing past the far
 boundary.  A crossing path censored at the cap scores its mean future
 from the closed form instead (the strong Markov property at its last
-jump), so the crossing masses carry no censoring bias.  The walks take
+jump), so the crossing masses carry no censoring bias.  Each segment also
+adds its kill indicator less its kill chance to a control of mean 0, and
+each mass is the regression estimate on that control.  The walks take
 start positions and a stream, not a ``PathBlock``, and return per-path
 arrays.
 
@@ -68,8 +70,8 @@ at rate q at E/q, and the block advances to E/q in decreasing q, which is
 exact because a path stopped at a clock keeps its pending jump.  The
 avoidance blocks return the sums of their paths' scores and squared scores
 and the count of unresolved paths, and the crossing blocks the sums of
-their paths' crossing scores, censored paths' credit included, of their
-products and of the credit.
+their paths' crossing scores, censored paths' credit included, and
+controls, of their products and of the credit.
 Per-path arrays come back only where the finish needs the sample: the
 crossing landings (for the KS test), ``drift_probability``'s replicate
 batches, the occupation rows (both in ``particles``) and
@@ -142,6 +144,23 @@ def _mean_result(total: float, total_sq: float, n: int) -> EstimatorResult:
     mean = total / n
     var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
     return EstimatorResult(mean=mean, stderr=math.sqrt(max(var, 0.0) / n), n=n)
+
+
+def _controlled_mean(sw: float, sww: float, sc: float, scc: float, swc: float,
+                     n: int) -> tuple[EstimatorResult, float]:
+    """Mean of n per-path values w with a control C of mean 0, from the sums
+    of w, w^2, C, C^2 and w C: (sum w - beta sum C)/n, beta the slope of w
+    on C, with the regression residual's se (divisor n - 2), and beta.
+    Where C has no spread (as where no path reached a crossing stage) or
+    n <= 2, the plain mean and its se, and beta = 0."""
+    s_cc = scc - sc * sc / n
+    if n <= 2 or not s_cc > 0.0:
+        return _mean_result(sw, sww, n), 0.0
+    s_wc = swc - sw * sc / n
+    beta = s_wc / s_cc
+    rss = sww - sw * sw / n - beta * s_wc
+    se = math.sqrt(max(rss, 0.0) / ((n - 2) * n))
+    return EstimatorResult((sw - beta * sc) / n, se, n), beta
 
 
 def _binomial_result(successes: float, n: int) -> EstimatorResult:
@@ -635,10 +654,11 @@ class CrossingLawEstimate:
     ``censored_fraction`` is the share of paths still live and short of
     crossing k then.  Every per-crossing field is a length-k tuple indexed
     j - 1.  ``positions`` holds the landings past the far boundary, for the
-    shape tests.  ``mass`` is the mean of the paths' scores S_j (see
-    ``empirical_crossing_law``: each segment scores f at its start),
-    censored paths' credit included, with its standard error, and
-    ``mass_cov`` the (k, k) sample covariance of the scores, whose diagonal
+    shape tests.  ``mass`` is the regression estimate of the mean of the
+    paths' scores S_j (see ``empirical_crossing_law``: each segment scores f
+    at its start), censored paths' credit included, on the control C_j of
+    mean 0, with the residual's standard error, and ``mass_cov`` the (k, k)
+    sample covariance of the residuals S_j - beta_j C_j, whose diagonal
     over n_paths is the squared standard error.  Apart from the censor
     credit, ``mass[j - 1]`` draws on S_j only from the paths that reach
     crossing j - 1; where few or none do, its sample standard error
@@ -744,8 +764,9 @@ _DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)    # see _segment_score_law
 def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np.ndarray:
     """The constants of ``_segment_scores`` for a model with exponent ``eta``
     and Wiener-Hopf scales ``rise`` and ``fall`` (``_wiener_hopf_scales``)
-    around an interval of width w: a (3, 2) array with rows -kappa, -delta
-    and -C/delta, column 0 for a start below a and column 1 for one above b.
+    around an interval of width w: a (4, 2) array with rows -kappa, -delta,
+    -C/delta and 1(1/s_t > eta), column 0 for a start below a and column 1
+    for one above b.
 
     On each side s_t is the mean travel of a segment's Brownian part toward
     the interval and s_a that away from it ((rise, fall) below a, (fall,
@@ -755,19 +776,20 @@ def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np
     divide: that moves f by a relative delta u/2, below 1e-16 for any u
     under 1e138, and keeps delta u a normal double for u above 1.5e-154.
     """
-    law = np.empty((3, 2))
+    law = np.empty((4, 2))
     for side, (toward, away) in enumerate(((rise, fall), (fall, rise))):
         delta = max(abs(eta - 1.0 / toward), _DELTA_FLOOR)
         law[:, side] = (-min(eta, 1.0 / toward), -delta,
-                        -0.5 * math.exp(-eta * width) / (toward * (1.0 + eta * away) * delta))
+                        -0.5 * math.exp(-eta * width) / (toward * (1.0 + eta * away) * delta),
+                        1.0 / toward > eta)
     return law
 
 
 def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
-                    law: np.ndarray) -> np.ndarray:
-    """f(y) = E[pi(pre) 1(no kill) | y] for segments that start live at y
-    outside [a, b] (above b where ``above``); ``law`` is
-    ``_segment_score_law``'s.
+                    law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(y) = E[pi(pre) 1(no kill) | y] and the kill chance p(y) = exp(-u/s_t)
+    for segments that start live at y outside [a, b] (above b where
+    ``above``); ``law`` is ``_segment_score_law``'s.
 
     pi(p) = exp(-eta d)/2 is the chance that a jump from p lands past the far
     boundary, at distance d from p.  Let u be the distance from y to the near
@@ -780,9 +802,11 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
     with exprel(z) = (e^z - 1)/z.  The last form, with 1 - exp(-delta u) from
     ``expm1``, neither cancels (the form (exp(-u/s_t) - exp(-eta u))/(eta
     s_t - 1) does where eta s_t is near 1, as at the default model) nor
-    overflows (both exponents are at most 0).
+    overflows (both exponents are at most 0).  p comes from the same two
+    exponentials: it is exp(-kappa u) where 1/s_t <= eta, and exp(-kappa u)
+    (1 + expm1(-delta u)) where 1/s_t > eta, so kappa = eta.
     """
-    neg_kappa, neg_delta, f = (np.where(above, hi, lo) for lo, hi in law)
+    neg_kappa, neg_delta, f = (np.where(above, hi, lo) for lo, hi in law[:3])
     u = y - interval.b      # the distance to the near boundary, rounded once
     np.maximum(u, interval.a - y, out=u)
     # 0 at a start inside [a, b], which only a cell past its row's stop can
@@ -794,12 +818,17 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
     np.exp(neg_kappa, out=neg_kappa)
     f *= neg_kappa
     f *= neg_delta
-    return f
+    if law[3].any():
+        neg_delta *= np.where(above, law[3, 1], law[3, 0])
+        neg_delta += 1.0
+        neg_kappa *= neg_delta
+    return f, neg_kappa
 
 
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
                    rng: np.random.Generator, n_segments: int, k: int,
-                   scores: Optional[np.ndarray] = None) -> tuple:
+                   scores: Optional[np.ndarray] = None,
+                   controls: Optional[np.ndarray] = None) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
@@ -824,13 +853,18 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     the segment's start, of the indicator that the segment makes crossing j
     past the far boundary, so E[S_j] equals the mass of the recorded
     crossings j on the same censored paths, with a smaller variance.
-    ``scores``, if given, is an (n, k) array of zeros that receives
-    S_1..S_k.
+    Over the same segments the control C_j sums 1(the segment kills) - p(y),
+    with p(y) the segment's kill chance given its start; each term has
+    conditional mean 0, so E[C_j] = 0 by optional stopping at the bounded
+    segment count, at any model and cap.  ``scores`` and ``controls``, if
+    given, are (n, k) arrays of zeros that receive S_1..S_k and C_1..C_k.
     """
     rise, fall = _wiener_hopf_scales(model)
     law = _segment_score_law(model.eta, rise, fall, interval.width)
     if scores is None:
         scores = np.zeros((x.size, k))
+    if controls is None:
+        controls = np.zeros((x.size, k))
     landings = np.full((x.size, k), np.nan)
     censored, end = np.full(x.size, n_segments == 0), x.copy()
     idx = np.flatnonzero(~censored)
@@ -841,9 +875,13 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
             interval, x, rng, int(left.min()), model.eta, rise, fall, 1.0, 1.0)
         left -= col + 1
         # segments up to and including the stop column, all after n_cross crossings
-        f = _segment_scores(interval, seg0, above, law)
-        f *= np.arange(K) <= col[:, None]
+        f, p = _segment_scores(interval, seg0, above, law)
+        used = np.arange(K) <= col[:, None]
+        f *= used
+        p *= used
         scores[idx, n_cross] += np.einsum("ij->i", f)
+        # a row's one kill, if any, is its stop
+        controls[idx, n_cross] += kill_c - np.einsum("ij->i", p)
         crossed = cross_c & ~kill_c
         landings[idx[crossed], n_cross[crossed]] = x_c[crossed]
         n_cross += crossed
@@ -860,11 +898,13 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
 def _crossing_block(model, interval, start, n, rng, k, n_segments):
     """The landings past the far boundary of crossings 1..k, the number of
     censored paths and the sums that the finish adds up over blocks: the
-    censor credit sums, sum S_j and the (k, k) matrix sum S_i S_j of the
-    paths' scores, each censored path's credit included."""
-    scores = np.zeros((n, k))
+    censor credit sums, and sum v and the (2k, 2k) matrix sum v v' of the
+    paths' stacked vectors v = (S_1..S_k, C_1..C_k) of scores, each censored
+    path's credit included, and controls."""
+    v = np.zeros((n, 2 * k))
+    scores = v[:, :k]
     p, live, x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k,
-                                scores)
+                                scores, v[:, k:])
     positions = [p[(p[:, j] < interval.a) | (p[:, j] > interval.b), j] for j in range(k)]
     # a censored path at x after ``done`` crossings still scores, in the mean,
     # mass(nu_(j - done)) from x = c^(j - 1 - done) m1(x) for each j > done
@@ -874,8 +914,7 @@ def _crossing_block(model, interval, start, n, rng, k, n_segments):
     credit = np.where(later >= 0, crossing_factor(model, interval) ** np.maximum(later, 0), 0.0)
     credit *= _jump_over_mass(model, interval, x)[:, None]
     scores[live] += credit
-    return positions, live.size, (credit.sum(axis=0), scores.sum(axis=0),
-                                  np.einsum("ij,ik->jk", scores, scores))
+    return positions, live.size, (credit.sum(axis=0), v.sum(axis=0), np.einsum("ij,ik->jk", v, v))
 
 
 def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
@@ -898,6 +937,16 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     for mass(nu_j) from ``start`` at any cap.  ``censor_credit[j - 1]`` is
     that credit's mean per path.  The conditional shape past the far
     boundary (the KS test of ``positions``) is unaffected by censoring.
+
+    Over the same segments each path sums the control C_j, the kill
+    indicator less the kill chance p(y) = exp(-u/s_t) of each segment (a
+    martingale control: Henderson & Glynn 2002; Glasserman 2004, sec. 4.1),
+    which has mean 0 at any cap.  ``mass[j - 1]`` is (sum S_j - beta_j sum
+    C_j)/n, beta_j the fitted slope of S_j on C_j (``_controlled_mean``),
+    with the residual's standard error; fitting beta_j biases it by O(1/n).
+    At the overshoot benchmark's budget the variance of the first mass is
+    2.2 times smaller than that of the plain mean of S_1.  Where no path
+    reached crossing j - 1, C_j is 0 and the mass is the plain mean.
     """
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
@@ -908,14 +957,21 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
     credit, total, total_sq = _add_blocks(p[2] for p in parts)
-    mean = total / n
+    sq = np.diag(total_sq)
+    mass, beta = zip(*(_controlled_mean(*map(float, sums), n) for sums in zip(
+        total[:k], sq[:k], total[k:], sq[k:], np.diag(total_sq[:k, k:]))))
+    # the covariance of the residuals S_j - beta_j C_j, each over the divisor
+    # of its se: n - 2 where beta_j is fitted, n - 1 where it is not
+    proj = np.hstack([np.eye(k), -np.diag(beta)])
+    dof = np.maximum(n - 1.0 - (np.array(beta) != 0.0), 1.0)
     sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
         n_paths=n,
         censored_fraction=censored / n,
         positions=positions,
-        mass=tuple(_mean_result(float(total[j]), float(total_sq[j, j]), n) for j in range(k)),
-        mass_cov=(total_sq - n * np.outer(mean, mean)) / max(n - 1, 1),
+        mass=mass,
+        mass_cov=proj @ (total_sq - np.outer(total, total) / n) @ proj.T / np.sqrt(
+            np.outer(dof, dof)),
         ks_distance=tuple(ks_distance(pos, law.conditional_cdf) if pos.size else math.nan
                           for pos, law in zip(positions, laws)),
         ks_critical=tuple(ks_critical_value(max(m, 1)) for m in sizes),
@@ -971,6 +1027,26 @@ def _tilted_model(model: ModelParams, g: float) -> tuple[ModelParams, float, flo
     return tilted, eta / (eta + g), eta * (eta + g) / gap
 
 
+def _avoidance_laws(model: ModelParams) -> tuple[float, np.ndarray]:
+    """g and the segment laws of ``_avoidance_walk``: rise, fall, c_up and
+    c_down of ``_walk_segments``, row 0 for P and row 1 for Q.  Raises
+    ValueError where Q's mean step per segment, rise - fall + (c_up -
+    c_down)/eta, is not negative in floating point: at a drift so small that
+    c_up and c_down differ by less than their rounding, Q would not drift
+    down, and every path would walk to the segment cap."""
+    g = adjustment_coefficient(model)
+    tilted_model, c_up, c_down = _tilted_model(model, g)
+    laws = np.array([[*_wiener_hopf_scales(model), 1.0, 1.0],
+                     [*_wiener_hopf_scales(tilted_model), c_up, c_down]])
+    rise, fall, up, down = laws[1]
+    step = rise - fall + (up - down) / model.eta
+    if not step < 0.0:
+        raise ValueError(f"avoidance estimation needs a tilted walk that drifts down, but "
+                         f"its mean step per segment rounds to {step:.3g} at drift "
+                         f"{model.drift!r}")
+    return g, laws
+
+
 def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
                     rng: np.random.Generator, n_segments: int) -> tuple:
     """Walk paths started at ``x`` from jump to jump under the tilted law,
@@ -991,11 +1067,7 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     E[Z] = 1 - P(T = infinity), and 0 <= Z <= exp(-g (x - b)) from x > b.
     """
     b = interval.b
-    g = adjustment_coefficient(model)
-    tilted_model, c_up, c_down = _tilted_model(model, g)
-    # rise, fall, c_up, c_down: row 0 for P, row 1 for Q
-    laws = np.array([[*_wiener_hopf_scales(model), 1.0, 1.0],
-                     [*_wiener_hopf_scales(tilted_model), c_up, c_down]])
+    g, laws = _avoidance_laws(model)
     log_z = np.zeros(x.size)        # each path's log Z, written at its death
     idx = np.arange(x.size)
     lz = np.zeros(x.size)           # the live paths' log Z so far
@@ -1033,6 +1105,7 @@ def _avoidance_job(model, interval, start, seed, n):
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
+    _avoidance_laws(model)
 
     def finish(parts):
         total, total_sq, unresolved = _add_blocks(parts)

@@ -502,21 +502,6 @@ def _outer_block(model, interval, start, n, rng, t, g):
             float(np.sum(w * c)))
 
 
-def _outer_estimate(sums, n: int, controlled: bool) -> eng.EstimatorResult:
-    """Mean of w and its standard error from the summed ``_outer_block``
-    results: with ``controlled``, (sum w - beta sum C)/n, beta the slope of w
-    on C, with the regression residual's se (divisor n - 2); else plain."""
-    sw, sww, sum_c, sq_c, swc = sums
-    if not controlled:
-        return eng._mean_result(sw, sww, n)
-    s_cc = sq_c - sum_c * sum_c / n
-    s_wc = swc - sw * sum_c / n
-    beta = s_wc / s_cc
-    rss = sww - sw * sw / n - beta * s_wc
-    return eng.EstimatorResult((sw - beta * sum_c) / n,
-                               math.sqrt(max(rss, 0.0) / ((n - 2) * n)), n)
-
-
 # upper quantile of the chi-square law with 41 degrees of freedom (the 40
 # grid starts above b and the pooled starts below a) at level 0.0027, by
 # Wilson-Hilferty: 41 (1 - k + 2.7822 sqrt(k))^3 with k = 2 / (9 * 41)
@@ -588,9 +573,11 @@ def _suite_transient5(config: SuiteConfig) -> list[Check]:
 
     # By Lundberg's equation exp(-g xi_t) is a martingale, so C has mean 0 by
     # optional stopping at t ^ T; its square has a finite mean only if
-    # 2g < eta (the jumps' tails are Laplace), so otherwise beta = 0
+    # 2g < eta (the jumps' tails are Laplace), so otherwise the sums of C are
+    # left out and the mean is plain
     controlled = 2.0 * g < model.eta
-    outer = _outer_estimate(sums, n_outer, controlled)
+    control = sums[2:] if controlled else (0.0, 0.0, 0.0)
+    outer, _beta = eng._controlled_mean(*sums[:2], *control, n_outer)
     checks.append(check_close(
         "avoidance_harmonicity",
         "E[1(t<T) l(xi_t)] = l(x) for the closed form l(x) = P(T = infinity)",

@@ -398,6 +398,21 @@ def test_verify_invalid_config_exits_2(tmp_path, capsys):
     assert code == 2 and "unknown key" in err
 
 
+def test_avoidance_at_a_drift_below_rounding_exits_2(tmp_path, capsys):
+    """A transient5 config whose drift is too small for the tilted walk to
+    drift down in floating point (sigma 12.3, lam 33.5, eta 0.034, drift
+    1e-13) exits 2 with one error line, before any path is walked, and so
+    does the avoidance estimator of simulate."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"sigma": 12.3, "lambda": 33.5, "eta": 0.034, "drift": 1e-13}}')
+    flags = ["--sigma", "12.3", "--lambda", "33.5", "--eta", "0.034", "--drift", "1e-13"]
+    for args in (["verify", "--suite", "transient5", "--config", str(cfg)],
+                 ["simulate", "--estimator", "avoidance", "--start", "2", *flags]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "drifts down" in err
+
+
 @pytest.mark.parametrize("text", [
     '{"model": {"sigma": Infinity}}',
     '{"seed": 1180591620717411303424}',
@@ -651,7 +666,8 @@ def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):
     """Two seeds of closedform: one line per check in report order, none
     failed, with the exact interval [0, 1 - 0.025^(1/2)] and the median and
     maximum over the seeds with a positive tolerance of the share of the
-    band used, and their number: a check whose tolerance is 0 on one seed
+    band used, and their number, and the mean and sample sd of the signed
+    share (sd null on one seed): a check whose tolerance is 0 on one seed
     keeps the other seed's share, and one whose tolerance is always 0 has
     none.  A bad config is a usage error."""
     calibrate = _load_script("tools", "calibrate")
@@ -674,10 +690,17 @@ def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):
         assert (line["failures"], line["seeds"], line["failed_seeds"]) == (0, 2, [])
         assert line["ci95"][0] == 0.0
         assert line["ci95"][1] == pytest.approx(1.0 - 0.025 ** 0.5, rel=1e-12)
-        use = [abs(c.observed - c.expected) / c.tolerance for c in checks if c.tolerance > 0.0]
+        signed = [(c.observed - c.expected) / c.tolerance for c in checks if c.tolerance > 0.0]
+        use = [abs(u) for u in signed]
         if use:
+            sd = line["band_use"].pop("signed_sd")
             assert line["band_use"] == {"median": sum(use) / len(use), "max": max(use),
-                                        "seeds": len(use)}
+                                        "seeds": len(use),
+                                        "signed_mean": sum(signed) / len(signed)}
+            if len(signed) == 2:
+                assert sd == pytest.approx(abs(signed[0] - signed[1]) / 2**0.5, rel=1e-12)
+            else:
+                assert sd is None
         else:
             assert line["band_use"] is None
     assert lines[0]["band_use"]["seeds"] == 1

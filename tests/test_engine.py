@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
@@ -621,10 +622,86 @@ def test_crossing_scores_match_recorded_crossings_under_drift():
     assert stats.chi2.sf(stat, 4) >= 0.0027, stat
 
 
+_CONTROL_MODELS = {"default": ModelParams(), "M1": ModelParams(sigma=0.7, lam=3.0, eta=2.5),
+                   "M3": ModelParams(sigma=0.5, lam=0.2, eta=4.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTROL_MODELS))
+def test_crossing_controls_have_mean_zero(name):
+    """Each control C_j = sum (1(kill) - p(y)) over the segments that S_j
+    counts has mean 0 by optional stopping: on 20 seeds of one block of
+    8192 paths from a - 1 (cap 200), the 20 z-scores of C_1 and, over the
+    pooled paths, one z-score per later crossing that some path reached
+    make one chi-square at alpha = 0.0027, and the mean of the 20 stage-1
+    z-scores lies within 3/sqrt(20) of 0.  At M1, where 1/s_t > eta on both
+    sides, p is exp(-eta u) (1 + expm1(-delta u)); at the default model and
+    M3 it is exp(-kappa u) itself."""
+    model, interval, n, k = _CONTROL_MODELS[name], Interval(0.0, 1.0), BLOCK_SIZE, 3
+    zs, pooled = [], []
+    for seed in range(20):
+        controls = np.zeros((n, k))
+        _crossing_walk(model, interval, np.full(n, -1.0), block_stream(110 + seed, 0), 200, k,
+                       None, controls)
+        zs.append(controls[:, 0].sum() / math.sqrt(n * controls[:, 0].var(ddof=1)))
+        pooled.append(controls)
+    pooled = np.concatenate(pooled)
+    later = [pooled[:, j].sum() / math.sqrt(pooled.shape[0] * pooled[:, j].var(ddof=1))
+             for j in range(1, k) if pooled[:, j].any()]
+    stat = float(np.sum(np.square(zs)) + np.sum(np.square(later)))
+    assert stats.chi2.sf(stat, len(zs) + len(later)) >= 0.0027, (stat, later)
+    assert abs(np.mean(zs)) <= 3.0 / math.sqrt(len(zs)), zs
+
+
+@pytest.mark.parametrize("name", ["default", "M1"])
+def test_controlled_masses_agree_with_the_plain_means(name):
+    """The regression estimates of the crossing masses lie within 3 combined
+    standard errors of the plain means of S_j on the same 32 768 paths, and
+    at stage 1 the variance is at least 1.4 times smaller (2.2 at the
+    default model, 1.5 at M1); ``mass_cov``'s diagonal over n is the
+    squared standard error."""
+    model, interval, n, k = _CONTROL_MODELS[name], Interval(0.0, 1.0), 32_768, 3
+    cfg = PathConfig(dt=1.0, horizon=2000.0, seed=120, n_paths=n)
+    law = empirical_crossing_law(model, interval, -1.0, k, cfg)
+    sums = engine._add_blocks(
+        _crossing_block(model, interval, -1.0, BLOCK_SIZE, block_stream(cfg.seed, bi), k,
+                        math.ceil(model.lam * cfg.horizon))[2] for bi in range(n // BLOCK_SIZE))
+    _credit, total, total_sq = sums
+    for j in range(k):
+        plain = engine._mean_result(float(total[j]), float(total_sq[j, j]), n)
+        controlled = law.mass[j]
+        assert abs(controlled.mean - plain.mean) <= 3.0 * math.hypot(controlled.stderr,
+                                                                    plain.stderr), j
+        assert law.mass_cov[j, j] / n == pytest.approx(controlled.stderr**2, rel=1e-12)
+    plain = engine._mean_result(float(total[0]), float(total_sq[0, 0]), n)
+    assert (plain.stderr / law.mass[0].stderr) ** 2 >= 1.4
+
+
+def test_controlled_mean_without_control_spread_is_the_plain_mean():
+    """Where the control has no spread, as at a crossing stage that no path
+    reached, the controlled mean is the plain mean and its se, with beta 0,
+    and no NaN or warning; so is it at n <= 2, where the residual has no
+    degree of freedom.  At M3 no path from a - 1 reaches a second crossing
+    in 8192 paths, so C_3 is 0 on every path, and mass[2] and mass_cov are
+    finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sums, n in [((3.0, 5.0, 0.0, 0.0, 0.0), 10), ((1.5, 2.25, 0.0, 0.0, 0.0), 1),
+                        ((1.0, 0.5, 2.0, 2.0, 1.0), 2), ((3.0, 5.0, 2.5, 0.625, 1.0), 10)]:
+            result, beta = engine._controlled_mean(*sums, n)
+            assert (result, beta) == (engine._mean_result(sums[0], sums[1], n), 0.0)
+        model = _CONTROL_MODELS["M3"]
+        law = empirical_crossing_law(model, Interval(0.0, 1.0), -1.0, 3,
+                                     PathConfig(dt=1.0, horizon=2000.0, seed=121, n_paths=8192))
+        assert law.positions[1].size == 0
+        assert all(math.isfinite(m.mean) and math.isfinite(m.stderr) for m in law.mass)
+        assert np.all(np.isfinite(law.mass_cov))
+
+
 def _score_at(interval, eta, rise, fall, y):
     """``_segment_scores`` at the one start y."""
     law = _segment_score_law(eta, rise, fall, interval.width)
-    return float(_segment_scores(interval, np.array([y]), np.array([y > interval.b]), law)[0])
+    f, _p = _segment_scores(interval, np.array([y]), np.array([y > interval.b]), law)
+    return float(f[0])
 
 
 def _score_reference(interval, eta, rise, fall, y):
@@ -672,23 +749,32 @@ def test_segment_score_matches_quadrature(sigma, lam, eta, drift, a, width, belo
     (2.5, 0.2857738033247041, 0.2857738033247041),   # M1: eta s_t = 0.71
     (4.0, 0.7905694150420948, 0.7905694150420948),   # M3: eta s_t = 3.2
     (0.1, 3.0, 0.05),                       # far from 1, on each side differently
-], ids=["exact", "one-ulp", "M1", "M3", "asymmetric"])
+    (1.0, 3.0, 0.05),                       # eta s_t below 1 above b, above 1 below a
+], ids=["exact", "one-ulp", "M1", "M3", "asymmetric", "mixed"])
 def test_segment_score_near_and_far_from_eta_s_one(eta, rise, fall):
     """Where eta s_t is 1 exactly, one ulp off it and far from it, f is
     finite and within 1e-12 of 40 digits from u = 1e-300 up to u = 700/eta
     on both sides, where it has underflowed at most to a subnormal; no NaN
-    or inf appears."""
+    or inf appears.  The kill chance p = exp(-u/s_t) is within 1e-12 of 40
+    digits too, or, where eta s_t > 1 and it is taken as exp(-eta u) (1 +
+    expm1(-delta u)), within the rounding of that sum, 2 ulps of
+    exp(-eta u)."""
     interval = Interval(0.0, 1.0)
     law = _segment_score_law(eta, rise, fall, interval.width)
     assert np.all(np.isfinite(law))
     us = np.array([1e-300, 1e-12, 1e-3, 0.3, 1.0, 10.0, 100.0 / eta, 700.0 / eta])
-    for below in (True, False):
+    for below, toward in ((True, rise), (False, fall)):
         y = interval.a - us if below else interval.b + us
-        f = _segment_scores(interval, y, y > interval.b, law)
+        f, p = _segment_scores(interval, y, y > interval.b, law)
         assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
         for yi, fi in zip(y, f):
             ref = _score_reference(interval, eta, rise, fall, yi)
             assert fi == pytest.approx(ref, rel=1e-12, abs=1e-300), (below, yi)
+        for u, pi in zip(us, p):
+            with mpmath.workdps(40):
+                ref = float(mpmath.exp(-mpmath.mpf(u) / mpmath.mpf(toward)))
+            rounding = 4.5e-16 * math.exp(-min(eta, 1.0 / toward) * u)
+            assert pi == pytest.approx(ref, rel=1e-12, abs=max(rounding, 1e-300)), (below, u)
 
 
 def test_crossing_scores_finite_after_a_deep_landing_inside():
@@ -898,11 +984,11 @@ def test_crossing_law_deterministic(model, interval):
 
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
-# crossing budgets span two blocks.  Last re-pinned when each crossing-walk
-# segment came to score f(y) at its start y in place of pi at its pre-jump
-# value, which moves ``mass`` only; with the crossing law's ``mass`` and
-# ``censor_credit`` left out of the digest, it reads ee87563a...eb6b both
-# before and after, so the draws and landings did not move
+# crossing budgets span two blocks.  Last re-pinned when each crossing mass
+# became the regression estimate on the kill-martingale control C_j, which
+# moves ``mass`` only; with the crossing law's ``mass`` left out of the
+# digest, it reads 532a63cc...ab5c both before and after, so the draws,
+# landings and censor credit did not move
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -926,7 +1012,7 @@ def test_estimators_pinned(model, interval):
     # de46092717afafd26eb481f52b2d7f53e7d5dbc1, which a change to the crossing
     # walk alone leaves as it is
     assert digest.hexdigest() == (
-        "a1254c91cd9fe31a607ef428497a90153805eb46b99cc2f2e6e7becf08baa21b")
+        "ca169331a651b831c19b73f217a526cc830abf1983889233791f8d32cfa1d7b4")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -1018,6 +1104,25 @@ def test_tilted_model_shifts_the_laplace_exponent(sigma, lam, eta, drift):
             terms = (drift_q * theta, s2 * theta**2 / 2, lam_q * mgf, -lam_q)
             assert abs(sum(terms) - psi(theta - g_)) <= 1e-12 * sum(abs(t) for t in terms)
         assert drift_q + lam_q * (up - down) / eta_ < 0
+
+
+def test_avoidance_rejects_a_tilt_that_rounds_away(interval):
+    """At sigma 12.3, lam 33.5, eta 0.034 and drift 1e-13, g/eta is about
+    1e-16, so Q's jump factors differ by less than their rounding, and Q's
+    float mean step rise - fall + (c_up - c_down)/eta reads +9.2e-15: the
+    tilted walk would not drift down, and every path would walk to the
+    segment cap.  Building the job raises ValueError before any block runs.
+    At transient5's default model the step reads -0.50."""
+    tiny = ModelParams(sigma=12.3, lam=33.5, eta=0.034, drift=1e-13)
+    with pytest.raises(ValueError, match="drifts down"):
+        engine._avoidance_job(tiny, interval, interval.b + 1.0, 1, 100)
+    with pytest.raises(ValueError, match="drifts down"):
+        estimate_avoidance(tiny, interval, interval.b + 1.0,
+                           PathConfig(dt=1.0, horizon=1.0, seed=1, n_paths=100))
+    model = ModelParams(drift=0.5)
+    _g, laws = engine._avoidance_laws(model)
+    rise, fall, up, down = laws[1]
+    assert rise - fall + (up - down) / model.eta == pytest.approx(-0.50, abs=0.005)
 
 
 AVOIDANCE_STARTS = (-3.0, 1.25, 3.0, 11.0)     # a - 3, b + 0.25, b + 2, b + 10

@@ -16,7 +16,7 @@ from interval_avoid._rng import block_stream
 from interval_avoid.config import ConfigError, parse_config
 from interval_avoid import suites
 from interval_avoid.suites import (SUITES, SuiteReport, _CHI2_41, _occupation_bound,
-                                   _outer_block, _outer_estimate, run_suite)
+                                   _outer_block, run_suite)
 
 IV = Interval(0.0, 1.0)
 
@@ -57,28 +57,31 @@ def _reduced(w, c, blocks=3):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_controlled_outer_estimate_matches_direct_regression(seed):
-    """The controlled finish gives the intercept of the least-squares fit of
-    w on (1, C) and the standard error from the fit's residual (divisor
-    n - 2), as a direct numpy regression on the same paths does."""
+    """The controlled mean (``engine._controlled_mean``, on the outer
+    block's five sums) gives the intercept and slope of the least-squares
+    fit of w on (1, C) and the standard error from the fit's residual
+    (divisor n - 2), as a direct numpy regression on the same paths does."""
     w, c = _synthetic_outer(seed)
     n = w.size
-    result = _outer_estimate(_reduced(w, c), n, True)
+    result, beta = engine._controlled_mean(*_reduced(w, c), n)
     design = np.column_stack([np.ones(n), c])
     coef, *_ = np.linalg.lstsq(design, w, rcond=None)
     resid = w - design @ coef
     assert result.mean == pytest.approx(coef[0], rel=1e-12)
+    assert beta == pytest.approx(coef[1], rel=1e-12)
     assert result.stderr == pytest.approx(math.sqrt(np.sum(resid**2) / (n - 2) / n),
                                           rel=1e-12)
     assert result.n == n
 
 
 def test_plain_outer_estimate_is_the_mean_of_w():
-    """Without the control the estimate is the plain mean of w and its
-    standard error, bit for bit those of the sums of w and w^2."""
+    """Without the control (its three sums left at 0) the estimate is the
+    plain mean of w and its standard error, bit for bit those of the sums
+    of w and w^2, and beta is 0."""
     w, c = _synthetic_outer(3)
     sums = _reduced(w, c)
-    result = _outer_estimate(sums, w.size, False)
-    assert result == engine._mean_result(sums[0], sums[1], w.size)
+    result, beta = engine._controlled_mean(*sums[:2], 0.0, 0.0, 0.0, w.size)
+    assert result == engine._mean_result(sums[0], sums[1], w.size) and beta == 0.0
     assert result.mean == pytest.approx(w.mean(), rel=1e-12)
 
 
@@ -94,12 +97,13 @@ def test_transient5_without_the_control_reports_the_plain_mean(monkeypatch):
     check is reported.  At the default drifted model, 2g < eta, the check
     is reported."""
     seen = []
+    route = engine._controlled_mean
 
-    def spy(sums, n, controlled):
-        seen.append((controlled, engine._mean_result(sums[0], sums[1], n).mean))
-        return _outer_estimate(sums, n, controlled)
+    def spy(sw, sww, sc, scc, swc, n):
+        seen.append(((sc, scc, swc) != (0.0, 0.0, 0.0), engine._mean_result(sw, sww, n).mean))
+        return route(sw, sww, sc, scc, swc, n)
 
-    monkeypatch.setattr(suites, "_outer_estimate", spy)
+    monkeypatch.setattr(engine, "_controlled_mean", spy)
     report = run_suite(parse_config({**_SETTINGS["M3"], "paths": 2400}, suite="transient5"))
     checks = {c.name: c for c in report.checks}
     assert seen[-1][0] is False and "outer_optional_stopping" not in checks

@@ -6,7 +6,11 @@ and prints one JSON line per check, in report order: how many seeds failed
 it, which ones, the Clopper-Pearson 95% interval of its failure
 probability and the share of its band that the seeds use: the median and
 maximum of |observed - expected| / tolerance over the seeds on which the
-tolerance is positive, and how many those are (null where there are none).
+tolerance is positive, how many those are, and the mean and sample sd of
+the signed (observed - expected) / tolerance over them (null where there
+are none; the sd is null on one seed).  For a band of 3 standard errors,
+3 x sd is the sd of the z-scores, which should be near 1 where the
+standard error is honest, and the mean shows a bias.
 A last line gives the number of seeds on which the report failed.  Workers
 come from INTERVAL_AVOID_THREADS, as for ``verify``; the package is
 imported from the path, so the same script sweeps any checkout:
@@ -65,14 +69,17 @@ def main(argv=None) -> int:
                 seeds.append(seed)
             use = band_use.setdefault(check.name, [])
             if check.tolerance > 0.0:
-                use.append(abs(check.observed - check.expected) / check.tolerance)
+                use.append((check.observed - check.expected) / check.tolerance)
     for name, seeds in failed.items():
         lo, hi = clopper_pearson(len(seeds), args.seeds)
         use = band_use[name]
+        size = [abs(u) for u in use]
         print(json.dumps({"check": name, "failures": len(seeds), "seeds": args.seeds,
                           "ci95": [lo, hi], "failed_seeds": seeds,
-                          "band_use": ({"median": statistics.median(use), "max": max(use),
-                                        "seeds": len(use)} if use else None)}))
+                          "band_use": ({"median": statistics.median(size), "max": max(size),
+                                        "seeds": len(use), "signed_mean": statistics.mean(use),
+                                        "signed_sd": (statistics.stdev(use) if len(use) > 1
+                                                      else None)} if use else None)}))
     print(json.dumps({"suite": args.suite, "config": args.config, "seeds": args.seeds,
                       "runs_failed": runs_failed}))
     return 0
