@@ -57,8 +57,10 @@ adds the chance, given its start, that it makes the crossing past the far
 boundary.  A crossing path censored at the cap scores its mean future
 from the closed form instead (the strong Markov property at its last
 jump), so the crossing masses carry no censoring bias.  Each segment also
-adds its kill indicator less its kill chance to a control of mean 0, and
-each mass is the regression estimate on that control.  The walks take
+adds its kill indicator less its kill chance to one control of mean 0 and,
+if its Brownian part does not kill, its weighted landing displacement away
+from the interval less its mean to a second; each mass is the regression
+estimate on both.  The walks take
 start positions and a stream, not a ``PathBlock``, and return per-path
 arrays.
 
@@ -146,21 +148,46 @@ def _mean_result(total: float, total_sq: float, n: int) -> EstimatorResult:
     return EstimatorResult(mean=mean, stderr=math.sqrt(max(var, 0.0) / n), n=n)
 
 
-def _controlled_mean(sw: float, sww: float, sc: float, scc: float, swc: float,
-                     n: int) -> tuple[EstimatorResult, float]:
-    """Mean of n per-path values w with a control C of mean 0, from the sums
-    of w, w^2, C, C^2 and w C: (sum w - beta sum C)/n, beta the slope of w
-    on C, with the regression residual's se (divisor n - 2), and beta.
-    Where C has no spread (as where no path reached a crossing stage) or
-    n <= 2, the plain mean and its se, and beta = 0."""
-    s_cc = scc - sc * sc / n
-    if n <= 2 or not s_cc > 0.0:
-        return _mean_result(sw, sww, n), 0.0
-    s_wc = swc - sw * sc / n
-    beta = s_wc / s_cc
-    rss = sww - sw * sw / n - beta * s_wc
-    se = math.sqrt(max(rss, 0.0) / ((n - 2) * n))
-    return EstimatorResult((sw - beta * sc) / n, se, n), beta
+# a second control whose squared correlation with the first is this close to
+# 1 is collinear with it within rounding, and is dropped
+_COLLINEAR = 1e-9
+
+
+def _controlled_mean(sw: float, sww: float, sc, scc, swc, n: int
+                     ) -> tuple[EstimatorResult, np.ndarray]:
+    """Mean of n per-path values w with q <= 2 controls C of mean 0, from the
+    sums of w, w^2, the controls (``sc``), their products (the (q, q)
+    ``scc``) and their products with w (``swc``), scalars where q = 1:
+    (sum w - beta . sum C)/n, beta the least-squares coefficients of w on
+    the controls, with the regression residual's se (divisor n - 1 - the
+    controls fitted), and beta.  A control with no spread (as where no path
+    reached a crossing stage) is dropped, so is the second where it is
+    collinear with the first within rounding (as where one path alone
+    carries both), and so are those past n - 2, which leaves the residual a
+    degree of freedom; a dropped control has beta 0, and with none left the
+    result is the plain mean and its se.  The fit is solved in closed form,
+    so that it neither raises nor warns where the controls are singular."""
+    sc, swc, scc = np.atleast_1d(sc), np.atleast_1d(swc), np.atleast_2d(scc)
+    q = sc.size
+    s_cc = [[scc[i, j] - sc[i] * sc[j] / n for j in range(q)] for i in range(q)]
+    s_wc = [swc[i] - sw * sc[i] / n for i in range(q)]
+    fit = [i for i in range(q) if s_cc[i][i] > 0.0][:max(n - 2, 0)]
+    beta = np.zeros(q)
+    if len(fit) == 2:
+        det = s_cc[0][0] * s_cc[1][1] - s_cc[0][1] * s_cc[0][1]
+        if det > _COLLINEAR * s_cc[0][0] * s_cc[1][1]:
+            beta[0] = (s_cc[1][1] * s_wc[0] - s_cc[0][1] * s_wc[1]) / det
+            beta[1] = (s_cc[0][0] * s_wc[1] - s_cc[0][1] * s_wc[0]) / det
+        else:
+            fit = fit[:1]
+    if len(fit) == 1:
+        beta[fit[0]] = s_wc[fit[0]] / s_cc[fit[0]][fit[0]]
+    if not fit:
+        return _mean_result(sw, sww, n), beta
+    rss = sww - sw * sw / n - sum(beta[i] * s_wc[i] for i in fit)
+    se = math.sqrt(max(rss, 0.0) / ((n - 1 - len(fit)) * n))
+    return EstimatorResult(float((sw - sum(beta[i] * sc[i] for i in fit)) / n), float(se),
+                           n), beta
 
 
 def _binomial_result(successes: float, n: int) -> EstimatorResult:
@@ -656,10 +683,10 @@ class CrossingLawEstimate:
     j - 1.  ``positions`` holds the landings past the far boundary, for the
     shape tests.  ``mass`` is the regression estimate of the mean of the
     paths' scores S_j (see ``empirical_crossing_law``: each segment scores f
-    at its start), censored paths' credit included, on the control C_j of
-    mean 0, with the residual's standard error, and ``mass_cov`` the (k, k)
-    sample covariance of the residuals S_j - beta_j C_j, whose diagonal
-    over n_paths is the squared standard error.  Apart from the censor
+    at its start), censored paths' credit included, on the two controls C_j
+    and L_j of mean 0, with the residual's standard error, and ``mass_cov``
+    the (k, k) sample covariance of the residuals S_j - beta_j . (C_j, L_j),
+    whose diagonal over n_paths is the squared standard error.  Apart from the censor
     credit, ``mass[j - 1]`` draws on S_j only from the paths that reach
     crossing j - 1; where few or none do, its sample standard error
     understates the error.  At M3 (sigma 0.5, lam 0.2, eta 4), from 65 536
@@ -703,7 +730,8 @@ def _either(cond: np.ndarray, yes: np.ndarray, no: np.ndarray) -> np.ndarray:
 
 
 def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, left: int,
-                   eta: float, rise, fall, c_up, c_down) -> tuple:
+                   eta: float, rise, fall, c_up=None, c_down=None, away: bool = False
+                   ) -> tuple:
     """The next K jump segments of the m = x.size live paths at ``x``, up to
     each row's first stop, with K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m,
     left)), so K = 1 while m > BLOCK_SIZE // 2.
@@ -712,9 +740,9 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     above that and jumps (c_up E1 - c_down E2)/eta, for one (4, m, K) draw of
     standard exponentials U, D, E1, E2; positions are cumulative sums along
     each row.  ``rise`` and ``fall`` are the scales 1/phi+ and 1/phi- of
-    ``_wiener_hopf_scales``, ``c_up`` and ``c_down`` the jump factors, 1 for
-    the model's own symmetric jumps; each is a scalar or an (m, 1) column
-    with one value per row.  A segment starting
+    ``_wiener_hopf_scales``, ``c_up`` and ``c_down`` the jump factors (None
+    for 1, the model's own symmetric jumps, which skips two products); each
+    is a scalar or an (m, 1) column with one value per row.  A segment starting
     above b kills if its infimum is at or below b, one starting below a if
     its supremum is at or above a (and one starting inside [a, b] always).
     A landing at or past the near boundary, inside [a, b] included, is a
@@ -722,8 +750,14 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     column if it has neither), and the draws past it are discarded, which
     leaves the law exact (the strong Markov property at jump times).
     Returns K, each row's stop column, the kill flag, landing and crossing
-    flag at it, and the (m, K) arrays of the segments' starts (a view of
-    ``x`` when K = 1) and of whether each starts above b.
+    flag at it, the (m, K) arrays of the segments' starts (a view of ``x``
+    when K = 1) and of whether each starts above b, and, with ``away`` (at
+    the model's own laws only), the (m, K) array of each segment's landing
+    displacement away from the interval without its Brownian travel toward
+    it, less its mean: D fall - J - fall from below a and U rise + J - rise
+    from above b, J the jump, and 0 where the segment kills (else None).  Its
+    draws are independent of the travel toward the interval that decides the
+    kill.
     """
     a, b = interval.a, interval.b
     m = x.size
@@ -731,11 +765,13 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     up, down, post, e2 = rng.standard_exponential((4, m, K))
     up *= rise
     down *= fall
-    post *= c_up
-    e2 *= c_down
+    if c_up is not None:
+        post *= c_up
+        e2 *= c_down
     post -= e2
-    post /= eta
-    post += up - down
+    np.divide(post, eta, out=e2)        # the jumps
+    np.subtract(up, down, out=post)
+    post += e2
     # K = 1 skips the cumulative sum, the shifted copy and the first-stop
     # search: one segment per iteration is the common case while a block is
     # full (without the first two transient5 took 2.9% longer at 1 worker,
@@ -748,14 +784,24 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     above = seg0 > b
     killed = _either(above, seg0 - down <= b, seg0 + up >= a)
     crossed = _either(above, post <= b, post >= a)
+    shift = None
+    if away:        # up and down are dead now, and take it in place
+        down -= e2
+        down -= fall
+        e2 += up
+        e2 -= rise
+        np.putmask(down, above, e2)
+        np.putmask(down, killed, 0.0)
+        shift = down
     if K == 1:
-        return K, np.zeros(m, dtype=np.intp), killed[:, 0], post[:, 0], crossed[:, 0], seg0, above
+        return (K, np.zeros(m, dtype=np.intp), killed[:, 0], post[:, 0], crossed[:, 0], seg0,
+                above, shift)
     stop = killed | crossed
     stop[:, -1] = True
     col = stop.argmax(axis=1)
     flat = np.arange(m) * K + col
     return (K, col, killed.ravel()[flat], post.ravel()[flat], crossed.ravel()[flat], seg0,
-            above)
+            above, shift)
 
 
 _DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)    # see _segment_score_law
@@ -786,10 +832,12 @@ def _segment_score_law(eta: float, rise: float, fall: float, width: float) -> np
 
 
 def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
-                    law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    law: np.ndarray, away: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """f(y) = E[pi(pre) 1(no kill) | y] and the kill chance p(y) = exp(-u/s_t)
     for segments that start live at y outside [a, b] (above b where
-    ``above``); ``law`` is ``_segment_score_law``'s.
+    ``above``); ``law`` is ``_segment_score_law``'s.  ``away``, if given, is
+    scaled in place by exp(-kappa u).
 
     pi(p) = exp(-eta d)/2 is the chance that a jump from p lands past the far
     boundary, at distance d from p.  Let u be the distance from y to the near
@@ -818,6 +866,8 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
     np.exp(neg_kappa, out=neg_kappa)
     f *= neg_kappa
     f *= neg_delta
+    if away is not None:
+        away *= neg_kappa
     if law[3].any():
         neg_delta *= np.where(above, law[3, 1], law[3, 0])
         neg_delta += 1.0
@@ -827,8 +877,7 @@ def _segment_scores(interval: Interval, y: np.ndarray, above: np.ndarray,
 
 def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
                    rng: np.random.Generator, n_segments: int, k: int,
-                   scores: Optional[np.ndarray] = None,
-                   controls: Optional[np.ndarray] = None) -> tuple:
+                   sums: Optional[np.ndarray] = None) -> tuple:
     """Walk paths started at ``x`` from jump to jump, without event times,
     until death, their k-th crossing or ``n_segments`` segments.
 
@@ -856,32 +905,41 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     Over the same segments the control C_j sums 1(the segment kills) - p(y),
     with p(y) the segment's kill chance given its start; each term has
     conditional mean 0, so E[C_j] = 0 by optional stopping at the bounded
-    segment count, at any model and cap.  ``scores`` and ``controls``, if
-    given, are (n, k) arrays of zeros that receive S_1..S_k and C_1..C_k.
+    segment count, at any model and cap.  The control L_j sums, over the
+    segments among them that survive their Brownian part, exp(-kappa u) times
+    the landing displacement away from the interval less its mean
+    (``_walk_segments``), with kappa and u as in ``_segment_scores``: those
+    draws are independent of the travel that decides the kill, so each term
+    has conditional mean 0 too.  ``sums``, if given, is a C-contiguous
+    (n, 3k) array of zeros that receives (S_1..S_k, C_1..C_k, L_1..L_k) per
+    path; the walk adds to it through flat indices, which take under half
+    the time of (row, column) pairs.
     """
     rise, fall = _wiener_hopf_scales(model)
     law = _segment_score_law(model.eta, rise, fall, interval.width)
-    if scores is None:
-        scores = np.zeros((x.size, k))
-    if controls is None:
-        controls = np.zeros((x.size, k))
+    flat = (np.zeros((x.size, 3 * k)) if sums is None else sums).reshape(-1)
     landings = np.full((x.size, k), np.nan)
     censored, end = np.full(x.size, n_segments == 0), x.copy()
     idx = np.flatnonzero(~censored)
     n_cross = np.zeros(x.size, dtype=np.int64)
     left = np.full(x.size, n_segments)          # segments left per live path
     while idx.size:
-        K, col, kill_c, x_c, cross_c, seg0, above = _walk_segments(
-            interval, x, rng, int(left.min()), model.eta, rise, fall, 1.0, 1.0)
+        K, col, kill_c, x_c, cross_c, seg0, above, away = _walk_segments(
+            interval, x, rng, int(left.min()), model.eta, rise, fall, away=True)
         left -= col + 1
         # segments up to and including the stop column, all after n_cross crossings
-        f, p = _segment_scores(interval, seg0, above, law)
-        used = np.arange(K) <= col[:, None]
-        f *= used
-        p *= used
-        scores[idx, n_cross] += np.einsum("ij->i", f)
-        # a row's one kill, if any, is its stop
-        controls[idx, n_cross] += kill_c - np.einsum("ij->i", p)
+        f, p = _segment_scores(interval, seg0, above, law, away)
+        if K > 1:
+            used = np.arange(K) <= col[:, None]
+            f *= used
+            p *= used
+            away *= used
+        at = idx * (3 * k) + n_cross       # S_j of each row; C_j and L_j follow
+        flat[at] += np.einsum("ij->i", f)
+        at += k
+        flat[at] += kill_c - np.einsum("ij->i", p)      # a row's one kill, if any, is its stop
+        at += k
+        flat[at] += np.einsum("ij->i", away)
         crossed = cross_c & ~kill_c
         landings[idx[crossed], n_cross[crossed]] = x_c[crossed]
         n_cross += crossed
@@ -898,13 +956,12 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
 def _crossing_block(model, interval, start, n, rng, k, n_segments):
     """The landings past the far boundary of crossings 1..k, the number of
     censored paths and the sums that the finish adds up over blocks: the
-    censor credit sums, and sum v and the (2k, 2k) matrix sum v v' of the
-    paths' stacked vectors v = (S_1..S_k, C_1..C_k) of scores, each censored
-    path's credit included, and controls."""
-    v = np.zeros((n, 2 * k))
+    censor credit sums, and sum v and the (3k, 3k) matrix sum v v' of the
+    paths' stacked vectors v = (S_1..S_k, C_1..C_k, L_1..L_k) of scores, each
+    censored path's credit included, and controls."""
+    v = np.zeros((n, 3 * k))
     scores = v[:, :k]
-    p, live, x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k,
-                                scores, v[:, k:])
+    p, live, x = _crossing_walk(model, interval, np.full(n, float(start)), rng, n_segments, k, v)
     positions = [p[(p[:, j] < interval.a) | (p[:, j] > interval.b), j] for j in range(k)]
     # a censored path at x after ``done`` crossings still scores, in the mean,
     # mass(nu_(j - done)) from x = c^(j - 1 - done) m1(x) for each j > done
@@ -938,15 +995,21 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     that credit's mean per path.  The conditional shape past the far
     boundary (the KS test of ``positions``) is unaffected by censoring.
 
-    Over the same segments each path sums the control C_j, the kill
-    indicator less the kill chance p(y) = exp(-u/s_t) of each segment (a
-    martingale control: Henderson & Glynn 2002; Glasserman 2004, sec. 4.1),
-    which has mean 0 at any cap.  ``mass[j - 1]`` is (sum S_j - beta_j sum
-    C_j)/n, beta_j the fitted slope of S_j on C_j (``_controlled_mean``),
-    with the residual's standard error; fitting beta_j biases it by O(1/n).
-    At the overshoot benchmark's budget the variance of the first mass is
-    2.2 times smaller than that of the plain mean of S_1.  Where no path
-    reached crossing j - 1, C_j is 0 and the mass is the plain mean.
+    Over the same segments each path sums two controls of mean 0 at any cap
+    (martingale controls: Henderson & Glynn 2002; Glasserman 2004, sec.
+    4.1): C_j, the kill indicator less the kill chance p(y) = exp(-u/s_t) of
+    each segment, and L_j, over the segments whose Brownian part does not
+    kill, exp(-kappa u) times the landing displacement away from the
+    interval less its mean (``_crossing_walk``), whose draws are independent
+    of the travel that decides the kill.  ``mass[j - 1]`` is (sum S_j -
+    beta_j . sum (C_j, L_j))/n, beta_j the least-squares coefficients of S_j
+    on both (``_controlled_mean``), with the residual's standard error;
+    fitting beta_j biases it by O(1/n).  At the overshoot benchmark's budget
+    the variance of the first mass is 3.8 times smaller than that of the
+    plain mean of S_1, and 1.7 times smaller than with C_1 alone.  Where no
+    path reached crossing j - 1, both controls are 0 and the mass is the
+    plain mean; where one path alone carries them, they are collinear and
+    the fit keeps C_j.
     """
     require_number(k, "k", integer=True, low=1)
     interval.require_outside(start, "starting point")
@@ -957,13 +1020,17 @@ def empirical_crossing_law(model: ModelParams, interval: Interval, start: float,
     positions = tuple(np.concatenate([p[0][j] for p in parts]) for j in range(k))
     censored = sum(p[1] for p in parts)
     credit, total, total_sq = _add_blocks(p[2] for p in parts)
-    sq = np.diag(total_sq)
-    mass, beta = zip(*(_controlled_mean(*map(float, sums), n) for sums in zip(
-        total[:k], sq[:k], total[k:], sq[k:], np.diag(total_sq[:k, k:]))))
-    # the covariance of the residuals S_j - beta_j C_j, each over the divisor
-    # of its se: n - 2 where beta_j is fitted, n - 1 where it is not
-    proj = np.hstack([np.eye(k), -np.diag(beta)])
-    dof = np.maximum(n - 1.0 - (np.array(beta) != 0.0), 1.0)
+    fits = []
+    for j in range(k):
+        ctl = [k + j, 2 * k + j]          # C_j and L_j
+        fits.append(_controlled_mean(float(total[j]), float(total_sq[j, j]), total[ctl],
+                                     total_sq[np.ix_(ctl, ctl)], total_sq[j, ctl], n))
+    mass, beta = zip(*fits)
+    beta = np.array(beta)
+    # the covariance of the residuals S_j - beta_j . (C_j, L_j), each over the
+    # divisor of its se: n - 1 less the controls fitted
+    proj = np.hstack([np.eye(k), -np.diag(beta[:, 0]), -np.diag(beta[:, 1])])
+    dof = np.maximum(n - 1.0 - np.count_nonzero(beta, axis=1), 1.0)
     sizes = [pos.size for pos in positions]
     return CrossingLawEstimate(
         n_paths=n,
@@ -1048,7 +1115,8 @@ def _avoidance_laws(model: ModelParams) -> tuple[float, np.ndarray]:
 
 
 def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
-                    rng: np.random.Generator, n_segments: int) -> tuple:
+                    rng: np.random.Generator, n_segments: int, g: float,
+                    laws: np.ndarray) -> tuple:
     """Walk paths started at ``x`` from jump to jump under the tilted law,
     without event times, until death or ``n_segments`` segments.
 
@@ -1059,7 +1127,10 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     (``_walk_segments``): a landing inside [a, b] or on the other side,
     where the measure switches.  Every live row is charged the iteration's
     K against ``n_segments``, whichever column it stops at, so the cap is a
-    bound on the segments a path uses.  A Q phase that began at s scores
+    bound on the segments a path uses.  ``g`` and ``laws`` are
+    ``_avoidance_laws(model)``'s; an iteration whose live rows all start on
+    one side takes that side's law as scalars, and any other gathers each
+    row's.  A Q phase that began at s scores
     exp(g (end - s)), with end = b at a kill (the path enters continuously),
     the landing inside [a, b] or the landing below a.  Returns each path's
     score Z, the product of its Q phases' scores (0 for a path still live
@@ -1067,7 +1138,7 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     E[Z] = 1 - P(T = infinity), and 0 <= Z <= exp(-g (x - b)) from x > b.
     """
     b = interval.b
-    g, laws = _avoidance_laws(model)
+    by_row = laws.T.copy()          # (4, 2): column 0 for P, 1 for Q
     log_z = np.zeros(x.size)        # each path's log Z, written at its death
     idx = np.arange(x.size)
     lz = np.zeros(x.size)           # the live paths' log Z so far
@@ -1075,8 +1146,12 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = n_segments
     while idx.size and left > 0:
         tilted = x > b
-        law = np.take(laws, tilted.view(np.uint8), axis=0).T[:, :, None]
-        K, _col, kill_c, x, cross_c, _seg0, _above = _walk_segments(
+        n_tilted = np.count_nonzero(tilted)
+        if n_tilted in (0, x.size):
+            law = laws[int(n_tilted > 0)]
+        else:
+            law = np.take(by_row, tilted.view(np.uint8), axis=1)[:, :, None]
+        K, _col, kill_c, x, cross_c, _seg0, _above, _away = _walk_segments(
             interval, x, rng, left, model.eta, *law)
         left -= K
         dead = kill_c | interval.contains(x)
@@ -1095,9 +1170,10 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
 _AVOIDANCE_SEGMENTS = 100_000    # segment cap per path of the avoidance walk
 
 
-def _avoidance_block(model, interval, start, n, rng, n_segments):
+def _avoidance_block(model, interval, start, n, rng, n_segments, g, laws):
     """Sum Z, sum Z^2 and the unresolved count of ``_avoidance_walk`` for n paths."""
-    z, live = _avoidance_walk(model, interval, np.full(n, float(start)), rng, n_segments)
+    z, live = _avoidance_walk(model, interval, np.full(n, float(start)), rng, n_segments, g,
+                              laws)
     return float(z.sum()), float(z @ z), live.size
 
 
@@ -1105,7 +1181,7 @@ def _avoidance_job(model, interval, start, seed, n):
     if not model.drift > 0.0:
         raise ValueError("avoidance estimation requires drift > 0 (transient case)")
     interval.require_outside(start, "starting point")
-    _avoidance_laws(model)
+    g, laws = _avoidance_laws(model)      # solved once for all the job's blocks
 
     def finish(parts):
         total, total_sq, unresolved = _add_blocks(parts)
@@ -1115,8 +1191,8 @@ def _avoidance_job(model, interval, start, seed, n):
         return AvoidanceEstimate(result=EstimatorResult((n - total) / n, returns.stderr, n),
                                  unresolved=unresolved, returns=returns)
 
-    return _Job(_avoidance_block, model, interval, start, seed, n, (_AVOIDANCE_SEGMENTS,),
-                finish)
+    return _Job(_avoidance_block, model, interval, start, seed, n,
+                (_AVOIDANCE_SEGMENTS, g, laws), finish)
 
 
 def estimate_avoidance(model: ModelParams, interval: Interval, start: float,

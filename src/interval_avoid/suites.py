@@ -210,11 +210,17 @@ def _suite_closedform(config: SuiteConfig) -> list[Check]:
         "h_additivity", "h(x) = h_plus(x) + C h_minus(x) with C = 1",
         add_err, 0.0, 4.0 * np.spacing(np.max(np.abs(hx))), criterion=1))
 
-    sym_err = np.max(np.abs(h.plus(xs) - h.minus(iv.a + iv.b - xs))
-                     / np.maximum(h.plus(xs), 1e-300))
+    # relative to h_plus, to 16 ulps plus what moving the reflected point by 4
+    # ulps of |a| + |b| + |x| (its rounding) moves h_minus by: far from 0 the
+    # reflection rounds by more than h's own digits
+    ys = iv.a + iv.b - xs
+    scale = np.maximum(h.plus(xs), 1e-300)
+    sym_err = np.max(np.abs(h.plus(xs) - h.minus(ys)) / scale)
+    step = 4.0 * np.spacing(abs(iv.a) + abs(iv.b) + np.abs(xs))
+    moved = np.max(np.abs(h.minus(ys + step) - h.minus(ys - step)) / (2.0 * scale))
     checks.append(check_close(
         "reflection_symmetry", "h_plus(x) = h_minus(a + b - x)",
-        sym_err, 0.0, 1e-12, criterion=1))
+        sym_err, 0.0, 16.0 * np.finfo(float).eps + moved, criterion=1))
 
     # partial sums of the crossing-measure series against the closed form
     c = h.c

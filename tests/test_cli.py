@@ -669,12 +669,16 @@ def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):
     band used, and their number, and the mean and sample sd of the signed
     share (sd null on one seed): a check whose tolerance is 0 on one seed
     keeps the other seed's share, and one whose tolerance is always 0 has
-    none.  A bad config is a usage error."""
+    none.  ``--first-seed S`` runs seeds S..S+N-1 instead of 1..N, and the
+    halves of a sweep give the lines of the whole.  A bad config and a first
+    seed out of range are usage errors."""
     calibrate = _load_script("tools", "calibrate")
     run_suite = calibrate.run_suite
+    seeds_run = []
 
     def one_zero_tolerance(config):
         """The report, with the first check's tolerance 0 on seed 2."""
+        seeds_run.append(config.seed)
         report = run_suite(config)
         if config.seed == 2:
             report.checks[0] = dataclasses.replace(report.checks[0], tolerance=0.0)
@@ -706,7 +710,31 @@ def test_calibrate_counts_failures_per_check(tmp_path, capsys, monkeypatch):
     assert lines[0]["band_use"]["seeds"] == 1
     assert sum(line["band_use"] is not None and line["band_use"]["seeds"] == 2
                for line in lines) >= 10
-    assert summary == {"suite": "closedform", "config": None, "seeds": 2, "runs_failed": 0}
+    assert summary == {"suite": "closedform", "config": None, "seeds": 2, "first_seed": 1,
+                       "runs_failed": 0}
+    # seeds 2..3 in one run, and 2 and 3 in two, against 1..2 above
+    seeds_run.clear()
+    assert calibrate.main(["--suite", "closedform", "--seeds", "2", "--first-seed", "2"]) == 0
+    *both, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert seeds_run == [2, 3]
+    assert summary == {"suite": "closedform", "config": None, "seeds": 2, "first_seed": 2,
+                       "runs_failed": 0}
+    assert both[0]["band_use"]["seeds"] == 1          # seed 2 has tolerance 0 there
+    halves = []
+    for first in (2, 3):
+        assert calibrate.main(["--suite", "closedform", "--seeds", "1",
+                               "--first-seed", str(first)]) == 0
+        halves.append([json.loads(line) for line in capsys.readouterr().out.splitlines()][:-1])
+    for line, (one, two) in zip(both, zip(*halves)):
+        assert line["check"] == one["check"] == two["check"]
+        assert line["failures"] == one["failures"] + two["failures"] == 0
+        if line["band_use"] is not None:
+            uses = [h["band_use"]["max"] for h in (one, two) if h["band_use"] is not None]
+            assert line["band_use"]["max"] == max(uses)
+    for bad_first in ("-1", str(2**64 - 1)):
+        with pytest.raises(SystemExit) as exc:
+            calibrate.main(["--suite", "closedform", "--seeds", "2", "--first-seed", bad_first])
+        assert exc.value.code == 2 and "--first-seed" in capsys.readouterr().err
     # k of n and n - k of n mirror each other
     lo, hi = calibrate.clopper_pearson(3, 60)
     assert calibrate.clopper_pearson(57, 60) == pytest.approx((1.0 - hi, 1.0 - lo), rel=1e-12)

@@ -576,11 +576,12 @@ def test_crossing_scores_match_recorded_crossings():
     n, k = 65_536, 3
     stat = dof = 0
     for case, (model, interval) in enumerate(settings):
-        scores = np.zeros((n, k))
+        sums = np.zeros((n, 3 * k))
         pos = np.concatenate([
             _crossing_walk(model, interval, np.full(BLOCK_SIZE, interval.a - 1.0),
                            block_stream(70 + case, bi), 200, k, part)[0]
-            for bi, part in enumerate(np.split(scores, n // BLOCK_SIZE))])
+            for bi, part in enumerate(np.split(sums, n // BLOCK_SIZE))])
+        scores = sums[:, :k]
         diff = scores - ((pos < interval.a) | (pos > interval.b))
         bins, d, expected = [], np.zeros(n), 0.0
         for j in range(k):
@@ -612,12 +613,12 @@ def test_crossing_scores_match_recorded_crossings_under_drift():
     for case, (drift, start) in enumerate([(1.0, -1.0), (1.0, 2.0), (-1.0, -1.0),
                                            (-1.0, 2.0)]):
         model = ModelParams(sigma=1.0, lam=1.0, eta=1.0, drift=drift)
-        scores = np.zeros((n, 1))
+        sums = np.zeros((n, 3))
         pos = np.concatenate([
             _crossing_walk(model, interval, np.full(BLOCK_SIZE, start),
                            block_stream(80 + case, bi), 200, 1, part)[0]
-            for bi, part in enumerate(np.split(scores, n // BLOCK_SIZE))])
-        d = scores[:, 0] - ((pos[:, 0] < interval.a) | (pos[:, 0] > interval.b))
+            for bi, part in enumerate(np.split(sums, n // BLOCK_SIZE))])
+        d = sums[:, 0] - ((pos[:, 0] < interval.a) | (pos[:, 0] > interval.b))
         stat += d.sum() ** 2 / (n * d.var(ddof=1))
     assert stats.chi2.sf(stat, 4) >= 0.0027, stat
 
@@ -628,37 +629,44 @@ _CONTROL_MODELS = {"default": ModelParams(), "M1": ModelParams(sigma=0.7, lam=3.
 
 @pytest.mark.parametrize("name", sorted(_CONTROL_MODELS))
 def test_crossing_controls_have_mean_zero(name):
-    """Each control C_j = sum (1(kill) - p(y)) over the segments that S_j
-    counts has mean 0 by optional stopping: on 20 seeds of one block of
-    8192 paths from a - 1 (cap 200), the 20 z-scores of C_1 and, over the
-    pooled paths, one z-score per later crossing that some path reached
-    make one chi-square at alpha = 0.0027, and the mean of the 20 stage-1
-    z-scores lies within 3/sqrt(20) of 0.  At M1, where 1/s_t > eta on both
-    sides, p is exp(-eta u) (1 + expm1(-delta u)); at the default model and
-    M3 it is exp(-kappa u) itself."""
+    """Both controls have mean 0 by optional stopping: C_j = sum (1(kill) -
+    p(y)) over the segments that S_j counts, and L_j = sum exp(-kappa u)
+    (Delta - s_a) over those among them that survive their Brownian part.
+    On 20 seeds of one block of 8192 paths from a - 1 (cap 200), for each
+    control the 20 z-scores of stage 1 and, over the pooled paths, one
+    z-score per later crossing that some path reached make one chi-square at
+    alpha = 0.0027, and the mean of the 20 stage-1 z-scores lies within
+    3/sqrt(20) of 0.  At M1, where 1/s_t > eta on both sides, p is
+    exp(-eta u) (1 + expm1(-delta u)); at the default model and M3 it is
+    exp(-kappa u) itself.  L's chi-square reads 24.6, 20.7 and 16.1 at the
+    default model, M1 and M3 (df 22, 22 and 21); with the travel toward the
+    interval less its mean, (T - 1) s_t, added to Delta on the surviving
+    segments, it reads 19035, 7579 and 37198."""
     model, interval, n, k = _CONTROL_MODELS[name], Interval(0.0, 1.0), BLOCK_SIZE, 3
-    zs, pooled = [], []
+    runs = []
     for seed in range(20):
-        controls = np.zeros((n, k))
+        sums = np.zeros((n, 3 * k))
         _crossing_walk(model, interval, np.full(n, -1.0), block_stream(110 + seed, 0), 200, k,
-                       None, controls)
-        zs.append(controls[:, 0].sum() / math.sqrt(n * controls[:, 0].var(ddof=1)))
-        pooled.append(controls)
-    pooled = np.concatenate(pooled)
-    later = [pooled[:, j].sum() / math.sqrt(pooled.shape[0] * pooled[:, j].var(ddof=1))
-             for j in range(1, k) if pooled[:, j].any()]
-    stat = float(np.sum(np.square(zs)) + np.sum(np.square(later)))
-    assert stats.chi2.sf(stat, len(zs) + len(later)) >= 0.0027, (stat, later)
-    assert abs(np.mean(zs)) <= 3.0 / math.sqrt(len(zs)), zs
+                       sums)
+        runs.append(sums)
+    pooled = np.concatenate(runs)
+    for control in (pooled[:, k:2 * k], pooled[:, 2 * k:]):          # C and L
+        zs = [c[:, 0].sum() / math.sqrt(n * c[:, 0].var(ddof=1))
+              for c in np.split(control, len(runs))]
+        later = [control[:, j].sum() / math.sqrt(control.shape[0] * control[:, j].var(ddof=1))
+                 for j in range(1, k) if control[:, j].any()]
+        stat = float(np.sum(np.square(zs)) + np.sum(np.square(later)))
+        assert stats.chi2.sf(stat, len(zs) + len(later)) >= 0.0027, (stat, later)
+        assert abs(np.mean(zs)) <= 3.0 / math.sqrt(len(zs)), zs
 
 
 @pytest.mark.parametrize("name", ["default", "M1"])
 def test_controlled_masses_agree_with_the_plain_means(name):
     """The regression estimates of the crossing masses lie within 3 combined
     standard errors of the plain means of S_j on the same 32 768 paths, and
-    at stage 1 the variance is at least 1.4 times smaller (2.2 at the
-    default model, 1.5 at M1); ``mass_cov``'s diagonal over n is the
-    squared standard error."""
+    at stage 1 the variance is at least 1.4 times smaller (3.7 at the
+    default model, 2.2 at M1, with both controls); ``mass_cov``'s diagonal
+    over n is the squared standard error."""
     model, interval, n, k = _CONTROL_MODELS[name], Interval(0.0, 1.0), 32_768, 3
     cfg = PathConfig(dt=1.0, horizon=2000.0, seed=120, n_paths=n)
     law = empirical_crossing_law(model, interval, -1.0, k, cfg)
@@ -680,21 +688,42 @@ def test_controlled_mean_without_control_spread_is_the_plain_mean():
     """Where the control has no spread, as at a crossing stage that no path
     reached, the controlled mean is the plain mean and its se, with beta 0,
     and no NaN or warning; so is it at n <= 2, where the residual has no
-    degree of freedom.  At M3 no path from a - 1 reaches a second crossing
-    in 8192 paths, so C_3 is 0 on every path, and mass[2] and mass_cov are
-    finite."""
+    degree of freedom.  Where one path alone carries both controls, they
+    are collinear, and the fit drops the second: the result is the fit on
+    the first alone, bit for bit, with no LinAlgError or warning.  At M3 no
+    path from a - 1 reaches a second crossing in 8192 paths at seed 121, so
+    C_3 and L_3 are 0 on every path; at seed 153 a single path carries C_2
+    and L_2.  mass and mass_cov are finite at both."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sums, n in [((3.0, 5.0, 0.0, 0.0, 0.0), 10), ((1.5, 2.25, 0.0, 0.0, 0.0), 1),
                         ((1.0, 0.5, 2.0, 2.0, 1.0), 2), ((3.0, 5.0, 2.5, 0.625, 1.0), 10)]:
             result, beta = engine._controlled_mean(*sums, n)
-            assert (result, beta) == (engine._mean_result(sums[0], sums[1], n), 0.0)
-        model = _CONTROL_MODELS["M3"]
-        law = empirical_crossing_law(model, Interval(0.0, 1.0), -1.0, 3,
-                                     PathConfig(dt=1.0, horizon=2000.0, seed=121, n_paths=8192))
-        assert law.positions[1].size == 0
-        assert all(math.isfinite(m.mean) and math.isfinite(m.stderr) for m in law.mass)
-        assert np.all(np.isfinite(law.mass_cov))
+            assert result == engine._mean_result(sums[0], sums[1], n)
+            assert np.array_equal(beta, [0.0])
+        # one path of 10 carries c = 0.7 and l = -1.3, at w = 2.0
+        c, l, w = 0.7, -1.3, 2.0
+        both = engine._controlled_mean(3.0, 5.0, np.array([c, l]),
+                                       np.array([[c * c, c * l], [c * l, l * l]]),
+                                       np.array([w * c, w * l]), 10)
+        first = engine._controlled_mean(3.0, 5.0, c, c * c, w * c, 10)
+        assert both[0] == first[0] and np.array_equal(both[1], [first[1][0], 0.0])
+        model, interval = _CONTROL_MODELS["M3"], Interval(0.0, 1.0)
+        for seed in (121, 153):
+            cfg = PathConfig(dt=1.0, horizon=2000.0, seed=seed, n_paths=8192)
+            law = empirical_crossing_law(model, interval, -1.0, 3, cfg)
+            assert all(math.isfinite(m.mean) and math.isfinite(m.stderr) for m in law.mass)
+            assert np.all(np.isfinite(law.mass_cov))
+            sums = np.zeros((8192, 9))
+            _crossing_walk(model, interval, np.full(8192, -1.0), block_stream(seed, 0),
+                           math.ceil(model.lam * cfg.horizon), 3, sums)
+            carried = np.count_nonzero(sums[:, [4, 7, 5, 8]], axis=0)    # C_2, L_2, C_3, L_3
+            if seed == 121:
+                assert law.positions[1].size == 0 and not carried[2:].any()
+            else:
+                assert np.array_equal(carried[:2], [1, 1])
+                one = np.flatnonzero(sums[:, 4])
+                assert np.array_equal(one, np.flatnonzero(sums[:, 7]))
 
 
 def _score_at(interval, eta, rise, fall, y):
@@ -783,9 +812,9 @@ def test_crossing_scores_finite_after_a_deep_landing_inside():
     (sigma 0.01, lam 5: 1/s_t = 316) their f would overflow before it is
     masked out, and 698 of 4096 scores read NaN."""
     model, interval = ModelParams(sigma=0.01, lam=5.0, eta=1.0), Interval(0.0, 10.0)
-    scores = np.zeros((4096, 1))
-    _crossing_walk(model, interval, np.full(4096, -1.0), block_stream(1, 0), 300, 1, scores)
-    assert np.all(np.isfinite(scores)) and scores.sum() > 0.0
+    sums = np.zeros((4096, 3))
+    _crossing_walk(model, interval, np.full(4096, -1.0), block_stream(1, 0), 300, 1, sums)
+    assert np.all(np.isfinite(sums)) and sums[:, 0].sum() > 0.0
 
 
 def test_segment_score_matches_the_sampler():
@@ -804,7 +833,7 @@ def test_segment_score_matches_the_sampler():
             hits = n = 0
             for bi in range(16):
                 x = np.full(BLOCK_SIZE, y)
-                _, _, killed, post, _, _, _ = _walk_segments(
+                _, _, killed, post, _, _, _, _ = _walk_segments(
                     interval, x, block_stream(90, bi), 1, model.eta, rise, fall, 1.0, 1.0)
                 past = post > interval.b if y < interval.a else post < interval.a
                 hits += np.count_nonzero(past & ~killed)
@@ -985,10 +1014,10 @@ def test_crossing_law_deterministic(model, interval):
 # sha256 of fixed-seed estimator outputs, pinned so that a change to how a
 # block gets its stream, its start state or its draws shows up; the clock and
 # crossing budgets span two blocks.  Last re-pinned when each crossing mass
-# became the regression estimate on the kill-martingale control C_j, which
-# moves ``mass`` only; with the crossing law's ``mass`` left out of the
-# digest, it reads 532a63cc...ab5c both before and after, so the draws,
-# landings and censor credit did not move
+# became the regression estimate on the kill control C_j and the landing
+# control L_j, which moves ``mass`` only; with the crossing law's ``mass``
+# left out of the digest, it reads 532a63cc...ab5c both before and after, so
+# the draws, landings and censor credit did not move
 def test_estimators_pinned(model, interval):
     digest = hashlib.sha256()
 
@@ -1012,7 +1041,7 @@ def test_estimators_pinned(model, interval):
     # de46092717afafd26eb481f52b2d7f53e7d5dbc1, which a change to the crossing
     # walk alone leaves as it is
     assert digest.hexdigest() == (
-        "ca169331a651b831c19b73f217a526cc830abf1983889233791f8d32cfa1d7b4")
+        "12a205b1ccdd280fb0af1cd5b7b8f06d0c646b706f3fd92bcf6c4390638e5d72")
 
 
 # ----------------------------------------------------------------- avoidance
@@ -1185,7 +1214,8 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, n_se
 
     def walk():
         rng = _DrawLog(block_stream(seed, 0))
-        return _avoidance_walk(model, interval, np.full(n, start), rng, n_segments), rng.shapes
+        return (_avoidance_walk(model, interval, np.full(n, start), rng, n_segments,
+                                *engine._avoidance_laws(model)), rng.shapes)
 
     (z, live), shapes = walk()
     assert np.all((z >= 0.0) & (z <= 1.0))
@@ -1211,7 +1241,8 @@ def test_avoidance_walk_invariants(interval, sigma, lam, eta, drift, start, n_se
     assert np.array_equal(z, z2) and np.array_equal(live, live2) and shapes == shapes2
 
     block_rng = _DrawLog(block_stream(seed, 0))
-    sums = _avoidance_block(model, interval, start, n, block_rng, n_segments)
+    sums = _avoidance_block(model, interval, start, n, block_rng, n_segments,
+                            *engine._avoidance_laws(model))
     assert block_rng.shapes == shapes
     assert sums == (float(z.sum()), float(z @ z), live.size)
 
@@ -1227,7 +1258,8 @@ def test_avoidance_cap_leaves_paths_unresolved(monkeypatch, interval):
     monkeypatch.setattr(engine, "_AVOIDANCE_SEGMENTS", 3)
     est = estimate_avoidance(model, interval, start, cfg)
     assert est.unresolved > 100
-    z, live = _avoidance_walk(model, interval, np.full(n, start), block_stream(cfg.seed, 0), 3)
+    z, live = _avoidance_walk(model, interval, np.full(n, start), block_stream(cfg.seed, 0), 3,
+                              *engine._avoidance_laws(model))
     assert est.unresolved == live.size
     assert est.result.mean == pytest.approx(1.0 - z.mean(), rel=1e-13)
 

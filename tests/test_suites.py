@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from interval_avoid import Interval, ModelParams, avoidance_probability, harmonics
@@ -187,6 +189,47 @@ def test_h_additivity_is_scale_free():
     assert check.tolerance == pytest.approx(4.547e-13, rel=1e-3)
     default = additivity({})
     assert default.passed and default.tolerance < 1e-13 / 50
+
+
+def _log_uniform(lo, hi):
+    """Either end of [lo, hi] or a value drawn uniformly in log scale."""
+    return st.one_of(st.sampled_from([lo, hi]),
+                     st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sigma=_log_uniform(1e-3, 1e3), lam=_log_uniform(1e-3, 1e3), eta=_log_uniform(1e-3, 1e3),
+       eta_w=_log_uniform(1e-9, 700.0), a=st.floats(-5.0, 5.0))
+def test_closedform_passes_over_the_valid_range(sigma, lam, eta, eta_w, a):
+    """Every closedform check passes, with no traceback, over the config's
+    valid range in log scale: sigma, lambda and eta from 1e-3 to 1e3 (either
+    end included) and eta w from 1e-9 to 700, so from an interval that the
+    jumps barely see to one they cross with chance e^-700.  With a fixed
+    1e-12 bound, reflection_symmetry failed at 4 of 216 such models, all
+    with w above 3000, where the reflected point a + b - x rounds by more
+    than h's own digits."""
+    doc = {"model": {"sigma": sigma, "lambda": lam, "eta": eta},
+           "interval": {"a": a, "b": a + eta_w / eta}}
+    report = run_suite(parse_config(doc, suite="closedform"))
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def test_reflection_symmetry_is_scale_free():
+    """reflection_symmetry's bound is 16 ulps of h_plus plus the change of
+    h_minus over 4 ulps of the reflected point: at the default model
+    1.35e-14, 74 times below the 1e-12 it replaces, and on [4.81, 13861.6]
+    (sigma 367, lambda 642, eta 0.00123), where the observed 1.36e-11 failed
+    1e-12, wide enough for the reflection's rounding."""
+    def reflection(doc):
+        report = run_suite(parse_config(doc, suite="closedform"))
+        return next(c for c in report.checks if c.name == "reflection_symmetry")
+
+    default = reflection({})
+    assert default.passed and default.tolerance == pytest.approx(1.35e-14, rel=0.01)
+    wide = reflection({"model": {"sigma": 366.89650246094635, "lambda": 642.032687338903,
+                                 "eta": 0.0012252870113306428},
+                       "interval": {"a": 4.811950400663443, "b": 13861.63625564147}})
+    assert wide.passed and wide.observed > 1e-12
 
 
 def test_transient5_reports_when_a_grid_start_has_equal_scores():

@@ -1,6 +1,7 @@
-"""Failure rates of a suite's checks over seeds 1..N.
+"""Failure rates of a suite's checks over seeds S..S+N-1.
 
-Runs one verification suite through ``run_suite`` on seeds 1..N, at its
+Runs one verification suite through ``run_suite`` on seeds S..S+N-1
+(``--first-seed S``, 1 by default, and ``--seeds N``), at its
 default configuration or with ``--config FILE`` (whose seed is replaced),
 and prints one JSON line per check, in report order: how many seeds failed
 it, which ones, the Clopper-Pearson 95% interval of its failure
@@ -17,6 +18,12 @@ imported from the path, so the same script sweeps any checkout:
 
     PYTHONPATH=src python3 tools/calibrate.py --suite transient5 --seeds 60 \\
         --config budget.json
+
+A long sweep splits over processes by seed range, each run with its own
+``--first-seed``, for example seeds 1..500 and 501..1000:
+
+    PYTHONPATH=src python3 tools/calibrate.py --suite overshoot --seeds 500 \\
+        --first-seed 501 --config budget.json
 
 ``budget.json`` holds a ``verify`` config such as ``{"paths": 196608}``.
 """
@@ -48,11 +55,16 @@ def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", required=True, choices=sorted(SUITES))
-    parser.add_argument("--seeds", type=int, required=True, help="run seeds 1..N")
+    parser.add_argument("--seeds", type=int, required=True, help="run N seeds")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="the first seed S of the run: seeds S..S+N-1 (default 1)")
     parser.add_argument("--config", default=None, help="JSON configuration file")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1 (got {args.seeds})")
+    if not 0 <= args.first_seed <= 2**64 - args.seeds:
+        parser.error(f"--first-seed must lie in [0, 2^64 - N] for N seeds "
+                     f"(got {args.first_seed})")
     try:
         base = load_config(args.config, suite=args.suite)
     except (OSError, ValueError) as exc:
@@ -60,7 +72,7 @@ def main(argv=None) -> int:
     failed: dict[str, list[int]] = {}
     band_use: dict[str, list[float]] = {}
     runs_failed = 0
-    for seed in range(1, args.seeds + 1):
+    for seed in range(args.first_seed, args.first_seed + args.seeds):
         report = run_suite(dataclasses.replace(base, seed=seed))
         runs_failed += not report.passed
         for check in report.checks:
@@ -81,7 +93,7 @@ def main(argv=None) -> int:
                                         "signed_sd": (statistics.stdev(use) if len(use) > 1
                                                       else None)} if use else None)}))
     print(json.dumps({"suite": args.suite, "config": args.config, "seeds": args.seeds,
-                      "runs_failed": runs_failed}))
+                      "first_seed": args.first_seed, "runs_failed": runs_failed}))
     return 0
 
 
