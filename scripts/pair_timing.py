@@ -25,7 +25,10 @@ may differ between trees whose checks agree).
 ``budget.json`` holds a ``verify`` config such as ``{"paths": 196608}``.
 
 Each tree is a checkout of this repository; its ``src/`` is put first on
-PYTHONPATH.
+PYTHONPATH.  Every run starts with PYTHONDONTWRITEBYTECODE=1 and so
+compiles the package from source, as the benchmark's runs do: a cached
+``.pyc`` lowers a run's start-up and peak RSS, so a tree that holds
+``src/interval_avoid/__pycache__`` is a usage error.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ def run_suite(tree: Path, suite: str, threads: int,
     """The suite's ``runtime_seconds``, the run's process wall and CPU
     seconds and peak RSS in MiB, and its report's ``checks`` array as JSON
     text (text, so that a NaN compares equal to itself)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), INTERVAL_AVOID_THREADS=str(threads),
+               PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "interval_avoid.cli", "verify", "--suite", suite]
     if config is not None:
         cmd += ["--config", str(config.resolve())]
@@ -92,6 +96,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2 for the quartiles (got {args.pairs})")
+    for tree in (args.base, args.head):
+        cache = tree / "src" / "interval_avoid" / "__pycache__"
+        if cache.exists():
+            parser.error(f"{cache} exists: remove it, so that the runs compile from source")
     for suite in args.suites:
         for threads in args.threads:
             base = {name: [] for name in MEASURES}

@@ -24,10 +24,10 @@ def block_stream(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
-def iter_blocks(n: int, block_size: int = BLOCK_SIZE):
-    """Yield (block_index, count) covering ``n`` paths."""
-    for index, offset in enumerate(range(0, n, block_size)):
-        yield index, min(block_size, n - offset)
+def iter_blocks(n: int):
+    """Yield (block_index, count) covering ``n`` paths in blocks of BLOCK_SIZE."""
+    for index, offset in enumerate(range(0, n, BLOCK_SIZE)):
+        yield index, min(BLOCK_SIZE, n - offset)
 
 
 def worker_count() -> int:

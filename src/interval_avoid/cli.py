@@ -181,11 +181,8 @@ def _cmd_condition(args) -> int:
     require_number(args.dt, "dt", low=0.0, strict=True)
     # p_up comes from the exact terminal sample, which has no grid: --dt only
     # spaces the --timeseries rows
-    config = PathConfig(dt=args.horizon, horizon=args.horizon, seed=args.seed,
-                        n_paths=args.particles)
-    if args.timeseries:
-        small = PathConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
-                           n_paths=min(args.particles, 8192))
+    config = PathConfig(dt=args.dt if args.timeseries else args.horizon,
+                        horizon=args.horizon, seed=args.seed, n_paths=args.particles)
     with _open_output(args.timeseries) as series:
         dp = drift_probability(model, interval, args.start, args.horizon, config,
                                transform=args.transform)
@@ -207,7 +204,7 @@ def _cmd_condition(args) -> int:
         if series is not None:
             times = [0.0] + _observation_grid(args.dt, args.horizon)
             ens = propagate_ensemble(model, interval, args.transform, args.start,
-                                     small, record_times=times)
+                                     config, record_times=times)
             series.write("time,total_weight,ess,frac_above,frac_below\n")
             for t, w, w2, w_up, w_dn in zip(ens.times, ens.weight, ens.weight_sq,
                                             ens.weight_above, ens.weight_below):

@@ -270,7 +270,6 @@ class Harmonics:
     params: ModelParams
     interval: Interval
     c: float
-    C: float
     slope: float
     coef_far: float
     coef_near: float
@@ -294,7 +293,7 @@ class Harmonics:
     def combined(self, x):
         _, s = _side_distance(self.interval, x)
         out = (self.slope * s
-               + (self.coef_far + self.C * self.coef_near) * (-np.expm1(-self.params.beta * s)))
+               + (self.coef_far + self.coef_near) * (-np.expm1(-self.params.beta * s)))
         return out if out.ndim else float(out)
 
     def value(self, kind: Kind, x):
@@ -311,7 +310,6 @@ def harmonics(params: ModelParams, interval: Interval) -> Harmonics:
         params=params,
         interval=interval,
         c=c,
-        C=1.0,
         slope=params.eta / beta,
         coef_far=(beta - params.eta) / beta**2 + 2.0 * c**2 / (beta * (1.0 - c**2)),
         coef_near=2.0 * c / (beta * (1.0 - c**2)),

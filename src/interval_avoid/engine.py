@@ -22,7 +22,9 @@ Blocks of paths are simulated together with numpy by one kernel,
 live path: K is one plus the expected number of jumps left before the latest
 target, capped at MAX_EVENTS and at BLOCK_SIZE // (live paths), so K = 1
 while a block is full and grows to MAX_EVENTS in the long tail of a
-horizon.  A path stops at death, at its target or at a crossing cap.  Every
+horizon.  Each row of an iteration stops at its first kill, crossing or
+target, so a path takes at most one crossing per iteration; a path that
+reaches the crossing cap is frozen there.  Every
 estimator is a job (``_Job``): a block function, a start, a seed, a path
 count, the block's args and a finish; ``_map_jobs`` runs the blocks of a
 list of jobs as one task list, block bi of a job on the PCG64DXSM stream
@@ -45,24 +47,24 @@ fall and the two halves of the Laplace jump) decide the kill, the landing
 and the crossing, at well under half the cost of an ``advance`` event.
 Both walks take their segments from one sampler, ``_walk_segments``,
 which resolves up to K per live path and iteration, by ``advance``'s rule
-with the segments left in place of the expected jumps, under a segment law
-given per row, and stops each row at its first kill or crossing; each walk
-adds only its own record logic.  The avoidance walk runs the segments that
-start above b under the exponentially tilted law (Siegmund's change of
-measure), so that every path is killed and scores its likelihood ratio.
-The crossing walk's time cap is a cap of ceil(lam * horizon) jump segments
-per path, the avoidance walk's a fixed segment cap.  The crossing masses
-are scored, not counted: each segment
-adds the chance, given its start, that it makes the crossing past the far
-boundary.  A crossing path censored at the cap scores its mean future
-from the closed form instead (the strong Markov property at its last
-jump), so the crossing masses carry no censoring bias.  Each segment also
-adds its kill indicator less its kill chance to one control of mean 0 and,
-if its Brownian part does not kill, its weighted landing displacement away
-from the interval less its mean to a second; each mass is the regression
-estimate on both.  The walks take
-start positions and a stream, not a ``PathBlock``, and return per-path
-arrays.
+(``_columns``) with the segments left in place of the expected jumps, under
+a segment law given per row, and stops each row at its first kill or
+crossing with ``advance``'s row sums (``_along_rows``) and stop search
+(``_first_stop``); each walk adds only its own record logic.  The
+avoidance walk runs the segments that start above b under the
+exponentially tilted law (Siegmund's change of measure), so that every
+path is killed and scores its likelihood ratio.  The crossing walk's time
+cap is a cap of ceil(lam * horizon) jump segments per path, the avoidance
+walk's a fixed segment cap.  The crossing masses are scored, not counted:
+each segment adds the chance, given its start, that it makes the crossing
+past the far boundary.  A crossing path censored at the cap scores its
+mean future from the closed form instead (the strong Markov property at
+its last jump), so the crossing masses carry no censoring bias.  Each
+segment also adds its kill indicator less its kill chance to one control
+of mean 0 and, if its Brownian part does not kill, its weighted landing
+displacement away from the interval less its mean to a second; each mass
+is the regression estimate on both.  The walks take start positions and a
+stream, not a ``PathBlock``, and return per-path arrays.
 
 Blocks return counts or sums wherever those suffice, and a finish adds
 them up in block order: the survival block returns the numbers of paths
@@ -313,31 +315,54 @@ _SHORT_ROWS = 16    # rows up to this long are summed column by column
 
 
 def _row_cumsum(v: np.ndarray) -> np.ndarray:
-    """Running sums along the rows of the (m, K) array ``v``: in place for a
-    float ``v``, into a new integer array for a boolean one, as
-    ``np.cumsum(v, axis=1)``.  Rows of up to _SHORT_ROWS cells are added
+    """Running sums along the rows of the float (m, K) array ``v``, in place,
+    as ``np.cumsum(v, axis=1)``.  Rows of up to _SHORT_ROWS cells are added
     column by column, in cumsum's left-to-right order, so the sums are bit
     for bit the same: at m K = 8192 cumsum took 43 us at K = 2 and 23 us at
-    K = 16, the column adds 2.5 us and 13 us; they break even near K = 16 for
-    booleans and K = 32 for floats (timeit, 2 CPUs).
-    """
+    K = 16, the column adds 2.5 us and 13 us; they break even near K = 32
+    (timeit, 2 CPUs)."""
     K = v.shape[1]
     if K > _SHORT_ROWS:
-        return np.cumsum(v, axis=1, out=None if v.dtype == bool else v)
-    if v.dtype == bool:
-        v = v.astype(np.int_)
+        return np.cumsum(v, axis=1, out=v)
     for c in range(1, K):
         v[:, c] += v[:, c - 1]
     return v
 
 
-def _events_per_path(t0: np.ndarray, tt: np.ndarray, lam: float) -> int:
-    """K for the m = t0.size live paths at times t0 with targets tt: one event
-    plus the expected jumps left to the latest target, capped at MAX_EVENTS
-    and at BLOCK_SIZE // m so that an iteration's (m, K) arrays never
-    outgrow one block."""
-    expected = lam * float(tt.max() - t0.min())
-    return max(1, min(MAX_EVENTS, BLOCK_SIZE // t0.size, 1 + int(min(expected, MAX_EVENTS))))
+def _columns(m: int, want: int) -> int:
+    """K, the events or segments drawn per live path in one loop iteration
+    of m live paths: ``want`` capped at MAX_EVENTS and at BLOCK_SIZE // m, so
+    that an iteration's (m, K) arrays never outgrow one block, and at least 1."""
+    return max(1, min(MAX_EVENTS, BLOCK_SIZE // m, want))
+
+
+def _along_rows(x: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions after each of the (m, K) ``steps`` from the m starts
+    ``x`` (the running sums along each row plus x, in place of ``steps``) and
+    each step's start (x[:, None] itself when K = 1)."""
+    _row_cumsum(steps)                  # no work at K = 1
+    steps += x[:, None]
+    # K = 1, the common case while a block is full, skips the shifted copy
+    # (without it and the sums transient5 took 2.9% longer at 1 worker, 17
+    # of 20 pairs; 2 CPUs)
+    if steps.shape[1] == 1:
+        return steps, x[:, None]
+    return steps, np.concatenate([x[:, None], steps[:, :-1]], axis=1)
+
+
+def _first_stop(stop: np.ndarray) -> tuple:
+    """Each row's first stopping column of the (m, K) mask ``stop`` (its last
+    column where none stops; the mask is overwritten) and a reader that
+    takes an (m, K) array's values at those columns."""
+    m, K = stop.shape
+    # K = 1 skips the search (without it transient5 took 11.9% longer at 1
+    # and 2 workers, 39 of 40 pairs; 2 CPUs)
+    if K == 1:
+        return np.zeros(m, dtype=np.intp), lambda v: v[:, 0]
+    stop[:, -1] = True
+    col = stop.argmax(axis=1)
+    flat = np.arange(m) * K + col
+    return col, lambda v: v.ravel()[flat]
 
 
 def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
@@ -345,14 +370,13 @@ def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
 
     ``targets`` is a scalar or per-path array of absolute times.  A path
     stops at the first of: death (a bridge touch or an endpoint inside the
-    interval, or a jump landing inside), its target and its
-    ``stop_after``-th crossing (if > 0).
-    A stop at the crossing cap sets ``frozen``.  A dead path holds in ``t``
-    the end time of the event that killed it: the hit time of a jump landing
-    inside [a, b], but the segment's end after a Brownian kill, whose entry
-    time is never sampled.  Its ``x`` is its entry value xi_T: the landing of
-    such a jump, or after a Brownian kill the boundary it entered through (b
-    from above, a from below).
+    interval, or a jump landing inside), its target and, if ``stop_after`` >
+    0, its ``stop_after``-th crossing, which sets ``frozen``.  A dead path
+    holds in ``t`` the end time of the event that killed it: the hit time of
+    a jump landing inside [a, b], but the segment's end after a Brownian
+    kill, whose entry time is never sampled.  Its ``x`` is its entry value
+    xi_T: the landing of such a jump, or after a Brownian kill the boundary
+    it entered through (b from above, a from below).
 
     Each loop iteration draws K events for each of its m live paths, with
     K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, 1 + floor(lam (latest target
@@ -361,8 +385,10 @@ def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
     and then one gap for each path whose stopping event is a jump.  Event c
     of a path ends at its c-th next jump, or at its target if that comes
     first.  Positions come from cumulative sums along the row, and each row
-    resolves its events up to its first stopping column; the draws past it
-    are discarded, which leaves the law exact.
+    stops at its first kill, landing inside, crossing or target (at its last
+    column if it has none), as the walks' rows do, so a row takes at most
+    one crossing per iteration; the draws past the stop are discarded, which
+    leaves the law exact (the strong Markov property at jump times).
     K depends only on the block's state, so results are bit-identical
     across worker counts, but the draw order depends on K and therefore on
     how a horizon is split into calls.
@@ -377,7 +403,7 @@ def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
     while idx.size:
         m = idx.size
         t0, x0, tt = pb.t[idx], pb.x[idx], targets[idx][:, None]
-        K = _events_per_path(t0, tt, lam)
+        K = _columns(m, 1 + int(min(lam * float(tt.max() - t0.min()), MAX_EVENTS)))
         # The K > 1 branches below could serve K = 1 too with the same draws,
         # but the fork is kept: without it step_ms is 1.38-1.64x,
         # bulk_paths_per_s 0.61-0.84x and propagate_ms_per_step 1.22-1.48x
@@ -401,56 +427,28 @@ def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
         else:
             size = np.zeros((m, K))
             size[jump] = _jump_sizes(rng, n_jumps, eta)
-        post = steps + size                      # value after each event
-        if K > 1:
-            _row_cumsum(post)
-        post += x0[:, None]
+        post, seg0 = _along_rows(x0, steps + size)   # the value after each event
         pre = post - size                        # value just before it
-        seg0 = (np.concatenate([x0[:, None], post[:, :-1]], axis=1) if K > 1
-                else x0[:, None])                # segment start values
 
         killed = _bridge_kill(rng.random((m, K)), seg0, pre, dt, interval, sigma)
         # a live pre-jump value is outside [a, b]; a non-jump column has
         # post == pre and never crosses
         crossed = np.where(pre > b, post <= b, post >= a)
         landed = interval.contains(post)
-        n_cross = pb.n_cross[idx][:, None] + (_row_cumsum(crossed) if K > 1
-                                              else crossed)
-        capped = jump & (n_cross >= stop_after) if stop_after > 0 else None
-
-        # each row's first stopping column c (the last one if none stops)
-        if K > 1:
-            stop = killed | landed | (tj >= tt)
-            if capped is not None:
-                stop |= capped
-            stop[:, -1] = True
-            col = stop.argmax(axis=1)
-            flat = np.arange(m) * K + col
-
-            def at_stop(v):
-                return v.ravel()[flat]
-        else:
-            col = np.zeros(m, dtype=np.intp)
-
-            def at_stop(v):
-                return v[:, 0]
+        _, at_stop = _first_stop(killed | landed | crossed | (tj >= tt))
 
         kill_c = at_stop(killed)
         dead = kill_c | at_stop(landed)
+        cross_c = at_stop(crossed) & ~kill_c     # a kill preempts its column's crossing
         t_c = at_stop(t1)
         x_c = at_stop(post)
-        n_c = at_stop(n_cross) - (kill_c & at_stop(crossed))
+        n_c = pb.n_cross[idx] + cross_c
         pb.t[idx] = t_c
         pb.n_cross[idx] = n_c
 
         if pb.cross_pos is not None:
-            # crossings up to the stopping column, unless a kill preempts it
-            r, c = np.nonzero(crossed)
-            keep = (c < col[r]) | ((c == col[r]) & ~kill_c[r])
-            r, c = r[keep], c[keep]
-            slot = n_cross[r, c] - 1
-            rec = slot < pb.cross_pos.shape[1]
-            pb.cross_pos[idx[r[rec]], slot[rec]] = post[r[rec], c[rec]]
+            rec = np.flatnonzero(cross_c & (n_c <= pb.cross_pos.shape[1]))
+            pb.cross_pos[idx[rec], n_c[rec] - 1] = x_c[rec]
 
         if dead.any():
             di = np.flatnonzero(dead)
@@ -467,15 +465,11 @@ def advance(pb: PathBlock, targets, *, stop_after: int = 0) -> None:
         # (landing inside included) draws its next gap
         tj_c = at_stop(tj)
         jumped = at_stop(jump) & ~kill_c
-        n_jumped = np.count_nonzero(jumped)
-        if n_jumped == m:
-            tj_c += rng.exponential(1.0 / lam, m)
-        else:
-            tj_c[jumped] += rng.exponential(1.0 / lam, n_jumped)
+        tj_c[jumped] += rng.exponential(1.0 / lam, np.count_nonzero(jumped))
         pb.next_jump[idx] = tj_c
 
-        if capped is not None:
-            pb.frozen[idx[at_stop(capped) & ~dead]] = True
+        if stop_after > 0:
+            pb.frozen[idx] = ~dead & (n_c >= stop_after)
 
         idx = idx[pb.alive[idx] & ~pb.frozen[idx] & (t_c < tt[:, 0])]
 
@@ -568,7 +562,7 @@ def _map_jobs(jobs: list[_Job]) -> list:
     for job in jobs:
         require_number(job.n, "n_paths", integer=True, low=1)
         tasks += [(job.block, job.model, job.interval, job.start, job.seed, bi, count, job.args)
-                  for bi, count in iter_blocks(job.n, BLOCK_SIZE)]
+                  for bi, count in iter_blocks(job.n)]
         ends.append(len(tasks))
     workers = worker_count()
     if workers <= 1 or len(tasks) <= 1:
@@ -730,8 +724,7 @@ def _either(cond: np.ndarray, yes: np.ndarray, no: np.ndarray) -> np.ndarray:
 
 
 def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, left: int,
-                   eta: float, rise, fall, c_up=None, c_down=None, away: bool = False
-                   ) -> tuple:
+                   eta: float, rise, fall, c_up, c_down, away: bool = False) -> tuple:
     """The next K jump segments of the m = x.size live paths at ``x``, up to
     each row's first stop, with K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m,
     left)), so K = 1 while m > BLOCK_SIZE // 2.
@@ -740,15 +733,15 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     above that and jumps (c_up E1 - c_down E2)/eta, for one (4, m, K) draw of
     standard exponentials U, D, E1, E2; positions are cumulative sums along
     each row.  ``rise`` and ``fall`` are the scales 1/phi+ and 1/phi- of
-    ``_wiener_hopf_scales``, ``c_up`` and ``c_down`` the jump factors (None
-    for 1, the model's own symmetric jumps, which skips two products); each
-    is a scalar or an (m, 1) column with one value per row.  A segment starting
-    above b kills if its infimum is at or below b, one starting below a if
-    its supremum is at or above a (and one starting inside [a, b] always).
-    A landing at or past the near boundary, inside [a, b] included, is a
-    crossing.  Each row stops at its first kill or crossing (at its last
-    column if it has neither), and the draws past it are discarded, which
-    leaves the law exact (the strong Markov property at jump times).
+    ``_wiener_hopf_scales``, ``c_up`` and ``c_down`` the jump factors (1 for
+    the model's own symmetric jumps); each is a scalar or an (m, 1) column
+    with one value per row.  A segment starting above b kills if its infimum
+    is at or below b, one starting below a if its supremum is at or above a
+    (and one starting inside [a, b] always).  A landing at or past the near
+    boundary, inside [a, b] included, is a crossing.  Each row stops at its
+    first kill or crossing (at its last column if it has neither), as in
+    ``advance``, and the draws past it are discarded, which leaves the law
+    exact (the strong Markov property at jump times).
     Returns K, each row's stop column, the kill flag, landing and crossing
     flag at it, the (m, K) arrays of the segments' starts (a view of ``x``
     when K = 1) and of whether each starts above b, and, with ``away`` (at
@@ -760,27 +753,16 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
     kill.
     """
     a, b = interval.a, interval.b
-    m = x.size
-    K = max(1, min(MAX_EVENTS, BLOCK_SIZE // m, left))
-    up, down, post, e2 = rng.standard_exponential((4, m, K))
+    up, down, post, e2 = rng.standard_exponential((4, x.size, _columns(x.size, left)))
     up *= rise
     down *= fall
-    if c_up is not None:
-        post *= c_up
-        e2 *= c_down
+    post *= c_up
+    e2 *= c_down
     post -= e2
     np.divide(post, eta, out=e2)        # the jumps
     np.subtract(up, down, out=post)
     post += e2
-    # K = 1 skips the cumulative sum, the shifted copy and the first-stop
-    # search: one segment per iteration is the common case while a block is
-    # full (without the first two transient5 took 2.9% longer at 1 worker,
-    # 17 of 20 pairs, and without the search 11.9% longer at 1 and 2
-    # workers, 39 of 40 pairs; 2 CPUs)
-    if K > 1:
-        _row_cumsum(post)
-    post += x[:, None]
-    seg0 = np.concatenate([x[:, None], post[:, :-1]], axis=1) if K > 1 else x[:, None]
+    post, seg0 = _along_rows(x, post)
     above = seg0 > b
     killed = _either(above, seg0 - down <= b, seg0 + up >= a)
     crossed = _either(above, post <= b, post >= a)
@@ -793,15 +775,9 @@ def _walk_segments(interval: Interval, x: np.ndarray, rng: np.random.Generator, 
         np.putmask(down, above, e2)
         np.putmask(down, killed, 0.0)
         shift = down
-    if K == 1:
-        return (K, np.zeros(m, dtype=np.intp), killed[:, 0], post[:, 0], crossed[:, 0], seg0,
-                above, shift)
-    stop = killed | crossed
-    stop[:, -1] = True
-    col = stop.argmax(axis=1)
-    flat = np.arange(m) * K + col
-    return (K, col, killed.ravel()[flat], post.ravel()[flat], crossed.ravel()[flat], seg0,
-            above, shift)
+    col, at_stop = _first_stop(killed | crossed)
+    return (post.shape[1], col, at_stop(killed), at_stop(post), at_stop(crossed), seg0, above,
+            shift)
 
 
 _DELTA_FLOOR = math.sqrt(np.finfo(float).tiny)    # see _segment_score_law
@@ -925,15 +901,14 @@ def _crossing_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = np.full(x.size, n_segments)          # segments left per live path
     while idx.size:
         K, col, kill_c, x_c, cross_c, seg0, above, away = _walk_segments(
-            interval, x, rng, int(left.min()), model.eta, rise, fall, away=True)
+            interval, x, rng, int(left.min()), model.eta, rise, fall, 1.0, 1.0, away=True)
         left -= col + 1
         # segments up to and including the stop column, all after n_cross crossings
         f, p = _segment_scores(interval, seg0, above, law, away)
-        if K > 1:
-            used = np.arange(K) <= col[:, None]
-            f *= used
-            p *= used
-            away *= used
+        used = np.arange(K) <= col[:, None]
+        f *= used
+        p *= used
+        away *= used
         at = idx * (3 * k) + n_cross       # S_j of each row; C_j and L_j follow
         flat[at] += np.einsum("ij->i", f)
         at += k
@@ -1128,14 +1103,13 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     where the measure switches.  Every live row is charged the iteration's
     K against ``n_segments``, whichever column it stops at, so the cap is a
     bound on the segments a path uses.  ``g`` and ``laws`` are
-    ``_avoidance_laws(model)``'s; an iteration whose live rows all start on
-    one side takes that side's law as scalars, and any other gathers each
-    row's.  A Q phase that began at s scores
-    exp(g (end - s)), with end = b at a kill (the path enters continuously),
-    the landing inside [a, b] or the landing below a.  Returns each path's
-    score Z, the product of its Q phases' scores (0 for a path still live
-    at the cap), and the index of each path still live.
-    E[Z] = 1 - P(T = infinity), and 0 <= Z <= exp(-g (x - b)) from x > b.
+    ``_avoidance_laws(model)``'s, and each live row takes its side's law.  A
+    Q phase that began at s scores exp(g (end - s)), with end = b at a kill
+    (the path enters continuously), the landing inside [a, b] or the landing
+    below a.  Returns each path's score Z, the product of its Q phases'
+    scores (0 for a path still live at the cap), and the index of each path
+    still live.  E[Z] = 1 - P(T = infinity), and 0 <= Z <= exp(-g (x - b))
+    from x > b.
     """
     b = interval.b
     by_row = laws.T.copy()          # (4, 2): column 0 for P, 1 for Q
@@ -1146,11 +1120,7 @@ def _avoidance_walk(model: ModelParams, interval: Interval, x: np.ndarray,
     left = n_segments
     while idx.size and left > 0:
         tilted = x > b
-        n_tilted = np.count_nonzero(tilted)
-        if n_tilted in (0, x.size):
-            law = laws[int(n_tilted > 0)]
-        else:
-            law = np.take(by_row, tilted.view(np.uint8), axis=1)[:, :, None]
+        law = np.take(by_row, tilted.view(np.uint8), axis=1)[:, :, None]
         K, _col, kill_c, x, cross_c, _seg0, _above, _away = _walk_segments(
             interval, x, rng, left, model.eta, *law)
         left -= K

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -625,11 +626,27 @@ def test_pair_timing_rejects_fewer_than_two_pairs(tmp_path, capsys):
     assert "--pairs" in capsys.readouterr().err
 
 
-def test_pair_timing_reports_process_times(capsys):
-    """Two pairs of one tree against itself: the suite's time, process wall,
-    CPU seconds and peak RSS each get quartiles, the times a win count."""
+def test_pair_timing_rejects_a_bytecode_cache(tmp_path, capsys):
+    """A tree whose package holds a __pycache__ is a usage error before any
+    run, naming the directory: its runs would not compile from source."""
     pair_timing = _load_script("scripts", "pair_timing")
-    tree = Path(__file__).resolve().parents[1]
+    cache = tmp_path / "head" / "src" / "interval_avoid" / "__pycache__"
+    cache.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        pair_timing.main(["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
+                          "--suites", "closedform", "--pairs", "2"])
+    assert exc.value.code == 2
+    assert str(cache) in capsys.readouterr().err
+
+
+def test_pair_timing_reports_process_times(tmp_path, capsys):
+    """Two pairs of one tree against itself: the suite's time, process wall,
+    CPU seconds and peak RSS each get quartiles, the times a win count.  The
+    tree is a copy of this one's ``src/`` without bytecode caches."""
+    pair_timing = _load_script("scripts", "pair_timing")
+    tree = tmp_path / "tree"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     assert pair_timing.main(["--base", str(tree), "--head", str(tree),
                              "--suites", "closedform", "--pairs", "2"]) == 0
     line = json.loads(capsys.readouterr().out)
